@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,71 +115,66 @@ int main() { int n = 0; while (true) { n = n + 1; } return n; }`)
 	}
 }
 
-func TestEngineFlag(t *testing.T) {
-	path := write(t, "eng.mcc", `
-class Node { public: int v; Node* next; Node(int x) : v(x), next(nullptr) {} };
-int main() {
-	Node* head = nullptr;
-	int sum = 0;
-	for (int i = 0; i < 50; i++) { Node* n = new Node(i); n->next = head; head = n; }
-	while (head != nullptr) { sum = sum + head->v; Node* d = head; head = head->next; delete d; }
-	print(sum); println();
-	return 0;
-}`)
-	runOne := func(engine string) (string, string, int) {
-		var out, errOut strings.Builder
-		code := run([]string{"-engine", engine, "-profile", path}, &out, &errOut)
-		return out.String(), errOut.String(), code
+// TestExamplesMatchGoldens runs every example program plain, with
+// -profile, and with -profile -parallel 4, and compares stdout, stderr
+// and the exit code with goldens recorded from the tree-walking
+// interpreter, the VM's reference oracle.
+func TestExamplesMatchGoldens(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/mcc/*.mcc")
+	if err != nil {
+		t.Fatal(err)
 	}
-	treeOut, treeErr, treeCode := runOne("tree")
-	vmOut, vmErr, vmCode := runOne("vm")
-	if treeCode != vmCode {
-		t.Fatalf("exit codes differ: tree=%d vm=%d", treeCode, vmCode)
+	if len(paths) == 0 {
+		t.Fatal("no example programs found")
 	}
-	if treeOut != vmOut {
-		t.Errorf("stdout differs:\ntree: %q\nvm:   %q", treeOut, vmOut)
-	}
-	if treeErr != vmErr {
-		t.Errorf("heap profile differs:\ntree:\n%s\nvm:\n%s", treeErr, vmErr)
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".mcc")
+		for _, tc := range []struct {
+			golden string
+			flags  []string
+		}{
+			{"run", nil},
+			{"profile", []string{"-profile"}},
+			{"profile", []string{"-profile", "-parallel", "4"}},
+		} {
+			want, err := os.ReadFile(filepath.Join("testdata", name+"."+tc.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out, errOut strings.Builder
+			code := run(append(tc.flags, path), &out, &errOut)
+			got := fmt.Sprintf("exit %d\n-- stdout --\n%s\n-- stderr --\n%s", code, out.String(), errOut.String())
+			if got != string(want) {
+				t.Errorf("mccrun %s %s differs from its golden:\n--- got ---\n%s--- want ---\n%s",
+					strings.Join(tc.flags, " "), path, got, want)
+			}
+		}
 	}
 }
 
+// TestEngineFlagRejected: the VM is the only engine, so -engine is an
+// unknown flag.
 func TestEngineFlagRejected(t *testing.T) {
 	path := write(t, "e.mcc", `int main() { return 0; }`)
 	var out, errOut strings.Builder
-	if code := run([]string{"-engine", "jit", path}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -engine should exit 2, got %d", code)
+	if code := run([]string{"-engine", "vm", path}, &out, &errOut); code != 2 {
+		t.Fatalf("-engine should exit 2 as an unknown flag, got %d", code)
 	}
-	if !strings.Contains(errOut.String(), `unknown engine "jit"`) {
-		t.Errorf("stderr missing engine diagnostic:\n%s", errOut.String())
-	}
-}
-
-func TestPrecisionFlagForwarded(t *testing.T) {
-	path := write(t, "prec.mcc", `
-class Box { public: int keep; int waste; Box() : keep(1), waste(2) {} };
-int main() { Box* b = new Box(); int r = b->keep; delete b; return r; }`)
-	var base string
-	for _, tier := range []string{"paper", "flow", "heap"} {
-		var out, errOut strings.Builder
-		if code := run([]string{"-precision", tier, "-profile", path}, &out, &errOut); code != 1 {
-			t.Fatalf("-precision=%s: exit = %d, want 1", tier, code)
-		}
-		if base == "" {
-			base = errOut.String()
-		} else if errOut.String() != base {
-			t.Errorf("-precision=%s changed the profile (the report is tier-invariant):\n%s", tier, errOut.String())
-		}
+	if !strings.Contains(errOut.String(), "flag provided but not defined: -engine") {
+		t.Errorf("stderr missing unknown-flag diagnostic:\n%s", errOut.String())
 	}
 }
 
+// TestPrecisionFlagRejected: mccrun's report is tier-invariant and it
+// has no server mode to forward a tier to, so -precision is an unknown
+// flag.
 func TestPrecisionFlagRejected(t *testing.T) {
 	path := write(t, "e.mcc", `int main() { return 0; }`)
 	var out, errOut strings.Builder
-	if code := run([]string{"-precision", "psychic", path}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -precision should exit 2, got %d", code)
+	if code := run([]string{"-precision", "flow", path}, &out, &errOut); code != 2 {
+		t.Fatalf("-precision should exit 2 as an unknown flag, got %d", code)
 	}
-	if !strings.Contains(errOut.String(), "psychic") {
-		t.Errorf("stderr missing precision diagnostic:\n%s", errOut.String())
+	if !strings.Contains(errOut.String(), "flag provided but not defined: -precision") {
+		t.Errorf("stderr missing unknown-flag diagnostic:\n%s", errOut.String())
 	}
 }

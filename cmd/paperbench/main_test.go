@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -87,63 +89,33 @@ func TestTimeoutAbortsSweep(t *testing.T) {
 	}
 }
 
+// TestEngineFlagRejected: the VM is the only engine, so the flags that
+// selected or compared engines are unknown flags now.
 func TestEngineFlagRejected(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-engine", "jit"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad -engine should exit 2, got %d", code)
-	}
-	if !strings.Contains(errOut.String(), `unknown engine "jit"`) {
-		t.Errorf("stderr missing engine diagnostic:\n%s", errOut.String())
-	}
-}
-
-func TestEnginesExhibit(t *testing.T) {
-	// The paper corpus is small enough to run under both engines in a
-	// couple of seconds; the exhibit itself asserts byte-identity per row
-	// (a divergence degrades the row and the run exits 1).
-	var out, errOut strings.Builder
-	if code := run([]string{"-engines"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	s := out.String()
-	for _, want := range []string{"Engine comparison", "vm steps/s", "richards", "total"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("-engines output missing %q:\n%s", want, s)
+	for _, args := range [][]string{{"-engine", "vm"}, {"-engines"}, {"-large"}, {"-json"}} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
 		}
-	}
-	if strings.Contains(s, "Table 1") {
-		t.Error("-engines should skip the profiled exhibits")
-	}
-	if strings.Contains(s, "[degraded") {
-		t.Errorf("engines diverged:\n%s", s)
-	}
-}
-
-func TestEnginesJSON(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-engines", "-json"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	s := out.String()
-	for _, want := range []string{`"tree_steps_per_sec"`, `"speedup"`, `"name": "sched"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("-engines -json output missing %q:\n%s", want, s)
+		if !strings.Contains(errOut.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr missing unknown-flag diagnostic:\n%s", args, errOut.String())
 		}
 	}
 }
 
+// TestProfiledExhibitsThroughVM: Table 2 and Figure 4, which execute
+// every corpus program on the VM, are byte-identical to the golden
+// recorded from the tree-walking interpreter.
 func TestProfiledExhibitsThroughVM(t *testing.T) {
-	// The profiled exhibits are byte-identical across engines; prove it
-	// for the cheapest pair.
-	var tree, vmOut, errOut strings.Builder
-	if code := run([]string{"-table2", "-engine", "tree"}, &tree, &errOut); code != 0 {
-		t.Fatalf("tree exit %d, stderr: %s", code, errOut.String())
+	want, err := os.ReadFile(filepath.Join("testdata", "table2_figure4.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	errOut.Reset()
-	if code := run([]string{"-table2", "-engine", "vm"}, &vmOut, &errOut); code != 0 {
-		t.Fatalf("vm exit %d, stderr: %s", code, errOut.String())
+	var out, errOut strings.Builder
+	if code := run([]string{"-table2", "-figure4"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
-	if tree.String() != vmOut.String() {
-		t.Errorf("-table2 differs across engines:\ntree:\n%s\nvm:\n%s", tree.String(), vmOut.String())
+	if out.String() != string(want) {
+		t.Errorf("-table2 -figure4 differs from the golden:\n--- got ---\n%s--- want ---\n%s", out.String(), want)
 	}
 }

@@ -26,9 +26,10 @@
 //
 // The internal packages implement the full pipeline: lexer, parser, type
 // checker, class hierarchy (member lookup + object layout), call graphs
-// (ALL/CHA/RTA), the paper's detection algorithm, the interpreter, and
-// the staged engine (internal/engine) with its parallel parse/liveness
-// stages and compile-once session cache.
+// (ALL/CHA/RTA), the paper's detection algorithm, the interpreter's
+// runtime core with the bytecode VM that executes every program on it,
+// and the staged engine (internal/engine) with its parallel
+// parse/liveness stages and compile-once session cache.
 package deadmembers
 
 import (
@@ -71,22 +72,6 @@ func (m CallGraphMode) internal() callgraph.Mode {
 	}
 }
 
-// Engine selects how MC++ programs are executed: the tree-walking
-// interpreter (the default) or the bytecode VM with inline caches. Both
-// engines produce byte-identical observable behaviour — output, exit
-// codes, step counts, and instrumented heap records — so the choice is
-// purely a performance knob.
-type Engine = engine.Engine
-
-// Execution engines.
-const (
-	EngineTree = engine.EngineTree
-	EngineVM   = engine.EngineVM
-)
-
-// ParseEngine parses an -engine flag value ("tree" or "vm").
-func ParseEngine(s string) (Engine, error) { return engine.ParseEngine(s) }
-
 // SizeofPolicy controls how sizeof expressions are treated (paper §3.2).
 type SizeofPolicy = deadmember.SizeofPolicy
 
@@ -128,10 +113,6 @@ type Options struct {
 
 	// MaxSteps bounds interpreter execution in ProfileProgram (0 = default).
 	MaxSteps int64
-
-	// Engine selects the execution engine for Profile/ProfileProgram
-	// (default EngineTree). The profile is byte-identical either way.
-	Engine Engine
 }
 
 func (o Options) analysisOptions() deadmember.Options {
@@ -291,7 +272,7 @@ func (c *Compilation) Profile(opts Options) (*Profile, error) {
 // expiry is polled at the interpreter's step boundary and aborts the run
 // with an error satisfying errors.Is(err, ctx.Err()).
 func (c *Compilation) ProfileContext(ctx context.Context, opts Options) (*Profile, error) {
-	return c.eng.ProfileContextEngine(ctx, opts.analysisOptions(), dynprof.Options{MaxSteps: opts.MaxSteps}, opts.Engine)
+	return c.eng.ProfileContext(ctx, opts.analysisOptions(), dynprof.Options{MaxSteps: opts.MaxSteps})
 }
 
 // Run executes the program without instrumentation.
@@ -302,17 +283,6 @@ func (c *Compilation) Run() (*ExecResult, error) {
 // RunContext is Run under a context (see ProfileContext).
 func (c *Compilation) RunContext(ctx context.Context) (*ExecResult, error) {
 	return c.eng.RunContext(ctx)
-}
-
-// RunEngine executes the program without instrumentation on the
-// selected engine.
-func (c *Compilation) RunEngine(eng Engine) (*ExecResult, error) {
-	return c.RunContextEngine(context.Background(), eng)
-}
-
-// RunContextEngine is RunEngine under a context (see ProfileContext).
-func (c *Compilation) RunContextEngine(ctx context.Context, eng Engine) (*ExecResult, error) {
-	return c.eng.RunContextEngine(ctx, eng)
 }
 
 // Strip analyzes and removes the dead data members (and unreachable

@@ -3,11 +3,13 @@ package deadmembers_test
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"deadmembers"
 	"deadmembers/internal/cfg"
+	"deadmembers/internal/dynprof"
 	"deadmembers/internal/frontend"
 )
 
@@ -147,13 +149,14 @@ func FuzzStripRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzVMDifferential is the engine equivalence fuzzer: every compiling
-// input is executed under the tree-walking interpreter and the bytecode
-// VM through the instrumented profiler, and the two runs must agree
-// byte-for-byte — same output, exit code, step count, and heap
-// high-water marks — or fail with the identical error. The input is
-// compiled once; only the execution engine differs between the runs,
-// so any divergence is the VM's fault by construction.
+// FuzzVMDifferential holds the bytecode VM, which executes every
+// program, to its reference oracle: each compiling input is profiled
+// through the production path and on the tree-walker (a nil
+// Executor), and the two runs must agree byte-for-byte — same output,
+// exit code, step count, and heap high-water marks — or fail with the
+// identical error. The input is compiled once and analyzed under the
+// same options for both runs; only the body evaluator differs, so any
+// divergence is the VM's fault by construction.
 func FuzzVMDifferential(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, text string) {
@@ -162,17 +165,18 @@ func FuzzVMDifferential(f *testing.F) {
 			return
 		}
 		// A small step budget keeps looping inputs cheap under coverage
-		// instrumentation; both engines count statements identically, so
-		// the budget trips in lockstep.
+		// instrumentation; both evaluators count statements identically,
+		// so the budget trips in lockstep.
 		const budget = 20_000
-		tree, terr := c.Profile(deadmembers.Options{MaxSteps: budget, Engine: deadmembers.EngineTree})
-		vm, verr := c.Profile(deadmembers.Options{MaxSteps: budget, Engine: deadmembers.EngineVM})
+		vm, verr := c.Profile(deadmembers.Options{MaxSteps: budget})
+		res := c.Analyze(deadmembers.Options{})
+		tree, terr := dynprof.Run(res, dynprof.Options{MaxSteps: budget, FileSet: res.Program.FileSet})
 		if (terr != nil) != (verr != nil) {
-			t.Fatalf("engines disagree on failure: tree=%v vm=%v", terr, verr)
+			t.Fatalf("evaluators disagree on failure: tree=%v vm=%v", terr, verr)
 		}
 		if terr != nil {
 			if terr.Error() != verr.Error() {
-				t.Fatalf("engines fail differently:\ntree: %v\nvm:   %v", terr, verr)
+				t.Fatalf("evaluators fail differently:\ntree: %v\nvm:   %v", terr, verr)
 			}
 			return
 		}
@@ -190,4 +194,33 @@ func FuzzVMDifferential(f *testing.F) {
 				vm.Ledger.HighWater, vm.Ledger.AdjustedHighWater)
 		}
 	})
+}
+
+// TestVMDifferentialSeedsCompile keeps the checked-in FuzzVMDifferential
+// seeds live: a seed the frontend rejects returns before either
+// evaluator runs, so plain `go test` would replay it as a no-op.
+func TestVMDifferentialSeedsCompile(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzVMDifferential", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no FuzzVMDifferential seeds found")
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A seed file is the header line, then string("<quoted source>").
+		_, arg, _ := strings.Cut(string(data), "\n")
+		arg = strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(arg), "string("), ")")
+		text, err := strconv.Unquote(arg)
+		if err != nil {
+			t.Fatalf("%s: not a one-string fuzz seed: %v", path, err)
+		}
+		if _, err := deadmembers.Compile(deadmembers.Source{Name: filepath.Base(path), Text: text}); err != nil {
+			t.Errorf("%s does not compile: %v", path, err)
+		}
+	}
 }

@@ -48,9 +48,9 @@ type Spec struct {
 	// ComputeRounds, when positive, adds an integer kernel to the
 	// driver: every hot-loop iteration runs this many rounds of scalar
 	// arithmetic over locals. It scales a benchmark's dynamic size
-	// (executed statements) without changing its heap shape — the large
-	// corpus uses it to synthesize programs 10–50× bigger than the
-	// paper-calibrated ones, the scale the tree-walker cannot touch.
+	// (executed statements) without changing its heap shape, which is
+	// how BENCH_vm.json's compute-kernel programs were made 10–50×
+	// bigger than the paper-calibrated ones.
 	ComputeRounds int
 
 	Seed uint64 // deterministic generation seed

@@ -44,6 +44,7 @@ import (
 	"deadmembers/internal/source"
 	"deadmembers/internal/strip"
 	"deadmembers/internal/types"
+	"deadmembers/internal/vm"
 )
 
 // Source is one named MC++ source file (re-exported from the frontend so
@@ -492,6 +493,8 @@ func (c *Compilation) Profile(opts deadmember.Options, dopts dynprof.Options) (*
 // ProfileContext is Profile under a context: the analysis polls it
 // between liveness functions and the instrumented execution polls it at
 // the interpreter's step boundary, so a deadline bounds the whole run.
+// The execution runs on a fresh NewExecutor, with runtime diagnostics
+// positioned through the compilation's FileSet.
 func (c *Compilation) ProfileContext(ctx context.Context, opts deadmember.Options, dopts dynprof.Options) (*dynprof.Profile, error) {
 	res, err := c.AnalyzeContext(ctx, opts)
 	if err != nil {
@@ -500,6 +503,8 @@ func (c *Compilation) ProfileContext(ctx context.Context, opts deadmember.Option
 	if dopts.Context == nil {
 		dopts.Context = ctx
 	}
+	dopts.Executor = c.NewExecutor()
+	dopts.FileSet = c.FileSet
 	return dynprof.Run(res, dopts)
 }
 
@@ -509,9 +514,22 @@ func (c *Compilation) Run() (*interp.Result, error) {
 }
 
 // RunContext is Run under a context, polled at the interpreter's step
-// boundary. It uses the tree-walking engine; see RunContextEngine.
+// boundary.
 func (c *Compilation) RunContext(ctx context.Context) (*interp.Result, error) {
-	return c.RunContextEngine(ctx, EngineTree)
+	return interp.Run(c.Program, c.Hierarchy, interp.Options{
+		Context:  ctx,
+		FileSet:  c.FileSet,
+		Executor: c.NewExecutor(),
+	})
+}
+
+// NewExecutor builds the bytecode VM that every execution of this
+// program runs on. It is fresh per call because its inline caches bind
+// one run's Machine cells, so executors are never shared across runs.
+// Running with a nil interp.Options.Executor (the tree-walker) is left
+// to tests, which use it as the VM's reference oracle.
+func (c *Compilation) NewExecutor() *vm.Executor {
+	return vm.NewExecutor(c.Program, c.Hierarchy)
 }
 
 // Strip analyzes and applies the dead-member elimination transform.

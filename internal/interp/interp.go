@@ -45,10 +45,12 @@ type Options struct {
 	FileSet *source.FileSet
 
 	// Executor, when non-nil, is offered every function body before the
-	// tree-walker runs it. The bytecode VM (internal/vm) plugs in here;
-	// construction/destruction protocol, globals, builtins, the ledger,
+	// tree-walker runs it. Every production run installs the bytecode
+	// VM (internal/vm) here; a nil Executor leaves all bodies to the
+	// tree-walker, which tests use as the VM's reference oracle.
+	// Construction/destruction protocol, globals, builtins, the ledger,
 	// and the step counter stay on this shared runtime core, which is
-	// what keeps the two engines' instrumented heaps byte-identical.
+	// what keeps the two evaluators' instrumented heaps byte-identical.
 	Executor Executor
 }
 
@@ -402,9 +404,9 @@ func (m *Machine) ConstructObject(obj *Object, ctor *types.Func, args []Value) {
 				continue
 			}
 		}
-		m.runClassCtor(obj, vb, vb.CtorByArity(0), nil, false)
+		m.runClassCtor(obj, vb, vb.CtorByArity(0), nil)
 	}
-	m.runClassCtor(obj, cls, ctor, args, false)
+	m.runClassCtor(obj, cls, ctor, args)
 }
 
 // findInit locates the ctor-init entry naming name.
@@ -426,7 +428,7 @@ func (m *Machine) runCtorInitTarget(obj *Object, ctor *types.Func, args []Value,
 	for _, a := range init.Args {
 		vals = append(vals, m.evalExpr(f, a))
 	}
-	m.runClassCtor(obj, vb, vb.CtorByArity(len(init.Args)), vals, false)
+	m.runClassCtor(obj, vb, vb.CtorByArity(len(init.Args)), vals)
 }
 
 // ctorFrame builds a Frame for evaluating a constructor's initializer
@@ -448,18 +450,17 @@ func (m *Machine) ctorFrame(obj *Object, ctor *types.Func, args []Value) *Frame 
 }
 
 // runClassCtor initializes the cls-level of obj: non-virtual bases,
-// members, and the constructor body. withVBases selects whether virtual
-// bases are handled here (only for classes acting as most-derived, which
-// constructObject has already done — so it is always false here).
-func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, args []Value, withVBases bool) {
-	_ = withVBases
+// members, and the constructor body. Virtual bases are not handled
+// here: ConstructObject initializes them once, for the most-derived
+// object.
+func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, args []Value) {
 	if ctor == nil {
 		// Default construction: default-construct bases and class members.
 		for _, b := range cls.Bases {
 			if b.Virtual {
 				continue
 			}
-			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(0), nil, false)
+			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(0), nil)
 		}
 		for _, fld := range cls.Fields {
 			m.defaultConstructMember(obj, fld)
@@ -479,9 +480,9 @@ func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, 
 			for _, a := range init.Args {
 				vals = append(vals, m.evalExpr(f, a))
 			}
-			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(len(init.Args)), vals, false)
+			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(len(init.Args)), vals)
 		} else {
-			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(0), nil, false)
+			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(0), nil)
 		}
 	}
 

@@ -1,5 +1,7 @@
-// Package interp implements a tree-walking interpreter for MC++ with an
-// instrumented object model. It executes the benchmark corpus to produce
+// Package interp implements the MC++ runtime core — an instrumented
+// object model plus a tree-walking evaluator that the bytecode VM
+// (internal/vm) replaces for function bodies through Options.Executor.
+// It executes the benchmark corpus to produce
 // the dynamic measurements of the paper's Table 2: every class-object
 // creation and destruction is reported to a heapsim.Ledger together with
 // its byte-exact layout size.

@@ -86,15 +86,6 @@ func CollectIn(s *engine.Session, b *bench.Benchmark) (*BenchmarkResult, error) 
 // expiry aborts the benchmark's pipeline between work items and is
 // reported as the returned error.
 func CollectInContext(ctx context.Context, s *engine.Session, b *bench.Benchmark) (*BenchmarkResult, error) {
-	return CollectInContextEngine(ctx, s, b, engine.EngineTree)
-}
-
-// CollectInContextEngine is CollectInContext with an execution-engine
-// selection for the instrumented run. The measurements are byte-identical
-// across engines (the VM shares the interpreter's runtime core); the knob
-// exists so the engine comparison exhibits and soaks can collect through
-// the VM end to end.
-func CollectInContextEngine(ctx context.Context, s *engine.Session, b *bench.Benchmark, eng engine.Engine) (*BenchmarkResult, error) {
 	c, err := b.CompileContext(ctx, s)
 	if err != nil {
 		return nil, err
@@ -164,7 +155,7 @@ func CollectInContextEngine(ctx context.Context, s *engine.Session, b *bench.Ben
 		}
 	}
 
-	prof, err := dynprof.Run(res, dynprof.Options{Context: ctx, Executor: c.ExecutorFor(eng)})
+	prof, err := dynprof.Run(res, dynprof.Options{Context: ctx, Executor: c.NewExecutor()})
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
@@ -206,15 +197,9 @@ func CollectAllIn(s *engine.Session) ([]*BenchmarkResult, error) {
 // continues with the next benchmark. Only cancellation aborts the sweep,
 // reported as the returned error.
 func CollectAllInContext(ctx context.Context, s *engine.Session) ([]*BenchmarkResult, error) {
-	return CollectAllInContextEngine(ctx, s, engine.EngineTree)
-}
-
-// CollectAllInContextEngine is CollectAllInContext with an
-// execution-engine selection (see CollectInContextEngine).
-func CollectAllInContextEngine(ctx context.Context, s *engine.Session, eng engine.Engine) ([]*BenchmarkResult, error) {
 	var out []*BenchmarkResult
 	for _, b := range bench.All() {
-		r, err := CollectInContextEngine(ctx, s, b, eng)
+		r, err := CollectInContext(ctx, s, b)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err

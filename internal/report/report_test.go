@@ -309,41 +309,3 @@ func TestSweepAbortsOnCancellation(t *testing.T) {
 		t.Fatal("expected the cancelled sweep to report an error")
 	}
 }
-
-func TestEnginesTableRendering(t *testing.T) {
-	rows := []*EngineRow{
-		{Name: "good", Steps: 1000000, TreeSecs: 2.0, VMSecs: 0.2,
-			TreeSPS: 500000, VMSPS: 5000000, Speedup: 10.0},
-		{Name: "bad", Degraded: true, Note: "engines diverged: tree(exit=0 steps=10) vm(exit=0 steps=11)"},
-	}
-	s := EnginesTable(rows)
-	for _, want := range []string{"10.00x", "[degraded: engines diverged", "total"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("engines table missing %q:\n%s", want, s)
-		}
-	}
-	j, err := EnginesJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"degraded": true`, `"speedup": 10`} {
-		if !strings.Contains(j, want) {
-			t.Errorf("engines JSON missing %q:\n%s", want, j)
-		}
-	}
-}
-
-func TestCollectEnginesDegradesOnCompileError(t *testing.T) {
-	broken := &bench.Benchmark{
-		Name:    "broken",
-		Sources: []frontend.Source{{Name: "broken.mcc", Text: "int main() { return undeclared; }\n"}},
-	}
-	rows, err := CollectEnginesInContext(context.Background(),
-		engine.NewSession(engine.Config{Workers: 1}), []*bench.Benchmark{broken})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || !rows[0].Degraded || !strings.Contains(rows[0].Note, "compile") {
-		t.Errorf("compile failure should degrade the row, got %+v", rows[0])
-	}
-}

@@ -22,6 +22,8 @@ type Checker struct {
 	diags     *source.DiagnosticList
 	scopes    []map[string]*types.Var
 	cur       *types.Func // function currently being checked
+	loops     int         // loops enclosing the statement being checked
+	switches  int         // switches enclosing the statement being checked
 	exprDepth int         // current checkExpr recursion depth
 	tooDeep   bool        // depth-limit diagnostic already reported
 }

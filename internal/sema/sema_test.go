@@ -66,6 +66,14 @@ func TestTypeErrors(t *testing.T) {
 		{"call undefined prototype", `int f(int a); int main() { return f(1); }`, "no definition"},
 		{"class param mismatch", `class A { public: int x; }; class B { public: int y; }; int f(A a) { return a.x; } int main() { B b; return f(b); }`, "cannot pass"},
 		{"redeclared local", `int main() { int x = 1; int x = 2; return x; }`, "redeclaration"},
+		{"stray break", `int main() { break; return 0; }`, "break statement not within a loop or switch"},
+		{"stray continue", `int main() { continue; return 0; }`, "continue statement not within a loop"},
+		{"continue in switch without loop", `int main() { switch (1) { case 1: continue; } return 0; }`, "continue statement not within a loop"},
+		// Loop nesting is per function body: the caller's loop does not
+		// make the callee's break legal.
+		{"break in callee of a loop", `void f(int i) { if (i == 2) break; }
+			int main() { int n = 0; for (int i = 0; i < 5; i++) { f(i); n++; } print(n); return n; }`,
+			"break statement not within a loop or switch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,6 +96,7 @@ func TestAcceptedPrograms(t *testing.T) {
 		{"const qualifiers", `int main() { const int x = 5; const int* p = &x; return *p; }`},
 		{"class by value", `class V { public: int n; V(int a) : n(a) {} }; int get(V v) { return v.n; } int main() { V v(4); return get(v); }`},
 		{"prototype then definition", `int f(int a); int f(int a) { return a; } int main() { return f(2); }`},
+		{"continue in switch in loop", `int main() { int n = 0; for (int i = 0; i < 4; i++) { switch (i) { case 1: continue; default: n++; } } return n; }`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

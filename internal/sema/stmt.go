@@ -157,9 +157,9 @@ func (c *Checker) checkStmt(s ast.Stmt) {
 		}
 	case *ast.WhileStmt:
 		c.checkCond(x.Cond)
-		c.checkStmt(x.Body)
+		c.checkLoopBody(x.Body)
 	case *ast.DoWhileStmt:
-		c.checkStmt(x.Body)
+		c.checkLoopBody(x.Body)
 		c.checkCond(x.Cond)
 	case *ast.ForStmt:
 		c.pushScope()
@@ -172,7 +172,7 @@ func (c *Checker) checkStmt(s ast.Stmt) {
 		if x.Post != nil {
 			c.checkExpr(x.Post)
 		}
-		c.checkStmt(x.Body)
+		c.checkLoopBody(x.Body)
 		c.popScope()
 	case *ast.SwitchStmt:
 		t := c.checkExpr(x.X)
@@ -180,6 +180,7 @@ func (c *Checker) checkStmt(s ast.Stmt) {
 			c.diags.Errorf(x.Pos(), "switch operand must be integral, have %s", t)
 		}
 		defaults := 0
+		c.switches++
 		for i := range x.Cases {
 			cs := &x.Cases[i]
 			if cs.Values == nil {
@@ -197,16 +198,30 @@ func (c *Checker) checkStmt(s ast.Stmt) {
 			}
 			c.popScope()
 		}
+		c.switches--
 		if defaults > 1 {
 			c.diags.Errorf(x.Pos(), "switch has multiple default cases")
 		}
 	case *ast.ReturnStmt:
 		c.checkReturn(x)
-	case *ast.BreakStmt, *ast.ContinueStmt:
-		// Loop nesting is validated structurally by the interpreter;
-		// statically accepting stray break/continue matches C compilers'
-		// parse-then-diagnose split and keeps the checker simple.
+	case *ast.BreakStmt:
+		if c.loops == 0 && c.switches == 0 {
+			c.diags.Errorf(x.Pos(), "break statement not within a loop or switch")
+		}
+	case *ast.ContinueStmt:
+		if c.loops == 0 {
+			c.diags.Errorf(x.Pos(), "continue statement not within a loop")
+		}
 	}
+}
+
+// checkLoopBody checks a loop body with one more loop open. The counts
+// are per function body: checking never enters a callee, so a break in
+// one function is never matched with a loop in its caller.
+func (c *Checker) checkLoopBody(body ast.Stmt) {
+	c.loops++
+	c.checkStmt(body)
+	c.loops--
 }
 
 func (c *Checker) checkReturn(r *ast.ReturnStmt) {

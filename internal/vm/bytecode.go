@@ -1,10 +1,11 @@
 // Package vm implements a bytecode compiler and dispatch-loop virtual
-// machine for MC++ function bodies. It plugs into the tree-walking
-// interpreter through interp.Options.Executor: the shared runtime core
-// (object model, construction/destruction protocol, heap ledger, step
-// counter, builtins) stays in internal/interp, and the VM only replaces
-// the per-statement AST walk, which is what keeps the instrumented heap
-// byte-identical between the two engines.
+// machine for MC++ function bodies; every production run executes on it.
+// It plugs into the interpreter through interp.Options.Executor: the
+// shared runtime core (object model, construction/destruction protocol,
+// heap ledger, step counter, builtins) stays in internal/interp, and the
+// VM only replaces the per-statement AST walk, which is what keeps the
+// instrumented heap byte-identical to the tree-walker the tests use as
+// its oracle.
 //
 // Compilation is per function, lazy, and all-or-nothing: a body using a
 // construct the compiler does not model falls back to the tree-walker in

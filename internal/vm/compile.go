@@ -223,18 +223,14 @@ func (c *compiler) stmt(s ast.Stmt) {
 		}
 
 	case *ast.BreakStmt:
-		if len(c.ctxs) == 0 {
-			panic(errUnsupported) // stray break: tree-walker unwinding applies
-		}
+		// sema rejects break outside a loop or switch, and continue
+		// outside a loop, so the target context always exists.
 		ctx := &c.ctxs[len(c.ctxs)-1]
 		c.emitPopN(c.depth - ctx.breakDepth)
 		ctx.breakSites = append(ctx.breakSites, c.emit(instr{op: opJump}))
 
 	case *ast.ContinueStmt:
 		ctx := c.loopCtx()
-		if ctx == nil {
-			panic(errUnsupported) // stray continue
-		}
 		c.emitPopN(c.depth - ctx.contDepth)
 		ctx.contSites = append(ctx.contSites, c.emit(instr{op: opJump}))
 

@@ -9,8 +9,9 @@ import (
 	"deadmembers/internal/vm"
 )
 
-// Engine throughput on the paper corpus's sched (the most
-// allocation-heavy benchmark). Run with -bench to compare:
+// Throughput of the VM against its tree-walker oracle on the paper
+// corpus's sched (the most allocation-heavy benchmark). Run with -bench
+// to compare:
 //
 //	go test ./internal/vm -bench 'Sched' -benchtime 3x
 func BenchmarkTreeSched(b *testing.B) {
@@ -29,24 +30,5 @@ func BenchmarkVMSched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ex := vm.NewExecutor(c.Program, c.Hierarchy)
 		interp.Run(c.Program, c.Hierarchy, interp.Options{Executor: ex})
-	}
-}
-
-// BenchmarkVMLarge runs the VM over the large corpus (the scale the
-// tree-walker cannot reach; see bench.Large).
-func BenchmarkVMLarge(b *testing.B) {
-	for _, bm := range bench.Large() {
-		bm := bm
-		b.Run(bm.Name, func(b *testing.B) {
-			c := engine.Compile(engine.Config{}, bm.Sources...)
-			if err := c.Err(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ex := vm.NewExecutor(c.Program, c.Hierarchy)
-				interp.Run(c.Program, c.Hierarchy, interp.Options{Executor: ex})
-			}
-		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"deadmembers/internal/bench"
@@ -26,14 +28,14 @@ func compile(t *testing.T, name, src string) *engine.Compilation {
 	return c
 }
 
-// runBoth executes the program on both engines and asserts identical
-// results (or identical failures).
+// runBoth executes the program on the production path (the VM) and on
+// the tree-walker oracle (a nil Executor), asserting identical results
+// (or identical failures).
 func runBoth(t *testing.T, name, src string) *interp.Result {
 	t.Helper()
 	c := compile(t, name, src)
-	ctx := context.Background()
-	tres, terr := c.RunContextEngine(ctx, engine.EngineTree)
-	vres, verr := c.RunContextEngine(ctx, engine.EngineVM)
+	tres, terr := interp.Run(c.Program, c.Hierarchy, interp.Options{FileSet: c.FileSet})
+	vres, verr := c.RunContext(context.Background())
 	assertSameRun(t, name, tres, terr, vres, verr)
 	return vres
 }
@@ -223,8 +225,8 @@ func TestDifferentialRuntimeErrors(t *testing.T) {
 }
 
 // TestDifferentialCorpusFiles runs every example and testdata program on
-// both engines, comparing output, exit code, step count, and the full
-// instrumented heap profile.
+// the VM and the oracle, comparing output, exit code, step count, and
+// the full instrumented heap profile.
 func TestDifferentialCorpusFiles(t *testing.T) {
 	var files []string
 	for _, dir := range []string{"../../examples/mcc", "../../testdata"} {
@@ -251,7 +253,7 @@ func TestDifferentialCorpusFiles(t *testing.T) {
 }
 
 // TestDifferentialBenchCorpus runs the built-in synthetic benchmarks on
-// both engines with profiling.
+// the VM and the oracle with profiling.
 func TestDifferentialBenchCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench corpus differential is slow")
@@ -268,11 +270,11 @@ func TestDifferentialBenchCorpus(t *testing.T) {
 	}
 }
 
-// TestDifferentialLargeKernel covers the large-corpus generator's
-// compute-kernel codegen (Spec.ComputeRounds) at a test-sized scale: the
-// full bench.Large() entries take minutes on the tree engine, but the
-// kernel shape — wide integer statements over a dozen locals — is
-// identical, so a scaled-down spec exercises the same fused bytecode.
+// TestDifferentialLargeKernel covers the generator's compute-kernel
+// codegen (Spec.ComputeRounds) at a test-sized scale: the kernel shape —
+// wide integer statements over a dozen locals — does not depend on the
+// round count, so a scaled-down spec exercises the same fused bytecode
+// that BENCH_vm.json's 35-58 s programs did.
 func TestDifferentialLargeKernel(t *testing.T) {
 	spec := bench.Spec{
 		Name: "kernel-test", Description: "scaled-down large-corpus shape",
@@ -285,13 +287,13 @@ func TestDifferentialLargeKernel(t *testing.T) {
 	assertSameProfile(t, "kernel-test", c)
 }
 
-// assertSameProfile profiles the compilation under both engines and
-// compares execution results plus every ledger statistic.
+// assertSameProfile profiles the compilation on the production path and
+// on the oracle, comparing execution results plus every ledger
+// statistic.
 func assertSameProfile(t *testing.T, name string, c *engine.Compilation) {
 	t.Helper()
-	ctx := context.Background()
-	tp, terr := c.ProfileContextEngine(ctx, deadmember.Options{}, dynprof.Options{}, engine.EngineTree)
-	vp, verr := c.ProfileContextEngine(ctx, deadmember.Options{}, dynprof.Options{}, engine.EngineVM)
+	tp, terr := dynprof.Run(c.Analyze(deadmember.Options{}), dynprof.Options{FileSet: c.FileSet})
+	vp, verr := c.ProfileContext(context.Background(), deadmember.Options{}, dynprof.Options{})
 	if (terr == nil) != (verr == nil) {
 		t.Fatalf("%s: engines disagree on profile failure: tree err=%v, vm err=%v", name, terr, verr)
 	}
@@ -333,44 +335,78 @@ func assertSameLedger(t *testing.T, name string, tl, vl *heapsim.Ledger) {
 	}
 }
 
-// TestVMCompilesHotFunctions guards against silent whole-corpus
-// fallback: the VM must actually compile (not decline) the functions of
-// a representative program.
+// TestVMCompilesHotFunctions is the fallback census: over every program
+// the repository ships — examples, testdata, the benchmark corpus, and
+// the checked-in fuzz seeds that compile — the VM must compile, not
+// decline, each function the run reaches, so no production body is
+// silently left to the tree-walker.
 func TestVMCompilesHotFunctions(t *testing.T) {
-	src := `
-		class N {
-		public:
-			int v;
-			N(int x) { v = x; }
-			virtual int get() { return v; }
-			virtual ~N() {}
-		};
-		int main() {
-			int sum = 0;
-			for (int i = 0; i < 100; i = i + 1) {
-				N* n = new N(i);
-				sum = sum + n->get();
-				delete n;
+	type program struct {
+		name    string
+		sources []engine.Source
+	}
+	var progs []program
+	for _, pattern := range []string{"../../examples/mcc/*.mcc", "../../testdata/*.mcc", "../../testdata/fuzz/*/*"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			print(sum); println();
-			return 0;
-		}`
-	c := compile(t, "hot.mcc", src)
-	ex := vm.NewExecutor(c.Program, c.Hierarchy)
-	res, err := interp.Run(c.Program, c.Hierarchy, interp.Options{Executor: ex})
-	if err != nil {
-		t.Fatalf("vm run: %v", err)
+			text := string(data)
+			if isSeed(path) {
+				text = seedText(t, path, text)
+			}
+			progs = append(progs, program{path, []engine.Source{{Name: filepath.Base(path), Text: text}}})
+		}
 	}
-	compiled, fallback := ex.Counts()
+	for _, b := range bench.All() {
+		progs = append(progs, program{b.Name, b.Sources})
+	}
+
+	compiled, declined := 0, 0
+	for _, p := range progs {
+		c := engine.Compile(engine.Config{}, p.sources...)
+		if err := c.Err(); err != nil {
+			if isSeed(p.name) {
+				continue // a fuzz seed the frontend rejects never executes
+			}
+			t.Fatalf("compile %s: %v", p.name, err)
+		}
+		// A run error (a seed's division by zero) only ends the census
+		// of that program early.
+		ex := c.NewExecutor()
+		interp.Run(c.Program, c.Hierarchy, interp.Options{Executor: ex})
+		n, fallback := ex.Counts()
+		if fallback != 0 {
+			t.Errorf("%s: the VM declined %d function(s) (compiled %d)", p.name, fallback, n)
+		}
+		compiled += n
+		declined += fallback
+	}
 	if compiled == 0 {
-		t.Fatalf("no functions compiled (fallback=%d)", fallback)
+		t.Fatal("no functions compiled")
 	}
-	if fallback != 0 {
-		t.Errorf("unexpected fallback count %d (compiled=%d)", fallback, compiled)
+	t.Logf("census: %d function(s) compiled, %d declined, over %d program(s)", compiled, declined, len(progs))
+}
+
+// isSeed reports whether path is a checked-in fuzz seed.
+func isSeed(path string) bool { return strings.Contains(path, "/testdata/fuzz/") }
+
+// seedText decodes a checked-in `go test fuzz v1` file holding one
+// string argument.
+func seedText(t *testing.T, path, data string) string {
+	t.Helper()
+	_, arg, _ := strings.Cut(data, "\n")
+	arg = strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(arg), "string("), ")")
+	text, err := strconv.Unquote(arg)
+	if err != nil {
+		t.Fatalf("%s: not a one-string fuzz seed: %v", path, err)
 	}
-	if res.Output == "" {
-		t.Error("no output produced")
-	}
+	return text
 }
 
 // TestVMStepBudget asserts the VM honors MaxSteps with the tree-walker's
