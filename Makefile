@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test race race-server bench fuzz serve smoke-server smoke-restart smoke-fleet smoke-precision chaos-smoke check ci
+.PHONY: build vet fmt-check lint test race race-server bench bench-module fuzz serve smoke-server smoke-restart smoke-fleet smoke-precision chaos-smoke check ci
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,12 @@ chaos-smoke:
 bench:
 	$(GO) test -bench=. -benchmem
 
+# The benchmark in perfbench/ is a nested module that `go build ./...`
+# at the root skips; vet and test it so an internal API change cannot
+# break it unnoticed.
+bench-module:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # Short fuzzing smoke over each target (the checked-in corpus under
 # testdata/fuzz/ is replayed by plain `make test` already).
 FUZZTIME ?= 20s
@@ -87,7 +93,7 @@ fuzz:
 
 # The quick local gate: build + static checks + tests. Slower CI-only
 # passes (race soaks, server smokes) stay out.
-check: build vet fmt-check test
+check: build vet fmt-check test bench-module
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build vet race race-server lint smoke-server smoke-restart smoke-fleet smoke-precision chaos-smoke
+ci: build vet race race-server bench-module lint smoke-server smoke-restart smoke-fleet smoke-precision chaos-smoke

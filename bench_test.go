@@ -268,29 +268,58 @@ func BenchmarkInterpRichards(b *testing.B) {
 	}
 }
 
+// scalingSizes are the class counts of the generated programs the
+// scaling benchmarks sweep: the paper corpus's range and beyond, to the
+// 3,200 classes of the largest analyze-scaled program.
+var scalingSizes = []int{25, 50, 100, 200, 400, 800, 1600, 3200}
+
+// scalingProgram compiles the generated scaling probe of the given size.
+func scalingProgram(b *testing.B, classes int) *frontend.Result {
+	b.Helper()
+	spec := bench.Spec{
+		Name: "scale", Description: "scaling probe",
+		Classes: classes, UsedClasses: classes * 3 / 4,
+		Members: classes * 4, DeadPercent: 10,
+		Allocations: 10, RetainMod: 1, DeadHeavyClasses: 3,
+		Seed: uint64(classes),
+	}
+	src, _ := bench.Generate(spec)
+	r := frontend.Compile(frontend.Source{Name: "scale.mcc", Text: src})
+	if err := r.Err(); err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 // BenchmarkAnalysisScaling measures how analysis time grows with program
 // size. The paper's §3.4 argues the algorithm is effectively linear:
 // O(N + C×M) for N expressions, C classes, M distinct member names.
 // Compare ns/op across the sub-benchmarks: time per class should stay
 // near-constant.
 func BenchmarkAnalysisScaling(b *testing.B) {
-	for _, classes := range []int{25, 50, 100, 200, 400} {
-		spec := bench.Spec{
-			Name: "scale", Description: "scaling probe",
-			Classes: classes, UsedClasses: classes * 3 / 4,
-			Members: classes * 4, DeadPercent: 10,
-			Allocations: 10, RetainMod: 1, DeadHeavyClasses: 3,
-			Seed: uint64(classes),
-		}
-		src, _ := bench.Generate(spec)
-		r := frontend.Compile(frontend.Source{Name: "scale.mcc", Text: src})
-		if err := r.Err(); err != nil {
-			b.Fatal(err)
-		}
+	for _, classes := range scalingSizes {
+		r := scalingProgram(b, classes)
 		b.Run(fmt.Sprintf("classes=%d", classes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
 				_ = res.Stats()
+			}
+		})
+	}
+}
+
+// BenchmarkCallGraphScaling isolates RTA construction on the same
+// programs: its cost should grow with the graph it builds, not with
+// classes × call-site occurrences.
+func BenchmarkCallGraphScaling(b *testing.B) {
+	for _, classes := range scalingSizes {
+		r := scalingProgram(b, classes)
+		b.Run(fmt.Sprintf("classes=%d", classes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g := callgraph.Build(r.Program, r.Graph, callgraph.Options{Mode: callgraph.RTA})
+				if len(g.Reachable) == 0 {
+					b.Fatal("empty call graph")
+				}
 			}
 		})
 	}

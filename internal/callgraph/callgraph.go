@@ -72,6 +72,10 @@ type Options struct {
 
 // Build constructs the call graph of prog under opts.
 func Build(prog *types.Program, h *hierarchy.Graph, opts Options) *Graph {
+	return build(prog, h, opts).g
+}
+
+func build(prog *types.Program, h *hierarchy.Graph, opts Options) *builder {
 	b := &builder{
 		prog: prog,
 		h:    h,
@@ -82,7 +86,11 @@ func Build(prog *types.Program, h *hierarchy.Graph, opts Options) *Graph {
 			Edges:        map[*types.Func][]*types.Func{},
 			Instantiated: map[*types.Class]bool{},
 		},
-		edgeSet: map[edge]bool{},
+		edgeSet:   map[edge]bool{},
+		seenSites: map[virtualSite]bool{},
+		seenDtors: map[dtorSite]bool{},
+		sitesAt:   map[*types.Class][]virtualSite{},
+		dtorsAt:   map[*types.Class][]*types.Func{},
 	}
 
 	if opts.Mode == ALL {
@@ -94,7 +102,7 @@ func Build(prog *types.Program, h *hierarchy.Graph, opts Options) *Graph {
 		for _, c := range prog.Classes {
 			b.g.Instantiated[c] = true
 		}
-		return b.g
+		return b
 	}
 
 	// Global class-typed variables are constructed before main and
@@ -109,26 +117,42 @@ func Build(prog *types.Program, h *hierarchy.Graph, opts Options) *Graph {
 		b.addReachable(r)
 	}
 	b.run()
-	return b.g
+	return b
 }
 
 type edge struct{ from, to *types.Func }
 
+// virtualSite is a dynamically dispatched call of method, through a
+// pointer of static class static, in caller.
 type virtualSite struct {
 	caller *types.Func
 	static *types.Class
 	method *types.Func
 }
 
+// dtorSite is a `delete` in caller of a pointer of static class static.
+type dtorSite struct {
+	caller *types.Func
+	static *types.Class
+}
+
 type builder struct {
-	prog      *types.Program
-	h         *hierarchy.Graph
-	info      *types.Info
-	g         *Graph
-	work      []*types.Func
-	sites     []virtualSite
-	dtorSites []dtorSite
-	edgeSet   map[edge]bool
+	prog    *types.Program
+	h       *hierarchy.Graph
+	info    *types.Info
+	g       *Graph
+	work    []*types.Func
+	edgeSet map[edge]bool
+
+	// Each virtual call site and each delete site is resolved once,
+	// however often it occurs in its caller. The sites that dispatch
+	// (virtual calls, deletes through a virtual destructor) are indexed
+	// by static class: a newly instantiated class can only add targets
+	// to the sites at itself or one of its transitive bases.
+	seenSites map[virtualSite]bool
+	seenDtors map[dtorSite]bool
+	sitesAt   map[*types.Class][]virtualSite
+	dtorsAt   map[*types.Class][]*types.Func // callers
 }
 
 func (b *builder) addEdge(from, to *types.Func) {
@@ -166,8 +190,11 @@ func (b *builder) run() {
 	}
 }
 
-// instantiate marks cls as constructed and revisits recorded virtual call
-// sites, since a newly instantiated class can add dispatch targets.
+// instantiate marks cls as constructed. Under RTA a newly instantiated
+// class is a new dispatch target for the sites recorded at its own class
+// and at its transitive bases, and for no others, so only those are
+// visited: the cost is proportional to the edges it can add, not to
+// every site recorded so far.
 func (b *builder) instantiate(caller *types.Func, cls *types.Class) {
 	if cls == nil || b.g.Instantiated[cls] {
 		return
@@ -181,23 +208,25 @@ func (b *builder) instantiate(caller *types.Func, cls *types.Class) {
 	for _, fld := range cls.Fields {
 		b.instantiateFieldType(caller, fld.Type)
 	}
-	if b.g.Mode == RTA {
-		// Incremental re-resolution: only the newly instantiated class
-		// can contribute new dispatch targets, so check it against each
-		// recorded site instead of re-running full resolution (keeps RTA
-		// construction near-linear, as the paper's §3.4 expects).
-		for _, s := range b.sites {
-			if cls == s.static || b.h.IsBaseOf(s.static, cls) {
-				if target := b.h.Overrides(cls, s.method.Name); target != nil {
-					b.addEdge(s.caller, target)
-				}
-			}
+	if b.g.Mode != RTA {
+		return
+	}
+	b.dispatchTo(cls, cls)
+	for _, base := range b.h.AllBases(cls) {
+		b.dispatchTo(base, cls)
+	}
+}
+
+// dispatchTo adds the targets a receiver of exact class cls selects at
+// the sites recorded at static class at.
+func (b *builder) dispatchTo(at, cls *types.Class) {
+	for _, s := range b.sitesAt[at] {
+		if target := b.h.Overrides(cls, s.method.Name); target != nil {
+			b.addEdge(s.caller, target)
 		}
-		for _, ds := range b.dtorSites {
-			if cls == ds.static || b.h.IsBaseOf(ds.static, cls) {
-				b.destroy(ds.caller, cls)
-			}
-		}
+	}
+	for _, caller := range b.dtorsAt[at] {
+		b.destroy(caller, cls)
 	}
 }
 
@@ -277,20 +306,15 @@ func (b *builder) destroy(caller *types.Func, cls *types.Class) {
 }
 
 // destroyDynamic handles `delete p` where p's static class may have
-// subclasses with virtual destructors.
+// subclasses with virtual destructors. A site is resolved once; under
+// RTA, classes instantiated later reach it through dispatchTo.
 func (b *builder) destroyDynamic(caller *types.Func, static *types.Class) {
-	d := static.Dtor()
-	virtual := d != nil && d.Virtual
-	if !virtual {
-		// Also virtual if any base declares a virtual dtor.
-		for bc := range allBaseSet(b.h, static) {
-			if bd := bc.Dtor(); bd != nil && bd.Virtual {
-				virtual = true
-				break
-			}
-		}
+	ds := dtorSite{caller, static}
+	if b.seenDtors[ds] {
+		return
 	}
-	if !virtual {
+	b.seenDtors[ds] = true
+	if !b.hasVirtualDtor(static) {
 		b.destroy(caller, static)
 		return
 	}
@@ -300,32 +324,21 @@ func (b *builder) destroyDynamic(caller *types.Func, static *types.Class) {
 		}
 		b.destroy(caller, sub)
 	}
-	if b.g.Mode == RTA {
-		// Re-resolution on later instantiation: record as virtual site on
-		// the destructor name by registering a synthetic site per subclass
-		// discovered later. Simplest correct approach: remember it.
-		b.dtorSites = append(b.dtorSites, dtorSite{caller, static})
+	b.dtorsAt[static] = append(b.dtorsAt[static], caller)
+}
+
+// hasVirtualDtor reports whether c or any of its bases declares a
+// virtual destructor.
+func (b *builder) hasVirtualDtor(c *types.Class) bool {
+	if d := c.Dtor(); d != nil && d.Virtual {
+		return true
 	}
-}
-
-type dtorSite struct {
-	caller *types.Func
-	static *types.Class
-}
-
-func allBaseSet(h *hierarchy.Graph, c *types.Class) map[*types.Class]bool {
-	set := map[*types.Class]bool{}
-	var walk func(x *types.Class)
-	walk = func(x *types.Class) {
-		for _, bs := range x.Bases {
-			if !set[bs.Class] {
-				set[bs.Class] = true
-				walk(bs.Class)
-			}
+	for _, bc := range b.h.AllBases(c) {
+		if d := bc.Dtor(); d != nil && d.Virtual {
+			return true
 		}
 	}
-	walk(c)
-	return set
+	return false
 }
 
 // resolveVirtual adds edges for one virtual call site under the current
@@ -520,8 +533,11 @@ func (b *builder) methodCall(caller *types.Func, static *types.Class, m *types.F
 	}
 	if m.Virtual && throughPointer && qual == "" {
 		s := virtualSite{caller: caller, static: static, method: m}
-		b.sites = append(b.sites, s)
-		b.resolveVirtual(s)
+		if !b.seenSites[s] {
+			b.seenSites[s] = true
+			b.sitesAt[static] = append(b.sitesAt[static], s)
+			b.resolveVirtual(s)
+		}
 		return
 	}
 	b.addEdge(caller, m)

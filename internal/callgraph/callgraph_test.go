@@ -287,3 +287,68 @@ int main() {
 		t.Error("NotUsed should not be a used class")
 	}
 }
+
+// TestRTAIndirectBaseSiteReachedByLaterInstantiation: main records the
+// virtual site p->f() at static class A while only A is instantiated;
+// the later new C() instantiates C, whose A base is indirect (through
+// B), so C and its B subobject must reach the site. D never is.
+func TestRTAIndirectBaseSiteReachedByLaterInstantiation(t *testing.T) {
+	src := `
+class A { public: virtual int f() { return 1; } };
+class B : public A { public: virtual int f() { return 2; } };
+class C : public B { public: virtual int f() { return 3; } };
+class D : public B { public: virtual int f() { return 4; } };
+int main() {
+	A* p = new A();
+	int r = p->f();
+	C* c = new C();
+	return r;
+}
+`
+	r, g := build(t, src, callgraph.RTA)
+	callees := map[string]bool{}
+	for _, f := range g.Edges[r.Program.Main] {
+		callees[f.QualifiedName()] = true
+	}
+	for _, want := range []string{"A::f", "B::f", "C::f"} {
+		if !callees[want] {
+			t.Errorf("main -> %s missing; callees %v", want, callees)
+		}
+	}
+	if callees["D::f"] || reachableNames(g)["D::f"] {
+		t.Error("D is never instantiated: D::f must stay unreachable")
+	}
+}
+
+// TestRTAVirtualDtorDeleteBeforeSubclassInstantiated: delete through a
+// Mid* is recorded when no Leaf exists yet. Mid's destructor is virtual
+// only through its base, and Leaf, instantiated after the delete, must
+// still have its destructor (and what it calls) reached from that
+// delete. Other is never instantiated.
+func TestRTAVirtualDtorDeleteBeforeSubclassInstantiated(t *testing.T) {
+	src := `
+class Base { public: virtual ~Base() {} };
+class Mid : public Base { public: ~Mid() {} };
+class Leaf : public Mid {
+public:
+	int mark;
+	~Leaf() { mark = cleanup(); }
+	int cleanup() { return 0; }
+};
+class Other : public Mid { public: ~Other() {} };
+int main() {
+	Mid* p = new Mid();
+	delete p;
+	Leaf* q = new Leaf();
+	return 0;
+}
+`
+	_, g := build(t, src, callgraph.RTA)
+	names := reachableNames(g)
+	if !names["Leaf::~Leaf"] || !names["Leaf::cleanup"] {
+		t.Errorf("delete must reach the later-instantiated Leaf's destructor: %v", names)
+	}
+	if names["Other::~Other"] {
+		t.Error("Other is never instantiated: its destructor must stay unreachable")
+	}
+}

@@ -201,10 +201,9 @@ type Exec struct {
 // of library classes as extra roots (the library may call them back). It
 // exists so engines can cache graphs across analyses that share a mode.
 func BuildGraph(prog *types.Program, h *hierarchy.Graph, opts Options) *callgraph.Graph {
-	a := newAnalysis(prog, h, opts)
 	return callgraph.Build(prog, h, callgraph.Options{
 		Mode:       opts.CallGraph,
-		ExtraRoots: a.libraryOverrideRoots(),
+		ExtraRoots: libraryOverrideRoots(prog, h, libraryClasses(prog, opts.LibraryClasses)),
 	})
 }
 
@@ -230,10 +229,7 @@ func AnalyzeWith(prog *types.Program, h *hierarchy.Graph, opts Options, exec Exe
 	if exec.Graph != nil {
 		a.res.CallGraph = exec.Graph
 	} else {
-		a.res.CallGraph = callgraph.Build(prog, h, callgraph.Options{
-			Mode:       opts.CallGraph,
-			ExtraRoots: a.libraryOverrideRoots(),
-		})
+		a.res.CallGraph = BuildGraph(prog, h, opts)
 	}
 
 	// Library members are unclassifiable (paper §3.3).
@@ -282,17 +278,24 @@ func newAnalysis(prog *types.Program, h *hierarchy.Graph, opts Options) *analysi
 			Options:   opts,
 			Used:      callgraph.UsedClasses(prog),
 			marks:     map[*types.Field]*Mark{},
-			library:   map[*types.Class]bool{},
+			library:   libraryClasses(prog, opts.LibraryClasses),
 		},
 		visited: map[*types.Class]bool{},
 	}
 	a.marks = a.res.marks
-	for _, name := range opts.LibraryClasses {
+	return a
+}
+
+// libraryClasses resolves the designated library class names against
+// prog; unknown names are ignored.
+func libraryClasses(prog *types.Program, names []string) map[*types.Class]bool {
+	library := map[*types.Class]bool{}
+	for _, name := range names {
 		if c, ok := prog.ClassByName[name]; ok {
-			a.res.library[c] = true
+			library[c] = true
 		}
 	}
-	return a
+	return library
 }
 
 // analysis carries the mutable state of one run. In the parallel liveness
@@ -324,18 +327,21 @@ func (a *analysis) processFuncGuarded(f *types.Func, fault func(*types.Func)) *f
 
 // libraryOverrideRoots returns user methods that override virtual methods
 // declared in library classes.
-func (a *analysis) libraryOverrideRoots() []*types.Func {
+func libraryOverrideRoots(prog *types.Program, h *hierarchy.Graph, library map[*types.Class]bool) []*types.Func {
+	if len(library) == 0 {
+		return nil
+	}
 	var roots []*types.Func
-	for _, c := range a.prog.Classes {
-		if a.res.library[c] {
+	for _, c := range prog.Classes {
+		if library[c] {
 			continue
 		}
 		for _, m := range c.Methods {
 			if !m.Virtual {
 				continue
 			}
-			for bc := range a.allBases(c) {
-				if a.res.library[bc] {
+			for _, bc := range h.AllBases(c) {
+				if library[bc] {
 					if bm := bc.MethodByName(m.Name); bm != nil && bm.Virtual {
 						roots = append(roots, m)
 						break
@@ -348,21 +354,6 @@ func (a *analysis) libraryOverrideRoots() []*types.Func {
 		return roots[i].QualifiedName() < roots[j].QualifiedName()
 	})
 	return roots
-}
-
-func (a *analysis) allBases(c *types.Class) map[*types.Class]bool {
-	set := map[*types.Class]bool{}
-	var walk func(*types.Class)
-	walk = func(x *types.Class) {
-		for _, b := range x.Bases {
-			if !set[b.Class] {
-				set[b.Class] = true
-				walk(b.Class)
-			}
-		}
-	}
-	walk(c)
-	return set
 }
 
 func (a *analysis) markLive(f *types.Field, why Reason, at source.Pos) {

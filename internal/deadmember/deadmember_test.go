@@ -418,6 +418,38 @@ int main() {
 	}
 }
 
+// TestLibraryOverrideRootThroughIndirectBase: a user method overriding
+// a virtual method of a library class two levels up is a call-graph root
+// (the library may call it back); without a library designation it is
+// not, and the member only it reads is dead.
+func TestLibraryOverrideRootThroughIndirectBase(t *testing.T) {
+	src := `
+class Lib { public: virtual void onEvent() {} };
+class Mid : public Lib { public: int pad; Mid() : pad(0) {} };
+class Mine : public Mid {
+public:
+	int hits;
+	Mine() : hits(0) {}
+	virtual void onEvent() { hits = hits + 1; }
+};
+int main() { Mine m; return 0; }
+`
+	r := frontend.Compile(frontend.Source{Name: "test.mcc", Text: src})
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	onEvent := r.Program.ClassByName["Mine"].MethodByName("onEvent")
+	lib := deadmember.Options{CallGraph: callgraph.RTA, LibraryClasses: []string{"Lib"}}
+	if g := deadmember.BuildGraph(r.Program, r.Graph, lib); !g.Reachable[onEvent] {
+		t.Error("Mine::onEvent overrides a library virtual through Mid: it must be a root")
+	}
+	if g := deadmember.BuildGraph(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA}); g.Reachable[onEvent] {
+		t.Error("without a library class Mine::onEvent is never called")
+	}
+	expectDead(t, deadmember.Analyze(r.Program, r.Graph, lib), "Mid::pad")
+	expectDead(t, deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA}), "Mid::pad", "Mine::hits")
+}
+
 func TestUnusedClassesExcludedFromStats(t *testing.T) {
 	src := `
 class Used { public: int a; int b; };

@@ -38,6 +38,7 @@ import (
 	"deadmembers/internal/frontend"
 	"deadmembers/internal/hierarchy"
 	"deadmembers/internal/interp"
+	"deadmembers/internal/lexer"
 	"deadmembers/internal/lint"
 	"deadmembers/internal/parser"
 	"deadmembers/internal/sema"
@@ -208,14 +209,20 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 		}
 	}
 
-	// Stage 1a: pre-scan every file for declared type names, so class
-	// names declared in one file are known while parsing the others.
+	// Stage 1a: lex every file and collect its declared type names, so
+	// class names declared in one file are known while parsing the
+	// others. Each file is lexed once: stage 1b parses these tokens and
+	// reports these lex diagnostics.
+	toks := make([][]lexer.Token, len(srcFiles))
+	lexDiags := make([]*source.DiagnosticList, len(srcFiles))
 	typeSets := make([]map[string]bool, len(srcFiles))
 	ok := parallelFor(ctx, workers, len(srcFiles), func(i int) {
 		if oversized[i] {
 			return
 		}
-		typeSets[i] = parser.CollectTypeNames(srcFiles[i])
+		lexDiags[i] = source.NewDiagnosticList(fset)
+		toks[i] = lexer.ScanAll(srcFiles[i], lexDiags[i])
+		typeSets[i] = parser.TypeNames(toks[i])
 	})
 	if !ok {
 		return c.cancelled(ctx)
@@ -228,10 +235,10 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 	}
 
 	// Stage 1b: parse each file independently into its own diagnostic
-	// list; merge in file order afterwards. A panicking worker is
-	// contained: its file degrades to an empty AST (plus the diagnostics
-	// it reported before faulting, which are deterministic), and a
-	// structured Failure records the fault.
+	// list, lex diagnostics first; merge in file order afterwards. A
+	// panicking worker is contained: its file degrades to an empty AST
+	// (plus the diagnostics it reported before faulting, which are
+	// deterministic), and a structured Failure records the fault.
 	files := make([]*ast.File, len(srcFiles))
 	fileDiags := make([]*source.DiagnosticList, len(srcFiles))
 	fileFails := make([]*failure.Failure, len(srcFiles))
@@ -246,8 +253,10 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 			if cfg.ParseFault != nil {
 				cfg.ParseFault(name)
 			}
-			files[i] = parser.ParseFileWithTypes(srcFiles[i], fileDiags[i], allTypes)
+			fileDiags[i].Extend(lexDiags[i])
+			files[i] = parser.ParseTokens(srcFiles[i], toks[i], fileDiags[i], allTypes)
 		})
+		toks[i] = nil // the AST keeps what it needs; free the stream before sema
 		if files[i] == nil {
 			files[i] = &ast.File{Name: name}
 		}

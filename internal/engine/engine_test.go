@@ -6,11 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"deadmembers/internal/ast"
 	"deadmembers/internal/bench"
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/frontend"
+	"deadmembers/internal/parser"
+	"deadmembers/internal/sema"
+	"deadmembers/internal/source"
 	"deadmembers/internal/strip"
 )
 
@@ -199,6 +203,76 @@ func TestParallelParseDiagnosticsDeterministic(t *testing.T) {
 		} else if err.Error() != want {
 			t.Fatalf("diagnostics at %d workers differ:\n--- want ---\n%s\n--- got ---\n%s", workers, want, err.Error())
 		}
+	}
+}
+
+// lexParseSources mixes lex errors (unexpected characters, an
+// unterminated string) with the parse errors they cause, and needs a
+// class name from another file to parse.
+var lexParseSources = []frontend.Source{
+	{Name: "one.mcc", Text: "class A { public: int x; };\nint broken1() { return $; }\n"},
+	{Name: "two.mcc", Text: "int broken2() { B* b; return @ + \"open; }\n"},
+	{Name: "three.mcc", Text: "class B : public A { public: int y; };\nint broken3() { return #; }\nint main() { return 0; }\n"},
+}
+
+// referenceDiags compiles sources the way the frontend did when every
+// file was lexed twice (once for its type names, once by
+// parser.ParseFileWithTypes), leaving out the files named in skip as a
+// faulted parse worker does, and renders every diagnostic.
+func referenceDiags(sources []frontend.Source, skip string) string {
+	fset := source.NewFileSet()
+	diags := source.NewDiagnosticList(fset)
+	var srcFiles []*source.File
+	allTypes := map[string]bool{}
+	for _, s := range sources {
+		f := fset.AddFile(s.Name, s.Text)
+		srcFiles = append(srcFiles, f)
+		for name := range parser.CollectTypeNames(f) {
+			allTypes[name] = true
+		}
+	}
+	var files []*ast.File
+	for _, f := range srcFiles {
+		if f.Name() == skip {
+			files = append(files, &ast.File{Name: f.Name()})
+			continue
+		}
+		files = append(files, parser.ParseFileWithTypes(f, diags, allTypes))
+	}
+	sema.Check(fset, files, diags)
+	return diags.String()
+}
+
+// TestLexDiagnosticsOncePerFile: lexing each file once, in the type-name
+// prescan, reports every lex diagnostic once, in the same place as the
+// lex-twice pipeline did (each file's lex diagnostics just before its
+// parse diagnostics), at any worker count and in both frontends; a
+// faulted parse worker reports none of its file's.
+func TestLexDiagnosticsOncePerFile(t *testing.T) {
+	want := referenceDiags(lexParseSources, "")
+	if !strings.Contains(want, "unexpected character") || !strings.Contains(want, "unterminated string") {
+		t.Fatalf("fixture must carry lex errors:\n%s", want)
+	}
+	if got := frontend.Compile(lexParseSources...).Diags.String(); got != want {
+		t.Errorf("frontend diagnostics differ:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		if got := engine.Compile(engine.Config{Workers: workers}, lexParseSources...).Diags.String(); got != want {
+			t.Errorf("%d workers: diagnostics differ:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
+		}
+	}
+
+	want = referenceDiags(lexParseSources, "two.mcc")
+	c := engine.Compile(engine.Config{Workers: 2, ParseFault: func(name string) {
+		if name == "two.mcc" {
+			panic("injected parse fault")
+		}
+	}}, lexParseSources...)
+	if len(c.Failures) != 1 {
+		t.Fatalf("failures = %v, want one", c.Failures)
+	}
+	if got := c.Diags.String(); got != want {
+		t.Errorf("faulted worker: diagnostics differ:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

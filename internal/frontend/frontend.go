@@ -5,6 +5,7 @@ package frontend
 import (
 	"deadmembers/internal/ast"
 	"deadmembers/internal/hierarchy"
+	"deadmembers/internal/lexer"
 	"deadmembers/internal/parser"
 	"deadmembers/internal/sema"
 	"deadmembers/internal/source"
@@ -34,28 +35,35 @@ func Compile(sources ...Source) *Result {
 	fset := source.NewFileSet()
 	diags := source.NewDiagnosticList(fset)
 
-	// Pre-scan every file so class names declared in one file are known
-	// as type names while parsing the others.
-	var srcFiles []*source.File
+	// Lex every file once and collect its type names, so class names
+	// declared in one file are known as type names while parsing the
+	// others. Each file's lex diagnostics are reported just before its
+	// parse diagnostics.
+	srcFiles := make([]*source.File, len(sources))
+	toks := make([][]lexer.Token, len(sources))
+	lexDiags := make([]*source.DiagnosticList, len(sources))
 	allTypes := map[string]bool{}
-	for _, s := range sources {
+	for i, s := range sources {
 		f := fset.AddFile(s.Name, s.Text)
-		srcFiles = append(srcFiles, f)
+		srcFiles[i] = f
 		if err := f.CheckSize(); err != nil {
 			diags.Errorf(f.Pos(0), "%v", err)
 			continue
 		}
-		for name := range parser.CollectTypeNames(f) {
+		lexDiags[i] = source.NewDiagnosticList(fset)
+		toks[i] = lexer.ScanAll(f, lexDiags[i])
+		for name := range parser.TypeNames(toks[i]) {
 			allTypes[name] = true
 		}
 	}
 	var files []*ast.File
-	for _, f := range srcFiles {
-		if f.CheckSize() != nil {
+	for i, f := range srcFiles {
+		if toks[i] == nil { // oversized, reported above
 			files = append(files, &ast.File{Name: f.Name()})
 			continue
 		}
-		files = append(files, parser.ParseFileWithTypes(f, diags, allTypes))
+		diags.Extend(lexDiags[i])
+		files = append(files, parser.ParseTokens(f, toks[i], diags, allTypes))
 	}
 	prog, graph := sema.Check(fset, files, diags)
 	return &Result{Program: prog, Graph: graph, FileSet: fset, Diags: diags}

@@ -19,9 +19,11 @@ type Graph struct {
 	// derived maps each class to its direct subclasses.
 	derived map[*types.Class][]*types.Class
 
-	// allBases maps each class to the set of its transitive bases
-	// (virtual and non-virtual), excluding itself.
-	allBases map[*types.Class]map[*types.Class]bool
+	// allBases maps each class to its transitive bases (virtual and
+	// non-virtual, each once, excluding itself) in depth-first
+	// declaration order; isBase holds the same sets for IsBaseOf.
+	allBases map[*types.Class][]*types.Class
+	isBase   map[*types.Class]map[*types.Class]bool
 
 	layouts map[*types.Class]*Layout
 
@@ -44,7 +46,8 @@ func New(classes []*types.Class) *Graph {
 	g := &Graph{
 		classes:         classes,
 		derived:         map[*types.Class][]*types.Class{},
-		allBases:        map[*types.Class]map[*types.Class]bool{},
+		allBases:        map[*types.Class][]*types.Class{},
+		isBase:          map[*types.Class]map[*types.Class]bool{},
 		layouts:         map[*types.Class]*Layout{},
 		subclassesCache: map[*types.Class][]*types.Class{},
 		vbasesCache:     map[*types.Class][]*types.Class{},
@@ -57,19 +60,22 @@ func New(classes []*types.Class) *Graph {
 		}
 	}
 	for _, c := range classes {
-		g.allBases[c] = map[*types.Class]bool{}
-		g.collectBases(c, g.allBases[c])
+		set := map[*types.Class]bool{}
+		g.allBases[c] = collectBases(c, set, nil)
+		g.isBase[c] = set
 	}
 	return g
 }
 
-func (g *Graph) collectBases(c *types.Class, into map[*types.Class]bool) {
+func collectBases(c *types.Class, set map[*types.Class]bool, order []*types.Class) []*types.Class {
 	for _, b := range c.Bases {
-		if !into[b.Class] {
-			into[b.Class] = true
-			g.collectBases(b.Class, into)
+		if !set[b.Class] {
+			set[b.Class] = true
+			order = append(order, b.Class)
+			order = collectBases(b.Class, set, order)
 		}
 	}
+	return order
 }
 
 // Classes returns the classes the graph was built from.
@@ -78,7 +84,15 @@ func (g *Graph) Classes() []*types.Class { return g.classes }
 // IsBaseOf reports whether base is a (transitive, possibly virtual) base
 // class of derived. A class is not its own base.
 func (g *Graph) IsBaseOf(base, derived *types.Class) bool {
-	return g.allBases[derived][base]
+	return g.isBase[derived][base]
+}
+
+// AllBases returns the transitive bases of c (virtual and non-virtual,
+// each once, excluding c) in depth-first declaration order. It is
+// computed in New, so it never mutates the graph; callers must not
+// mutate the result.
+func (g *Graph) AllBases(c *types.Class) []*types.Class {
+	return g.allBases[c]
 }
 
 // Related reports whether a and b are the same class or related by
@@ -148,7 +162,7 @@ func (g *Graph) IsPolymorphic(c *types.Class) bool {
 	if c.HasVirtualMethods() || len(g.VirtualBases(c)) > 0 {
 		poly = true
 	} else {
-		for b := range g.allBases[c] {
+		for _, b := range g.allBases[c] {
 			if b.HasVirtualMethods() {
 				poly = true
 				break

@@ -60,12 +60,19 @@ func ParseFile(file *source.File, diags *source.DiagnosticList) *ast.File {
 // other files of the same program (multi-file programs need the full set
 // to resolve the declaration-vs-expression ambiguity).
 func ParseFileWithTypes(file *source.File, diags *source.DiagnosticList, extraTypes map[string]bool) *ast.File {
-	toks := lexer.ScanAll(file, diags)
+	return ParseTokens(file, lexer.ScanAll(file, diags), diags, extraTypes)
+}
+
+// ParseTokens is ParseFileWithTypes over toks, the complete token stream
+// of file as lexer.ScanAll returns it, so a caller that has already
+// lexed the file (to collect its type names) need not lex it again.
+// Only parse diagnostics are reported to diags.
+func ParseTokens(file *source.File, toks []lexer.Token, diags *source.DiagnosticList, extraTypes map[string]bool) *ast.File {
 	p := &Parser{file: file, toks: toks, diags: diags, types: map[string]bool{}}
 	for name := range extraTypes {
 		p.types[name] = true
 	}
-	p.prescanTypes()
+	addTypeNames(p.types, toks)
 	return p.parseFile()
 }
 
@@ -73,28 +80,24 @@ func ParseFileWithTypes(file *source.File, diags *source.DiagnosticList, extraTy
 // without parsing it. Scanning diagnostics are suppressed (the real parse
 // reports them).
 func CollectTypeNames(file *source.File) map[string]bool {
-	diags := source.NewDiagnosticList(nil)
-	toks := lexer.ScanAll(file, diags)
+	return TypeNames(lexer.ScanAll(file, source.NewDiagnosticList(nil)))
+}
+
+// TypeNames returns the class/struct/union names declared in toks.
+func TypeNames(toks []lexer.Token) map[string]bool {
 	out := map[string]bool{}
+	addTypeNames(out, toks)
+	return out
+}
+
+// addTypeNames records every identifier following class/struct/union so
+// the parser can distinguish type names from expression identifiers.
+func addTypeNames(into map[string]bool, toks []lexer.Token) {
 	for i := 0; i+1 < len(toks); i++ {
 		switch toks[i].Kind {
 		case token.KwClass, token.KwStruct, token.KwUnion:
 			if toks[i+1].Kind == token.Ident {
-				out[toks[i+1].Text] = true
-			}
-		}
-	}
-	return out
-}
-
-// prescanTypes records every identifier following class/struct/union so the
-// parser can distinguish type names from expression identifiers.
-func (p *Parser) prescanTypes() {
-	for i := 0; i+1 < len(p.toks); i++ {
-		switch p.toks[i].Kind {
-		case token.KwClass, token.KwStruct, token.KwUnion:
-			if p.toks[i+1].Kind == token.Ident {
-				p.types[p.toks[i+1].Text] = true
+				into[toks[i+1].Text] = true
 			}
 		}
 	}
