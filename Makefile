@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test race race-server bench bench-module fuzz serve smoke-server smoke-restart smoke-fleet smoke-precision chaos-smoke check ci
+.PHONY: build vet fmt-check lint test race race-server bench bench-module fuzz serve smoke-server smoke-restart smoke-precision chaos-smoke check ci
 
 build:
 	$(GO) build ./...
@@ -52,25 +52,17 @@ smoke-server:
 smoke-restart:
 	sh scripts/smoke_restart.sh
 
-# Fleet smoke: three workers behind a coordinator, /v1/batch over the
-# example corpus, one worker SIGKILLed mid-batch; no unit lost, every
-# body byte-identical to the CLIs, ejection observed in the metrics.
-smoke-fleet:
-	sh scripts/smoke_fleet.sh
-
 # Precision smoke: paperbench -precision -timings (the frontier sweeps
 # all three liveness tiers in one session), then deadlint at each tier
 # over the chained example asserting paper <= flow <= heap monotonicity.
 smoke-precision:
 	sh scripts/smoke_precision.sh
 
-# Chaos soaks under the race detector: faulty disk + faulty network,
-# abrupt in-test kill and restart, byte-identity and zero-lost-work
-# asserted throughout (see internal/server/chaos_soak_test.go and
-# internal/fleet/soak_test.go).
+# Chaos soak under the race detector: faulty disk + faulty network,
+# abrupt in-test kill and restart, byte-identity asserted throughout
+# (see internal/server/chaos_soak_test.go).
 chaos-smoke:
 	$(GO) test -race -run TestChaosSoak -v ./internal/server/
-	$(GO) test -race -run TestFleetChaosSoak -v ./internal/fleet/
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -96,4 +88,4 @@ fuzz:
 check: build vet fmt-check test bench-module
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build vet race race-server bench-module lint smoke-server smoke-restart smoke-fleet smoke-precision chaos-smoke
+ci: build vet race race-server bench-module lint smoke-server smoke-restart smoke-precision chaos-smoke

@@ -15,11 +15,8 @@
 // 503, new analysis requests are refused, and in-flight requests are
 // given -drain-timeout to finish.
 //
-// With -coordinator -workers=url,url,... the same binary runs in fleet
-// mode instead: no local engine, requests are consistent-hash routed by
-// compilation fingerprint across the listed workers with health-checked
-// failover, and POST /v1/batch scatter-gathers a corpus with streamed
-// partial results (see internal/fleet).
+// With -persist-dir set, rendered responses are also stored on disk and
+// served after a restart without recompiling (see internal/persist).
 package main
 
 import (
@@ -32,12 +29,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"deadmembers/internal/buildinfo"
-	"deadmembers/internal/fleet"
 	"deadmembers/internal/server"
 )
 
@@ -68,16 +63,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		persistDir      = fs.String("persist-dir", "", "directory for the on-disk artifact store (empty = persistence off)")
 		persistMaxBytes = fs.Int64("persist-max-bytes", 1<<30, "on-disk artifact store bound; least-recently-used records are evicted past it")
 		retryAfter      = fs.Duration("retry-after", 0, "fixed Retry-After hint for 429 responses (0 = adaptive, from queue depth and recent service time)")
-		chaosRate       = fs.Float64("chaos-rate", 0, "fault-injection probability per injection point, 0..1 (0 = chaos off; never enable in production)")
-		chaosSeed       = fs.Int64("chaos-seed", 1, "deterministic seed for the chaos injector")
-		chaosLatency    = fs.Duration("chaos-latency", 50*time.Millisecond, "added latency when the chaos layer injects a delay")
-		coordinator     = fs.Bool("coordinator", false, "run as a fleet coordinator instead of a worker (requires -workers)")
-		workers         = fs.String("workers", "", "comma-separated worker base URLs for -coordinator mode")
-		healthInterval  = fs.Duration("health-interval", 2*time.Second, "coordinator /readyz probe period per worker")
-		healthTimeout   = fs.Duration("health-timeout", time.Second, "coordinator health probe timeout")
-		healthFails     = fs.Int("health-fails", 3, "consecutive failed probes before a worker is ejected from routing")
-		fleetRetry      = fs.Int("fleet-retry-budget", 3, "max distinct workers one request may try before the coordinator gives up")
-		batchConc       = fs.Int("batch-concurrency", 0, "max concurrently in-flight /v1/batch units (0 = 2x workers)")
 		showVersion     = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -93,68 +78,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	var (
-		handler    http.Handler
-		startDrain func()
-	)
-	if *coordinator {
-		var urls []string
-		for _, w := range strings.Split(*workers, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				urls = append(urls, w)
-			}
-		}
-		if len(urls) == 0 {
-			fmt.Fprintln(stderr, "deadmemd: -coordinator requires -workers=url,url,...")
-			return 2
-		}
-		co, err := fleet.New(fleet.Config{
-			Workers:             urls,
-			HealthInterval:      *healthInterval,
-			HealthTimeout:       *healthTimeout,
-			HealthFailThreshold: *healthFails,
-			RetryBudget:         *fleetRetry,
-			BatchConcurrency:    *batchConc,
-			RequestTimeout:      *requestTimeout,
-			MaxRequestBytes:     *maxRequestBytes,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "deadmemd: %v\n", err)
-			return 1
-		}
-		defer co.Close()
-		handler = co.Handler()
-		startDrain = co.StartDrain
-		fmt.Fprintf(stderr, "deadmemd: coordinating %d workers\n", len(urls))
-	} else {
-		if *workers != "" {
-			fmt.Fprintln(stderr, "deadmemd: -workers requires -coordinator")
-			return 2
-		}
-		srv, err := server.New(server.Config{
-			Workers:         *parallel,
-			CacheMaxBytes:   *cacheMaxBytes,
-			CacheMaxEntries: *cacheMaxEntries,
-			MaxInflight:     *maxInflight,
-			MaxQueue:        *maxQueue,
-			RequestTimeout:  *requestTimeout,
-			MaxRequestBytes: *maxRequestBytes,
-			PersistDir:      *persistDir,
-			PersistMaxBytes: *persistMaxBytes,
-			RetryAfter:      *retryAfter,
-			ChaosRate:       *chaosRate,
-			ChaosSeed:       *chaosSeed,
-			ChaosLatency:    *chaosLatency,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "deadmemd: %v\n", err)
-			return 1
-		}
-		if *chaosRate > 0 {
-			fmt.Fprintf(stderr, "deadmemd: CHAOS MODE: injecting faults at rate %g (seed %d)\n", *chaosRate, *chaosSeed)
-		}
-		handler = srv.Handler()
-		startDrain = srv.StartDrain
+	srv, err := server.New(server.Config{
+		Workers:         *parallel,
+		CacheMaxBytes:   *cacheMaxBytes,
+		CacheMaxEntries: *cacheMaxEntries,
+		MaxInflight:     *maxInflight,
+		MaxQueue:        *maxQueue,
+		RequestTimeout:  *requestTimeout,
+		MaxRequestBytes: *maxRequestBytes,
+		PersistDir:      *persistDir,
+		PersistMaxBytes: *persistMaxBytes,
+		RetryAfter:      *retryAfter,
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "deadmemd: %v\n", err)
+		return 1
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -162,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "deadmemd: %v\n", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -184,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// for load balancers to observe the failed readiness probe before
 	// connections start being refused outright.
 	fmt.Fprintf(stderr, "deadmemd: draining (lame-duck %v, grace %v)\n", *lameDuck, *drainTimeout)
-	startDrain()
+	srv.StartDrain()
 	if *lameDuck > 0 {
 		time.Sleep(*lameDuck)
 	}

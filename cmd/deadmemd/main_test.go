@@ -52,6 +52,33 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestRetiredFlagsRejected: fleet mode and the in-daemon fault injector
+// are gone, so their flags are unknown flags now. The unlistenable -addr
+// after each one makes a daemon that still accepted the flag fail fast
+// instead of serving.
+func TestRetiredFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-coordinator"},
+		{"-workers", "http://127.0.0.1:8101"},
+		{"-health-interval", "2s"},
+		{"-health-timeout", "1s"},
+		{"-health-fails", "3"},
+		{"-fleet-retry-budget", "3"},
+		{"-batch-concurrency", "4"},
+		{"-chaos-rate", "0.1"},
+		{"-chaos-seed", "7"},
+		{"-chaos-latency", "50ms"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(append(args, "-addr", "256.256.256.256:99999"), &out, &errOut); code != 2 {
+			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr missing unknown-flag diagnostic:\n%s", args, errOut.String())
+		}
+	}
+}
+
 // TestServeAndGracefulShutdown boots the daemon on an ephemeral port and
 // delivers SIGTERM: run must drain and exit 0 within the grace period.
 func TestServeAndGracefulShutdown(t *testing.T) {

@@ -10,8 +10,7 @@ import (
 )
 
 // FromHTTP decodes a /v1 analysis request body in either transport into
-// a Request, shared by the server and the fleet coordinator so the two
-// accept exactly the same wire forms:
+// a Request. It is the server's one decoder for both wire forms:
 //
 //   - Content-Type application/json: a Request bundle (any number of
 //     files, full option set; unknown fields rejected);

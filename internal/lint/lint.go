@@ -21,13 +21,13 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"sync"
 
 	"deadmembers/internal/cfg"
 	"deadmembers/internal/dataflow"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/failure"
 	"deadmembers/internal/heaplive"
+	"deadmembers/internal/parallel"
 	"deadmembers/internal/types"
 )
 
@@ -188,7 +188,7 @@ func RunWith(ar *deadmember.Result, opts Options, exec Exec) *Result {
 				}
 			})
 		}
-		if !runParallel(ctx, exec.Workers, len(funcs), lintOne) {
+		if !parallel.For(ctx, exec.Workers, len(funcs), lintOne) {
 			res.Interrupted = true
 		}
 		for i, f := range funcs {
@@ -413,48 +413,4 @@ func calleeUnion(ar *deadmember.Result, funcs []*types.Func, index map[*types.Fu
 		out[i] = s
 	}
 	return out
-}
-
-// runParallel runs fn(0..n-1) on up to `workers` goroutines, stopping
-// early — between items, never mid-item — once ctx is cancelled. It
-// reports whether every item ran (the deterministic-merge idiom of
-// internal/deadmember/parallel.go).
-func runParallel(ctx context.Context, workers, n int, fn func(int)) bool {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return false
-			}
-			fn(i)
-		}
-		return ctx.Err() == nil
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue
-				}
-				fn(i)
-			}
-		}()
-	}
-	complete := true
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			complete = false
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return complete && ctx.Err() == nil
 }

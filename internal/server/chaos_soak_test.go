@@ -16,13 +16,15 @@ import (
 	"deadmembers/internal/client"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
+	"deadmembers/internal/faultinject"
 	"deadmembers/internal/lint"
+	"deadmembers/internal/persist"
 	"deadmembers/internal/textreport"
 )
 
-// TestChaosSoak is the crash-safety acceptance test: a chaos-enabled
-// server (faulty disk under the artifact store, latency/503/drop on the
-// wire) is hammered through the retrying client, killed abruptly
+// TestChaosSoak is the crash-safety acceptance test: a server under
+// fault injection (faulty disk under the artifact store, latency/503/drop
+// on the /v1 wire) is hammered through the retrying client, killed abruptly
 // mid-soak — with one on-disk record deliberately corrupted while it is
 // down — and restarted on the same address over the same persist
 // directory. The invariants:
@@ -73,17 +75,19 @@ int main() { C%d c; return c.used; }
 	}
 
 	cfg := Config{
-		Workers:      1,
-		PersistDir:   dir,
-		ChaosRate:    0.08,
-		ChaosLatency: time.Millisecond,
-		MaxInflight:  4,
-		MaxQueue:     64,
+		Workers:     1,
+		PersistDir:  dir,
+		MaxInflight: 4,
+		MaxQueue:    64,
 	}
-	boot := func(addr string, seed int64) (*Server, *http.Server, net.Listener) {
+	// Each boot gets its own seeded injector, shared by the disk under
+	// the artifact store and the network in front of /v1/ only: health
+	// probes and metrics stay truthful while requests are wrecked.
+	boot := func(addr string, seed int64) (*Server, *faultinject.Injector, *http.Server, net.Listener) {
 		t.Helper()
+		in := faultinject.New(seed, 0.08)
 		c := cfg
-		c.ChaosSeed = seed
+		c.persistFS = faultinject.FS(persist.OSFS{}, in)
 		s, err := New(c)
 		if err != nil {
 			t.Fatal(err)
@@ -92,11 +96,14 @@ int main() { C%d c; return c.used; }
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := &http.Server{Handler: s.Handler()}
+		mux := http.NewServeMux()
+		mux.Handle("/", s.Handler())
+		mux.Handle("/v1/", faultinject.Handler(in, time.Millisecond, s.Handler()))
+		hs := &http.Server{Handler: mux}
 		go hs.Serve(ln)
-		return s, hs, ln
+		return s, in, hs, ln
 	}
-	s1, hs1, ln := boot("127.0.0.1:0", 42)
+	s1, in1, hs1, ln := boot("127.0.0.1:0", 42)
 	addr := ln.Addr().String()
 
 	cl := client.New(client.Config{
@@ -171,17 +178,26 @@ int main() { C%d c; return c.used; }
 
 	// While the server is down, corrupt one live record in place — the
 	// torn-write the format exists to catch. The restarted server must
-	// quarantine it on first read, never serve it.
-	raw, err := os.ReadFile(recs[0])
-	if err != nil {
-		t.Fatal(err)
+	// quarantine it on first read, never serve it. A faulted read in
+	// phase 2 may have quarantined some phase-1 records since the glob,
+	// so take the first one still on disk.
+	var target string
+	var raw []byte
+	for _, rec := range recs {
+		if raw, err = os.ReadFile(rec); err == nil {
+			target = rec
+			break
+		}
+	}
+	if target == "" {
+		t.Fatalf("no phase-1 record left on disk to corrupt: %v", err)
 	}
 	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(recs[0], raw, 0o644); err != nil {
+	if err := os.WriteFile(target, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, hs2, _ := boot(addr, 43)
+	s2, in2, hs2, _ := boot(addr, 43)
 	defer hs2.Close()
 	<-phase2
 
@@ -203,7 +219,7 @@ int main() { C%d c; return c.used; }
 	if st2.Corrupt == 0 {
 		t.Errorf("restarted server stats = %+v: the planted corruption was never detected", st2)
 	}
-	chaosTotal := s1.chaos.Total() + s2.chaos.Total()
+	chaosTotal := in1.Total() + in2.Total()
 	if chaosTotal == 0 {
 		t.Error("no faults injected; the soak exercised nothing")
 	}

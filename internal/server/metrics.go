@@ -113,8 +113,6 @@ type gauges struct {
 
 	// Persist is the artifact-store snapshot (nil = persistence off).
 	Persist *persist.Stats
-	// Chaos is the injected-fault count by kind (nil = chaos off).
-	Chaos map[string]int64
 }
 
 // writePrometheus renders the Prometheus text exposition format.
@@ -190,19 +188,6 @@ func (m *metrics) writePrometheus(w io.Writer, g gauges) {
 		gauge("deadmemd_persist_bytes", "Encoded bytes currently on disk.", p.Bytes)
 		gauge("deadmemd_persist_quarantine_entries", "Files currently in quarantine.", int64(p.QuarantineEntries))
 		gauge("deadmemd_persist_quarantine_bytes", "Bytes currently in quarantine.", p.QuarantineBytes)
-	}
-
-	if g.Chaos != nil {
-		fmt.Fprintf(w, "# HELP deadmemd_chaos_injected_total Faults injected by the chaos layer, by kind.\n")
-		fmt.Fprintf(w, "# TYPE deadmemd_chaos_injected_total counter\n")
-		kinds := make([]string, 0, len(g.Chaos))
-		for k := range g.Chaos {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			fmt.Fprintf(w, "deadmemd_chaos_injected_total{kind=%q} %d\n", k, g.Chaos[k])
-		}
 	}
 }
 
