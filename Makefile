@@ -31,9 +31,11 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the concurrency-heavy layers (the server's
-# singleflight/admission paths and the engine's session cache).
+# singleflight/admission paths, the engine's session and result caches,
+# and the lint pass's lazily built write summaries, which its workers
+# share).
 race-server:
-	$(GO) test -race ./internal/server/... ./internal/engine/...
+	$(GO) test -race ./internal/server/... ./internal/engine/... ./internal/lint/...
 
 # Run the analysis daemon locally (see cmd/deadmemd for flags).
 ADDR ?= 127.0.0.1:8100

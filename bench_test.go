@@ -14,7 +14,9 @@ import (
 	"deadmembers/internal/dynprof"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/frontend"
+	"deadmembers/internal/heaplive"
 	"deadmembers/internal/lexer"
+	"deadmembers/internal/lint"
 	"deadmembers/internal/parser"
 	"deadmembers/internal/report"
 	"deadmembers/internal/source"
@@ -322,6 +324,45 @@ func BenchmarkCallGraphScaling(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLintTiers times lint.Run at each precision tier over the
+// whole corpus and over the 3,200-class scaling probe, against one
+// analysis each. The flow and heap tiers run the same pass, so their
+// figures sit together, and a flow-only run pays only the heap tier's
+// cheap early exits.
+func BenchmarkLintTiers(b *testing.B) {
+	analyze := func(r *frontend.Result) *deadmember.Result {
+		return deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+	}
+	var corpus []*deadmember.Result
+	for _, bm := range bench.All() {
+		r := frontend.Compile(bm.Sources...)
+		if err := r.Err(); err != nil {
+			b.Fatal(err)
+		}
+		corpus = append(corpus, analyze(r))
+	}
+	programs := []struct {
+		name string
+		ars  []*deadmember.Result
+	}{
+		{"corpus", corpus},
+		{"classes=3200", []*deadmember.Result{analyze(scalingProgram(b, 3200))}},
+	}
+	for _, p := range programs {
+		for _, tier := range heaplive.Tiers() {
+			b.Run(p.name+"/"+tier.String(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, ar := range p.ars {
+						if res := lint.Run(ar, lint.Options{Precision: tier}); res.Degraded() {
+							b.Fatal(res.Failures[0])
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

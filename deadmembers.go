@@ -226,7 +226,9 @@ func (c *Compilation) Degraded() bool { return c.eng.Degraded() }
 func (c *Compilation) Failures() []*Failure { return c.eng.Failures }
 
 // Analyze runs the dead-data-member analysis. Repeated calls reuse the
-// compiled program (and the call graph, when only marking rules differ).
+// compiled program (and the call graph, when only marking rules differ);
+// a repeat under the same options returns the same cached *Result, which
+// Lint, Profile and Strip share too. Treat it as read-only.
 func (c *Compilation) Analyze(opts Options) *Result {
 	return c.eng.Analyze(opts.analysisOptions())
 }

@@ -14,7 +14,10 @@
 package callgraph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"deadmembers/internal/ast"
 	"deadmembers/internal/hierarchy"
@@ -543,16 +546,30 @@ func (b *builder) methodCall(caller *types.Func, static *types.Class, m *types.F
 	b.addEdge(caller, m)
 }
 
-// ReachableFuncs returns the reachable functions sorted by qualified name,
-// for deterministic reporting.
+// ReachableFuncs returns the reachable functions in a fixed order: by
+// qualified name, then declaration position, then parameter count.
+// Overloads share a qualified name (every constructor of C is C::C), so
+// the name alone would leave their order to map iteration, and with it
+// which access the liveness pass records first. Each name is built once,
+// not on every comparison.
 func (g *Graph) ReachableFuncs() []*types.Func {
-	out := make([]*types.Func, 0, len(g.Reachable))
-	for f := range g.Reachable {
-		out = append(out, f)
+	type keyed struct {
+		name string
+		f    *types.Func
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].QualifiedName() < out[j].QualifiedName()
+	ks := make([]keyed, 0, len(g.Reachable))
+	for f := range g.Reachable {
+		ks = append(ks, keyed{f.QualifiedName(), f})
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(strings.Compare(a.name, b.name),
+			cmp.Compare(a.f.Pos, b.f.Pos),
+			cmp.Compare(len(a.f.Params), len(b.f.Params)))
 	})
+	out := make([]*types.Func, len(ks))
+	for i, k := range ks {
+		out[i] = k.f
+	}
 	return out
 }
 

@@ -352,3 +352,42 @@ int main() {
 		t.Error("Other is never instantiated: its destructor must stay unreachable")
 	}
 }
+
+// twoCtorsProgram declares two constructors of C, which share the
+// qualified name C::C: the first takes x's address, the second reads x.
+const twoCtorsProgram = `
+class C {
+public:
+	int x;
+	int* p;
+	C() { p = &x; }
+	C(int v) { print(x + v); }
+};
+int main() {
+	C a;
+	C b(1);
+	print(*a.p);
+	return 0;
+}
+`
+
+// TestReachableFuncsOrdersOverloads pins the tie-break among functions
+// that share a qualified name: declaration order, on every call (the
+// name alone left it to map iteration).
+func TestReachableFuncsOrdersOverloads(t *testing.T) {
+	_, g := build(t, twoCtorsProgram, callgraph.RTA)
+	for run := 0; run < 50; run++ {
+		var ctors []*types.Func
+		for _, f := range g.ReachableFuncs() {
+			if f.QualifiedName() == "C::C" {
+				ctors = append(ctors, f)
+			}
+		}
+		if len(ctors) != 2 {
+			t.Fatalf("want 2 reachable C::C constructors, got %d", len(ctors))
+		}
+		if !(ctors[0].Pos < ctors[1].Pos) || len(ctors[0].Params) != 0 {
+			t.Fatalf("call %d: constructors out of declaration order: %v then %v", run, ctors[0], ctors[1])
+		}
+	}
+}

@@ -162,7 +162,7 @@ type Result struct {
 	// pass completed; the marks are incomplete and must not be trusted.
 	Interrupted bool
 
-	marks   map[*types.Field]*Mark
+	marks   []Mark // indexed by types.Field.ID
 	library map[*types.Class]bool
 }
 
@@ -216,12 +216,14 @@ func Analyze(prog *types.Program, h *hierarchy.Graph, opts Options) *Result {
 func AnalyzeWith(prog *types.Program, h *hierarchy.Graph, opts Options, exec Exec) *Result {
 	a := newAnalysis(prog, h, opts)
 
-	// Line 3 of Figure 2: mark all data members initially dead.
+	// Line 3 of Figure 2: mark all data members initially dead (the zero
+	// Mark).
+	n := 0
 	for _, c := range prog.Classes {
-		for _, f := range c.Fields {
-			a.marks[f] = &Mark{}
-		}
+		n += len(c.Fields)
 	}
+	a.marks = make([]Mark, n)
+	a.res.marks = a.marks
 
 	// Line 5: construct the call graph. Methods of user classes that
 	// override virtual methods of library classes are extra roots: the
@@ -277,12 +279,10 @@ func newAnalysis(prog *types.Program, h *hierarchy.Graph, opts Options) *analysi
 			Hierarchy: h,
 			Options:   opts,
 			Used:      callgraph.UsedClasses(prog),
-			marks:     map[*types.Field]*Mark{},
 			library:   libraryClasses(prog, opts.LibraryClasses),
 		},
 		visited: map[*types.Class]bool{},
 	}
-	a.marks = a.res.marks
 	return a
 }
 
@@ -299,7 +299,7 @@ func libraryClasses(prog *types.Program, names []string) map[*types.Class]bool {
 }
 
 // analysis carries the mutable state of one run. In the parallel liveness
-// pass each worker gets its own analysis value whose marks map is a
+// pass each worker gets its own analysis value whose marks slice is a
 // private sink; prog, h, info, opts, and res are shared read-only.
 type analysis struct {
 	prog    *types.Program
@@ -307,8 +307,8 @@ type analysis struct {
 	info    *types.Info
 	opts    Options
 	res     *Result
-	marks   map[*types.Field]*Mark // mark sink (res.marks, or worker-local)
-	visited map[*types.Class]bool  // MarkAllContainedMembers visited set
+	marks   []Mark                // mark sink by field ID (res.marks, or worker-local)
+	visited map[*types.Class]bool // MarkAllContainedMembers visited set
 }
 
 // processFuncGuarded processes one reachable function inside a recover
@@ -357,11 +357,7 @@ func libraryOverrideRoots(prog *types.Program, h *hierarchy.Graph, library map[*
 }
 
 func (a *analysis) markLive(f *types.Field, why Reason, at source.Pos) {
-	m := a.marks[f]
-	if m == nil {
-		m = &Mark{}
-		a.marks[f] = m
-	}
+	m := &a.marks[f.ID]
 	if m.Live {
 		return
 	}
@@ -410,7 +406,7 @@ func (a *analysis) unionClosure() {
 			anyLive := false
 			allLive := true
 			for _, f := range c.Fields {
-				if a.marks[f].Live {
+				if a.marks[f.ID].Live {
 					anyLive = true
 				} else {
 					allLive = false
@@ -431,11 +427,11 @@ func (a *analysis) unionClosure() {
 // ---------------------------------------------------------------------------
 // Result accessors
 
-// MarkOf returns the classification of f (never nil for fields of the
-// analyzed program).
+// MarkOf returns the classification of f, or the zero (dead) Mark for a
+// field of another program.
 func (r *Result) MarkOf(f *types.Field) Mark {
-	if m := r.marks[f]; m != nil {
-		return *m
+	if f.ID < len(r.marks) && r.Program.ClassByName[f.Owner.Name] == f.Owner {
+		return r.marks[f.ID]
 	}
 	return Mark{}
 }

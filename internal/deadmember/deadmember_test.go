@@ -622,3 +622,60 @@ int main() {
 		t.Fatal("Inner::state is read inside get(): live")
 	}
 }
+
+// TestReasonDeterministicAcrossOverloads: C() takes &x and C(int)
+// reads x. Both are named C::C, so only the declaration-order
+// tie-break of ReachableFuncs makes the recorded reason the same on
+// every run: address taken, from the first-declared constructor.
+func TestReasonDeterministicAcrossOverloads(t *testing.T) {
+	src := `
+class C {
+public:
+	int x;
+	int* p;
+	C() { p = &x; }
+	C(int v) { print(x + v); }
+};
+int main() {
+	C a;
+	C b(1);
+	print(*a.p);
+	return 0;
+}
+`
+	r := frontend.Compile(frontend.Source{Name: "test.mcc", Text: src})
+	if err := r.Err(); err != nil {
+		t.Fatalf("compile errors:\n%v", err)
+	}
+	x := r.Program.ClassByName["C"].FieldByName("x")
+	for run := 0; run < 50; run++ {
+		res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+		if m := res.MarkOf(x); m.Reason != deadmember.ReasonAddressTaken {
+			t.Fatalf("run %d: C::x reason = %v, want address taken", run, m.Reason)
+		}
+	}
+}
+
+// TestMarkOfForeignField: marks are stored by field ID, which only
+// means something within one program. A field of another compilation
+// of the same source gets the zero Mark, not its twin's.
+func TestMarkOfForeignField(t *testing.T) {
+	src := `
+class P {
+public:
+	int x;
+	P() : x(1) {}
+};
+int main() { P p; return p.x; }
+`
+	res := analyze(t, src, deadmember.Options{CallGraph: callgraph.RTA})
+	other := frontend.Compile(frontend.Source{Name: "test.mcc", Text: src})
+	own := res.Program.ClassByName["P"].FieldByName("x")
+	twin := other.Program.ClassByName["P"].FieldByName("x")
+	if !res.IsLive(own) {
+		t.Fatal("P::x should be live")
+	}
+	if m := res.MarkOf(twin); m != (deadmember.Mark{}) {
+		t.Fatalf("MarkOf a field of another program = %+v, want the zero Mark", m)
+	}
+}

@@ -14,14 +14,16 @@ import (
 //
 // The sequential loop's only order-sensitive output is the Reason/Witness
 // pair recorded for each member — markLive keeps the *first* access that
-// made a member live, in the deterministic ReachableFuncs order. To keep
-// that exact semantics under parallelism:
+// made a member live, in the deterministic ReachableFuncs order
+// (qualified name, then declaration position, then parameter count, so
+// overloads that share a name, such as a class's constructors, keep a
+// fixed order too). To keep that exact semantics under parallelism:
 //
 //   - the sorted function list is split into CONTIGUOUS shards, one per
-//     worker, each processed in order into a worker-private mark map
-//     (first-win within the shard);
-//   - the shard maps are merged back in shard order, adopting a mark only
-//     if the member is not yet live.
+//     worker, each processed in order into a worker-private mark slice
+//     indexed by field ID (first-win within the shard);
+//   - the shard slices are merged back in shard order, adopting a mark
+//     only if the member is not yet live.
 //
 // Because shards are contiguous blocks of the sequential order, the
 // earliest shard containing a mark for a member holds exactly the mark
@@ -30,8 +32,8 @@ import (
 //
 // Workers share prog/h/info/res strictly read-only: processFunc touches
 // only the side tables of types.Info (plain map reads) and its private
-// marks/visited maps, so the pass is race-free by construction (guarded
-// by the engine's -race test).
+// marks slice and visited map, so the pass is race-free by construction
+// (guarded by the engine's -race test).
 //
 // Failure containment: each shard runs inside one recover boundary (cheap:
 // a single defer on the hot path). If the shard faults, its partial sink
@@ -54,7 +56,7 @@ func (a *analysis) processFuncsParallel(funcs []*types.Func, exec Exec) {
 	if workers > len(funcs) {
 		workers = len(funcs)
 	}
-	shards := make([]map[*types.Field]*Mark, workers)
+	shards := make([][]Mark, workers)
 	shardFails := make([][]*failure.Failure, workers)
 	chunk := (len(funcs) + workers - 1) / workers
 	complete := parallel.For(ctx, workers, workers, func(w int) {
@@ -64,7 +66,7 @@ func (a *analysis) processFuncsParallel(funcs []*types.Func, exec Exec) {
 			return
 		}
 		fns := funcs[lo:hi]
-		sink := map[*types.Field]*Mark{}
+		sink := make([]Mark, len(a.marks))
 		shards[w] = sink
 		worker := a.forkWorker(sink)
 		crashed := failure.Catch("liveness", fmt.Sprintf("shard %d", w), func() {
@@ -84,7 +86,7 @@ func (a *analysis) processFuncsParallel(funcs []*types.Func, exec Exec) {
 		// The shard died mid-function: discard its sink and reprocess
 		// the shard sequentially with per-function boundaries, which
 		// isolates the faulting function(s) and salvages the rest.
-		retrySink := map[*types.Field]*Mark{}
+		retrySink := make([]Mark, len(a.marks))
 		shards[w] = retrySink
 		retry := a.forkWorker(retrySink)
 		for _, fn := range fns {
@@ -104,15 +106,9 @@ func (a *analysis) processFuncsParallel(funcs []*types.Func, exec Exec) {
 	// Deterministic merge: shard order is sequential order, so the first
 	// live mark seen here is the one the sequential loop would keep.
 	for _, shard := range shards {
-		for f, m := range shard {
-			if !m.Live {
-				continue
-			}
-			dst := a.marks[f]
-			if dst == nil {
-				a.marks[f] = m
-			} else if !dst.Live {
-				*dst = *m
+		for id, m := range shard {
+			if m.Live && !a.marks[id].Live {
+				a.marks[id] = m
 			}
 		}
 	}
@@ -123,7 +119,7 @@ func (a *analysis) processFuncsParallel(funcs []*types.Func, exec Exec) {
 
 // forkWorker builds a worker-private analysis writing marks into sink;
 // prog, h, info, opts, and res are shared read-only.
-func (a *analysis) forkWorker(sink map[*types.Field]*Mark) *analysis {
+func (a *analysis) forkWorker(sink []Mark) *analysis {
 	return &analysis{
 		prog:    a.prog,
 		h:       a.h,

@@ -13,6 +13,10 @@
 //   - a per-Compilation call-graph cache keyed by the options that affect
 //     graph construction (mode + library classes), so ablation sweeps that
 //     vary only marking rules share one graph;
+//   - per-Compilation caches of the clean liveness result per analysis
+//     options and of the lint result per tier, so Analyze, Lint, Strip
+//     and Profile share one liveness pass, and one lint pass serves both
+//     the flow and the heap tier;
 //   - a content-hash-keyed Session cache (see session.go) so repeated
 //     compilations of identical sources skip the frontend entirely;
 //   - wall-clock timings for every stage, so speedups are observable
@@ -36,6 +40,7 @@ import (
 	"deadmembers/internal/dynprof"
 	"deadmembers/internal/failure"
 	"deadmembers/internal/frontend"
+	"deadmembers/internal/heaplive"
 	"deadmembers/internal/hierarchy"
 	"deadmembers/internal/interp"
 	"deadmembers/internal/lexer"
@@ -82,8 +87,8 @@ func (c Config) workers() int {
 
 // Timings records per-stage wall-clock durations. Parse and Sema are
 // properties of the Compilation; CallGraph and Liveness of one Analyze
-// call (CallGraph is zero when the graph came from the per-compilation
-// cache, flagged by CallGraphCached).
+// call (each is zero when its result came from the per-compilation
+// cache, flagged by CallGraphCached and LivenessCached).
 type Timings struct {
 	Parse     time.Duration // lexing + type prescan + parsing (parallel wall clock)
 	Sema      time.Duration
@@ -92,6 +97,10 @@ type Timings struct {
 	Lint      time.Duration // flow-sensitive pass; zero unless Lint ran
 
 	CallGraphCached bool
+	// LivenessCached reports that the analysis result came from the
+	// per-compilation cache (Liveness and CallGraph are zero then, and
+	// CallGraphCached is set).
+	LivenessCached bool
 	// LintCached reports that the lint result came from the
 	// per-compilation cache (Lint is zero then); the cache key includes
 	// the precision tier, so tiers never collide.
@@ -138,16 +147,13 @@ type Compilation struct {
 	consumed  bool    // set by Strip: the ASTs were mutated
 	cancelErr error   // context error that aborted Compile, if any
 
-	mu     sync.Mutex
-	graphs map[string]*callgraph.Graph
-	lints  map[string]*lintEntry
-}
-
-// lintEntry is one cached lint result plus the wall clock of the run
-// that produced it.
-type lintEntry struct {
-	res  *lint.Result
-	took time.Duration
+	// The caches hold results only: clean analyses per options and
+	// clean lint results per options and tier. Nothing a pass builds
+	// on the way (classifications, CFGs, summaries) is kept.
+	mu       sync.Mutex
+	graphs   map[string]*callgraph.Graph
+	analyses map[string]*deadmember.Result
+	lints    map[string]*lint.Result
 }
 
 // Err returns an error if the compile was cancelled or any frontend phase
@@ -191,7 +197,8 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 		Fingerprint: fingerprint(sources),
 		cfg:         cfg,
 		graphs:      map[string]*callgraph.Graph{},
-		lints:       map[string]*lintEntry{},
+		analyses:    map[string]*deadmember.Result{},
+		lints:       map[string]*lint.Result{},
 	}
 	workers := cfg.workers()
 
@@ -332,7 +339,9 @@ func (c *Compilation) graphFor(opts deadmember.Options) (g *callgraph.Graph, cac
 
 // Analyze runs the dead-data-member analysis against the compilation.
 // Repeated calls under different Options reuse the frontend artifact (and
-// the call graph, when only marking rules differ).
+// the call graph, when only marking rules differ); a repeated call under
+// the same Options returns the cached *Result without a liveness pass.
+// The Result is shared and must be treated as read-only.
 func (c *Compilation) Analyze(opts deadmember.Options) *deadmember.Result {
 	res, _ := c.AnalyzeTimed(opts)
 	return res
@@ -358,17 +367,32 @@ func (c *Compilation) AnalyzeTimedContext(ctx context.Context, opts deadmember.O
 	return c.analyzeCtx(ctx, opts)
 }
 
+// analysisKey identifies everything that can change an analysis result.
+func analysisKey(opts deadmember.Options) string {
+	return fmt.Sprintf("%+v", opts)
+}
+
 func (c *Compilation) analyzeCtx(ctx context.Context, opts deadmember.Options) (*deadmember.Result, Timings, error) {
 	t := c.timings
 	if err := ctx.Err(); err != nil {
 		return nil, t, err
 	}
+	key := analysisKey(opts)
+	c.mu.Lock()
+	res, ok := c.analyses[key]
+	c.mu.Unlock()
+	if ok {
+		t.CallGraphCached = true
+		t.LivenessCached = true
+		return res, t, nil
+	}
+
 	g, cached, graphTime := c.graphFor(opts)
 	t.CallGraph = graphTime
 	t.CallGraphCached = cached
 
 	liveStart := time.Now()
-	res := deadmember.AnalyzeWith(c.Program, c.Hierarchy, opts, deadmember.Exec{
+	res = deadmember.AnalyzeWith(c.Program, c.Hierarchy, opts, deadmember.Exec{
 		Workers:   c.cfg.workers(),
 		Graph:     g,
 		Ctx:       ctx,
@@ -378,21 +402,35 @@ func (c *Compilation) analyzeCtx(ctx context.Context, opts deadmember.Options) (
 	if res.Interrupted {
 		return nil, t, ctx.Err()
 	}
+	// Cache only clean results, as the lint cache does: a degraded one
+	// may reflect an injected fault. A concurrent run that stored first
+	// wins, so every caller sees one *Result per options.
+	if !res.Degraded() {
+		c.mu.Lock()
+		if prev, ok := c.analyses[key]; ok {
+			res = prev
+		} else {
+			c.analyses[key] = res
+		}
+		c.mu.Unlock()
+	}
 	return res, t, nil
 }
 
 // Lint runs the flow-sensitive diagnostics (dead-store and
-// write-only-member checks) on top of a fresh analysis.
+// write-only-member checks) on top of the (cached) analysis.
 func (c *Compilation) Lint(opts deadmember.Options, lopts lint.Options) *lint.Result {
 	res, _, _ := c.LintContext(context.Background(), opts, lopts)
 	return res
 }
 
 // LintContext is Lint under a context, returning the per-stage timings
-// of this call (Lint is the flow-sensitive pass's wall clock; a
-// repeated call with the same options is served from the
-// per-compilation cache and flagged LintCached). An interrupted run
-// returns the context's error and a nil result.
+// of this call (Lint is the flow-sensitive pass's wall clock; a call
+// whose result is already cached is served from the per-compilation
+// cache and flagged LintCached). One pass computes the flow and heap
+// tiers together and caches both, so after a flow run the heap request
+// is a hit, and the reverse. An interrupted run returns the context's
+// error and a nil result.
 func (c *Compilation) LintContext(ctx context.Context, opts deadmember.Options, lopts lint.Options) (*lint.Result, Timings, error) {
 	ar, t, err := c.analyzeCtx(ctx, opts)
 	if err != nil {
@@ -418,35 +456,43 @@ func (c *Compilation) LintAnalyzed(ctx context.Context, ar *deadmember.Result, l
 // options — budget and, crucially, the precision tier, so tier results
 // never collide in the cache.
 func lintKey(opts deadmember.Options, lopts lint.Options) string {
-	return fmt.Sprintf("%+v\x00%d\x00%s", opts, lopts.Budget, lopts.Precision)
+	return fmt.Sprintf("%s\x00%d\x00%s", analysisKey(opts), lopts.Budget, lopts.Precision)
 }
 
 func (c *Compilation) lintAnalyzed(ctx context.Context, ar *deadmember.Result, lopts lint.Options) (*lint.Result, time.Duration, bool, error) {
 	key := lintKey(ar.Options, lopts)
 	c.mu.Lock()
-	if e, ok := c.lints[key]; ok {
-		c.mu.Unlock()
-		return e.res, 0, true, nil
-	}
+	res, ok := c.lints[key]
 	c.mu.Unlock()
+	if ok {
+		return res, 0, true, nil
+	}
 
+	// The flow and heap tiers come from one pass; both results are
+	// cached, whichever was asked for. The paper tier runs alone.
+	exec := lint.Exec{Workers: c.cfg.workers(), Ctx: ctx, FuncFault: c.cfg.LintFault}
+	var tiers [3]*lint.Result // indexed by heaplive.Precision
 	start := time.Now()
-	res := lint.RunWith(ar, lopts, lint.Exec{
-		Workers:   c.cfg.workers(),
-		Ctx:       ctx,
-		FuncFault: c.cfg.LintFault,
-	})
+	if lopts.Precision == heaplive.PrecisionPaper {
+		tiers[heaplive.PrecisionPaper] = lint.RunWith(ar, lopts, exec)
+	} else {
+		tiers[heaplive.PrecisionFlow], tiers[heaplive.PrecisionHeap] = lint.RunTiers(ar, lopts, exec)
+	}
 	took := time.Since(start)
+	res = tiers[lopts.Precision]
 	if res.Interrupted {
 		return nil, took, false, ctx.Err()
 	}
 	// Cache only clean results: degraded ones may reflect injected
 	// faults, and interrupted ones are partial.
-	if !res.Degraded() {
-		c.mu.Lock()
-		c.lints[key] = &lintEntry{res: res, took: took}
-		c.mu.Unlock()
+	c.mu.Lock()
+	for p, r := range tiers {
+		if r != nil && !r.Interrupted && !r.Degraded() {
+			lopts.Precision = heaplive.Precision(p)
+			c.lints[lintKey(ar.Options, lopts)] = r
+		}
 	}
+	c.mu.Unlock()
 	return res, took, false, nil
 }
 

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"deadmembers/internal/callgraph"
@@ -79,52 +80,76 @@ int main() {
 }
 `
 
-// TestLintCachePerPrecision exercises the per-compilation lint cache:
-// a repeat run at the same tier is a flagged cache hit returning the
-// identical result, and the tiers occupy distinct cache entries — the
-// heap tier keeps its extra finding on a re-request after a flow run.
+// TestLintCachePerPrecision exercises the per-compilation lint cache.
+// One pass computes the flow and heap tiers and caches both, so after
+// a flow run the heap request is a flagged hit, and the reverse; what
+// the cache serves equals a fresh lint.RunWith at that tier. The paper
+// tier runs on its own, repeats are hits, and budgets never collide.
 func TestLintCachePerPrecision(t *testing.T) {
-	sess := engine.NewSession(engine.Config{})
-	comp := sess.CompileContext(context.Background(), engine.Source{Name: "chain.mcc", Text: lintChainSrc})
-	if err := comp.Err(); err != nil {
-		t.Fatal(err)
-	}
 	opts := deadmember.Options{CallGraph: callgraph.RTA}
+	for _, order := range [][2]heaplive.Precision{
+		{heaplive.PrecisionFlow, heaplive.PrecisionHeap},
+		{heaplive.PrecisionHeap, heaplive.PrecisionFlow},
+	} {
+		sess := engine.NewSession(engine.Config{})
+		comp := sess.CompileContext(context.Background(), engine.Source{Name: "chain.mcc", Text: lintChainSrc})
+		if err := comp.Err(); err != nil {
+			t.Fatal(err)
+		}
+		lintAt := func(p heaplive.Precision, budget int) (*lint.Result, engine.Timings) {
+			t.Helper()
+			res, timings, err := comp.LintContext(context.Background(), opts, lint.Options{Precision: p, Budget: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, timings
+		}
 
-	counts := map[heaplive.Precision]int{}
-	for _, p := range heaplive.Tiers() {
-		first, timings, err := comp.LintContext(context.Background(), opts, lint.Options{Precision: p})
-		if err != nil {
-			t.Fatal(err)
+		first, timings := lintAt(order[0], 0)
+		if timings.LintCached || timings.Lint <= 0 {
+			t.Fatalf("%s first: flagged as a hit (cached=%v lint=%v)", order[0], timings.LintCached, timings.Lint)
 		}
-		if timings.LintCached {
-			t.Fatalf("%s tier: first run flagged as cached", p)
-		}
-		again, timings, err := comp.LintContext(context.Background(), opts, lint.Options{Precision: p})
-		if err != nil {
-			t.Fatal(err)
-		}
+		served, timings := lintAt(order[1], 0)
 		if !timings.LintCached || timings.Lint != 0 {
-			t.Fatalf("%s tier: repeat run not served from cache (cached=%v lint=%v)",
-				p, timings.LintCached, timings.Lint)
+			t.Fatalf("%s after %s: not served from the cache (cached=%v lint=%v)",
+				order[1], order[0], timings.LintCached, timings.Lint)
 		}
-		if again != first {
-			t.Fatalf("%s tier: cache returned a different result", p)
+		ar := comp.Analyze(opts)
+		for i, res := range []*lint.Result{first, served} {
+			p := order[i]
+			if fresh := lint.RunWith(ar, lint.Options{Precision: p}, lint.Exec{}); !reflect.DeepEqual(res, fresh) {
+				t.Fatalf("%s tier: cached result differs from a fresh run:\n got  %+v\n want %+v", p, res, fresh)
+			}
+			again, timings := lintAt(p, 0)
+			if !timings.LintCached || timings.Lint != 0 {
+				t.Fatalf("%s tier: repeat not served from the cache", p)
+			}
+			if again != res {
+				t.Fatalf("%s tier: cache returned a different result", p)
+			}
 		}
-		counts[p] = len(first.Findings)
-	}
-	if !(counts[heaplive.PrecisionHeap] > counts[heaplive.PrecisionFlow]) {
-		t.Fatalf("heap tier collided with flow in the cache: heap=%d flow=%d",
-			counts[heaplive.PrecisionHeap], counts[heaplive.PrecisionFlow])
-	}
 
-	// Distinct budgets must not collide either.
-	_, timings, err := comp.LintContext(context.Background(), opts, lint.Options{Budget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if timings.LintCached {
-		t.Fatal("budget change served from the old cache entry")
+		flow, _ := lintAt(heaplive.PrecisionFlow, 0)
+		heap, _ := lintAt(heaplive.PrecisionHeap, 0)
+		if !(len(heap.Findings) > len(flow.Findings)) {
+			t.Fatalf("heap tier collided with flow in the cache: heap=%d flow=%d",
+				len(heap.Findings), len(flow.Findings))
+		}
+
+		if _, timings := lintAt(heaplive.PrecisionPaper, 0); timings.LintCached {
+			t.Fatal("paper tier served from a flow/heap cache entry")
+		}
+		if _, timings := lintAt(heaplive.PrecisionPaper, 0); !timings.LintCached {
+			t.Fatal("paper tier repeat not served from the cache")
+		}
+
+		// Distinct budgets must not collide either.
+		if _, timings := lintAt(order[0], 1<<20); timings.LintCached {
+			t.Fatal("budget change served from the old cache entry")
+		}
+		if _, timings := lintAt(order[1], 1<<20); !timings.LintCached {
+			t.Fatal("the other tier at the new budget is not a hit")
+		}
 	}
 }
 

@@ -173,28 +173,64 @@ type analysis struct {
 // Analyze runs the chained-path dead-store analysis over one function's
 // CFG. sup is the program-wide suppressed-field set (volatile,
 // address-taken, union, unsafe-cast, library): paths touching a
-// suppressed field are never tracked. The returned error is a dataflow
-// budget overrun (wrapping dataflow.ErrBudget, naming the function) or a
-// context cancellation.
-func Analyze(info *types.Info, g *cfg.Graph, acc Accesses, call Summary, sup map[*types.Field]bool, opts Options) ([]DeadStore, error) {
-	if g == nil {
+// suppressed field are never tracked. call supplies the callee effect
+// summary; it is invoked only when the function has a candidate store,
+// so a caller can build its write summaries lazily. The returned error
+// is a dataflow budget overrun (wrapping dataflow.ErrBudget, naming the
+// function) or a context cancellation.
+//
+// Most functions store through no chain at all. For those Analyze
+// returns before it builds any map or asks for the summary: with no
+// candidate store the path universe would be empty.
+func Analyze(info *types.Info, g *cfg.Graph, acc Accesses, call func() Summary, sup map[*types.Field]bool, opts Options) ([]DeadStore, error) {
+	a := newAnalysis(info, g, acc, sup, opts)
+	if a == nil || !a.hasCandidate() {
 		return nil, nil
+	}
+	return a.run(call(), opts)
+}
+
+// newAnalysis returns the map-free shell of one function's pass, or nil
+// for a function without a CFG.
+func newAnalysis(info *types.Info, g *cfg.Graph, acc Accesses, sup map[*types.Field]bool, opts Options) *analysis {
+	if g == nil {
+		return nil
 	}
 	max := opts.MaxDepth
 	if max <= 0 {
 		max = DefaultMaxDepth
 	}
-	a := &analysis{
-		info: info, g: g, acc: acc, call: call, sup: sup, max: max,
-		bit:   map[string]int{},
-		varID: map[*types.Var]int{}, fldID: map[*types.Field]int{},
-		byFinal: map[*types.Field][]int{}, byNonFinal: map[*types.Field][]int{},
-		byRoot: map[*types.Var][]int{}, recv: map[ast.Node]bool{},
+	return &analysis{info: info, g: g, acc: acc, sup: sup, max: max}
+}
+
+// hasCandidate reports whether any atom of the CFG is a candidate store,
+// that is, whether collect would number at least one path.
+func (a *analysis) hasCandidate() bool {
+	for _, b := range a.g.Blocks {
+		for _, n := range b.Nodes {
+			if _, ok := a.candidateStore(n); ok {
+				return true
+			}
+		}
 	}
+	return false
+}
+
+// run is the full pass: number the path universe, solve, and flag.
+func (a *analysis) run(call Summary, opts Options) ([]DeadStore, error) {
+	a.call = call
+	a.bit = map[string]int{}
+	a.varID = map[*types.Var]int{}
+	a.fldID = map[*types.Field]int{}
+	a.byFinal = map[*types.Field][]int{}
+	a.byNonFinal = map[*types.Field][]int{}
+	a.byRoot = map[*types.Var][]int{}
+	a.recv = map[ast.Node]bool{}
 	a.collect()
 	if len(a.paths) == 0 {
 		return nil, nil
 	}
+	g := a.g
 	a.all = dataflow.NewBitSet(len(a.paths))
 	a.all.SetAll(len(a.paths))
 
@@ -366,6 +402,18 @@ func (a *analysis) pathOf(m *ast.Member) (Path, bool) {
 func (a *analysis) candidateStore(n ast.Node) (Path, bool) {
 	m, ok := n.(*ast.Member)
 	if !ok || a.acc.MemberAccess(m) != AccWrite || a.info.FieldRefs[m] == nil {
+		return Path{}, false
+	}
+	// A chain needs a member or an implicit-this field below the stored
+	// one; v.m and this->m are length one. Checked before pathOf, which
+	// allocates.
+	switch recv := ast.Unparen(m.X).(type) {
+	case *ast.Member:
+	case *ast.Ident:
+		if a.info.IdentFields[recv] == nil {
+			return Path{}, false
+		}
+	default:
 		return Path{}, false
 	}
 	p, ok := a.pathOf(m)

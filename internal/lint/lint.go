@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"sync"
 
 	"deadmembers/internal/cfg"
 	"deadmembers/internal/dataflow"
@@ -49,6 +50,8 @@ type Options struct {
 	// write-only corroboration only), flow (the default, zero value:
 	// length-one access paths), or heap (flow plus the access-graph
 	// chained-path pass). Findings are monotone: paper ⊆ flow ⊆ heap.
+	// Flow and heap come from one shared pass (RunTiers), so asking
+	// for either costs what asking for both does.
 	Precision heaplive.Precision
 }
 
@@ -107,118 +110,191 @@ func Run(ar *deadmember.Result, opts Options) *Result {
 // RunWith is Run under an explicit execution configuration. The
 // deadmember.Result supplies the program, the call graph (reachable set
 // and edges for callee read summaries), and the flow-insensitive dead
-// set the write-only check corroborates.
+// set the write-only check corroborates. The flow and heap tiers are
+// served by RunTiers' shared pass; the paper tier skips its dataflow
+// phase.
 func RunWith(ar *deadmember.Result, opts Options, exec Exec) *Result {
-	res := &Result{}
-	ctx := exec.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	if opts.Precision == heaplive.PrecisionPaper {
+		return classifyAll(ar, exec).assemble(nil, false, false)
 	}
-
-	funcs := ar.CallGraph.ReachableFuncs()
-	res.Funcs = len(funcs)
-
-	// Phase 1 (sequential): classify every reachable function's accesses
-	// once; the classifications feed suppression, callee summaries, and
-	// the per-function dataflow passes alike.
-	cls := make([]*classification, len(funcs))
-	index := make(map[*types.Func]int, len(funcs))
-	for i, f := range funcs {
-		if ctx.Err() != nil {
-			res.Interrupted = true
-			return res
-		}
-		index[f] = i
-		if pf := failure.Catch("lint", f.QualifiedName(), func() {
-			cls[i] = classify(ar.Program.Info, f)
-		}); pf != nil {
-			res.Failures = append(res.Failures, pf)
-			cls[i] = &classification{} // empty: function contributes nothing
-		}
+	flow, heap := RunTiers(ar, opts, exec)
+	if opts.Precision == heaplive.PrecisionHeap {
+		return heap
 	}
+	return flow
+}
+
+// RunTiers produces the flow and heap results from one per-function
+// pass; opts.Precision is ignored. Each reachable function gets one CFG
+// and one dead-store solve, then heaplive's chained-path pass over the
+// same CFG. The flow result is the dead stores plus the write-only
+// corroboration; the heap result adds heaplive's chained stores and
+// any failure of that second pass. When it adds nothing, both results
+// are the same *Result, which callers must treat as read-only.
+func RunTiers(ar *deadmember.Result, opts Options, exec Exec) (flow, heap *Result) {
+	p := classifyAll(ar, exec)
+	if p.interrupted {
+		r := p.assemble(nil, false, false)
+		return r, r
+	}
+	funcs, cls, index := p.funcs, p.cls, p.index
 
 	// Phase 2 (parallel): per-function CFG + backward liveness. Results
 	// land in per-index slots and merge in index order, so findings are
-	// byte-identical at any worker count. The paper tier skips this
-	// phase entirely — its findings are the flow-insensitive write-only
-	// corroboration of phase 3.
-	if opts.Precision != heaplive.PrecisionPaper {
-		sup := suppressedFields(ar, cls)
-		sums := readSummaries(ar, funcs, cls, index)
+	// byte-identical at any worker count.
+	sup := suppressedFields(ar, cls)
+	sums := readSummaries(ar, funcs, cls, index)
 
-		// What each function's outgoing calls may read: the union of its
-		// callees' transitive summaries (not the function's own reads —
-		// those gen at their own atoms).
-		calls := calleeUnion(ar, funcs, index, sums)
+	// What each function's outgoing calls may read: the union of its
+	// callees' transitive summaries (not the function's own reads —
+	// those gen at their own atoms).
+	calls := calleeUnion(ar, funcs, index, sums)
 
-		// The heap tier additionally needs what a call may *write*: a
-		// callee store to a chain-interior field can re-point a tracked
-		// path's prefix.
-		var callWrites []*fieldSet
-		if opts.Precision == heaplive.PrecisionHeap {
-			callWrites = calleeUnion(ar, funcs, index, writeSummaries(ar, funcs, cls, index))
-		}
+	// The heap tier additionally needs what a call may *write*: a callee
+	// store to a chain-interior field can re-point a tracked path's
+	// prefix. Few functions store through a chain, so the first one
+	// heaplive meets builds the write summaries for every worker.
+	callWrites := sync.OnceValue(func() []*fieldSet {
+		return calleeUnion(ar, funcs, index, writeSummaries(ar, funcs, cls, index))
+	})
 
-		findings := make([][]Finding, len(funcs))
-		fails := make([]*failure.Failure, len(funcs))
-		errs := make([]error, len(funcs))
-		lintOne := func(i int) {
-			f := funcs[i]
-			fails[i] = failure.Catch("lint", f.QualifiedName(), func() {
-				if exec.FuncFault != nil {
-					exec.FuncFault(f)
-				}
-				g := cfg.Build(f)
-				if g == nil {
-					return
-				}
-				findings[i], errs[i] = deadStores(ar, f, g, cls[i], sup, calls[i], opts, ctx)
-				if errs[i] != nil || callWrites == nil {
-					return
-				}
-				stores, herr := heaplive.Analyze(ar.Program.Info, g, accAdapter{cls[i]},
-					heapSummary(calls[i], callWrites[i]), sup,
-					heaplive.Options{Budget: opts.Budget, Ctx: ctx})
-				if herr != nil {
-					errs[i] = herr
-					return
-				}
-				for _, ds := range stores {
-					findings[i] = append(findings[i], heapFinding(ar, f, ds))
-				}
-			})
-		}
-		if !parallel.For(ctx, exec.Workers, len(funcs), lintOne) {
-			res.Interrupted = true
-		}
-		for i, f := range funcs {
-			res.Findings = append(res.Findings, findings[i]...)
-			if fails[i] != nil {
-				res.Failures = append(res.Failures, fails[i])
+	outs := make([]funcOut, len(funcs))
+	lintOne := func(i int) {
+		f, o := funcs[i], &outs[i]
+		var g *cfg.Graph
+		o.flowFail = failure.Catch("lint", f.QualifiedName(), func() {
+			if exec.FuncFault != nil {
+				exec.FuncFault(f)
 			}
-			switch {
-			case errs[i] == nil:
-			case errors.Is(errs[i], dataflow.ErrBudget):
-				// A budget overrun is an ordinary internal diagnostic, not a
-				// crash: surface it through the same Failures/Degraded path.
-				res.Failures = append(res.Failures, &failure.Failure{
-					Stage: "lint",
-					Unit:  f.QualifiedName(),
-					Value: errs[i].Error(),
-					Stack: "budget",
-				})
-			default:
-				// Context cancellation mid-solve.
-				res.Interrupted = true
+			g = cfg.Build(f)
+			if g != nil {
+				o.stores, o.flowErr = deadStores(ar, f, g, cls[i], sup, calls[i], opts, p.ctx)
 			}
+		})
+		if g == nil || o.flowFail != nil || o.flowErr != nil {
+			return
+		}
+		o.heapFail = failure.Catch("lint", f.QualifiedName(), func() {
+			summary := func() heaplive.Summary { return heapSummary(calls[i], callWrites()[i]) }
+			var ds []heaplive.DeadStore
+			ds, o.heapErr = heaplive.Analyze(ar.Program.Info, g, accAdapter{cls[i]}, summary, sup,
+				heaplive.Options{Budget: opts.Budget, Ctx: p.ctx})
+			for _, d := range ds {
+				o.chained = append(o.chained, heapFinding(ar, f, d))
+			}
+		})
+	}
+	interrupted := !parallel.For(p.ctx, exec.Workers, len(funcs), lintOne)
+	flow = p.assemble(outs, false, interrupted)
+	for i := range outs {
+		if o := &outs[i]; len(o.chained) > 0 || o.heapFail != nil || o.heapErr != nil {
+			return flow, p.assemble(outs, true, interrupted)
+		}
+	}
+	// Usually no function stores through a chain: the heap result is the
+	// flow result, and one *Result serves both tiers.
+	return flow, flow
+}
+
+// funcOut is one function's share of the flow and heap results. The
+// heap half runs only after the flow half succeeded.
+type funcOut struct {
+	stores, chained    []Finding
+	flowFail, heapFail *failure.Failure
+	flowErr, heapErr   error
+}
+
+// pass is one lint run's phase-1 state, shared by every tier it serves.
+type pass struct {
+	ar          *deadmember.Result
+	ctx         context.Context
+	funcs       []*types.Func
+	index       map[*types.Func]int
+	cls         []*classification
+	fails       []*failure.Failure // classifier faults, in function order
+	interrupted bool               // ctx was cancelled during classification
+
+	// writeOnly is phase 3's corroboration, which every tier reports.
+	writeOnly []Finding
+}
+
+// classifyAll is phase 1 (sequential): classify every reachable
+// function's accesses once; the classifications feed suppression,
+// callee summaries, and the per-function dataflow passes alike.
+func classifyAll(ar *deadmember.Result, exec Exec) *pass {
+	p := &pass{ar: ar, ctx: exec.Ctx}
+	if p.ctx == nil {
+		p.ctx = context.Background()
+	}
+	p.funcs = ar.CallGraph.ReachableFuncs()
+	p.cls = make([]*classification, len(p.funcs))
+	p.index = make(map[*types.Func]int, len(p.funcs))
+	for i, f := range p.funcs {
+		if p.ctx.Err() != nil {
+			p.interrupted = true
+			return p
+		}
+		p.index[f] = i
+		if pf := failure.Catch("lint", f.QualifiedName(), func() {
+			p.cls[i] = classify(ar.Program.Info, f)
+		}); pf != nil {
+			p.fails = append(p.fails, pf)
+			p.cls[i] = &classification{} // empty: function contributes nothing
 		}
 	}
 
 	// Phase 3: write-only corroboration over the flow-insensitive dead
 	// set — every store site of a dead member is by construction
 	// orphaned; list them as the explanation.
-	res.Findings = append(res.Findings, writeOnly(ar, funcs, cls)...)
+	p.writeOnly = writeOnly(ar, p.funcs, p.cls)
+	return p
+}
 
+// assemble builds one tier's Result: per function, in order, the dead
+// stores (and, for heap, the chained ones) and any fault or budget
+// overrun; then the write-only corroboration. outs is nil at the paper
+// tier. sortFindings is not stable, so this pre-sort order is part of
+// the output contract. A pass cancelled during classification reports
+// no findings.
+func (p *pass) assemble(outs []funcOut, heap, interrupted bool) *Result {
+	res := &Result{Funcs: len(p.funcs), Interrupted: interrupted || p.interrupted}
+	res.Failures = append(res.Failures, p.fails...)
+	if p.interrupted {
+		return res
+	}
+	for i := range outs {
+		o := &outs[i]
+		res.Findings = append(res.Findings, o.stores...)
+		fail, err := o.flowFail, o.flowErr
+		if heap {
+			res.Findings = append(res.Findings, o.chained...)
+			if fail == nil {
+				fail = o.heapFail
+			}
+			if err == nil {
+				err = o.heapErr
+			}
+		}
+		if fail != nil {
+			res.Failures = append(res.Failures, fail)
+		}
+		switch {
+		case err == nil:
+		case errors.Is(err, dataflow.ErrBudget):
+			// A budget overrun is an ordinary internal diagnostic, not a
+			// crash: surface it through the same Failures/Degraded path.
+			res.Failures = append(res.Failures, &failure.Failure{
+				Stage: "lint",
+				Unit:  p.funcs[i].QualifiedName(),
+				Value: err.Error(),
+				Stack: "budget",
+			})
+		default:
+			// Context cancellation mid-solve.
+			res.Interrupted = true
+		}
+	}
+	res.Findings = append(res.Findings, p.writeOnly...)
 	sortFindings(res.Findings)
 	sortFailures(res.Failures)
 	return res

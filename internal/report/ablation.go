@@ -42,7 +42,8 @@ func RunAblations() ([]*AblationRow, error) {
 // RunAblationsIn runs the sweep against a shared engine session: each
 // benchmark is compiled exactly once (or not at all, if the session
 // already holds it from an earlier collection), and the four RTA-mode
-// variants share one cached call graph — only the liveness pass reruns.
+// variants share one cached call graph. Liveness is cached per options,
+// so the plain RTA variant reuses an earlier collection's analysis.
 func RunAblationsIn(s *engine.Session) ([]*AblationRow, error) {
 	var out []*AblationRow
 	for _, b := range bench.All() {

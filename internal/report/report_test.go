@@ -5,11 +5,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"deadmembers/internal/bench"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/frontend"
+	"deadmembers/internal/heaplive"
 )
 
 var (
@@ -307,5 +309,51 @@ func TestSweepAbortsOnCancellation(t *testing.T) {
 	cancel()
 	if _, err := CollectAllInContext(ctx, engine.NewSession(engine.Config{})); err == nil {
 		t.Fatal("expected the cancelled sweep to report an error")
+	}
+}
+
+// TestPrecisionCostsMeasured holds the frontier table to a measured
+// cost at every tier. Flow and heap come from one lint pass, so the
+// heap result is a lint-cache hit; its column must still carry that
+// pass's wall clock rather than the hit's zero.
+func TestPrecisionCostsMeasured(t *testing.T) {
+	clean := 0
+	for _, r := range allResults(t) {
+		if r.Degraded {
+			continue
+		}
+		clean++
+		for _, p := range heaplive.Tiers() {
+			if r.TierLint[p.Rank()] <= 0 {
+				t.Errorf("%s: %s tier lint cost is %v", r.Name, p, r.TierLint[p.Rank()])
+			}
+		}
+		flow, heap := r.TierLint[heaplive.PrecisionFlow.Rank()], r.TierLint[heaplive.PrecisionHeap.Rank()]
+		if flow != heap {
+			t.Errorf("%s: flow cost %v != heap cost %v, but one pass computes both", r.Name, flow, heap)
+		}
+	}
+	if clean == 0 {
+		t.Fatal("no clean rows")
+	}
+}
+
+// TestTimingsTableMarksCacheHits: a stage served from the compilation's
+// cache prints "cached" instead of its zero duration, for the liveness
+// pass as for the call graph.
+func TestTimingsTableMarksCacheHits(t *testing.T) {
+	hit := &BenchmarkResult{Name: "hit", Timings: engine.Timings{CallGraphCached: true, LivenessCached: true}}
+	miss := &BenchmarkResult{Name: "miss", Timings: engine.Timings{CallGraph: time.Millisecond, Liveness: 2 * time.Millisecond}}
+	rows := map[string]string{}
+	for _, line := range strings.Split(TimingsTable([]*BenchmarkResult{hit, miss}, engine.Stats{}), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]] = line
+		}
+	}
+	if n := strings.Count(rows["hit"], "cached"); n != 2 {
+		t.Errorf("cache-hit row shows %d cached stages, want 2: %q", n, rows["hit"])
+	}
+	if strings.Contains(rows["miss"], "cached") || !strings.Contains(rows["miss"], "2ms") {
+		t.Errorf("miss row should show measured stages: %q", rows["miss"])
 	}
 }

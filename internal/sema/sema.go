@@ -196,6 +196,7 @@ func (c *Checker) resolveClasses() {
 	}
 	c.breakInheritanceCycles()
 
+	fieldID := 0
 	for _, cls := range c.prog.Classes {
 		if !cls.Complete {
 			continue
@@ -215,6 +216,8 @@ func (c *Checker) resolveClasses() {
 				Owner: cls, Index: i, Pos: fd.Pos(), Decl: fd,
 			}
 			fld.Index = len(cls.Fields)
+			fld.ID = fieldID
+			fieldID++
 			cls.Fields = append(cls.Fields, fld)
 		}
 		for _, md := range decl.Methods {

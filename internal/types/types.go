@@ -209,6 +209,7 @@ type Field struct {
 	Volatile bool
 	Owner    *Class
 	Index    int // position within Owner.Fields
+	ID       int // position among all fields of the program, in declaration order
 	Pos      source.Pos
 	Decl     *ast.FieldDecl
 }

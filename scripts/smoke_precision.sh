@@ -26,6 +26,14 @@ for col in paper flow heap; do
 done
 grep -q '^total' "$tmp/bench.out"
 
+# Every tier's lint cost is a measurement. A 0s cell means a tier's
+# result came from the lint cache and its cost was never measured.
+if sed -n '/Precision\/cost frontier/,/^total/p' "$tmp/bench.out" |
+    grep -Eq '(^|[[:space:]])0s([[:space:]]|$)'; then
+    echo "smoke-precision: a lint cost cell of the frontier table reads 0s" >&2
+    exit 1
+fi
+
 # Tier monotonicity on the chained example: finding counts must be
 # non-decreasing, and heap must beat paper (the chained dead store).
 np=$("$BIN/deadlint" -precision=paper "$FILE" | wc -l)
