@@ -20,6 +20,7 @@ import (
 	"deadmembers/internal/parser"
 	"deadmembers/internal/report"
 	"deadmembers/internal/source"
+	"deadmembers/internal/vm"
 )
 
 // BenchmarkTable1 measures producing the benchmark-characteristics table:
@@ -58,9 +59,9 @@ func BenchmarkFigure3(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2 measures the full dynamic pipeline (analysis plus
-// instrumented execution) per corpus benchmark — the cost of one Table 2
-// row.
+// BenchmarkTable2 measures the instrumented execution behind one Table 2
+// row per corpus benchmark, on the bytecode VM that paperbench runs (a
+// fresh Executor per run, as every production run gets).
 func BenchmarkTable2(b *testing.B) {
 	for _, bm := range bench.All() {
 		r := frontend.Compile(bm.Sources...)
@@ -70,7 +71,8 @@ func BenchmarkTable2(b *testing.B) {
 		res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
 		b.Run(bm.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dynprof.Run(res, dynprof.Options{}); err != nil {
+				ex := vm.NewExecutor(r.Program, r.Graph)
+				if _, err := dynprof.Run(res, dynprof.Options{Executor: ex}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -248,6 +250,8 @@ func BenchmarkCallGraphRTA(b *testing.B) {
 	}
 }
 
+// BenchmarkInterpRichards measures one instrumented richards run on the
+// bytecode VM: the compute-bound end of the corpus.
 func BenchmarkInterpRichards(b *testing.B) {
 	bm, err := bench.ByName("richards")
 	if err != nil {
@@ -260,7 +264,7 @@ func BenchmarkInterpRichards(b *testing.B) {
 	res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prof, err := dynprof.Run(res, dynprof.Options{})
+		prof, err := dynprof.Run(res, dynprof.Options{Executor: vm.NewExecutor(r.Program, r.Graph)})
 		if err != nil {
 			b.Fatal(err)
 		}

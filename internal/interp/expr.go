@@ -128,7 +128,9 @@ func (m *Machine) evalExpr(f *Frame, e ast.Expr) Value {
 	return Value{}
 }
 
-// varCell resolves a plain identifier to its storage cell.
+// varCell resolves a plain identifier to its storage cell: a local
+// declared in the frame, then a parameter by its position in Fn.Params,
+// then a global.
 func (m *Machine) varCell(f *Frame, x *ast.Ident) *Cell {
 	v := m.info.IdentVars[x]
 	if v == nil {
@@ -136,6 +138,13 @@ func (m *Machine) varCell(f *Frame, x *ast.Ident) *Cell {
 	}
 	if c, ok := f.Vars[v]; ok {
 		return c
+	}
+	if f.Fn != nil {
+		for i, p := range f.Fn.Params {
+			if p == v && i < len(f.Params) {
+				return f.Params[i]
+			}
+		}
 	}
 	if c, ok := m.globals[v]; ok {
 		return c

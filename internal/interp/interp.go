@@ -228,13 +228,15 @@ func (m *Machine) StepContextPoll() {
 // Executor (the bytecode VM in internal/vm) can run function bodies on
 // the shared runtime core.
 type Frame struct {
-	Fn   *types.Func
+	Fn *types.Func
+	// Vars maps the tree-walker's local variables to their cells. It
+	// stays nil until the tree-walker declares a local in the frame.
 	Vars map[*types.Var]*Cell
 	This *Object
 
-	// Params holds the parameter cells in declaration order — the same
-	// cells registered in Vars, exposed positionally so a slot-based
-	// executor can bind them without map lookups.
+	// Params holds the parameter cells in declaration order; varCell
+	// finds a parameter by its position in Fn.Params, and a slot-based
+	// executor binds them without map lookups.
 	Params []*Cell
 
 	// Locals are the counted local class objects, destroyed in reverse
@@ -245,7 +247,7 @@ type Frame struct {
 // initGlobals allocates and initializes global variables in declaration
 // order.
 func (m *Machine) initGlobals() {
-	f := &Frame{Vars: map[*types.Var]*Cell{}}
+	f := &Frame{}
 	for _, g := range m.prog.Globals {
 		cell := &Cell{V: m.ZeroValue(g.Type)}
 		m.globals[g] = cell
@@ -336,7 +338,9 @@ func (m *Machine) MakeArray(arr *types.Array, objs *[]*Object) Value {
 
 // PlanOf returns the (per-run cached) field plan of cls: the distinct
 // data members in deterministic order — own fields first, then bases
-// depth-first, members shared through virtual bases once.
+// depth-first, members shared through virtual bases once — and the
+// ledger sizes of a counted instance, which depend only on the class
+// layout and Options.DeadField, both fixed for the run.
 func (m *Machine) PlanOf(cls *types.Class) *FieldPlan {
 	if p, ok := m.plans[cls]; ok {
 		return p
@@ -360,30 +364,32 @@ func (m *Machine) PlanOf(cls *types.Class) *FieldPlan {
 		}
 	}
 	add(cls)
+	lay := m.h.LayoutOf(cls)
+	p.size, p.adjSize = lay.Size, lay.Size
+	if m.opts.DeadField != nil {
+		p.deadBytes = lay.DeadBytes(m.opts.DeadField)
+		p.adjSize = lay.SizeWithout(m.opts.DeadField)
+	}
 	m.plans[cls] = p
 	return p
 }
 
 // NewObject allocates an object of class cls with zeroed cells for every
-// distinct member (shared virtual bases appear once). counted objects are
-// reported to the ledger and destructed with ledger balance.
+// distinct member (shared virtual bases appear once), all in one slab.
+// counted objects are reported to the ledger and destructed with ledger
+// balance.
 func (m *Machine) NewObject(cls *types.Class, counted bool) *Object {
 	plan := m.PlanOf(cls)
+	slab := make([]Cell, len(plan.Fields))
 	cells := make([]*Cell, len(plan.Fields))
 	for i, f := range plan.Fields {
-		cells[i] = &Cell{V: m.ZeroValue(f.Type)}
+		slab[i].V = m.ZeroValue(f.Type)
+		cells[i] = &slab[i]
 	}
 	obj := &Object{Class: cls, Plan: plan, Cells: cells}
 
 	if counted {
-		lay := m.h.LayoutOf(cls)
-		obj.Size = lay.Size
-		if m.opts.DeadField != nil {
-			obj.DeadBytes = lay.DeadBytes(m.opts.DeadField)
-			obj.AdjSize = lay.SizeWithout(m.opts.DeadField)
-		} else {
-			obj.AdjSize = lay.Size
-		}
+		obj.Size, obj.DeadBytes, obj.AdjSize = plan.size, plan.deadBytes, plan.adjSize
 		if m.opts.Ledger != nil {
 			m.opts.Ledger.Alloc(cls, obj.Size, obj.DeadBytes, obj.AdjSize)
 		}
@@ -432,19 +438,21 @@ func (m *Machine) runCtorInitTarget(obj *Object, ctor *types.Func, args []Value,
 }
 
 // ctorFrame builds a Frame for evaluating a constructor's initializer
-// arguments (parameters bound, this set).
+// arguments (parameters bound, this set), with the parameter cells in
+// one slab.
 func (m *Machine) ctorFrame(obj *Object, ctor *types.Func, args []Value) *Frame {
-	f := &Frame{Fn: ctor, Vars: map[*types.Var]*Cell{}, This: obj}
-	for i, p := range ctor.Params {
-		var v Value
-		if i < len(args) {
-			v = args[i]
-		} else {
-			v = m.ZeroValue(p.Type)
+	f := &Frame{Fn: ctor, This: obj}
+	if n := len(ctor.Params); n > 0 {
+		cells := make([]Cell, n)
+		f.Params = make([]*Cell, n)
+		for i, p := range ctor.Params {
+			if i < len(args) {
+				cells[i].V = args[i]
+			} else {
+				cells[i].V = m.ZeroValue(p.Type)
+			}
+			f.Params[i] = &cells[i]
 		}
-		cell := &Cell{V: v}
-		f.Vars[p] = cell
-		f.Params = append(f.Params, cell)
 	}
 	return f
 }
@@ -541,10 +549,10 @@ func (m *Machine) DestroyObject(obj *Object) {
 		return
 	}
 	obj.Destroyed = true
-	m.destroyLevel(obj, obj.Class, map[*types.Class]bool{})
+	m.destroyLevel(obj, obj.Class, nil)
 	for i := len(m.h.VirtualBases(obj.Class)) - 1; i >= 0; i-- {
 		vb := m.h.VirtualBases(obj.Class)[i]
-		m.destroyLevel(obj, vb, map[*types.Class]bool{})
+		m.destroyLevel(obj, vb, nil)
 	}
 	if obj.Size > 0 && m.opts.Ledger != nil {
 		m.opts.Ledger.Free(obj.Class, obj.Size, obj.DeadBytes, obj.AdjSize)
@@ -553,15 +561,20 @@ func (m *Machine) DestroyObject(obj *Object) {
 
 // destroyLevel runs the dtor body of cls, destroys cls's class-typed
 // members in reverse order, then recurses into non-virtual bases in
-// reverse order.
+// reverse order. seen holds the levels already destroyed; a caller
+// passes nil, and the set is allocated at the first level with bases,
+// since only through bases can a level be reached twice.
 func (m *Machine) destroyLevel(obj *Object, cls *types.Class, seen map[*types.Class]bool) {
 	if seen[cls] {
 		return
 	}
-	seen[cls] = true
+	if seen != nil {
+		seen[cls] = true
+	} else if len(cls.Bases) > 0 {
+		seen = map[*types.Class]bool{cls: true}
+	}
 	if d := cls.Dtor(); d != nil && d.Body != nil {
-		f := &Frame{Fn: d, Vars: map[*types.Var]*Cell{}, This: obj}
-		m.execFuncBody(f, d)
+		m.execFuncBody(&Frame{Fn: d, This: obj}, d)
 	}
 	for i := len(cls.Fields) - 1; i >= 0; i-- {
 		fld := cls.Fields[i]
@@ -594,9 +607,9 @@ func (m *Machine) destroyEmbedded(obj *Object) {
 		return
 	}
 	obj.Destroyed = true
-	m.destroyLevel(obj, obj.Class, map[*types.Class]bool{})
+	m.destroyLevel(obj, obj.Class, nil)
 	for i := len(m.h.VirtualBases(obj.Class)) - 1; i >= 0; i-- {
-		m.destroyLevel(obj, m.h.VirtualBases(obj.Class)[i], map[*types.Class]bool{})
+		m.destroyLevel(obj, m.h.VirtualBases(obj.Class)[i], nil)
 	}
 }
 
@@ -615,9 +628,6 @@ func (m *Machine) CallFunction(fn *types.Func, this *Object, args []Value) Value
 	}
 	defer func() { m.depth-- }()
 
-	// Vars stays nil here: the map is only needed by the tree-walker,
-	// and execFuncBody materializes it from Params when an Executor
-	// declines the body (or none is installed).
 	f := &Frame{Fn: fn, This: this}
 	if n := len(fn.Params); n > 0 {
 		f.Params = make([]*Cell, 0, n)
@@ -646,16 +656,6 @@ func (m *Machine) execFuncBody(f *Frame, fn *types.Func) (ret Value) {
 	if m.opts.Executor != nil {
 		if v, handled := m.opts.Executor.ExecBody(m, f, fn); handled {
 			return v
-		}
-	}
-	if f.Vars == nil {
-		// Frame built without the name map (CallFunction's fast path);
-		// the tree-walker resolves variables through it, so build it now.
-		f.Vars = make(map[*types.Var]*Cell, len(fn.Params))
-		for i, p := range fn.Params {
-			if i < len(f.Params) {
-				f.Vars[p] = f.Params[i]
-			}
 		}
 	}
 	defer func() {

@@ -20,15 +20,6 @@ func (m *Machine) GlobalCell(v *types.Var) (*Cell, bool) {
 	return c, ok
 }
 
-// FrameCell resolves v in frame f first, then the globals — the same
-// resolution order as the tree-walker's varCell.
-func (m *Machine) FrameCell(f *Frame, v *types.Var) (*Cell, bool) {
-	if c, ok := f.Vars[v]; ok {
-		return c, true
-	}
-	return m.GlobalCell(v)
-}
-
 // StringValue materializes a string literal: a fresh NUL-terminated cell
 // array per evaluation, exactly as the tree-walker builds one each time
 // the literal is evaluated.

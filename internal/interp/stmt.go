@@ -175,6 +175,9 @@ func (m *Machine) execDecl(f *Frame, d *ast.VarDecl) {
 	v := m.info.VarObjects[d]
 	t := m.info.VarTypes[d]
 	cell := &Cell{}
+	if f.Vars == nil {
+		f.Vars = map[*types.Var]*Cell{}
+	}
 	f.Vars[v] = cell
 
 	if cls := types.IsClass(t); cls != nil {

@@ -210,6 +210,9 @@ func formatDouble(f float64) string {
 type FieldPlan struct {
 	Fields []*types.Field
 	Index  map[*types.Field]int
+
+	// Ledger sizes of a counted instance (see NewObject).
+	size, deadBytes, adjSize int
 }
 
 // Object is a class instance with one cell per distinct data member

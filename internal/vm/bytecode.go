@@ -32,7 +32,6 @@ const (
 	opStr                      // (→1) push fresh string-literal array
 	opThis                     // (→1) push pointer to f.This
 	opPop                      // (1→) discard top
-	opDup                      // (1→2) duplicate top
 	opLoadSlot                 // (→1) read slot a (nil slot = not-in-scope failure)
 	opLoadGlobal               // (→1) read global vr via cell cache
 	opLoadField                // (→1) read field fld of f.This (implicit this->)

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"deadmembers/internal/ast"
 	"deadmembers/internal/hierarchy"
@@ -56,7 +57,11 @@ func compileFunc(fn *types.Func, info *types.Info, h *hierarchy.Graph) (ch *chun
 	c.scanDecls(fn.Body)
 	c.stmt(fn.Body)
 	c.emit(instr{op: opReturnVoid})
-	return &chunk{fn: fn, code: peephole(c.code), consts: c.consts, numSlots: len(c.slotOf)}
+	// The peephole rewrites c.code in place; the chunk keeps an
+	// exact-length copy, not the emit buffer's spare capacity, for the
+	// rest of the run.
+	code := slices.Clone(peephole(c.code))
+	return &chunk{fn: fn, code: code, consts: c.consts, numSlots: len(c.slotOf)}
 }
 
 // scanDecls pre-assigns a frame slot to every local declaration so
@@ -282,7 +287,10 @@ func (c *compiler) loopCtx() *ctrlCtx {
 
 // switchStmt compiles the no-fallthrough MC++ switch: the scrutinee is
 // kept on the stack while non-default case values are tested in source
-// order; the first match pops it and enters that case's body.
+// order (each opCaseEq pops its case value and compares it with the
+// scrutinee in place); the first match pops the scrutinee and enters
+// that case's body, and a miss pops it before the default or the end,
+// so the stack is balanced on every path.
 func (c *compiler) switchStmt(x *ast.SwitchStmt) {
 	c.expr(x.X)
 	ctxIdx := c.pushCtx(false, c.depth, c.depth)
@@ -296,7 +304,6 @@ func (c *compiler) switchStmt(x *ast.SwitchStmt) {
 			continue
 		}
 		for _, ve := range cs.Values {
-			c.emit(instr{op: opDup})
 			c.expr(ve)
 			caseSites[i] = append(caseSites[i], c.emit(instr{op: opCaseEq}))
 		}

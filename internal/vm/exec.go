@@ -154,8 +154,6 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			stack = append(stack, interp.ObjectPointer(f.This))
 		case opPop:
 			stack = stack[:len(stack)-1]
-		case opDup:
-			stack = append(stack, stack[len(stack)-1])
 
 		case opLoadSlot:
 			cell := slots[ins.a]

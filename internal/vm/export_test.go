@@ -1,0 +1,13 @@
+package vm
+
+// MaxStackCap reports the largest operand-stack capacity among e's
+// pooled frame states. After a run every activation has handed its state
+// back to the pool, so this bounds the deepest operand stack any
+// activation of the run reached.
+func MaxStackCap(e *Executor) int {
+	n := 0
+	for _, fs := range e.pool {
+		n = max(n, cap(fs.stack))
+	}
+	return n
+}

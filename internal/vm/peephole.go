@@ -24,16 +24,26 @@ package vm
 // instruction of the candidate sequence other than its first (entry
 // mid-sequence could not be reproduced). Fusion changes instruction
 // counts, so each pass remaps jump operands.
+//
+// Fusion never makes code longer, so every pass rewrites code in place
+// (its write index never passes its read index), and the passes share
+// one jump-target buffer and one remap buffer sized for the input.
 func peephole(code []instr) []instr {
-	code = fusePass(code, fuseTriple)
-	code = fusePass(code, fusePair)
-	code = fusePass(code, fuseChain)
-	code = fusePass(code, dropCheck)
-	code = fusePass(code, fuseStore)
-	code = fusePass(code, fuseBranch)
-	code = fusePass(code, fuseStep)
+	isTarget := make([]bool, len(code)+1)
+	remap := make([]int, len(code)+1)
+	for _, fuse := range [...]fuseRule{
+		fuseTriple, fusePair, fuseChain, dropCheck, fuseStore, fuseBranch, fuseStep,
+	} {
+		code = fusePass(code, fuse, isTarget[:len(code)+1], remap[:len(code)+1])
+	}
 	return code
 }
+
+// fuseRule inspects the sequence starting at pc and returns the fused
+// instruction plus how many source instructions it consumed (0 = keep
+// code[pc] as is). It reads only code[pc:], which fusePass has not yet
+// overwritten.
+type fuseRule func(code []instr, pc int, isTarget []bool) (instr, int)
 
 // Result modes of the opIntBin family: push the result (modePush),
 // store it into int slot d (modeStore), or branch to d when it is
@@ -44,50 +54,51 @@ const (
 	modeJF
 )
 
-// fusePass rewrites code with one local fusion rule. fuse inspects the
-// sequence starting at pc and returns the fused instruction plus how
-// many source instructions it consumed (0 = keep code[pc] as is).
-func fusePass(code []instr, fuse func(code []instr, pc int, isTarget []bool) (instr, int)) []instr {
-	isTarget := make([]bool, len(code)+1)
+// fusePass rewrites code in place with one local fusion rule and
+// returns the shortened prefix. isTarget and remap are scratch buffers
+// of len(code)+1.
+func fusePass(code []instr, fuse fuseRule, isTarget []bool, remap []int) []instr {
+	clear(isTarget)
 	for i := range code {
-		for _, ref := range jumpRefs(&code[i]) {
+		if ref := jumpRef(&code[i]); ref != nil {
 			isTarget[*ref] = true
 		}
 	}
-	out := make([]instr, 0, len(code))
-	remap := make([]int, len(code)+1)
+	w := 0
 	for pc := 0; pc < len(code); {
-		remap[pc] = len(out)
-		if ins, n := fuse(code, pc, isTarget); n > 0 {
-			out = append(out, ins)
-			for k := 1; k < n; k++ {
-				remap[pc+k] = len(out) - 1
-			}
-			pc += n
-			continue
+		remap[pc] = w
+		ins, n := fuse(code, pc, isTarget)
+		if n == 0 {
+			ins, n = code[pc], 1
 		}
-		out = append(out, code[pc])
-		pc++
+		for k := 1; k < n; k++ {
+			remap[pc+k] = w
+		}
+		code[w] = ins
+		w++
+		pc += n
 	}
-	remap[len(code)] = len(out)
-	for i := range out {
-		for _, ref := range jumpRefs(&out[i]) {
+	remap[len(code)] = w
+	code = code[:w]
+	for i := range code {
+		if ref := jumpRef(&code[i]); ref != nil {
 			*ref = remap[*ref]
 		}
 	}
-	return out
+	return code
 }
 
-// jumpRefs returns pointers to ins's code-offset operands.
-func jumpRefs(ins *instr) []*int {
+// jumpRef returns a pointer to ins's code-offset operand, or nil when
+// it has none (no instruction has more than one).
+func jumpRef(ins *instr) *int {
 	switch ins.op {
 	case opJump, opJF, opJT, opCaseEq, opAddrIndexTry:
-		return []*int{&ins.a}
+		return &ins.a
 	case opIntBin, opIntBinSS, opIntBinSC, opIntBinCS,
 		opIntBinXS, opIntBinXC,
 		opIntBin2SS, opIntBin2SC, opIntBin2CS:
 		if ins.mode == modeJF {
-			return []*int{&ins.d}
+			return &ins.d
 		}
 	}
 	return nil

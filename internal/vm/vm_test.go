@@ -434,3 +434,137 @@ func TestVMStepBudget(t *testing.T) {
 		t.Fatalf("step-limit error lacks position/function diagnostics: %s", tmsg)
 	}
 }
+
+// switchFixture runs a three-way switch 100 times, then a switch whose
+// only case never matches 100 times.
+const switchFixture = `
+	int main() {
+		int a = 0; int b = 0; int c = 0;
+		for (int i = 0; i < 100; i++) {
+			switch (i % 3) {
+				case 0: a++; break;
+				case 1: b++; break;
+				default: c++;
+			}
+		}
+		for (int i = 0; i < 100; i++) {
+			switch (i) {
+				case 1000: a++; break;
+			}
+		}
+		print(a); print(" "); print(b); print(" "); print(c); println();
+		return 0;
+	}`
+
+// maxOperandStack bounds the operand-stack capacity a whole run may
+// reach. Expression depth, not iteration count, sets the stack depth, so
+// a loop that leaves a value behind per iteration overshoots it.
+const maxOperandStack = 16
+
+// TestSwitchKeepsStackBalanced holds every switch to a balanced operand
+// stack, whether a case matches or none does: over the switch fixture
+// and the whole benchmark corpus, no activation's stack may grow with
+// the number of switches executed.
+func TestSwitchKeepsStackBalanced(t *testing.T) {
+	if res := runBoth(t, "switch.mcc", switchFixture); res.Output != "34 33 33\n" {
+		t.Fatalf("switch fixture printed %q", res.Output)
+	}
+	progs := []*bench.Benchmark{{Name: "switch", Sources: []engine.Source{{Name: "switch.mcc", Text: switchFixture}}}}
+	progs = append(progs, bench.All()...)
+	for _, b := range progs {
+		c := engine.Compile(engine.Config{}, b.Sources...)
+		if err := c.Err(); err != nil {
+			t.Fatalf("compile %s: %v", b.Name, err)
+		}
+		ex := c.NewExecutor()
+		if _, err := interp.Run(c.Program, c.Hierarchy, interp.Options{Executor: ex}); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if n := vm.MaxStackCap(ex); n > maxOperandStack {
+			t.Errorf("%s: operand stack grew to capacity %d, want at most %d", b.Name, n, maxOperandStack)
+		}
+	}
+}
+
+// TestCtorInitNamesShadowingParameter pins the name resolution of
+// constructor-initializer arguments, which evaluate in a frame without
+// a name map: a parameter named like a global must win over it, in a
+// member initializer (scalar and class-typed) and in a virtual-base
+// initializer that the most-derived constructor gives.
+func TestCtorInitNamesShadowingParameter(t *testing.T) {
+	const src = `
+		int x = 100;
+		int y = 200;
+		class V {
+		public:
+			int v;
+			V() { v = 0; }
+			V(int a) { v = a; }
+		};
+		class In {
+		public:
+			int i;
+			In(int a) { i = a; }
+		};
+		class M : public virtual V {
+		public:
+			int m;
+			In in;
+			M(int y, int x) : V(x + 1), m(x - y), in(x * 10) {}
+		};
+		class D : public M {
+		public:
+			int d;
+			D(int y, int x) : V(x * 2), M(y, x), d(x + 3) {}
+		};
+		int main() {
+			D obj(1, 7);
+			print(obj.v); print(" "); print(obj.m); print(" "); print(obj.in.i); print(" "); print(obj.d); println();
+			M mm(2, 5);
+			print(mm.v); print(" "); print(mm.m); print(" "); print(mm.in.i); println();
+			D* p = new D(3, 2);
+			print(p->v); print(" "); print(x); print(" "); print(y); println();
+			delete p;
+			return 0;
+		}`
+	c := compile(t, "shadow.mcc", src)
+	assertSameProfile(t, "shadow", c)
+	res, err := c.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "14 6 70 10\n6 3 50\n4 100 200\n"; res.Output != want {
+		t.Fatalf("output %q, want %q", res.Output, want)
+	}
+}
+
+// TestNonVirtualDiamondDestruction pins the destruction order of a
+// non-virtual diamond deleted through new/delete: the shared base's
+// destructor runs once, after the last base that reaches it, and the
+// ledger balances.
+func TestNonVirtualDiamondDestruction(t *testing.T) {
+	const src = `
+		class A { public: int a; ~A() { print("~A"); } };
+		class L : public A { public: int l; ~L() { print("~L"); } };
+		class R : public A { public: int r; ~R() { print("~R"); } };
+		class D : public L, public R { public: int d; ~D() { print("~D"); } };
+		int main() {
+			D* p = new D();
+			delete p;
+			println();
+			return 0;
+		}`
+	c := compile(t, "diamond.mcc", src)
+	assertSameProfile(t, "diamond", c)
+	prof, err := c.ProfileContext(context.Background(), deadmember.Options{}, dynprof.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "~D~R~A~L\n"; prof.Exec.Output != want {
+		t.Fatalf("output %q, want %q", prof.Exec.Output, want)
+	}
+	if l := prof.Ledger; l.TotalObjects != 1 || l.LiveBytes != 0 || l.AdjustedLiveBytes != 0 || prof.AccountingErr != nil {
+		t.Fatalf("ledger not balanced: objects %d, live %d, adjusted live %d, err %v",
+			l.TotalObjects, l.LiveBytes, l.AdjustedLiveBytes, prof.AccountingErr)
+	}
+}
