@@ -60,9 +60,10 @@ smoke-restart:
 smoke-precision:
 	sh scripts/smoke_precision.sh
 
-# Chaos soak under the race detector: faulty disk + faulty network,
-# abrupt in-test kill and restart, byte-identity asserted throughout
-# (see internal/server/chaos_soak_test.go).
+# Chaos soak under the race detector: faulty disk under the persist
+# store, abrupt in-test kill and restart, byte-identity and zero failed
+# requests against a live server asserted throughout (see
+# internal/server/chaos_soak_test.go).
 chaos-smoke:
 	$(GO) test -race -run TestChaosSoak -v ./internal/server/
 

@@ -22,10 +22,8 @@ import (
 	"strings"
 	"time"
 
-	"deadmembers/internal/api"
 	"deadmembers/internal/buildinfo"
 	"deadmembers/internal/callgraph"
-	"deadmembers/internal/client"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/heaplive"
@@ -54,9 +52,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		callgraphMode  = fs.String("callgraph", "rta", "call graph construction: rta, cha, or all")
 		libraries      = fs.String("library", "", "comma-separated class names treated as library classes")
 		trustDowncasts = fs.Bool("trust-downcasts", false, "treat all downcasts as verified safe")
-		stageTimings   = fs.Bool("timings", false, "print per-stage wall-clock timings to stderr (local mode only)")
-		serverURL      = fs.String("server", "", "deadmemd base URL (e.g. http://127.0.0.1:8100): lint remotely; output is byte-identical to a local run")
-		retries        = fs.Int("retries", 0, "max attempts per remote call, with backoff (0 = client default; needs -server)")
+		stageTimings   = fs.Bool("timings", false, "print per-stage wall-clock timings to stderr")
 		showVersion    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -118,41 +114,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		defer cancel()
 	}
 
-	if *serverURL != "" {
-		req := &api.Request{
-			Options: api.Options{
-				CallGraph:      strings.ToLower(*callgraphMode),
-				TrustDowncasts: *trustDowncasts,
-				Library:        opts.LibraryClasses,
-			},
-			Format:    *format,
-			Budget:    *budget,
-			Precision: precision.String(),
-		}
-		for _, s := range sources {
-			req.Sources = append(req.Sources, api.Source{Name: s.Name, Text: s.Text})
-		}
-		cl := client.New(client.Config{BaseURL: *serverURL, MaxAttempts: *retries})
-		res, err := cl.Lint(ctx, req)
-		if err != nil {
-			fmt.Fprintf(stderr, "deadlint: %v\n", err)
-			return 1
-		}
-		if _, err := stdout.Write(res.Body); err != nil {
-			fmt.Fprintf(stderr, "deadlint: %v\n", err)
-			return 1
-		}
-		if res.Degraded {
-			fmt.Fprintln(stderr, "RESULT DEGRADED: findings may be missing; the server contained a pipeline fault")
-			return 1
-		}
-		return 0
-	}
-
-	// One Session: repeated invocations with the same sources (service
-	// use, or multiple checks later) hit the compile-once cache.
-	sess := engine.NewSession(engine.Config{Workers: *parallel})
-	comp := sess.CompileContext(ctx, sources...)
+	comp := engine.CompileContext(ctx, engine.Config{Workers: *parallel}, sources...)
 	if err := comp.Err(); err != nil {
 		fmt.Fprintf(stderr, "deadlint: %v\n", err)
 		return 1

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
-
-	"deadmembers/internal/server"
 )
 
 func examples(t *testing.T) []string {
@@ -177,29 +174,20 @@ func TestBudgetDegradesExitCode(t *testing.T) {
 	}
 }
 
-// TestServerModeMatchesLocal: -server routes the lint through deadmemd
-// and the stdout must be byte-identical to a local run, per format.
-func TestServerModeMatchesLocal(t *testing.T) {
+// TestRetiredFlagsRejected: deadlint runs locally only, so the
+// remote-mode flags are unknown flags.
+func TestRetiredFlagsRejected(t *testing.T) {
 	path := filepath.Join("..", "..", "examples", "mcc", "overwrite.mcc")
-	srv, err := server.New(server.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for _, format := range []string{"text", "json", "sarif"} {
-		localCode, local, localErr := runCLI(t, "-format", format, path)
-		if localCode != 0 {
-			t.Fatalf("%s local: exit %d, stderr: %s", format, localCode, localErr)
+	for _, args := range [][]string{
+		{"-server", "http://127.0.0.1:1"},
+		{"-retries", "2"},
+	} {
+		code, _, errw := runCLI(t, append(args, path)...)
+		if code != 2 {
+			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
 		}
-		remoteCode, remote, remoteErr := runCLI(t, "-format", format, "-server", ts.URL, path)
-		if remoteCode != 0 {
-			t.Fatalf("%s remote: exit %d, stderr: %s", format, remoteCode, remoteErr)
-		}
-		if remote != local {
-			t.Errorf("%s: remote output diverges from local:\n--- remote ---\n%s--- local ---\n%s",
-				format, remote, local)
+		if !strings.Contains(errw, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr missing unknown-flag diagnostic:\n%s", args, errw)
 		}
 	}
 }

@@ -19,10 +19,7 @@ import (
 	"strings"
 
 	"deadmembers"
-	"deadmembers/internal/api"
 	"deadmembers/internal/buildinfo"
-	"deadmembers/internal/client"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/textreport"
 )
 
@@ -47,14 +44,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		trustDowncasts = fs.Bool("trust-downcasts", false, "treat all downcasts as verified safe")
 		writesAreUses  = fs.Bool("writes-are-uses", false, "ablation: treat every write as a use (paper §2 argues against this)")
 		libraries      = fs.String("library", "", "comma-separated class names treated as library classes")
-		precisionFlag  = fs.String("precision", "flow", "liveness tier (paper, flow, or heap); the dead-member report is tier-invariant, the flag is validated and forwarded for symmetry with deadlint")
 		verbose        = fs.Bool("v", false, "also list live members with the reason they are live")
 		stageTimings   = fs.Bool("verbose", false, "print per-stage wall-clock timings of the engine pipeline")
 		parallel       = fs.Int("parallel", 0, "worker count for the parse and liveness stages (0 = all cores, 1 = sequential)")
 		perClass       = fs.Bool("classes", false, "print a per-class breakdown (IDE-feedback view)")
 		unreachable    = fs.Bool("unreachable", false, "also list unreachable functions")
-		serverURL      = fs.String("server", "", "deadmemd base URL (e.g. http://127.0.0.1:8100): run the analysis remotely; output is byte-identical to a local run")
-		retries        = fs.Int("retries", 0, "max attempts per remote call, with backoff (0 = client default; needs -server)")
 		showVersion    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -98,12 +92,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *libraries != "" {
 		opts.LibraryClasses = strings.Split(*libraries, ",")
 	}
-	precision, err := heaplive.ParsePrecision(*precisionFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "deadmem: %v\n", err)
-		return 2
-	}
-
 	var sources []deadmembers.Source
 	for _, path := range fs.Args() {
 		text, err := os.ReadFile(path)
@@ -119,41 +107,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if *serverURL != "" {
-		req := &api.Request{
-			Options: api.Options{
-				CallGraph:      strings.ToLower(*callgraphMode),
-				Sizeof:         strings.ToLower(*sizeofPolicy),
-				NoDeleteRule:   *noDeleteRule,
-				TrustDowncasts: *trustDowncasts,
-				WritesAreUses:  *writesAreUses,
-				Library:        opts.LibraryClasses,
-			},
-			Verbose:     *verbose,
-			Classes:     *perClass,
-			Unreachable: *unreachable,
-			Precision:   precision.String(),
-		}
-		for _, s := range sources {
-			req.Sources = append(req.Sources, api.Source{Name: s.Name, Text: s.Text})
-		}
-		cl := client.New(client.Config{BaseURL: *serverURL, MaxAttempts: *retries})
-		res, err := cl.Analyze(ctx, req)
-		if err != nil {
-			fmt.Fprintf(stderr, "deadmem: %v\n", err)
-			return 1
-		}
-		if _, err := stdout.Write(res.Body); err != nil {
-			fmt.Fprintf(stderr, "deadmem: %v\n", err)
-			return 1
-		}
-		if res.Degraded {
-			fmt.Fprintln(stderr, "deadmem: degraded: the server contained a pipeline fault; results may be incomplete")
-			return 1
-		}
-		return 0
 	}
 
 	comp, err := deadmembers.CompileWithContext(ctx, deadmembers.CompileConfig{Workers: *parallel}, sources...)

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"deadmembers/internal/server"
 )
 
 const sample = `
@@ -225,46 +222,22 @@ func TestTimeoutFlag(t *testing.T) {
 	}
 }
 
-// TestServerModeMatchesLocal: -server routes the analysis through
-// deadmemd and the stdout must be byte-identical to a local run with the
-// same flags.
-func TestServerModeMatchesLocal(t *testing.T) {
+// TestRetiredFlagsRejected: deadmem runs locally only, and its report is
+// tier-invariant, so the remote-mode flags and -precision are unknown
+// flags.
+func TestRetiredFlagsRejected(t *testing.T) {
 	path := writeSample(t)
-	var local, localErr strings.Builder
-	if code := run([]string{"-v", "-classes", path}, &local, &localErr); code != 0 {
-		t.Fatalf("local run: exit %d, stderr: %s", code, localErr.String())
-	}
-
-	srv, err := server.New(server.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	var remote, remoteErr strings.Builder
-	if code := run([]string{"-v", "-classes", "-server", ts.URL, path}, &remote, &remoteErr); code != 0 {
-		t.Fatalf("remote run: exit %d, stderr: %s", code, remoteErr.String())
-	}
-	if remote.String() != local.String() {
-		t.Errorf("remote output diverges from local:\n--- remote ---\n%s--- local ---\n%s",
-			remote.String(), local.String())
-	}
-}
-
-// TestServerModeUnreachable: a dead server exhausts retries and exits 1
-// with a diagnostic, not a panic or a hang.
-func TestServerModeUnreachable(t *testing.T) {
-	path := writeSample(t)
-	var out, errOut strings.Builder
-	code := run([]string{"-server", "http://127.0.0.1:1", "-retries", "2", path}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr: %s)", code, errOut.String())
-	}
-	if out.Len() != 0 {
-		t.Errorf("failed remote run wrote to stdout: %q", out.String())
-	}
-	if !strings.Contains(errOut.String(), "giving up after 2 attempts") {
-		t.Errorf("stderr should name the retry budget, got: %s", errOut.String())
+	for _, args := range [][]string{
+		{"-server", "http://127.0.0.1:1"},
+		{"-retries", "2"},
+		{"-precision", "flow"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(append(args, path), &out, &errOut); code != 2 {
+			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr missing unknown-flag diagnostic:\n%s", args, errOut.String())
+		}
 	}
 }

@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		lameDuck        = fs.Duration("lame-duck", 0, "window after SIGTERM during which the listener stays up but refuses new work with 503 (0 = close immediately)")
 		persistDir      = fs.String("persist-dir", "", "directory for the on-disk artifact store (empty = persistence off)")
 		persistMaxBytes = fs.Int64("persist-max-bytes", 1<<30, "on-disk artifact store bound; least-recently-used records are evicted past it")
-		retryAfter      = fs.Duration("retry-after", 0, "fixed Retry-After hint for 429 responses (0 = adaptive, from queue depth and recent service time)")
 		showVersion     = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -88,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		MaxRequestBytes: *maxRequestBytes,
 		PersistDir:      *persistDir,
 		PersistMaxBytes: *persistMaxBytes,
-		RetryAfter:      *retryAfter,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "deadmemd: %v\n", err)

@@ -52,10 +52,10 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsRejected: fleet mode and the in-daemon fault injector
-// are gone, so their flags are unknown flags now. The unlistenable -addr
-// after each one makes a daemon that still accepted the flag fail fast
-// instead of serving.
+// TestRetiredFlagsRejected: fleet mode, the in-daemon fault injector and
+// the fixed Retry-After override are gone, so their flags are unknown
+// flags now. The unlistenable -addr after each one makes a daemon that
+// still accepted the flag fail fast instead of serving.
 func TestRetiredFlagsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-coordinator"},
@@ -68,6 +68,7 @@ func TestRetiredFlagsRejected(t *testing.T) {
 		{"-chaos-rate", "0.1"},
 		{"-chaos-seed", "7"},
 		{"-chaos-latency", "50ms"},
+		{"-retry-after", "2s"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(append(args, "-addr", "256.256.256.256:99999"), &out, &errOut); code != 2 {

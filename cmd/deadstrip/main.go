@@ -18,10 +18,7 @@ import (
 	"os"
 
 	"deadmembers"
-	"deadmembers/internal/api"
 	"deadmembers/internal/buildinfo"
-	"deadmembers/internal/client"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/strip"
 )
 
@@ -41,11 +38,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var (
 		timeout         = fs.Duration("timeout", 0, "abort the run after this duration (e.g. 30s; 0 = no limit)")
 		keepUnreachable = fs.Bool("keep-unreachable", false, "do not remove unreachable functions")
-		precisionFlag   = fs.String("precision", "flow", "liveness tier (paper, flow, or heap); the stripped output is tier-invariant, the flag is validated and forwarded for symmetry with deadlint")
-		verify          = fs.Bool("verify", true, "run original and stripped programs and compare behaviour (local mode only)")
+		verify          = fs.Bool("verify", true, "run original and stripped programs and compare behaviour")
 		parallel        = fs.Int("parallel", 0, "worker count for the parse and liveness stages (0 = all cores, 1 = sequential)")
-		serverURL       = fs.String("server", "", "deadmemd base URL (e.g. http://127.0.0.1:8100): strip remotely; output is byte-identical to a local run")
-		retries         = fs.Int("retries", 0, "max attempts per remote call, with backoff (0 = client default; needs -server)")
 		showVersion     = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -58,12 +52,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if fs.NArg() == 0 {
 		fmt.Fprintln(stderr, "usage: deadstrip [flags] file.mcc ...")
 		fs.PrintDefaults()
-		return 2
-	}
-
-	precision, err := heaplive.ParsePrecision(*precisionFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "deadstrip: %v\n", err)
 		return 2
 	}
 
@@ -82,27 +70,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if *serverURL != "" {
-		// The server refuses to strip from a degraded compilation (422),
-		// so a successful response is always full-fidelity; behavioural
-		// verification (-verify) needs the interpreter and stays local.
-		req := &api.Request{KeepUnreachable: *keepUnreachable, Precision: precision.String()}
-		for _, s := range sources {
-			req.Sources = append(req.Sources, api.Source{Name: s.Name, Text: s.Text})
-		}
-		cl := client.New(client.Config{BaseURL: *serverURL, MaxAttempts: *retries})
-		res, err := cl.Strip(ctx, req)
-		if err != nil {
-			fmt.Fprintf(stderr, "deadstrip: %v\n", err)
-			return 1
-		}
-		if _, err := stdout.Write(res.Body); err != nil {
-			fmt.Fprintf(stderr, "deadstrip: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	// Compile once; the same compilation serves the verification run of

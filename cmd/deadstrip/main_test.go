@@ -1,13 +1,10 @@
 package main
 
 import (
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"deadmembers/internal/server"
 )
 
 func TestStripsAndVerifies(t *testing.T) {
@@ -57,46 +54,25 @@ func TestUsageAndErrors(t *testing.T) {
 	}
 }
 
-// TestServerModeMatchesLocal: -server routes the strip through deadmemd;
-// the emitted sources must be byte-identical to a local run (verification
-// is local-only, so the local baseline runs with -verify=false).
-func TestServerModeMatchesLocal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "app.mcc")
-	src := `
-class Cfg {
-public:
-	int port;
-	int legacyTimeout; // dead: written, never read
-	Cfg() : port(80), legacyTimeout(30) {}
-};
-int main() {
-	Cfg c;
-	print(c.port);
-	println();
-	return 0;
-}
-`
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+// TestRetiredFlagsRejected: deadstrip runs locally only, and its output
+// is tier-invariant, so the remote-mode flags and -precision are unknown
+// flags.
+func TestRetiredFlagsRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "e.mcc")
+	if err := os.WriteFile(path, []byte("int main() { return 0; }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var local, localErr strings.Builder
-	if code := run([]string{"-verify=false", path}, &local, &localErr); code != 0 {
-		t.Fatalf("local run: exit %d, stderr: %s", code, localErr.String())
-	}
-
-	srv, err := server.New(server.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	var remote, remoteErr strings.Builder
-	if code := run([]string{"-server", ts.URL, path}, &remote, &remoteErr); code != 0 {
-		t.Fatalf("remote run: exit %d, stderr: %s", code, remoteErr.String())
-	}
-	if remote.String() != local.String() {
-		t.Errorf("remote output diverges from local:\n--- remote ---\n%s--- local ---\n%s",
-			remote.String(), local.String())
+	for _, args := range [][]string{
+		{"-server", "http://127.0.0.1:1"},
+		{"-retries", "2"},
+		{"-precision", "flow"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(append(args, path), &out, &errOut); code != 2 {
+			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr missing unknown-flag diagnostic:\n%s", args, errOut.String())
+		}
 	}
 }

@@ -1,13 +1,12 @@
 // Package faultinject is test support for deadmemd's crash-safety
-// claims: a seeded, deterministic fault injector with two wrappers — a
-// persist.FS that simulates disk faults (EIO reads, ENOSPC, short
-// writes, torn renames) and an http.Handler middleware that simulates a
-// hostile network (added latency, injected 503s, dropped connections).
+// claims: a seeded, deterministic fault injector and a persist.FS
+// wrapper that simulates disk faults (EIO reads, ENOSPC, short writes,
+// torn renames).
 //
 // It exists to prove those claims, not to be subtle: every injected
 // fault is counted by kind, and no production code path imports it. The
-// server's chaos soak (internal/server's TestChaosSoak) wires both
-// wrappers around a real server. Given the same seed and the same
+// server's chaos soak (internal/server's TestChaosSoak) puts the wrapper
+// under a real server's artifact store. Given the same seed and the same
 // serialized sequence of operations, the injected faults are identical
 // run to run.
 package faultinject
@@ -23,9 +22,6 @@ const (
 	KindWriteENOSPC = "fs.write.enospc"
 	KindWriteShort  = "fs.write.short"
 	KindRenameTorn  = "fs.rename.torn"
-	KindHTTPLatency = "http.latency"
-	KindHTTP503     = "http.unavailable"
-	KindHTTPDrop    = "http.drop"
 )
 
 // Injector decides, pseudo-randomly but reproducibly, whether each

@@ -28,8 +28,9 @@ type metrics struct {
 	rejected  int64
 
 	// ewmaSecs tracks the recent average service time (exponentially
-	// weighted, α=0.2) across all endpoints; the adaptive Retry-After
-	// hint is derived from it.
+	// weighted, α=0.2) across all endpoints, sampled only from requests
+	// that held an execution slot; the adaptive Retry-After hint is
+	// derived from it.
 	ewmaSecs float64
 	ewmaInit bool
 }
@@ -70,6 +71,14 @@ func (m *metrics) observe(endpoint string, code int, took time.Duration) {
 	h.counts[i]++
 	h.sum += secs
 	h.count++
+}
+
+// sampleService adds one request's execution-slot hold time to the
+// service-time average.
+func (m *metrics) sampleService(took time.Duration) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	secs := took.Seconds()
 	if !m.ewmaInit {
 		m.ewmaSecs, m.ewmaInit = secs, true
 	} else {

@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"deadmembers/internal/api"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/lint"
 	"deadmembers/internal/persist"
@@ -44,6 +43,10 @@ import (
 // statusClientClosedRequest mirrors nginx's nonstandard 499: the client
 // went away before a response could be produced.
 const statusClientClosedRequest = 499
+
+// degradedHeader is set to "true" on responses rendered from a run in
+// which a pipeline stage panicked and was contained.
+const degradedHeader = "X-Deadmemd-Degraded"
 
 // Config sizes the server. Zero fields take the documented defaults;
 // pass a negative value to disable an optional bound.
@@ -83,12 +86,6 @@ type Config struct {
 	// PersistMaxBytes bounds the on-disk artifact bytes, LRU-evicted
 	// (default 1 GiB; negative = unbounded).
 	PersistMaxBytes int64
-
-	// RetryAfter overrides the Retry-After hint sent with 429 responses.
-	// Zero means adaptive: the hint is derived from the current queue
-	// depth and the recent average service time, so clients back off
-	// roughly as long as the backlog needs to clear.
-	RetryAfter time.Duration
 
 	// persistFS replaces the artifact store's filesystem. It is a test
 	// seam, not an option: the chaos soak passes a fault-injecting FS.
@@ -251,6 +248,12 @@ func (s *Server) endpoint(name string, fn func(ctx context.Context, b *bundle) (
 			return
 		}
 		defer s.adm.release()
+		// Only time spent holding a slot feeds the Retry-After estimate:
+		// instant 429s, persist hits and rejected bodies would pull it
+		// down exactly when the server is saturated, and queue wait is
+		// already counted by its backlog factor.
+		held := time.Now()
+		defer func() { s.met.sampleService(time.Since(held)) }()
 
 		ctx := r.Context()
 		if s.cfg.RequestTimeout > 0 {
@@ -275,7 +278,7 @@ func (s *Server) endpoint(name string, fn func(ctx context.Context, b *bundle) (
 		}
 		if res.degraded {
 			s.met.markDegraded()
-			w.Header().Set(api.DegradedHeader, "true")
+			w.Header().Set(degradedHeader, "true")
 		} else if key != "" {
 			// Persist only full-fidelity artifacts, best-effort: a
 			// failed write costs a future recompile, nothing else.
@@ -286,15 +289,11 @@ func (s *Server) endpoint(name string, fn func(ctx context.Context, b *bundle) (
 	}
 }
 
-// retryAfterSeconds is the hint sent with 429 responses. With no
-// configured override it adapts to the backlog: the queue depth (plus
-// the rejected request itself) times the recent average service time,
-// divided across the execution slots — roughly when a retry will find a
-// free slot — clamped to [1s, 60s].
+// retryAfterSeconds is the hint sent with 429 responses. It adapts to
+// the backlog: the queue depth (plus the rejected request itself) times
+// the recent average service time, divided across the execution slots —
+// roughly when a retry will find a free slot — clamped to [1s, 60s].
 func (s *Server) retryAfterSeconds() int {
-	if s.cfg.RetryAfter > 0 {
-		return int(math.Ceil(s.cfg.RetryAfter.Seconds()))
-	}
 	avg := s.met.avgServiceSeconds()
 	if avg <= 0 {
 		return 1 // no samples yet; the old fixed hint

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"deadmembers/internal/api"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/heaplive"
@@ -85,19 +84,19 @@ func TestAnalyzeMatchesCLIRenderer(t *testing.T) {
 }
 
 // TestAnalyzeJSONBundle: the JSON transport accepts multi-file bundles
-// with the full option set.
+// with the full option set, and whitespace after the object.
 func TestAnalyzeJSONBundle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	req := api.Request{
-		Sources: []api.Source{
+	req := wireRequest{
+		Sources: []wireSource{
 			{Name: "a.mcc", Text: "class A { public: int x; A() : x(1) {} };\n"},
 			{Name: "b.mcc", Text: "int main() { A a; return a.x; }\n"},
 		},
-		Options: api.Options{CallGraph: "cha"},
+		Options: wireOptions{CallGraph: "cha"},
 		Classes: true,
 	}
 	body, _ := json.Marshal(req)
-	resp, got := post(t, ts.URL+"/v1/analyze", "application/json", string(body))
+	resp, got := post(t, ts.URL+"/v1/analyze", "application/json", string(body)+"\n")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body: %s", resp.StatusCode, got)
 	}
@@ -250,6 +249,8 @@ func TestErrorMapping(t *testing.T) {
 		want                         int
 	}{
 		{"bad json", "/v1/analyze", "application/json", "{not json", http.StatusBadRequest},
+		{"second json object", "/v1/analyze", "application/json", `{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}]}{}`, http.StatusBadRequest},
+		{"junk after json", "/v1/analyze", "application/json", `{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}]} garbage`, http.StatusBadRequest},
 		{"no sources", "/v1/analyze", "application/json", `{"sources":[]}`, http.StatusBadRequest},
 		{"unknown option", "/v1/analyze?callgraph=psychic", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest},
 		{"unknown format", "/v1/lint?format=yaml", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest},
