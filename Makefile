@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test race race-server bench bench-module fuzz serve smoke-server smoke-restart smoke-precision chaos-smoke check ci
+.PHONY: build vet fmt-check lint test race race-server bench bench-smoke bench-module fuzz serve smoke-server smoke-restart smoke-precision chaos-smoke check ci
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,11 @@ chaos-smoke:
 bench:
 	$(GO) test -bench=. -benchmem
 
+# Run every benchmark once. `go test ./...` compiles benchmarks but runs
+# none, so a benchmark that panics would go unnoticed until timed.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 # The benchmark in perfbench/ is a nested module that `go build ./...`
 # at the root skips; vet and test it so an internal API change cannot
 # break it unnoticed.
@@ -91,4 +96,4 @@ fuzz:
 check: build vet fmt-check test bench-module
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build vet race race-server bench-module lint smoke-server smoke-restart smoke-precision chaos-smoke
+ci: build vet race race-server bench-smoke bench-module lint smoke-server smoke-restart smoke-precision chaos-smoke

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"deadmembers/internal/ast"
 	"deadmembers/internal/bench"
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
@@ -19,6 +20,7 @@ import (
 	"deadmembers/internal/lint"
 	"deadmembers/internal/parser"
 	"deadmembers/internal/report"
+	"deadmembers/internal/sema"
 	"deadmembers/internal/source"
 	"deadmembers/internal/vm"
 )
@@ -279,9 +281,8 @@ func BenchmarkInterpRichards(b *testing.B) {
 // 3,200 classes of the largest analyze-scaled program.
 var scalingSizes = []int{25, 50, 100, 200, 400, 800, 1600, 3200}
 
-// scalingProgram compiles the generated scaling probe of the given size.
-func scalingProgram(b *testing.B, classes int) *frontend.Result {
-	b.Helper()
+// scalingSource generates the scaling probe of the given size.
+func scalingSource(classes int) frontend.Source {
 	spec := bench.Spec{
 		Name: "scale", Description: "scaling probe",
 		Classes: classes, UsedClasses: classes * 3 / 4,
@@ -290,11 +291,42 @@ func scalingProgram(b *testing.B, classes int) *frontend.Result {
 		Seed: uint64(classes),
 	}
 	src, _ := bench.Generate(spec)
-	r := frontend.Compile(frontend.Source{Name: "scale.mcc", Text: src})
+	return frontend.Source{Name: "scale.mcc", Text: src}
+}
+
+// scalingProgram compiles the generated scaling probe of the given size.
+func scalingProgram(b *testing.B, classes int) *frontend.Result {
+	b.Helper()
+	r := frontend.Compile(scalingSource(classes))
 	if err := r.Err(); err != nil {
 		b.Fatal(err)
 	}
 	return r
+}
+
+// BenchmarkSema times semantic analysis alone over the scaling probes of
+// 400 and 3,200 classes. Each iteration checks a freshly parsed file
+// (the parse runs with the timer stopped), so sema numbers every node it
+// records, as in a compilation. Run it with -benchmem: sema's
+// allocations are most of a compilation's.
+func BenchmarkSema(b *testing.B) {
+	for _, classes := range []int{400, 3200} {
+		src := scalingSource(classes)
+		b.Run(fmt.Sprintf("classes=%d", classes), func(b *testing.B) {
+			b.SetBytes(int64(len(src.Text)))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fset := source.NewFileSet()
+				diags := source.NewDiagnosticList(fset)
+				file := parser.ParseFile(fset.AddFile(src.Name, src.Text), diags)
+				b.StartTimer()
+				sema.Check(fset, []*ast.File{file}, diags)
+				if diags.HasErrors() {
+					b.Fatal(diags.Err())
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkAnalysisScaling measures how analysis time grows with program

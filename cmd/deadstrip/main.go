@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"deadmembers"
 	"deadmembers/internal/buildinfo"
@@ -111,8 +112,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	for _, f := range out.RemovedFunctions {
 		fmt.Fprintf(stderr, "removed function %s\n", f)
 	}
-	for m, why := range out.KeptMembers {
-		fmt.Fprintf(stderr, "kept dead member %s: %s\n", m, why)
+	kept := make([]string, 0, len(out.KeptMembers))
+	for m := range out.KeptMembers {
+		kept = append(kept, m)
+	}
+	sort.Strings(kept)
+	for _, m := range kept {
+		fmt.Fprintf(stderr, "kept dead member %s: %s\n", m, out.KeptMembers[m])
 	}
 
 	if *verify {

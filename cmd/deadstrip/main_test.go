@@ -44,6 +44,56 @@ int main() {
 	}
 }
 
+// TestKeptMembersSorted: dead members that cannot be stripped safely are
+// reported in order of their qualified names on every run. Each one here
+// is written through an effectful receiver (o.pa()->d = 5), so all three
+// are kept.
+func TestKeptMembersSorted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kept.mcc")
+	src := `
+class A {
+public:
+	int f;
+	int d;
+	int e;
+	A() : f(0), d(0), e(0) {}
+};
+class O {
+public:
+	A a;
+	A* pa() { return &a; }
+};
+int main() {
+	O o;
+	o.pa()->f = 7;
+	o.pa()->d = 5;
+	o.pa()->e = 6;
+	print(1);
+	println();
+	return 0;
+}
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"kept dead member A::d:", "kept dead member A::e:", "kept dead member A::f:"}
+	for i := 0; i < 20; i++ {
+		var out, errOut strings.Builder
+		if code := run([]string{path}, &out, &errOut); code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, errOut.String())
+		}
+		var got []string
+		for _, line := range strings.Split(errOut.String(), "\n") {
+			if strings.HasPrefix(line, "kept dead member ") {
+				got = append(got, line[:len("kept dead member A::x:")])
+			}
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("run %d: kept members %q, want %q; stderr:\n%s", i, got, want, errOut.String())
+		}
+	}
+}
+
 func TestUsageAndErrors(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run(nil, &out, &errOut); code != 2 {

@@ -8,7 +8,11 @@
 // pointer-to-member formation, casts, and so on).
 //
 // Type information is NOT stored in the tree; the sema package attaches it
-// via side tables, mirroring the go/ast + go/types split.
+// via side tables, mirroring the go/ast + go/types split. What the tree
+// does carry is a number: sema stamps each expression and syntactic type
+// it records with a dense per-compilation ID (see Node.ID), so the
+// tables of types.Info that hold one entry per such node are slices
+// indexed by it rather than maps keyed by the node.
 package ast
 
 import (
@@ -19,14 +23,40 @@ import (
 // Node is implemented by all AST nodes.
 type Node interface {
 	Pos() source.Pos
+
+	// ID is the node's number within its compilation: 1, 2, ... in the
+	// order sema first records the node. It is 0 for a node sema never
+	// records: every statement and declaration, and any expression or
+	// syntactic type built after compilation (strip's rewrites) or by
+	// hand.
+	ID() int
 }
 
-// node provides the position implementation shared by all nodes.
+// Numbered is a node sema numbers when it records it: an expression or
+// a syntactic type. Only types.Info's setters call SetID, once per node.
+type Numbered interface {
+	Node
+	SetID(id int)
+}
+
+// node provides the position shared by all nodes. Statements and
+// declarations embed it directly and are never numbered.
 type node struct {
 	P source.Pos
 }
 
 func (n node) Pos() source.Pos { return n.P }
+func (node) ID() int           { return 0 }
+
+// numbered is the base of expressions and syntactic types: a position
+// plus the number sema stamps.
+type numbered struct {
+	node
+	id int32
+}
+
+func (n numbered) ID() int       { return int(n.id) }
+func (n *numbered) SetID(id int) { n.id = int32(id) }
 
 // SetPos stamps the node's source position; it is promoted to every node
 // type so the parser can set positions from outside this package.
@@ -37,39 +67,39 @@ func (n *node) SetPos(p source.Pos) { n.P = p }
 
 // TypeExpr is a syntactic type as written in source.
 type TypeExpr interface {
-	Node
+	Numbered
 	typeExpr()
 }
 
 // NamedType is a builtin type name (`int`, `char`, ...) or a class name.
 type NamedType struct {
-	node
+	numbered
 	Name string
 }
 
 // PointerType is `Elem *`.
 type PointerType struct {
-	node
+	numbered
 	Elem TypeExpr
 }
 
 // ArrayType is `Elem [Len]`. Len is a constant expression.
 type ArrayType struct {
-	node
+	numbered
 	Elem TypeExpr
 	Len  Expr
 }
 
 // MemberPointerType is `Elem Class::*`.
 type MemberPointerType struct {
-	node
+	numbered
 	Class string
 	Elem  TypeExpr
 }
 
 // QualType wraps a type with const/volatile qualifiers.
 type QualType struct {
-	node
+	numbered
 	Const    bool
 	Volatile bool
 	Base     TypeExpr
@@ -95,6 +125,12 @@ type File struct {
 	node
 	Name  string
 	Decls []Decl
+
+	// Nodes counts the expressions and syntactic types the parser built
+	// for this file: an upper bound on the nodes sema numbers in it, so
+	// sema can size its node-indexed tables once. Zero for a hand-built
+	// file, whose tables grow as sema records.
+	Nodes int
 }
 
 // ClassKind distinguishes class/struct/union declarations.
@@ -304,98 +340,98 @@ func (*ContinueStmt) stmt() {}
 
 // Expr is an expression.
 type Expr interface {
-	Node
+	Numbered
 	expr()
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
-	node
+	numbered
 	Value int64
 }
 
 // FloatLit is a floating-point literal.
 type FloatLit struct {
-	node
+	numbered
 	Value float64
 }
 
 // CharLit is a character literal (value is the byte).
 type CharLit struct {
-	node
+	numbered
 	Value byte
 }
 
 // BoolLit is `true` or `false`.
 type BoolLit struct {
-	node
+	numbered
 	Value bool
 }
 
 // StringLit is a string literal (decoded value).
 type StringLit struct {
-	node
+	numbered
 	Value string
 }
 
 // NullLit is `nullptr` (or literal 0 in pointer context, normalized by sema).
-type NullLit struct{ node }
+type NullLit struct{ numbered }
 
 // Ident is an unqualified name use.
 type Ident struct {
-	node
+	numbered
 	Name string
 }
 
 // ThisExpr is `this`.
-type ThisExpr struct{ node }
+type ThisExpr struct{ numbered }
 
 // QualifiedIdent is `Class::Name` used as an expression; with a leading
 // `&` it forms a pointer-to-member constant.
 type QualifiedIdent struct {
-	node
+	numbered
 	Class string
 	Name  string
 }
 
 // Unary is a prefix operator application: - ! ~ & * ++ --.
 type Unary struct {
-	node
+	numbered
 	Op token.Kind
 	X  Expr
 }
 
 // Postfix is `X++` or `X--`.
 type Postfix struct {
-	node
+	numbered
 	Op token.Kind
 	X  Expr
 }
 
 // Binary is a binary operator application.
 type Binary struct {
-	node
+	numbered
 	Op   token.Kind
 	X, Y Expr
 }
 
 // Assign is `LHS op RHS` where op is `=` or a compound assignment.
 type Assign struct {
-	node
+	numbered
 	Op       token.Kind
 	LHS, RHS Expr
 }
 
 // Cond is the ternary `Cond ? Then : Else`.
 type Cond struct {
-	node
+	numbered
 	C, Then, Else Expr
 }
 
 // Member is `X.Name`, `X->Name`, `X.Qual::Name`, or `X->Qual::Name`.
 // It covers both data-member accesses and method-call callees.
 type Member struct {
-	node
+	numbered
 	X     Expr
 	Arrow bool
 	Qual  string // optional explicit class qualifier ("" if absent)
@@ -404,7 +440,7 @@ type Member struct {
 
 // MemberPtrDeref is `X.*Ptr` or `X->*Ptr`.
 type MemberPtrDeref struct {
-	node
+	numbered
 	X     Expr
 	Arrow bool
 	Ptr   Expr
@@ -412,7 +448,7 @@ type MemberPtrDeref struct {
 
 // Index is `X[I]`.
 type Index struct {
-	node
+	numbered
 	X, I Expr
 }
 
@@ -421,21 +457,21 @@ type Index struct {
 // expression of pointer-to-function type (not supported in MC++; rejected
 // by sema).
 type Call struct {
-	node
+	numbered
 	Fun  Expr
 	Args []Expr
 }
 
 // Cast is a C-style cast `(Type)X`.
 type Cast struct {
-	node
+	numbered
 	Type TypeExpr
 	X    Expr
 }
 
 // New is `new Type(Args)` or `new Type[Len]`.
 type New struct {
-	node
+	numbered
 	Type TypeExpr
 	Len  Expr // non-nil for array form
 	Args []Expr
@@ -443,14 +479,14 @@ type New struct {
 
 // Delete is `delete X` or `delete[] X`.
 type Delete struct {
-	node
+	numbered
 	Array bool
 	X     Expr
 }
 
 // Sizeof is `sizeof(Type)` or `sizeof expr`; exactly one of Type/X is set.
 type Sizeof struct {
-	node
+	numbered
 	Type TypeExpr
 	X    Expr
 }
@@ -458,7 +494,7 @@ type Sizeof struct {
 // Paren is a parenthesized expression, retained so that positions and
 // pretty-printing are faithful.
 type Paren struct {
-	node
+	numbered
 	X Expr
 }
 

@@ -393,7 +393,7 @@ func (b *builder) scanNode(f *types.Func, root ast.Node) {
 		case *ast.Call:
 			b.scanCall(f, x)
 		case *ast.New:
-			if cls := types.IsClass(b.info.TypeExprs[x.Type]); cls != nil {
+			if cls := types.IsClass(b.info.TypeExprOf(x.Type)); cls != nil {
 				ctor := b.info.NewCtors[x]
 				if x.Len != nil {
 					ctor = nil // array-new default-constructs
@@ -627,17 +627,17 @@ func UsedClasses(prog *types.Program) map[*types.Class]bool {
 		markType(t)
 	}
 	for n := range prog.Info.NewCtors {
-		markType(prog.Info.TypeExprs[n.Type])
+		markType(prog.Info.TypeExprOf(n.Type))
 	}
 	// new C[n] expressions have no NewCtors entry when C is ctor-less;
-	// scan all new expressions via TypeExprs of their type nodes.
+	// scan all new expressions via the types of their type nodes.
 	for _, f := range prog.AllFuncs() {
 		if f.Body == nil {
 			continue
 		}
 		ast.Inspect(f.Body, func(n ast.Node) bool {
 			if x, ok := n.(*ast.New); ok {
-				markType(prog.Info.TypeExprs[x.Type])
+				markType(prog.Info.TypeExprOf(x.Type))
 			}
 			return true
 		})

@@ -142,7 +142,7 @@ func (a *analysis) visitExpr(e ast.Expr, c ctx) {
 		// Literals: nothing to mark.
 
 	case *ast.Ident:
-		fld := a.info.IdentFields[x]
+		fld := a.info.FieldOf(x)
 		if fld == nil {
 			return // plain variable
 		}
@@ -287,7 +287,7 @@ func (a *analysis) visitExpr(e ast.Expr, c ctx) {
 		if a.opts.Sizeof == SizeofConservative {
 			var t types.Type
 			if x.Type != nil {
-				t = a.info.TypeExprs[x.Type]
+				t = a.info.TypeExprOf(x.Type)
 			} else if x.X != nil {
 				t = a.info.TypeOf(x.X)
 			}

@@ -144,6 +144,7 @@ type Compilation struct {
 
 	cfg       Config
 	timings   Timings // Parse + Sema only
+	retained  int64   // RetainedBytes, fixed at compile time
 	consumed  bool    // set by Strip: the ASTs were mutated
 	cancelErr error   // context error that aborted Compile, if any
 
@@ -174,6 +175,36 @@ func (c *Compilation) Degraded() bool { return len(c.Failures) > 0 }
 
 // Timings returns the frontend stage durations of this compilation.
 func (c *Compilation) Timings() Timings { return c.timings }
+
+// bytesPerNode is the heap a compiled program retains per expression or
+// syntactic type the parser built (ast.File.Nodes), beyond its source
+// text: the tree with its statements and declarations, the typed
+// program, the type tables and the class hierarchy. It is calibrated on
+// generated programs of 25 to 400 classes, which retain 124-128 bytes
+// per such node after a full GC (see TestRetainedEstimate).
+const bytesPerNode = 126
+
+// RetainedBytes estimates the heap this compilation retains once
+// compiled: bytesPerNode per node the parser counted, plus the source
+// names and texts. It is computed once, at compile time, and is what a
+// Session charges the entry against Limits.MaxBytes. What the
+// compilation caches later is not counted: the call graphs, liveness
+// results and lint results that Analyze and Lint store, about 6% of a
+// 400-class entry once all are asked for.
+func (c *Compilation) RetainedBytes() int64 { return c.retained }
+
+// retainedEstimate computes RetainedBytes for a compilation of sources
+// whose files the parser counted into files.
+func retainedEstimate(sources []Source, files []*ast.File) int64 {
+	var n int64
+	for _, s := range sources {
+		n += int64(len(s.Name)) + int64(len(s.Text))
+	}
+	for _, f := range files {
+		n += bytesPerNode * int64(f.Nodes)
+	}
+	return n
+}
 
 // Compile runs the frontend stages over sources: a parallel type-name
 // prescan, parallel per-file parsing (per-file diagnostic lists merged in
@@ -281,6 +312,7 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 	if !ok {
 		return c.cancelled(ctx)
 	}
+	c.retained = retainedEstimate(sources, files)
 
 	// Stage 2: semantic analysis (whole-program, sequential). A panic
 	// degrades the compilation to an empty program; the parse diagnostics

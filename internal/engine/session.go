@@ -16,10 +16,11 @@ import (
 //   - concurrent Compile calls for the same fingerprint are deduplicated
 //     (singleflight): one caller runs the frontend, the rest wait and
 //     share its artifact;
-//   - the cache is an LRU bounded by Limits — total retained source bytes
-//     and entry count — with least-recently-used entries evicted on
-//     insert (the default zero Limits keep it unbounded, the original
-//     batch behaviour).
+//   - the cache is an LRU bounded by Limits — the total heap its entries
+//     retain, as Compilation.RetainedBytes estimates it, and the entry
+//     count — with least-recently-used entries evicted on insert (the
+//     default zero Limits keep it unbounded, the original batch
+//     behaviour).
 type Session struct {
 	cfg    Config
 	limits Limits
@@ -27,26 +28,26 @@ type Session struct {
 	mu       sync.Mutex
 	entries  map[string]*list.Element // fingerprint → *cacheEntry element
 	lru      *list.List               // front = most recently used
-	bytes    int64                    // sum of cached entries' source bytes
+	bytes    int64                    // sum of cached entries' RetainedBytes
 	inflight map[string]*inflightCompile
 	stats    Stats
 }
 
 // Limits bounds the session cache. Zero fields mean "unlimited".
 type Limits struct {
-	// MaxBytes caps the total source bytes retained by cached
-	// compilations (an entry's cost is the sum of its source names and
-	// texts — the recompile input the cache exists to avoid re-reading).
-	// A single input larger than MaxBytes is compiled but never cached.
+	// MaxBytes caps the heap retained by cached compilations: each
+	// entry is charged its Compilation.RetainedBytes, an estimate fixed
+	// at compile time from the parser's node count and the source bytes.
+	// An input whose estimate exceeds MaxBytes is compiled but never
+	// cached.
 	MaxBytes int64
 	// MaxEntries caps the number of cached compilations.
 	MaxEntries int
 }
 
 type cacheEntry struct {
-	key   string
-	comp  *Compilation
-	bytes int64
+	key  string
+	comp *Compilation
 }
 
 // inflightCompile is a singleflight slot: the leader closes done after
@@ -66,7 +67,8 @@ type Stats struct {
 	Hits int
 	// Evictions is the number of entries dropped to enforce Limits.
 	Evictions int
-	// Entries and Bytes are point-in-time gauges of the cache contents.
+	// Entries and Bytes are point-in-time gauges of the cache contents
+	// (Bytes sums the entries' RetainedBytes).
 	Entries int
 	Bytes   int64
 	// Frontend accumulates Parse+Sema timings over all performed compiles.
@@ -164,11 +166,11 @@ func (s *Session) insertLocked(key string, c *Compilation) {
 	if el, ok := s.entries[key]; ok {
 		s.removeLocked(el)
 	}
-	b := sourceBytes(c.Sources)
+	b := c.RetainedBytes()
 	if s.limits.MaxBytes > 0 && b > s.limits.MaxBytes {
 		return
 	}
-	el := s.lru.PushFront(&cacheEntry{key: key, comp: c, bytes: b})
+	el := s.lru.PushFront(&cacheEntry{key: key, comp: c})
 	s.entries[key] = el
 	s.bytes += b
 	for (s.limits.MaxEntries > 0 && s.lru.Len() > s.limits.MaxEntries) ||
@@ -187,7 +189,7 @@ func (s *Session) removeLocked(el *list.Element) {
 	e := el.Value.(*cacheEntry)
 	s.lru.Remove(el)
 	delete(s.entries, e.key)
-	s.bytes -= e.bytes
+	s.bytes -= e.comp.RetainedBytes()
 }
 
 // Stats returns a snapshot of the session counters.
@@ -198,13 +200,4 @@ func (s *Session) Stats() Stats {
 	st.Entries = s.lru.Len()
 	st.Bytes = s.bytes
 	return st
-}
-
-// sourceBytes is the byte cost a cached compilation is accounted at.
-func sourceBytes(sources []Source) int64 {
-	var n int64
-	for _, s := range sources {
-		n += int64(len(s.Name)) + int64(len(s.Text))
-	}
-	return n
 }

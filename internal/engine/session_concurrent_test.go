@@ -89,9 +89,9 @@ func TestSessionConcurrentCompile(t *testing.T) {
 	}
 }
 
-// TestSessionBoundedEviction checks the LRU byte bound: inserting past
+// TestSessionBoundedEviction checks the LRU entry bound: inserting past
 // MaxEntries evicts the least-recently-used entry and the byte gauge
-// tracks the retained sources.
+// tracks the retained entries' estimates.
 func TestSessionBoundedEviction(t *testing.T) {
 	s := engine.NewBoundedSession(engine.Config{Workers: 1}, engine.Limits{MaxEntries: 2})
 	a, b, c := program(0), program(1), program(2)
@@ -112,7 +112,7 @@ func TestSessionBoundedEviction(t *testing.T) {
 		t.Errorf("b should have been evicted: Compiles=%d, want 4", st.Compiles)
 	}
 
-	wantBytes := sourcesCost(a) + sourcesCost(b)
+	wantBytes := entryCost(a) + entryCost(b)
 	if st := s.Stats(); st.Bytes != wantBytes {
 		t.Errorf("Bytes=%d, want %d", st.Bytes, wantBytes)
 	}
@@ -123,13 +123,13 @@ func TestSessionBoundedEviction(t *testing.T) {
 func TestSessionByteBound(t *testing.T) {
 	a, b := program(0), program(1)
 	s := engine.NewBoundedSession(engine.Config{Workers: 1},
-		engine.Limits{MaxBytes: sourcesCost(a) + sourcesCost(b) - 1})
+		engine.Limits{MaxBytes: entryCost(a) + entryCost(b) - 1})
 	s.Compile(a)
 	s.Compile(b) // pushes total past MaxBytes → a evicted
 	st := s.Stats()
-	if st.Evictions != 1 || st.Entries != 1 || st.Bytes != sourcesCost(b) {
+	if st.Evictions != 1 || st.Entries != 1 || st.Bytes != entryCost(b) {
 		t.Fatalf("Evictions=%d Entries=%d Bytes=%d, want 1, 1, %d",
-			st.Evictions, st.Entries, st.Bytes, sourcesCost(b))
+			st.Evictions, st.Entries, st.Bytes, entryCost(b))
 	}
 
 	tiny := engine.NewBoundedSession(engine.Config{Workers: 1}, engine.Limits{MaxBytes: 1})
@@ -137,6 +137,43 @@ func TestSessionByteBound(t *testing.T) {
 	tiny.Compile(a) // oversized entries are never cached: second call recompiles
 	if st := tiny.Stats(); st.Compiles != 2 || st.Entries != 0 {
 		t.Errorf("oversized input: Compiles=%d Entries=%d, want 2, 0", st.Compiles, st.Entries)
+	}
+}
+
+// TestSessionRetainedBound: MaxBytes bounds the entries' retained-heap
+// estimates, not their source bytes. With room for two entries' estimates
+// (several times their sources), the third insert evicts the
+// least-recently-used entry.
+func TestSessionRetainedBound(t *testing.T) {
+	a, b, c := program(0), program(1), program(2)
+	cost := entryCost(a)
+	if entryCost(b) != cost || entryCost(c) != cost {
+		t.Fatalf("programs 0-2 should cost the same: %d, %d, %d", cost, entryCost(b), entryCost(c))
+	}
+	if src := int64(len(a.Name) + len(a.Text)); cost < 5*src {
+		t.Fatalf("entry cost %d is not a retained-heap estimate (source bytes %d)", cost, src)
+	}
+	s := engine.NewBoundedSession(engine.Config{Workers: 1}, engine.Limits{MaxBytes: 2*cost + 1})
+	s.Compile(a)
+	s.Compile(b)
+	s.Compile(a) // touch a: b becomes the LRU victim
+	if st := s.Stats(); st.Evictions != 0 || st.Entries != 2 || st.Bytes != 2*cost {
+		t.Fatalf("two entries: Evictions=%d Entries=%d Bytes=%d, want 0, 2, %d",
+			st.Evictions, st.Entries, st.Bytes, 2*cost)
+	}
+	s.Compile(c) // third entry: over MaxBytes, b evicted
+	if st := s.Stats(); st.Evictions != 1 || st.Entries != 2 || st.Bytes != 2*cost {
+		t.Fatalf("third insert: Evictions=%d Entries=%d Bytes=%d, want 1, 2, %d",
+			st.Evictions, st.Entries, st.Bytes, 2*cost)
+	}
+	s.Compile(a)
+	s.Compile(c)
+	if st := s.Stats(); st.Compiles != 3 {
+		t.Errorf("a and c should be cached: Compiles=%d, want 3", st.Compiles)
+	}
+	s.Compile(b)
+	if st := s.Stats(); st.Compiles != 4 {
+		t.Errorf("b should have been evicted: Compiles=%d, want 4", st.Compiles)
 	}
 }
 
@@ -173,6 +210,8 @@ func TestSessionWaiterCancellation(t *testing.T) {
 	}
 }
 
-func sourcesCost(s engine.Source) int64 {
-	return int64(len(s.Name)) + int64(len(s.Text))
+// entryCost is what a session charges a cached compilation of s: its
+// retained-heap estimate, which is fixed at compile time.
+func entryCost(s engine.Source) int64 {
+	return engine.Compile(engine.Config{Workers: 1}, s).RetainedBytes()
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"deadmembers/internal/ast"
 	"deadmembers/internal/types"
 )
 
@@ -279,8 +280,17 @@ int main() {
 	if err := r.Err(); err != nil {
 		t.Fatalf("unexpected errors:\n%v", err)
 	}
-	if len(r.Program.Info.IdentFields) == 0 {
-		t.Fatal("implicit this-> field accesses should be recorded in IdentFields")
+	resolved := false
+	for _, f := range r.Program.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && r.Program.Info.FieldOf(id) != nil {
+				resolved = true
+			}
+			return !resolved
+		})
+	}
+	if !resolved {
+		t.Fatal("implicit this-> field accesses should resolve to fields (Info.FieldOf)")
 	}
 }
 

@@ -375,12 +375,12 @@ func (a *analysis) pathOf(m *ast.Member) (Path, bool) {
 	case *ast.ThisExpr:
 		p.Root = nil
 	case *ast.Ident:
-		if fld := a.info.IdentFields[base]; fld != nil {
+		if fld := a.info.FieldOf(base); fld != nil {
 			rev = append(rev, fld) // implicit this->fld
 			p.Root = nil
 			break
 		}
-		v := a.info.IdentVars[base]
+		v := a.info.VarOf(base)
 		if v == nil {
 			return Path{}, false
 		}
@@ -410,7 +410,7 @@ func (a *analysis) candidateStore(n ast.Node) (Path, bool) {
 	switch recv := ast.Unparen(m.X).(type) {
 	case *ast.Member:
 	case *ast.Ident:
-		if a.info.IdentFields[recv] == nil {
+		if a.info.FieldOf(recv) == nil {
 			return Path{}, false
 		}
 	default:
@@ -614,7 +614,7 @@ func (a *analysis) atomEffect(n ast.Node, gen, kill dataflow.BitSet) {
 		}
 
 	case *ast.Ident:
-		if fld := a.info.IdentFields[x]; fld != nil {
+		if fld := a.info.FieldOf(x); fld != nil {
 			switch a.acc.MemberAccess(x) {
 			case AccWrite:
 				a.genDetach(fld, gen)
@@ -627,7 +627,7 @@ func (a *analysis) atomEffect(n ast.Node, gen, kill dataflow.BitSet) {
 			}
 			return
 		}
-		if v := a.info.IdentVars[x]; v != nil && a.acc.VarAccess(x) == AccRead && !a.recv[x] {
+		if v := a.info.VarOf(x); v != nil && a.acc.VarAccess(x) == AccRead && !a.recv[x] {
 			// Copying a class-typed variable reads everything under it.
 			if types.IsClass(v.Type) != nil {
 				for _, id := range a.byRoot[v] {

@@ -80,7 +80,7 @@ func (m *Machine) Dispatch(pos source.Pos, obj *Object, mth *types.Func, dynamic
 // the tree-walker.
 
 func (m *Machine) evalNew(f *Frame, x *ast.New) Value {
-	t := m.info.TypeExprs[x.Type]
+	t := m.info.TypeExprOf(x.Type)
 
 	if x.Len != nil { // new T[n]
 		n := m.evalExpr(f, x.Len).AsInt()

@@ -73,7 +73,7 @@ func (m *Machine) evalExpr(f *Frame, e ast.Expr) Value {
 		}
 		return ptrV(Pointer{Obj: f.This})
 	case *ast.Ident:
-		if fld := m.info.IdentFields[x]; fld != nil {
+		if fld := m.info.FieldOf(x); fld != nil {
 			cell := m.FieldCell(x.Pos(), f.This, fld)
 			return cell.V
 		}
@@ -109,7 +109,7 @@ func (m *Machine) evalExpr(f *Frame, e ast.Expr) Value {
 		return m.evalCall(f, x)
 	case *ast.Cast:
 		v := m.evalExpr(f, x.X)
-		return m.Convert(v, m.info.TypeExprs[x.Type])
+		return m.Convert(v, m.info.TypeExprOf(x.Type))
 	case *ast.New:
 		return m.evalNew(f, x)
 	case *ast.Delete:
@@ -118,7 +118,7 @@ func (m *Machine) evalExpr(f *Frame, e ast.Expr) Value {
 	case *ast.Sizeof:
 		var t types.Type
 		if x.Type != nil {
-			t = m.info.TypeExprs[x.Type]
+			t = m.info.TypeExprOf(x.Type)
 		} else {
 			t = m.info.TypeOf(x.X) // operand is not evaluated
 		}
@@ -132,7 +132,7 @@ func (m *Machine) evalExpr(f *Frame, e ast.Expr) Value {
 // declared in the frame, then a parameter by its position in Fn.Params,
 // then a global.
 func (m *Machine) varCell(f *Frame, x *ast.Ident) *Cell {
-	v := m.info.IdentVars[x]
+	v := m.info.VarOf(x)
 	if v == nil {
 		m.Fail(x.Pos(), "unresolved identifier %s", x.Name)
 	}
@@ -172,7 +172,7 @@ func (m *Machine) evalLValue(f *Frame, e ast.Expr) Loc {
 	case *ast.Paren:
 		return m.evalLValue(f, x.X)
 	case *ast.Ident:
-		if fld := m.info.IdentFields[x]; fld != nil {
+		if fld := m.info.FieldOf(x); fld != nil {
 			return Loc{C: m.FieldCell(x.Pos(), f.This, fld)}
 		}
 		return Loc{C: m.varCell(f, x)}

@@ -218,11 +218,11 @@ func (cl *classifier) expr(e ast.Expr, c access) {
 		*ast.StringLit, *ast.NullLit, *ast.ThisExpr:
 
 	case *ast.Ident:
-		if fld := cl.info.IdentFields[x]; fld != nil {
+		if fld := cl.info.FieldOf(x); fld != nil {
 			cl.record(x, fld, c, x.Pos())
 			return
 		}
-		if v := cl.info.IdentVars[x]; v != nil {
+		if v := cl.info.VarOf(x); v != nil {
 			cl.c.varAcc[x] = c
 			switch c {
 			case accAddr:
@@ -274,7 +274,7 @@ func (cl *classifier) expr(e ast.Expr, c access) {
 			cl.expr(x.X, accRead)
 		case token.Inc, token.Dec:
 			if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-				if v := cl.info.IdentVars[id]; v != nil {
+				if v := cl.info.VarOf(id); v != nil {
 					cl.c.mut[x] = v
 				}
 			}
@@ -285,7 +285,7 @@ func (cl *classifier) expr(e ast.Expr, c access) {
 
 	case *ast.Postfix:
 		if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-			if v := cl.info.IdentVars[id]; v != nil {
+			if v := cl.info.VarOf(id); v != nil {
 				cl.c.mut[x] = v
 			}
 		}
@@ -297,7 +297,7 @@ func (cl *classifier) expr(e ast.Expr, c access) {
 
 	case *ast.Assign:
 		if id, ok := ast.Unparen(x.LHS).(*ast.Ident); ok {
-			if v := cl.info.IdentVars[id]; v != nil {
+			if v := cl.info.VarOf(id); v != nil {
 				cl.c.mut[x] = v
 			}
 		}

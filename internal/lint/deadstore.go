@@ -166,7 +166,7 @@ func (fs *funcState) storeAt(n ast.Node) (loc, source.Pos, bool) {
 		case *ast.ThisExpr:
 			l = loc{base: nil, field: fld}
 		case *ast.Ident:
-			v := fs.info.IdentVars[recv]
+			v := fs.info.VarOf(recv)
 			if v == nil {
 				return l, at, false
 			}
@@ -179,7 +179,7 @@ func (fs *funcState) storeAt(n ast.Node) (loc, source.Pos, bool) {
 		if fs.cl.acc[x] != accWrite {
 			return l, at, false
 		}
-		fld := fs.info.IdentFields[x]
+		fld := fs.info.FieldOf(x)
 		if fld == nil {
 			return l, at, false
 		}
@@ -309,13 +309,13 @@ func (fs *funcState) atomEffect(n ast.Node, gen, kill dataflow.BitSet) {
 			fs.genField(fld, gen)
 		}
 	case *ast.Ident:
-		if fld := fs.info.IdentFields[x]; fld != nil {
+		if fld := fs.info.FieldOf(x); fld != nil {
 			if fs.cl.acc[x] == accRead {
 				fs.genField(fld, gen)
 			}
 			return
 		}
-		if v := fs.info.IdentVars[x]; v != nil && fs.cl.varAcc[x] == accRead {
+		if v := fs.info.VarOf(x); v != nil && fs.cl.varAcc[x] == accRead {
 			// Copying a class-typed variable reads its members.
 			if types.IsClass(v.Type) != nil {
 				for _, id := range fs.byBase[v] {

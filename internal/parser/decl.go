@@ -20,6 +20,7 @@ func (p *Parser) parseFile() *ast.File {
 			p.panick = false
 		}
 	}
+	f.Nodes = p.nodes
 	return f
 }
 
@@ -101,7 +102,7 @@ func (p *Parser) finishVar(name string, typ ast.TypeExpr) *ast.VarDecl {
 		length := p.parseExpr()
 		p.expect(token.RBracket)
 		at := &ast.ArrayType{Elem: v.Type, Len: length}
-		setPos(at, lb.Pos)
+		p.exprPos(at, lb.Pos)
 		v.Type = at
 	}
 	switch {
@@ -149,7 +150,7 @@ func (p *Parser) parseParams() []ast.Param {
 			}
 			p.expect(token.RBracket)
 			pt := &ast.PointerType{Elem: typ}
-			setPos(pt, lb.Pos)
+			p.exprPos(pt, lb.Pos)
 			typ = pt
 		}
 		prm := ast.Param{Name: name, Type: typ}
@@ -326,7 +327,7 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 			length := p.parseExpr()
 			p.expect(token.RBracket)
 			at := &ast.ArrayType{Elem: fieldType, Len: length}
-			setPos(at, lb.Pos)
+			p.exprPos(at, lb.Pos)
 			fieldType = at
 		}
 		fd := &ast.FieldDecl{Name: name.Text, Type: fieldType, Volatile: isVolatileField}

@@ -25,7 +25,7 @@ func (p *Parser) parseAssignExpr() ast.Expr {
 		op := p.next()
 		rhs := p.parseAssignExpr()
 		a := &ast.Assign{Op: op.Kind, LHS: lhs, RHS: rhs}
-		setPos(a, lhs.Pos())
+		p.exprPos(a, lhs.Pos())
 		return a
 	}
 	return lhs
@@ -42,7 +42,7 @@ func (p *Parser) parseCondExpr() ast.Expr {
 	p.expect(token.Colon)
 	els := p.parseAssignExpr()
 	c := &ast.Cond{C: cond, Then: then, Else: els}
-	setPos(c, cond.Pos())
+	p.exprPos(c, cond.Pos())
 	return c
 }
 
@@ -57,7 +57,7 @@ func (p *Parser) parseBinaryExpr(minPrec int) ast.Expr {
 		op := p.next()
 		rhs := p.parseBinaryExpr(prec + 1)
 		b := &ast.Binary{Op: op.Kind, X: lhs, Y: rhs}
-		setPos(b, lhs.Pos())
+		p.exprPos(b, lhs.Pos())
 		lhs = b
 	}
 }
@@ -76,7 +76,7 @@ func (p *Parser) parseUnaryExpr() ast.Expr {
 		op := p.next()
 		x := p.parseUnaryExpr()
 		u := &ast.Unary{Op: op.Kind, X: x}
-		setPos(u, start)
+		p.exprPos(u, start)
 		return u
 	case token.Amp:
 		p.next()
@@ -86,21 +86,21 @@ func (p *Parser) parseUnaryExpr() ast.Expr {
 			p.next()
 			name := p.next()
 			qi := &ast.QualifiedIdent{Class: cls.Text, Name: name.Text}
-			setPos(qi, cls.Pos)
+			p.exprPos(qi, cls.Pos)
 			u := &ast.Unary{Op: token.Amp, X: qi}
-			setPos(u, start)
+			p.exprPos(u, start)
 			return u
 		}
 		x := p.parseUnaryExpr()
 		u := &ast.Unary{Op: token.Amp, X: x}
-		setPos(u, start)
+		p.exprPos(u, start)
 		return u
 	case token.KwNew:
 		return p.parseNew()
 	case token.KwDelete:
 		p.next()
 		d := &ast.Delete{}
-		setPos(d, start)
+		p.exprPos(d, start)
 		if p.accept(token.LBracket) {
 			p.expect(token.RBracket)
 			d.Array = true
@@ -117,7 +117,7 @@ func (p *Parser) parseUnaryExpr() ast.Expr {
 			p.expect(token.RParen)
 			x := p.parseUnaryExpr()
 			c := &ast.Cast{Type: typ, X: x}
-			setPos(c, lp.Pos)
+			p.exprPos(c, lp.Pos)
 			return c
 		}
 	}
@@ -129,7 +129,7 @@ func (p *Parser) parseUnaryExpr() ast.Expr {
 // guaranteed to make progress while the stack unwinds.
 func (p *Parser) depthLimitedExpr() ast.Expr {
 	e := &ast.IntLit{}
-	setPos(e, p.cur().Pos)
+	p.exprPos(e, p.cur().Pos)
 	if !p.at(token.EOF) {
 		p.next()
 	}
@@ -156,18 +156,19 @@ func (p *Parser) isCastStart() bool {
 }
 
 // parseTypeSilently advances over a type without emitting diagnostics.
+// The nodes it builds are discarded, so they are not counted either.
 func (p *Parser) parseTypeSilently() {
-	saved := p.panick
+	saved, nodes := p.panick, p.nodes
 	p.panick = true // suppress diagnostics during speculation
 	p.parseType()
-	p.panick = saved
+	p.panick, p.nodes = saved, nodes
 }
 
 // parseNew parses `new T(args)`, `new T[len]`.
 func (p *Parser) parseNew() ast.Expr {
 	kw := p.next()
 	n := &ast.New{}
-	setPos(n, kw.Pos)
+	p.exprPos(n, kw.Pos)
 	n.Type = p.parseType()
 	if p.accept(token.LBracket) {
 		n.Len = p.parseExpr()
@@ -190,7 +191,7 @@ func (p *Parser) parseNew() ast.Expr {
 func (p *Parser) parseSizeof() ast.Expr {
 	kw := p.next()
 	s := &ast.Sizeof{}
-	setPos(s, kw.Pos)
+	p.exprPos(s, kw.Pos)
 	if p.at(token.LParen) {
 		save := p.pos
 		p.next()
@@ -220,7 +221,7 @@ func (p *Parser) parsePostfixExpr() ast.Expr {
 		case token.Dot, token.Arrow:
 			op := p.next()
 			m := &ast.Member{X: x, Arrow: op.Kind == token.Arrow}
-			setPos(m, start)
+			p.exprPos(m, start)
 			name := p.expect(token.Ident)
 			if p.at(token.Scope) {
 				p.next()
@@ -233,19 +234,19 @@ func (p *Parser) parsePostfixExpr() ast.Expr {
 			op := p.next()
 			ptr := p.parseUnaryExpr()
 			d := &ast.MemberPtrDeref{X: x, Arrow: op.Kind == token.ArrowStar, Ptr: ptr}
-			setPos(d, start)
+			p.exprPos(d, start)
 			x = d
 		case token.LBracket:
 			p.next()
 			idx := p.parseExpr()
 			p.expect(token.RBracket)
 			ix := &ast.Index{X: x, I: idx}
-			setPos(ix, start)
+			p.exprPos(ix, start)
 			x = ix
 		case token.LParen:
 			p.next()
 			c := &ast.Call{Fun: x}
-			setPos(c, x.Pos())
+			p.exprPos(c, x.Pos())
 			if !p.at(token.RParen) {
 				c.Args = append(c.Args, p.parseAssignExpr())
 				for p.accept(token.Comma) {
@@ -257,7 +258,7 @@ func (p *Parser) parsePostfixExpr() ast.Expr {
 		case token.Inc, token.Dec:
 			op := p.next()
 			pf := &ast.Postfix{Op: op.Kind, X: x}
-			setPos(pf, start)
+			p.exprPos(pf, start)
 			x = pf
 		default:
 			return x
@@ -277,7 +278,7 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 			p.errorf("invalid integer literal %s", t.Text)
 		}
 		e := &ast.IntLit{Value: v}
-		setPos(e, start)
+		p.exprPos(e, start)
 		return e
 	case token.FloatLit:
 		t := p.next()
@@ -286,32 +287,32 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 			p.errorf("invalid floating literal %s", t.Text)
 		}
 		e := &ast.FloatLit{Value: v}
-		setPos(e, start)
+		p.exprPos(e, start)
 		return e
 	case token.CharLit:
 		t := p.next()
 		e := &ast.CharLit{Value: lexer.UnquoteChar(t.Text)}
-		setPos(e, start)
+		p.exprPos(e, start)
 		return e
 	case token.StringLit:
 		t := p.next()
 		e := &ast.StringLit{Value: lexer.UnquoteString(t.Text)}
-		setPos(e, start)
+		p.exprPos(e, start)
 		return e
 	case token.KwTrue, token.KwFalse:
 		t := p.next()
 		e := &ast.BoolLit{Value: t.Kind == token.KwTrue}
-		setPos(e, start)
+		p.exprPos(e, start)
 		return e
 	case token.KwNullptr:
 		p.next()
 		e := &ast.NullLit{}
-		setPos(e, start)
+		p.exprPos(e, start)
 		return e
 	case token.KwThis:
 		p.next()
 		e := &ast.ThisExpr{}
-		setPos(e, start)
+		p.exprPos(e, start)
 		return e
 	case token.Ident:
 		t := p.next()
@@ -319,23 +320,23 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 			p.next()
 			name := p.next()
 			qi := &ast.QualifiedIdent{Class: t.Text, Name: name.Text}
-			setPos(qi, start)
+			p.exprPos(qi, start)
 			return qi
 		}
 		e := &ast.Ident{Name: t.Text}
-		setPos(e, start)
+		p.exprPos(e, start)
 		return e
 	case token.LParen:
 		p.next()
 		inner := p.parseExpr()
 		p.expect(token.RParen)
 		e := &ast.Paren{X: inner}
-		setPos(e, start)
+		p.exprPos(e, start)
 		return e
 	}
 	p.errorf("expected expression, found %s", p.cur())
 	e := &ast.IntLit{Value: 0}
-	setPos(e, start)
+	p.exprPos(e, start)
 	if !p.at(token.EOF) && !p.at(token.Semicolon) && !p.at(token.RBrace) && !p.at(token.RParen) {
 		p.next() // consume the offending token to guarantee progress
 	}

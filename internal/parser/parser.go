@@ -25,6 +25,7 @@ type Parser struct {
 	panick  bool            // in error-recovery mode
 	depth   int             // current recursive-descent depth
 	tooDeep bool            // nesting-limit diagnostic already reported
+	nodes   int             // expressions and syntactic types built (see exprPos)
 }
 
 // MaxNestingDepth bounds recursive-descent depth across expressions and
@@ -216,22 +217,22 @@ func (p *Parser) parseType() ast.TypeExpr {
 	case token.KwVoid, token.KwBool, token.KwChar, token.KwInt, token.KwDouble:
 		t := p.next()
 		nt := &ast.NamedType{Name: t.Text}
-		setPos(nt, t.Pos)
+		p.exprPos(nt, t.Pos)
 		base = nt
 	case token.Ident:
 		t := p.next()
 		nt := &ast.NamedType{Name: t.Text}
-		setPos(nt, t.Pos)
+		p.exprPos(nt, t.Pos)
 		base = nt
 	default:
 		p.errorf("expected type, found %s", p.cur())
 		nt := &ast.NamedType{Name: "int"}
-		setPos(nt, start)
+		p.exprPos(nt, start)
 		base = nt
 	}
 	if isConst || isVolatile {
 		q := &ast.QualType{Const: isConst, Volatile: isVolatile, Base: base}
-		setPos(q, start)
+		p.exprPos(q, start)
 		base = q
 	}
 	return p.parseTypeSuffix(base)
@@ -245,7 +246,7 @@ func (p *Parser) parseTypeSuffix(base ast.TypeExpr) ast.TypeExpr {
 		case p.at(token.Star):
 			t := p.next()
 			pt := &ast.PointerType{Elem: base}
-			setPos(pt, t.Pos)
+			p.exprPos(pt, t.Pos)
 			base = pt
 		case p.at(token.KwConst) || p.at(token.KwVolatile):
 			// Trailing cv-qualifiers on pointers (int * const); fold into QualType.
@@ -259,14 +260,14 @@ func (p *Parser) parseTypeSuffix(base ast.TypeExpr) ast.TypeExpr {
 				}
 			}
 			q := &ast.QualType{Const: isConst, Volatile: isVolatile, Base: base}
-			setPos(q, start)
+			p.exprPos(q, start)
 			base = q
 		case p.at(token.Ident) && p.peek(1).Kind == token.Scope && p.peek(2).Kind == token.Star:
 			cls := p.next() // class name
 			p.next()        // ::
 			p.next()        // *
 			mp := &ast.MemberPointerType{Class: cls.Text, Elem: base}
-			setPos(mp, cls.Pos)
+			p.exprPos(mp, cls.Pos)
 			base = mp
 		default:
 			return base
@@ -274,10 +275,17 @@ func (p *Parser) parseTypeSuffix(base ast.TypeExpr) ast.TypeExpr {
 	}
 }
 
-// setPos stamps a node's position via the exported constructor helper.
-func setPos(n interface{}, pos source.Pos) {
-	type positioned interface{ SetPos(source.Pos) }
-	if pn, ok := n.(positioned); ok {
-		pn.SetPos(pos)
-	}
+// positioned is implemented by every AST node (through ast's embedded
+// node), so stamping a position needs no run-time type assertion.
+type positioned interface{ SetPos(source.Pos) }
+
+// setPos stamps the position of a declaration or statement node.
+func setPos(n positioned, pos source.Pos) { n.SetPos(pos) }
+
+// exprPos stamps the position of an expression or syntactic type and
+// counts it: these are the nodes sema may number, and the file's count
+// (ast.File.Nodes) lets sema size its node-indexed tables once.
+func (p *Parser) exprPos(n positioned, pos source.Pos) {
+	n.SetPos(pos)
+	p.nodes++
 }

@@ -7,8 +7,8 @@ import (
 	"deadmembers/internal/types"
 )
 
-// checkExpr type-checks e, records its type in Info.Types, and returns it.
-// Errors yield IntType so checking continues. Recursion is bounded by
+// checkExpr type-checks e, records its type in Info (see Info.TypeOf), and
+// returns it. Errors yield IntType so checking continues. Recursion is bounded by
 // MaxExprDepth; subtrees past the limit are typed as int without descent.
 func (c *Checker) checkExpr(e ast.Expr) types.Type {
 	c.exprDepth++
@@ -18,14 +18,14 @@ func (c *Checker) checkExpr(e ast.Expr) types.Type {
 			c.tooDeep = true
 			c.diags.Errorf(e.Pos(), "expression nesting exceeds checker limit (%d)", MaxExprDepth)
 		}
-		c.info.Types[e] = types.IntType
+		c.info.SetType(e, types.IntType)
 		return types.IntType
 	}
 	t := c.checkExpr1(e)
 	if t == nil {
 		t = types.IntType
 	}
-	c.info.Types[e] = t
+	c.info.SetType(e, t)
 	return t
 }
 
@@ -118,7 +118,7 @@ func (c *Checker) checkExpr1(e ast.Expr) types.Type {
 // member of the enclosing class, or (when asCallee) a free function.
 func (c *Checker) checkIdent(x *ast.Ident, asCallee bool) types.Type {
 	if v := c.lookupVar(x.Name); v != nil {
-		c.info.IdentVars[x] = v
+		c.info.SetVar(x, v)
 		if v.Type == nil {
 			return types.IntType
 		}
@@ -127,7 +127,7 @@ func (c *Checker) checkIdent(x *ast.Ident, asCallee bool) types.Type {
 	// Implicit this-> member access inside a method.
 	if c.cur != nil && c.cur.Owner != nil {
 		if f, err := c.graph.LookupField(c.cur.Owner, x.Name); err == nil {
-			c.info.IdentFields[x] = f
+			c.info.SetField(x, f)
 			return f.Type
 		} else if _, amb := err.(*hierarchy.AmbiguityError); amb {
 			c.diags.Errorf(x.Pos(), "%v", err)
@@ -167,7 +167,7 @@ func (c *Checker) checkUnary(x *ast.Unary) types.Type {
 				return types.IntType
 			}
 			c.info.QualFieldRefs[qi] = f
-			c.info.Types[qi] = f.Type
+			c.info.SetType(qi, f.Type)
 			return &types.MemberPointer{Class: cls, Elem: f.Type}
 		}
 		t := c.checkExpr(x.X)
@@ -486,7 +486,7 @@ func (c *Checker) checkCall(x *ast.Call) types.Type {
 			return retType(f)
 		}
 		// Variable of non-function type used as callee.
-		if _, ok := c.info.IdentVars[fun]; ok {
+		if c.info.VarOf(fun) != nil {
 			c.diags.Errorf(x.Pos(), "%s is not a function", fun.Name)
 		}
 		for _, a := range x.Args {
@@ -520,7 +520,7 @@ func (c *Checker) checkCall(x *ast.Call) types.Type {
 			return types.IntType
 		}
 		c.info.MethodRefs[fun] = m
-		c.info.Types[fun] = types.VoidType // callee placeholder
+		c.info.SetType(fun, types.VoidType) // callee placeholder
 		c.checkArgs(x, m, x.Args)
 		return retType(m)
 	}
@@ -728,9 +728,7 @@ func (c *Checker) requireLvalue(e ast.Expr) {
 func (c *Checker) isLvalue(e ast.Expr) bool {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		_, isVar := c.info.IdentVars[x]
-		_, isField := c.info.IdentFields[x]
-		return isVar || isField
+		return c.info.VarOf(x) != nil || c.info.FieldOf(x) != nil
 	case *ast.Member, *ast.MemberPtrDeref, *ast.Index:
 		return true
 	case *ast.Unary:

@@ -37,13 +37,17 @@ const MaxExprDepth = 2000
 // program (possibly partial if diags records errors) and the hierarchy
 // graph built from its classes.
 func Check(fset *source.FileSet, files []*ast.File, diags *source.DiagnosticList) (*types.Program, *hierarchy.Graph) {
+	nodes := 0
+	for _, f := range files {
+		nodes += f.Nodes
+	}
 	c := &Checker{
 		prog: &types.Program{
 			FileSet:     fset,
 			Files:       files,
 			ClassByName: map[string]*types.Class{},
 			FuncByName:  map[string]*types.Func{},
-			Info:        types.NewInfo(),
+			Info:        types.NewInfo(nodes),
 		},
 		diags: diags,
 	}
@@ -377,10 +381,10 @@ func (c *Checker) resolveFuncSignature(f *types.Func) {
 }
 
 // resolveType converts a syntactic type to a semantic one, recording it in
-// Info.TypeExprs. Errors yield IntType to keep checking going.
+// Info (see Info.TypeExprOf). Errors yield IntType to keep checking going.
 func (c *Checker) resolveType(te ast.TypeExpr) types.Type {
 	t := c.resolveType1(te)
-	c.info.TypeExprs[te] = t
+	c.info.SetTypeExpr(te, t)
 	return t
 }
 

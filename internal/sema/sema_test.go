@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"deadmembers/internal/ast"
 	"deadmembers/internal/frontend"
 	"deadmembers/internal/types"
 )
@@ -137,11 +138,14 @@ int main() {
 	if len(info.CtorInitFields) != 1 {
 		t.Errorf("CtorInitFields has %d entries, want 1", len(info.CtorInitFields))
 	}
-	// Every expression the checker touched has a type.
-	for e, typ := range info.Types {
-		if typ == nil {
-			t.Errorf("expression at %v has nil type", e.Pos())
-		}
+	// Every expression the checker touched (numbered) has a type.
+	for _, f := range r.Program.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok && e.ID() != 0 && info.TypeOf(e) == nil {
+				t.Errorf("expression at %v has nil type", e.Pos())
+			}
+			return true
+		})
 	}
 	c := r.Program.ClassByName["C"]
 	if c == nil || c.MethodByName("get").Return != types.IntType {

@@ -176,7 +176,7 @@ func (m *metrics) writePrometheus(w io.Writer, g gauges) {
 	counter("deadmemd_cache_compiles_total", "Frontend compiles performed (cache misses).", int64(g.CacheCompiles))
 	counter("deadmemd_cache_evictions_total", "Cache entries evicted to enforce the configured bounds.", int64(g.CacheEvictions))
 	gauge("deadmemd_cache_entries", "Compilations currently cached.", int64(g.CacheEntries))
-	gauge("deadmemd_cache_bytes", "Source bytes retained by the cache.", g.CacheBytes)
+	gauge("deadmemd_cache_bytes", "Estimated heap bytes retained by the cached compilations.", g.CacheBytes)
 	gauge("deadmemd_inflight", "Requests currently holding an execution slot.", int64(g.Inflight))
 	gauge("deadmemd_queued", "Requests waiting for an execution slot.", int64(g.Queued))
 	counter("deadmemd_degraded_total", "Responses produced from degraded (panic-contained) runs.", m.degraded)

@@ -54,7 +54,8 @@ type Config struct {
 	// Workers bounds engine parallelism per request (0 = all cores).
 	Workers int
 
-	// CacheMaxBytes bounds the session cache by retained source bytes
+	// CacheMaxBytes bounds the heap the session cache retains, each
+	// entry charged its engine.Compilation.RetainedBytes estimate
 	// (default 256 MiB; negative = unbounded).
 	CacheMaxBytes int64
 	// CacheMaxEntries bounds the session cache entry count (default 128;

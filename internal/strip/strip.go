@@ -155,7 +155,7 @@ func (s *stripper) deadFieldOf(e ast.Expr) *types.Field {
 	case *ast.Member:
 		f = s.info.FieldRefs[x]
 	case *ast.Ident:
-		f = s.info.IdentFields[x]
+		f = s.info.FieldOf(x)
 	}
 	if f != nil && s.res.IsDead(f) {
 		return f
@@ -340,7 +340,7 @@ func (s *stripper) scanExpr(e ast.Expr) {
 				s.block(f, "referenced in an expression the transform cannot rewrite")
 			}
 		case *ast.Ident:
-			if f := s.info.IdentFields[x]; f != nil && s.res.IsDead(f) {
+			if f := s.info.FieldOf(x); f != nil && s.res.IsDead(f) {
 				s.block(f, "referenced in an expression the transform cannot rewrite")
 			}
 		case *ast.QualifiedIdent:

@@ -411,7 +411,7 @@ func (c *compiler) expr(e ast.Expr) {
 	case *ast.ThisExpr:
 		c.emit(instr{op: opThis, pos: x.Pos()})
 	case *ast.Ident:
-		if fld := c.info.IdentFields[x]; fld != nil {
+		if fld := c.info.FieldOf(x); fld != nil {
 			c.emit(instr{op: opLoadField, fld: fld, pos: x.Pos()})
 			return
 		}
@@ -451,7 +451,7 @@ func (c *compiler) expr(e ast.Expr) {
 		c.call(x)
 	case *ast.Cast:
 		c.expr(x.X)
-		c.emit(instr{op: opConvert, typ: c.info.TypeExprs[x.Type]})
+		c.emit(instr{op: opConvert, typ: c.info.TypeExprOf(x.Type)})
 	case *ast.New:
 		c.newExpr(x)
 	case *ast.Delete:
@@ -464,7 +464,7 @@ func (c *compiler) expr(e ast.Expr) {
 	case *ast.Sizeof:
 		var t types.Type
 		if x.Type != nil {
-			t = c.info.TypeExprs[x.Type]
+			t = c.info.TypeExprOf(x.Type)
 		} else {
 			t = c.info.TypeOf(x.X) // operand is not evaluated
 		}
@@ -481,7 +481,7 @@ func (c *compiler) expr(e ast.Expr) {
 // global-cell access, preserving the tree-walker's resolution order and
 // failure messages.
 func (c *compiler) varAccess(x *ast.Ident, slotOp, globalOp opcode) {
-	v := c.info.IdentVars[x]
+	v := c.info.VarOf(x)
 	if v == nil {
 		c.failAt(x.Pos(), "unresolved identifier %s", x.Name)
 		return
@@ -651,10 +651,10 @@ func (c *compiler) incDecStmt(target ast.Expr, op token.Kind, pos source.Pos) {
 // intSlotTarget matches e as a local frame slot of static type int.
 func (c *compiler) intSlotTarget(e ast.Expr) (int, *types.Var, bool) {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || c.info.IdentFields[id] != nil {
+	if !ok || c.info.FieldOf(id) != nil {
 		return 0, nil, false
 	}
-	v := c.info.IdentVars[id]
+	v := c.info.VarOf(id)
 	if v == nil {
 		return 0, nil, false
 	}
@@ -681,7 +681,7 @@ func incPattern(x *ast.Assign, info *types.Info) (int, bool) {
 		return 0, false
 	}
 	rid, ok := ast.Unparen(bin.X).(*ast.Ident)
-	if !ok || info.IdentVars[rid] == nil || info.IdentVars[rid] != info.IdentVars[lhs] {
+	if !ok || info.VarOf(rid) == nil || info.VarOf(rid) != info.VarOf(lhs) {
 		return 0, false
 	}
 	lit, ok := ast.Unparen(bin.Y).(*ast.IntLit)
@@ -748,7 +748,7 @@ func (c *compiler) lvalue(e ast.Expr) {
 	case *ast.Paren:
 		c.lvalue(x.X)
 	case *ast.Ident:
-		if fld := c.info.IdentFields[x]; fld != nil {
+		if fld := c.info.FieldOf(x); fld != nil {
 			c.emit(instr{op: opLvField, fld: fld, pos: x.Pos()})
 			return
 		}
@@ -862,7 +862,7 @@ func (c *compiler) builtin(name string, x *ast.Call) {
 }
 
 func (c *compiler) newExpr(x *ast.New) {
-	t := c.info.TypeExprs[x.Type]
+	t := c.info.TypeExprOf(x.Type)
 	if t == nil {
 		panic(errUnsupported)
 	}
