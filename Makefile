@@ -90,6 +90,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStripRoundTrip -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzCFG -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzVMDifferential -fuzztime=$(FUZZTIME) .
+	$(GO) test -fuzz=FuzzLexer -fuzztime=$(FUZZTIME) ./internal/lexer
 
 # The quick local gate: build + static checks + tests. Slower CI-only
 # passes (race soaks, server smokes) stay out.

@@ -199,17 +199,33 @@ func jikesSource(b *testing.B) frontend.Source {
 	return bm.Sources[0]
 }
 
+// BenchmarkLexer times lexing alone: the jikes corpus program, then the
+// scaling probes of 400 and 3,200 classes. Each iteration registers the
+// file anew, as a compilation does.
 func BenchmarkLexer(b *testing.B) {
-	src := jikesSource(b)
-	b.SetBytes(int64(len(src.Text)))
-	for i := 0; i < b.N; i++ {
-		fset := source.NewFileSet()
-		f := fset.AddFile(src.Name, src.Text)
-		diags := source.NewDiagnosticList(fset)
-		toks := lexer.ScanAll(f, diags)
-		if len(toks) == 0 || diags.HasErrors() {
-			b.Fatal("lex failed")
-		}
+	cases := []struct {
+		name string
+		src  frontend.Source
+	}{
+		{"jikes", jikesSource(b)},
+		{"classes=400", scalingSource(400)},
+		{"classes=3200", scalingSource(3200)},
+	}
+	for _, c := range cases {
+		src := c.src
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src.Text)))
+			for i := 0; i < b.N; i++ {
+				fset := source.NewFileSet()
+				f := fset.AddFile(src.Name, src.Text)
+				diags := source.NewDiagnosticList(fset)
+				toks := lexer.ScanAll(f, diags)
+				if len(toks) == 0 || diags.HasErrors() {
+					b.Fatal("lex failed")
+				}
+			}
+		})
 	}
 }
 

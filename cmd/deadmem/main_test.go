@@ -192,6 +192,35 @@ func TestCompileErrorExit(t *testing.T) {
 	}
 }
 
+// TestReturnTypeConflictNamed: an out-of-line definition whose return
+// type differs from its in-class declaration exits 1 with one error that
+// names both types, not with follow-on errors in its body and callers.
+func TestReturnTypeConflictNamed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ret.mcc")
+	src := `class C {
+public:
+	int v;
+	void f(int a);
+};
+int C::f(int a) { v = a; return v; }
+int main() {
+	C c;
+	return c.f(1);
+}
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{path}, &out, &errOut); code != 1 {
+		t.Errorf("conflicting return type should exit 1, got %d", code)
+	}
+	want := "deadmem: 1 error(s):\n" + path + ":6:5: error: conflicting return type for C::f: defined as int, declared as void\n"
+	if !strings.HasPrefix(errOut.String(), want) {
+		t.Errorf("stderr:\n%s\nwant prefix:\n%s", errOut.String(), want)
+	}
+}
+
 func TestMissingInputExit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nope.mcc")
 	var out, errOut strings.Builder

@@ -261,7 +261,7 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 		}
 		lexDiags[i] = source.NewDiagnosticList(fset)
 		toks[i] = lexer.ScanAll(srcFiles[i], lexDiags[i])
-		typeSets[i] = parser.TypeNames(toks[i])
+		typeSets[i] = parser.TypeNames(srcFiles[i], toks[i])
 	})
 	if !ok {
 		return c.cancelled(ctx)

@@ -52,7 +52,7 @@ func Compile(sources ...Source) *Result {
 		}
 		lexDiags[i] = source.NewDiagnosticList(fset)
 		toks[i] = lexer.ScanAll(f, lexDiags[i])
-		for name := range parser.TypeNames(toks[i]) {
+		for name := range parser.TypeNames(f, toks[i]) {
 			allTypes[name] = true
 		}
 	}

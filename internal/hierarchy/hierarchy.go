@@ -6,6 +6,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"deadmembers/internal/types"
@@ -209,56 +210,50 @@ func (e *NotFoundError) Error() string {
 // returned field's Owner is the class C such that the access e.m resolves
 // to C::m.
 func (g *Graph) LookupField(x *types.Class, name string) (*types.Field, error) {
+	if f := x.FieldByName(name); f != nil {
+		return f, nil // a direct hit builds no candidate list
+	}
 	fields, _ := g.lookup(x, name)
-	return g.resolveFieldCandidates(x, name, fields)
+	return pick(x, name, fields)
 }
 
 // LookupMethod is the method analogue of LookupField.
 func (g *Graph) LookupMethod(x *types.Class, name string) (*types.Func, error) {
+	// A direct hit builds no candidate list. A field of x with the same
+	// name hides the method, as in lookup.
+	if m := x.MethodByName(name); m != nil && x.FieldByName(name) == nil {
+		return m, nil
+	}
 	_, methods := g.lookup(x, name)
-	uniq := map[*types.Func]bool{}
-	var out []*types.Func
-	for _, m := range methods {
-		if !uniq[m] {
-			uniq[m] = true
-			out = append(out, m)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil, &NotFoundError{Class: x, Name: name}
-	case 1:
-		return out[0], nil
-	}
-	var cands []string
-	for _, m := range out {
-		cands = append(cands, m.QualifiedName())
-	}
-	sort.Strings(cands)
-	return nil, &AmbiguityError{Class: x, Name: name, Cands: cands}
+	return pick(x, name, methods)
 }
 
-func (g *Graph) resolveFieldCandidates(x *types.Class, name string, fields []*types.Field) (*types.Field, error) {
-	uniq := map[*types.Field]bool{}
-	var out []*types.Field
-	for _, f := range fields {
-		if !uniq[f] {
-			uniq[f] = true
-			out = append(out, f)
+// pick resolves lookup's candidates for name in x: none is NotFound, one
+// distinct member is the answer, and more are ambiguous. A member reached
+// along several paths (a shared virtual base) counts once.
+func pick[M interface {
+	comparable
+	QualifiedName() string
+}](x *types.Class, name string, cands []M) (M, error) {
+	distinct := cands[:0] // lookup's slices are the caller's own
+	for _, m := range cands {
+		if !slices.Contains(distinct, m) {
+			distinct = append(distinct, m)
 		}
 	}
-	switch len(out) {
+	var none M
+	switch len(distinct) {
 	case 0:
-		return nil, &NotFoundError{Class: x, Name: name}
+		return none, &NotFoundError{Class: x, Name: name}
 	case 1:
-		return out[0], nil
+		return distinct[0], nil
 	}
-	var cands []string
-	for _, f := range out {
-		cands = append(cands, f.QualifiedName())
+	var names []string
+	for _, m := range distinct {
+		names = append(names, m.QualifiedName())
 	}
-	sort.Strings(cands)
-	return nil, &AmbiguityError{Class: x, Name: name, Cands: cands}
+	sort.Strings(names)
+	return none, &AmbiguityError{Class: x, Name: name, Cands: names}
 }
 
 // lookup returns all field and method declarations named name visible in x,

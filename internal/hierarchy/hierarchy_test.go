@@ -51,6 +51,39 @@ func TestBaseRelations(t *testing.T) {
 	}
 }
 
+// TestLookupDirectHitAllocatesNothing: a member the class declares itself
+// is returned without building a candidate list, and a field still hides
+// a method of the same name.
+func TestLookupDirectHitAllocatesNothing(t *testing.T) {
+	base := mkClass("Base", 0)
+	addMethod(base, "run", true)
+	c := mkClass("C", 0, types.Base{Class: base})
+	f := addField(c, "x", types.IntType)
+	m := addMethod(c, "run", true)
+	addField(c, "both", types.IntType)
+	addMethod(c, "both", false)
+	g := New([]*types.Class{base, c})
+
+	var gotF *types.Field
+	var gotM *types.Func
+	var errF, errM error
+	if n := testing.AllocsPerRun(100, func() {
+		gotF, errF = g.LookupField(c, "x")
+		gotM, errM = g.LookupMethod(c, "run")
+	}); n != 0 {
+		t.Errorf("direct-hit lookups allocate %v times per run, want 0", n)
+	}
+	if gotF != f || errF != nil || gotM != m || errM != nil {
+		t.Errorf("direct hits: field %v (%v), method %v (%v)", gotF, errF, gotM, errM)
+	}
+	if _, err := g.LookupMethod(c, "both"); err == nil {
+		t.Error("a field named both should hide the method both")
+	}
+	if got, err := g.LookupField(c, "both"); err != nil || got.Name != "both" {
+		t.Errorf("LookupField(both) = %v, %v; want the field", got, err)
+	}
+}
+
 func TestLookupHiding(t *testing.T) {
 	base := mkClass("Base", 0)
 	bf := addField(base, "x", types.IntType)

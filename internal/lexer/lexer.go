@@ -13,33 +13,28 @@ import (
 	"deadmembers/internal/token"
 )
 
-// Token is a single lexical token with its source span and raw text.
+// Token is a single lexical token: its kind and its source span. It holds
+// no text and no pointer, so a token is 16 bytes and the garbage collector
+// never scans a token slice; Text slices a token's spelling from its file
+// on demand.
 type Token struct {
+	Pos  source.Pos // first byte
+	Len  int32      // length in bytes, 0 for EOF; files are capped at source.MaxFileSize
 	Kind token.Kind
-	Text string
-	Pos  source.Pos
-	End  source.Pos
 }
 
-// String renders the token for debugging.
-func (t Token) String() string {
-	if t.Kind.IsLiteral() {
-		return t.Kind.String() + " " + t.Text
-	}
-	return t.Kind.String()
+// Text returns the token's spelling in f, the file it was scanned from.
+func (t Token) Text(f *source.File) string {
+	off := f.Offset(t.Pos)
+	return f.Content()[off : off+int(t.Len)]
 }
 
-// Lexer scans a single source file.
-type Lexer struct {
+// lexer scans a single source file.
+type lexer struct {
 	file  *source.File
 	src   string
 	off   int
 	diags *source.DiagnosticList
-}
-
-// New returns a Lexer over file, reporting malformed input to diags.
-func New(file *source.File, diags *source.DiagnosticList) *Lexer {
-	return &Lexer{file: file, src: file.Content(), diags: diags}
 }
 
 // firstTokens is ScanAll's initial capacity, before any density is known.
@@ -54,13 +49,13 @@ const firstTokens = 256
 // long comment) is copied down at EOF, so the slice never holds more
 // than twice its tokens.
 func ScanAll(file *source.File, diags *source.DiagnosticList) []Token {
-	lx := New(file, diags)
-	out := make([]Token, 0, min(firstTokens, len(lx.src)+1))
+	l := &lexer{file: file, src: file.Content(), diags: diags}
+	out := make([]Token, 0, min(firstTokens, len(l.src)+1))
 	for {
 		if len(out) == cap(out) {
-			out = slices.Grow(out, lx.growth(len(out)))
+			out = slices.Grow(out, l.growth(len(out)))
 		}
-		t := lx.Next()
+		t := l.next()
 		out = append(out, t)
 		if t.Kind == token.EOF {
 			break
@@ -74,7 +69,7 @@ func ScanAll(file *source.File, diags *source.DiagnosticList) []Token {
 
 // growth is how many more tokens ScanAll makes room for once n tokens
 // fill its slice.
-func (l *Lexer) growth(n int) int {
+func (l *lexer) growth(n int) int {
 	if l.off == 0 {
 		return n
 	}
@@ -82,16 +77,16 @@ func (l *Lexer) growth(n int) int {
 	return min(max(rest+rest/8, n), 7*n)
 }
 
-func (l *Lexer) pos() source.Pos { return l.file.Pos(l.off) }
+func (l *lexer) pos() source.Pos { return l.file.Pos(l.off) }
 
-func (l *Lexer) peek() byte {
+func (l *lexer) peek() byte {
 	if l.off < len(l.src) {
 		return l.src[l.off]
 	}
 	return 0
 }
 
-func (l *Lexer) peekAt(n int) byte {
+func (l *lexer) peekAt(n int) byte {
 	if l.off+n < len(l.src) {
 		return l.src[l.off+n]
 	}
@@ -100,7 +95,7 @@ func (l *Lexer) peekAt(n int) byte {
 
 // skipTrivia consumes whitespace and comments. Unterminated block comments
 // are reported once and consume the rest of the file.
-func (l *Lexer) skipTrivia() {
+func (l *lexer) skipTrivia() {
 	for l.off < len(l.src) {
 		c := l.src[l.off]
 		switch {
@@ -139,37 +134,36 @@ func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// Next scans and returns the next token.
-func (l *Lexer) Next() Token {
+// next scans and returns the next token.
+func (l *lexer) next() Token {
 	l.skipTrivia()
-	start := l.pos()
+	begin, start := l.off, l.pos()
 	if l.off >= len(l.src) {
-		return Token{Kind: token.EOF, Pos: start, End: start}
+		return Token{Pos: start, Kind: token.EOF}
 	}
-	c := l.src[l.off]
-	switch {
+	var kind token.Kind
+	switch c := l.src[l.off]; {
 	case isIdentStart(c):
-		return l.scanIdent(start)
+		for l.off < len(l.src) && isIdentCont(l.src[l.off]) {
+			l.off++
+		}
+		kind = token.LookupKeyword(l.src[begin:l.off])
 	case isDigit(c):
-		return l.scanNumber(start)
+		kind = l.scanNumber(start)
 	case c == '\'':
-		return l.scanChar(start)
+		l.scanChar(start)
+		kind = token.CharLit
 	case c == '"':
-		return l.scanString(start)
+		l.scanString(start)
+		kind = token.StringLit
+	default:
+		kind = l.scanOperator(start)
 	}
-	return l.scanOperator(start)
+	return Token{Pos: start, Len: int32(l.off - begin), Kind: kind}
 }
 
-func (l *Lexer) scanIdent(start source.Pos) Token {
-	begin := l.off
-	for l.off < len(l.src) && isIdentCont(l.src[l.off]) {
-		l.off++
-	}
-	text := l.src[begin:l.off]
-	return Token{Kind: token.LookupKeyword(text), Text: text, Pos: start, End: l.pos()}
-}
-
-func (l *Lexer) scanNumber(start source.Pos) Token {
+// scanNumber consumes an integer or floating literal and returns its kind.
+func (l *lexer) scanNumber(start source.Pos) token.Kind {
 	begin := l.off
 	kind := token.IntLit
 	if l.peek() == '0' && (l.peekAt(1) == 'x' || l.peekAt(1) == 'X') {
@@ -180,7 +174,7 @@ func (l *Lexer) scanNumber(start source.Pos) Token {
 		if l.off == begin+2 {
 			l.diags.Errorf(start, "malformed hexadecimal literal")
 		}
-		return Token{Kind: kind, Text: l.src[begin:l.off], Pos: start, End: l.pos()}
+		return kind
 	}
 	for l.off < len(l.src) && isDigit(l.src[l.off]) {
 		l.off++
@@ -202,7 +196,7 @@ func (l *Lexer) scanNumber(start source.Pos) Token {
 			}
 		}
 	}
-	return Token{Kind: kind, Text: l.src[begin:l.off], Pos: start, End: l.pos()}
+	return kind
 }
 
 func isHexDigit(c byte) bool {
@@ -211,7 +205,7 @@ func isHexDigit(c byte) bool {
 
 // scanEscape consumes one (possibly escaped) character of a char/string
 // literal body and returns false on malformed input.
-func (l *Lexer) scanEscape(start source.Pos) bool {
+func (l *lexer) scanEscape(start source.Pos) bool {
 	if l.peek() != '\\' {
 		l.off++
 		return true
@@ -231,12 +225,11 @@ func (l *Lexer) scanEscape(start source.Pos) bool {
 	return false
 }
 
-func (l *Lexer) scanChar(start source.Pos) Token {
-	begin := l.off
+func (l *lexer) scanChar(start source.Pos) {
 	l.off++ // opening quote
 	if l.off >= len(l.src) {
 		l.diags.Errorf(start, "unterminated character literal")
-		return Token{Kind: token.CharLit, Text: l.src[begin:l.off], Pos: start, End: l.pos()}
+		return
 	}
 	l.scanEscape(start)
 	if l.peek() == '\'' {
@@ -244,11 +237,9 @@ func (l *Lexer) scanChar(start source.Pos) Token {
 	} else {
 		l.diags.Errorf(start, "unterminated character literal")
 	}
-	return Token{Kind: token.CharLit, Text: l.src[begin:l.off], Pos: start, End: l.pos()}
 }
 
-func (l *Lexer) scanString(start source.Pos) Token {
-	begin := l.off
+func (l *lexer) scanString(start source.Pos) {
 	l.off++ // opening quote
 	for l.off < len(l.src) && l.src[l.off] != '"' && l.src[l.off] != '\n' {
 		l.scanEscape(start)
@@ -258,41 +249,11 @@ func (l *Lexer) scanString(start source.Pos) Token {
 	} else {
 		l.diags.Errorf(start, "unterminated string literal")
 	}
-	return Token{Kind: token.StringLit, Text: l.src[begin:l.off], Pos: start, End: l.pos()}
 }
 
-// operator2 and operator3 map multi-byte operator spellings.
-type opEntry struct {
-	text string
-	kind token.Kind
-}
-
-var operators3 = []opEntry{
-	{"->*", token.ArrowStar},
-}
-
-var operators2 = []opEntry{
-	{"->", token.Arrow},
-	{".*", token.DotStar},
-	{"::", token.Scope},
-	{"<<", token.Shl},
-	{">>", token.Shr},
-	{"&&", token.AmpAmp},
-	{"||", token.PipePipe},
-	{"==", token.Eq},
-	{"!=", token.Ne},
-	{"<=", token.Le},
-	{">=", token.Ge},
-	{"++", token.Inc},
-	{"--", token.Dec},
-	{"+=", token.PlusAssign},
-	{"-=", token.MinusAssign},
-	{"*=", token.StarAssign},
-	{"/=", token.SlashAssign},
-	{"%=", token.PercentAssign},
-}
-
-var operators1 = map[byte]token.Kind{
+// singleByte maps each one-byte operator or punctuator to its kind; every
+// other byte maps to Invalid.
+var singleByte = [256]token.Kind{
 	'+': token.Plus, '-': token.Minus, '*': token.Star, '/': token.Slash,
 	'%': token.Percent, '&': token.Amp, '|': token.Pipe, '^': token.Caret,
 	'!': token.Not, '~': token.Tilde, '=': token.Assign, '<': token.Lt,
@@ -302,32 +263,45 @@ var operators1 = map[byte]token.Kind{
 	'[': token.LBracket, ']': token.RBracket,
 }
 
-func (l *Lexer) scanOperator(start source.Pos) Token {
-	rest := l.src[l.off:]
-	for _, op := range operators3 {
-		if hasPrefix(rest, op.text) {
-			l.off += 3
-			return Token{Kind: op.kind, Text: op.text, Pos: start, End: l.pos()}
-		}
+// doubled and withAssign map a byte to the kind of the two-byte operator
+// it starts when it is repeated (`++`, `::`) or followed by `=` (`+=`,
+// `==`); no byte starts both.
+var (
+	doubled = [256]token.Kind{
+		'+': token.Inc, '-': token.Dec, '<': token.Shl, '>': token.Shr,
+		'&': token.AmpAmp, '|': token.PipePipe, ':': token.Scope,
 	}
-	for _, op := range operators2 {
-		if hasPrefix(rest, op.text) {
-			l.off += 2
-			return Token{Kind: op.kind, Text: op.text, Pos: start, End: l.pos()}
-		}
+	withAssign = [256]token.Kind{
+		'+': token.PlusAssign, '-': token.MinusAssign, '*': token.StarAssign,
+		'/': token.SlashAssign, '%': token.PercentAssign, '=': token.Eq,
+		'!': token.Ne, '<': token.Le, '>': token.Ge,
 	}
-	c := l.src[l.off]
-	if k, ok := operators1[c]; ok {
-		l.off++
-		return Token{Kind: k, Text: string(c), Pos: start, End: l.pos()}
-	}
-	l.diags.Errorf(start, "unexpected character %q", string(c))
-	l.off++
-	return Token{Kind: token.Invalid, Text: string(c), Pos: start, End: l.pos()}
-}
+)
 
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
+// scanOperator consumes the longest operator spelling at the cursor
+// (maximal munch: `->*` before `->` before `-`) and returns its kind. A
+// byte that starts no operator is reported and yields one Invalid token.
+func (l *lexer) scanOperator(start source.Pos) token.Kind {
+	c, c1 := l.src[l.off], l.peekAt(1)
+	n, kind := 1, singleByte[c]
+	switch {
+	case c == '-' && c1 == '>':
+		n, kind = 2, token.Arrow
+		if l.peekAt(2) == '*' {
+			n, kind = 3, token.ArrowStar
+		}
+	case c == '.' && c1 == '*':
+		n, kind = 2, token.DotStar
+	case c1 == c && doubled[c] != token.Invalid:
+		n, kind = 2, doubled[c]
+	case c1 == '=' && withAssign[c] != token.Invalid:
+		n, kind = 2, withAssign[c]
+	}
+	if kind == token.Invalid {
+		l.diags.Errorf(start, "unexpected character %q", string(c))
+	}
+	l.off += n
+	return kind
 }
 
 // UnquoteChar decodes the body of a character literal token (including the

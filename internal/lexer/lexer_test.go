@@ -9,12 +9,12 @@ import (
 	"deadmembers/internal/token"
 )
 
-func scan(t *testing.T, src string) ([]Token, *source.DiagnosticList) {
+func scan(t *testing.T, src string) ([]Token, *source.File, *source.DiagnosticList) {
 	t.Helper()
 	fset := source.NewFileSet()
 	f := fset.AddFile("t.mcc", src)
 	diags := source.NewDiagnosticList(fset)
-	return ScanAll(f, diags), diags
+	return ScanAll(f, diags), f, diags
 }
 
 func kinds(toks []Token) []token.Kind {
@@ -27,7 +27,7 @@ func kinds(toks []Token) []token.Kind {
 
 func expectKinds(t *testing.T, src string, want ...token.Kind) {
 	t.Helper()
-	toks, diags := scan(t, src)
+	toks, _, diags := scan(t, src)
 	if diags.HasErrors() {
 		t.Fatalf("%q: unexpected errors:\n%v", src, diags)
 	}
@@ -75,14 +75,15 @@ func TestNumbers(t *testing.T) {
 }
 
 func TestCharAndStringLiterals(t *testing.T) {
-	toks, diags := scan(t, `'a' '\n' '\'' "hi" "a\"b" "tab\t"`)
+	toks, f, diags := scan(t, `'a' '\n' '\'' "hi" "a\"b" "tab\t"`)
 	if diags.HasErrors() {
 		t.Fatalf("unexpected errors:\n%v", diags)
 	}
-	if UnquoteChar(toks[0].Text) != 'a' || UnquoteChar(toks[1].Text) != '\n' || UnquoteChar(toks[2].Text) != '\'' {
+	text := func(i int) string { return toks[i].Text(f) }
+	if UnquoteChar(text(0)) != 'a' || UnquoteChar(text(1)) != '\n' || UnquoteChar(text(2)) != '\'' {
 		t.Error("char literal decoding wrong")
 	}
-	if UnquoteString(toks[3].Text) != "hi" || UnquoteString(toks[4].Text) != `a"b` || UnquoteString(toks[5].Text) != "tab\t" {
+	if UnquoteString(text(3)) != "hi" || UnquoteString(text(4)) != `a"b` || UnquoteString(text(5)) != "tab\t" {
 		t.Error("string literal decoding wrong")
 	}
 }
@@ -101,7 +102,7 @@ func TestLexErrors(t *testing.T) {
 		{`"\q"`, "unknown escape"},
 	}
 	for _, tc := range cases {
-		_, diags := scan(t, tc.src)
+		_, _, diags := scan(t, tc.src)
 		if !diags.HasErrors() || !strings.Contains(diags.String(), tc.want) {
 			t.Errorf("%q: want error containing %q, got:\n%v", tc.src, tc.want, diags)
 		}
@@ -137,7 +138,7 @@ int main() { C c; c.f(); return c.x ->* . :: 'q' "s" 1.5e3 0x2A; }`
 			if tk.Kind == token.EOF {
 				break
 			}
-			b.WriteString(tk.Text)
+			b.WriteString(tk.Text(f))
 			b.WriteString(sep[(int(seed)+i)%len(sep)])
 		}
 		fset2 := source.NewFileSet()
@@ -148,7 +149,7 @@ int main() { C c; c.f(); return c.x ->* . :: 'q' "s" 1.5e3 0x2A; }`
 			return false
 		}
 		for i := range orig {
-			if orig[i].Kind != again[i].Kind || orig[i].Text != again[i].Text {
+			if orig[i].Kind != again[i].Kind || orig[i].Text(f) != again[i].Text(f2) {
 				return false
 			}
 		}

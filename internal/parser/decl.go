@@ -2,6 +2,7 @@ package parser
 
 import (
 	"deadmembers/internal/ast"
+	"deadmembers/internal/printer"
 	"deadmembers/internal/token"
 )
 
@@ -40,13 +41,13 @@ func (p *Parser) parseTopLevel(f *ast.File) ast.Decl {
 
 	// Out-of-line constructor or destructor: C::C(... / C::~C(...
 	if p.at(token.Ident) && p.peek(1).Kind == token.Scope &&
-		(p.peek(2).Kind == token.Tilde || (p.peek(2).Kind == token.Ident && p.peek(2).Text == p.cur().Text)) {
+		(p.peek(2).Kind == token.Tilde || (p.peek(2).Kind == token.Ident && p.peek(2).Text(p.file) == p.cur().Text(p.file))) {
 		p.parseOutOfLineSpecial(f)
 		return nil
 	}
 
 	if !p.startsType() {
-		p.errorf("expected declaration, found %s", p.cur())
+		p.errorf("expected declaration, found %s", p.found())
 		p.sync()
 		return nil
 	}
@@ -61,7 +62,7 @@ func (p *Parser) parseTopLevel(f *ast.File) ast.Decl {
 	name := p.expect(token.Ident)
 	if p.at(token.LParen) && p.parenStartsParams() {
 		// Free function definition or declaration.
-		fn := &ast.FuncDecl{Name: name.Text, Return: typ}
+		fn := &ast.FuncDecl{Name: name.Text(p.file), Return: typ}
 		setPos(fn, name.Pos)
 		fn.Params = p.parseParams()
 		if p.accept(token.Semicolon) {
@@ -71,7 +72,7 @@ func (p *Parser) parseTopLevel(f *ast.File) ast.Decl {
 		return fn
 	}
 	// Global variable (possibly with constructor arguments).
-	return p.finishVar(name.Text, typ)
+	return p.finishVar(name.Text(p.file), typ)
 }
 
 // parenStartsParams disambiguates `T name(...)` at the top level: a
@@ -85,7 +86,7 @@ func (p *Parser) parenStartsParams() bool {
 		token.KwDouble, token.KwConst, token.KwVolatile:
 		return true
 	case token.Ident:
-		return p.types[next.Text]
+		return p.types[next.Text(p.file)]
 	}
 	return false
 }
@@ -141,7 +142,7 @@ func (p *Parser) parseParams() []ast.Param {
 		typ := p.parseType()
 		var name string
 		if p.at(token.Ident) {
-			name = p.next().Text
+			name = p.next().Text(p.file)
 		}
 		if p.at(token.LBracket) { // array parameter decays to pointer
 			lb := p.next()
@@ -178,7 +179,7 @@ func (p *Parser) parseClass() ast.Decl {
 		kind = ast.ClassClass
 	}
 	name := p.expect(token.Ident)
-	cd := &ast.ClassDecl{Kind: kind, Name: name.Text}
+	cd := &ast.ClassDecl{Kind: kind, Name: name.Text(p.file)}
 	setPos(cd, kw.Pos)
 
 	if p.accept(token.Semicolon) {
@@ -201,7 +202,7 @@ func (p *Parser) parseClass() ast.Decl {
 				break
 			}
 			base := p.expect(token.Ident)
-			bs := ast.BaseSpec{Virtual: virt, Name: base.Text}
+			bs := ast.BaseSpec{Virtual: virt, Name: base.Text(p.file)}
 			setPos(&bs, start)
 			cd.Bases = append(cd.Bases, bs)
 			if !p.accept(token.Comma) {
@@ -242,8 +243,8 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 	if p.at(token.Tilde) {
 		tl := p.next()
 		name := p.expect(token.Ident)
-		if name.Text != cd.Name {
-			p.errorf("destructor name ~%s does not match class %s", name.Text, cd.Name)
+		if name.Text(p.file) != cd.Name {
+			p.errorf("destructor name ~%s does not match class %s", name.Text(p.file), cd.Name)
 		}
 		m := &ast.MethodDecl{Name: "~" + cd.Name, IsDtor: true}
 		setPos(m, tl.Pos)
@@ -259,7 +260,7 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 	}
 
 	// Constructor: C(...) : inits { ... }
-	if p.at(token.Ident) && p.cur().Text == cd.Name && p.peek(1).Kind == token.LParen {
+	if p.at(token.Ident) && p.cur().Text(p.file) == cd.Name && p.peek(1).Kind == token.LParen {
 		name := p.next()
 		m := &ast.MethodDecl{Name: cd.Name, IsCtor: true, Virtual: virt}
 		setPos(m, name.Pos)
@@ -276,8 +277,8 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 	if virt && p.at(token.Tilde) {
 		tl := p.next()
 		name := p.expect(token.Ident)
-		if name.Text != cd.Name {
-			p.errorf("destructor name ~%s does not match class %s", name.Text, cd.Name)
+		if name.Text(p.file) != cd.Name {
+			p.errorf("destructor name ~%s does not match class %s", name.Text(p.file), cd.Name)
 		}
 		m := &ast.MethodDecl{Name: "~" + cd.Name, IsDtor: true, Virtual: true}
 		setPos(m, tl.Pos)
@@ -291,7 +292,7 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 	isVolatileField := false
 	start := p.cur().Pos
 	if !p.startsType() {
-		p.errorf("expected member declaration, found %s", p.cur())
+		p.errorf("expected member declaration, found %s", p.found())
 		p.sync(token.RBrace)
 		return
 	}
@@ -302,11 +303,11 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 	name := p.expect(token.Ident)
 
 	if p.at(token.LParen) {
-		m := &ast.MethodDecl{Name: name.Text, Virtual: virt, Return: typ}
+		m := &ast.MethodDecl{Name: name.Text(p.file), Virtual: virt, Return: typ}
 		setPos(m, start)
 		m.Params = p.parseParams()
 		// Pure virtual: `= 0;`
-		if p.at(token.Assign) && p.peek(1).Kind == token.IntLit && p.peek(1).Text == "0" {
+		if p.at(token.Assign) && p.peek(1).Kind == token.IntLit && p.peek(1).Text(p.file) == "0" {
 			p.next()
 			p.next()
 			m.Pure = true
@@ -330,7 +331,7 @@ func (p *Parser) parseMember(cd *ast.ClassDecl) {
 			p.exprPos(at, lb.Pos)
 			fieldType = at
 		}
-		fd := &ast.FieldDecl{Name: name.Text, Type: fieldType, Volatile: isVolatileField}
+		fd := &ast.FieldDecl{Name: name.Text(p.file), Type: fieldType, Volatile: isVolatileField}
 		setPos(fd, start)
 		cd.Fields = append(cd.Fields, fd)
 		if !p.accept(token.Comma) {
@@ -358,7 +359,7 @@ func (p *Parser) parseCtorInits() []ast.CtorInit {
 	var inits []ast.CtorInit
 	for {
 		name := p.expect(token.Ident)
-		ci := ast.CtorInit{Name: name.Text}
+		ci := ast.CtorInit{Name: name.Text(p.file)}
 		setPos(&ci, name.Pos)
 		p.expect(token.LParen)
 		if !p.at(token.RParen) {
@@ -382,12 +383,12 @@ func (p *Parser) parseOutOfLineSpecial(f *ast.File) {
 	p.next()        // ::
 	isDtor := p.accept(token.Tilde)
 	name := p.expect(token.Ident)
-	if name.Text != cls.Text {
-		p.errorf("qualified special member %s::%s has mismatched name", cls.Text, name.Text)
+	if name.Text(p.file) != cls.Text(p.file) {
+		p.errorf("qualified special member %s::%s has mismatched name", cls.Text(p.file), name.Text(p.file))
 	}
-	m := &ast.MethodDecl{Name: cls.Text, IsCtor: !isDtor, IsDtor: isDtor}
+	m := &ast.MethodDecl{Name: cls.Text(p.file), IsCtor: !isDtor, IsDtor: isDtor}
 	if isDtor {
-		m.Name = "~" + cls.Text
+		m.Name = "~" + cls.Text(p.file)
 	}
 	setPos(m, cls.Pos)
 	m.Params = p.parseParams()
@@ -395,7 +396,7 @@ func (p *Parser) parseOutOfLineSpecial(f *ast.File) {
 		m.Inits = p.parseCtorInits()
 	}
 	p.finishMethodBody(m)
-	p.attachToClass(f, cls.Text, m)
+	p.attachToClass(f, cls.Text(p.file), m)
 }
 
 // parseOutOfLineMethod parses `Type C::name(...) {...}`.
@@ -403,16 +404,19 @@ func (p *Parser) parseOutOfLineMethod(f *ast.File, ret ast.TypeExpr) {
 	cls := p.next() // class name
 	p.next()        // ::
 	name := p.expect(token.Ident)
-	m := &ast.MethodDecl{Name: name.Text, Return: ret}
+	m := &ast.MethodDecl{Name: name.Text(p.file), Return: ret}
 	setPos(m, cls.Pos)
 	m.Params = p.parseParams()
 	p.finishMethodBody(m)
-	p.attachToClass(f, cls.Text, m)
+	p.attachToClass(f, cls.Text(p.file), m)
 }
 
 // attachToClass merges an out-of-line definition into its class. If the
 // class has an in-class declaration of the same member without a body, the
 // definition fills it in (preserving `virtual`); otherwise it is appended.
+// A definition whose return type differs from the declaration's is
+// reported at the definition, naming both types; the definition's type
+// wins, since its body was written against it.
 func (p *Parser) attachToClass(f *ast.File, clsName string, m *ast.MethodDecl) {
 	// Prefer the defining declaration over forward declarations.
 	var target *ast.ClassDecl
@@ -430,6 +434,11 @@ func (p *Parser) attachToClass(f *ast.File, clsName string, m *ast.MethodDecl) {
 		for _, existing := range cd.Methods {
 			if existing.Name == m.Name && existing.Body == nil && !existing.Pure &&
 				len(existing.Params) == len(m.Params) {
+				if existing.Return != nil && m.Return != nil && !sameType(existing.Return, m.Return) {
+					p.diags.Errorf(m.Pos(), "conflicting return type for %s::%s: defined as %s, declared as %s",
+						clsName, m.Name, printer.PrintType(m.Return), printer.PrintType(existing.Return))
+					existing.Return = m.Return
+				}
 				existing.Body = m.Body
 				existing.Inits = m.Inits
 				// Parameter names may differ between declaration and
@@ -442,4 +451,23 @@ func (p *Parser) attachToClass(f *ast.File, clsName string, m *ast.MethodDecl) {
 		return
 	}
 	p.diags.Errorf(m.Pos(), "out-of-line member of undeclared class %s", clsName)
+}
+
+// sameType reports whether two syntactic types are written alike.
+func sameType(a, b ast.TypeExpr) bool {
+	switch x := a.(type) {
+	case *ast.NamedType:
+		y, ok := b.(*ast.NamedType)
+		return ok && x.Name == y.Name
+	case *ast.PointerType:
+		y, ok := b.(*ast.PointerType)
+		return ok && sameType(x.Elem, y.Elem)
+	case *ast.MemberPointerType:
+		y, ok := b.(*ast.MemberPointerType)
+		return ok && x.Class == y.Class && sameType(x.Elem, y.Elem)
+	case *ast.QualType:
+		y, ok := b.(*ast.QualType)
+		return ok && x.Const == y.Const && x.Volatile == y.Volatile && sameType(x.Base, y.Base)
+	}
+	return false
 }

@@ -85,7 +85,7 @@ func (p *Parser) parseUnaryExpr() ast.Expr {
 			cls := p.next()
 			p.next()
 			name := p.next()
-			qi := &ast.QualifiedIdent{Class: cls.Text, Name: name.Text}
+			qi := &ast.QualifiedIdent{Class: cls.Text(p.file), Name: name.Text(p.file)}
 			p.exprPos(qi, cls.Pos)
 			u := &ast.Unary{Op: token.Amp, X: qi}
 			p.exprPos(u, start)
@@ -225,10 +225,10 @@ func (p *Parser) parsePostfixExpr() ast.Expr {
 			name := p.expect(token.Ident)
 			if p.at(token.Scope) {
 				p.next()
-				m.Qual = name.Text
+				m.Qual = name.Text(p.file)
 				name = p.expect(token.Ident)
 			}
-			m.Name = name.Text
+			m.Name = name.Text(p.file)
 			x = m
 		case token.DotStar, token.ArrowStar:
 			op := p.next()
@@ -273,30 +273,30 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 	switch p.kind() {
 	case token.IntLit:
 		t := p.next()
-		v, err := strconv.ParseInt(t.Text, 0, 64)
+		v, err := strconv.ParseInt(t.Text(p.file), 0, 64)
 		if err != nil {
-			p.errorf("invalid integer literal %s", t.Text)
+			p.errorf("invalid integer literal %s", t.Text(p.file))
 		}
 		e := &ast.IntLit{Value: v}
 		p.exprPos(e, start)
 		return e
 	case token.FloatLit:
 		t := p.next()
-		v, err := strconv.ParseFloat(t.Text, 64)
+		v, err := strconv.ParseFloat(t.Text(p.file), 64)
 		if err != nil {
-			p.errorf("invalid floating literal %s", t.Text)
+			p.errorf("invalid floating literal %s", t.Text(p.file))
 		}
 		e := &ast.FloatLit{Value: v}
 		p.exprPos(e, start)
 		return e
 	case token.CharLit:
 		t := p.next()
-		e := &ast.CharLit{Value: lexer.UnquoteChar(t.Text)}
+		e := &ast.CharLit{Value: lexer.UnquoteChar(t.Text(p.file))}
 		p.exprPos(e, start)
 		return e
 	case token.StringLit:
 		t := p.next()
-		e := &ast.StringLit{Value: lexer.UnquoteString(t.Text)}
+		e := &ast.StringLit{Value: lexer.UnquoteString(t.Text(p.file))}
 		p.exprPos(e, start)
 		return e
 	case token.KwTrue, token.KwFalse:
@@ -319,11 +319,11 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 		if p.at(token.Scope) && p.peek(1).Kind == token.Ident {
 			p.next()
 			name := p.next()
-			qi := &ast.QualifiedIdent{Class: t.Text, Name: name.Text}
+			qi := &ast.QualifiedIdent{Class: t.Text(p.file), Name: name.Text(p.file)}
 			p.exprPos(qi, start)
 			return qi
 		}
-		e := &ast.Ident{Name: t.Text}
+		e := &ast.Ident{Name: t.Text(p.file)}
 		p.exprPos(e, start)
 		return e
 	case token.LParen:
@@ -334,7 +334,7 @@ func (p *Parser) parsePrimaryExpr() ast.Expr {
 		p.exprPos(e, start)
 		return e
 	}
-	p.errorf("expected expression, found %s", p.cur())
+	p.errorf("expected expression, found %s", p.found())
 	e := &ast.IntLit{Value: 0}
 	p.exprPos(e, start)
 	if !p.at(token.EOF) && !p.at(token.Semicolon) && !p.at(token.RBrace) && !p.at(token.RParen) {

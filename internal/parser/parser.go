@@ -73,7 +73,7 @@ func ParseTokens(file *source.File, toks []lexer.Token, diags *source.Diagnostic
 	for name := range extraTypes {
 		p.types[name] = true
 	}
-	addTypeNames(p.types, toks)
+	addTypeNames(p.types, file, toks)
 	return p.parseFile()
 }
 
@@ -81,24 +81,25 @@ func ParseTokens(file *source.File, toks []lexer.Token, diags *source.Diagnostic
 // without parsing it. Scanning diagnostics are suppressed (the real parse
 // reports them).
 func CollectTypeNames(file *source.File) map[string]bool {
-	return TypeNames(lexer.ScanAll(file, source.NewDiagnosticList(nil)))
+	return TypeNames(file, lexer.ScanAll(file, source.NewDiagnosticList(nil)))
 }
 
-// TypeNames returns the class/struct/union names declared in toks.
-func TypeNames(toks []lexer.Token) map[string]bool {
+// TypeNames returns the class/struct/union names declared in toks, the
+// token stream of file.
+func TypeNames(file *source.File, toks []lexer.Token) map[string]bool {
 	out := map[string]bool{}
-	addTypeNames(out, toks)
+	addTypeNames(out, file, toks)
 	return out
 }
 
 // addTypeNames records every identifier following class/struct/union so
 // the parser can distinguish type names from expression identifiers.
-func addTypeNames(into map[string]bool, toks []lexer.Token) {
+func addTypeNames(into map[string]bool, file *source.File, toks []lexer.Token) {
 	for i := 0; i+1 < len(toks); i++ {
 		switch toks[i].Kind {
 		case token.KwClass, token.KwStruct, token.KwUnion:
 			if toks[i+1].Kind == token.Ident {
-				into[toks[i+1].Text] = true
+				into[toks[i+1].Text(file)] = true
 			}
 		}
 	}
@@ -138,8 +139,18 @@ func (p *Parser) expect(k token.Kind) lexer.Token {
 	if p.at(k) {
 		return p.next()
 	}
-	p.errorf("expected %s, found %s", k, p.cur())
-	return lexer.Token{Kind: k, Pos: p.cur().Pos, End: p.cur().Pos}
+	p.errorf("expected %s, found %s", k, p.found())
+	return lexer.Token{Pos: p.cur().Pos, Kind: k}
+}
+
+// found renders the current token for a "found %s" diagnostic: its kind,
+// followed by its text for an identifier or literal.
+func (p *Parser) found() string {
+	t := p.cur()
+	if t.Kind.IsLiteral() {
+		return t.Kind.String() + " " + t.Text(p.file)
+	}
+	return t.Kind.String()
 }
 
 func (p *Parser) errorf(format string, args ...interface{}) {
@@ -190,7 +201,7 @@ func (p *Parser) startsType() bool {
 		token.KwConst, token.KwVolatile:
 		return true
 	case token.Ident:
-		return p.types[p.cur().Text]
+		return p.types[p.cur().Text(p.file)]
 	}
 	return false
 }
@@ -216,16 +227,16 @@ func (p *Parser) parseType() ast.TypeExpr {
 	switch p.kind() {
 	case token.KwVoid, token.KwBool, token.KwChar, token.KwInt, token.KwDouble:
 		t := p.next()
-		nt := &ast.NamedType{Name: t.Text}
+		nt := &ast.NamedType{Name: t.Text(p.file)}
 		p.exprPos(nt, t.Pos)
 		base = nt
 	case token.Ident:
 		t := p.next()
-		nt := &ast.NamedType{Name: t.Text}
+		nt := &ast.NamedType{Name: t.Text(p.file)}
 		p.exprPos(nt, t.Pos)
 		base = nt
 	default:
-		p.errorf("expected type, found %s", p.cur())
+		p.errorf("expected type, found %s", p.found())
 		nt := &ast.NamedType{Name: "int"}
 		p.exprPos(nt, start)
 		base = nt
@@ -266,7 +277,7 @@ func (p *Parser) parseTypeSuffix(base ast.TypeExpr) ast.TypeExpr {
 			cls := p.next() // class name
 			p.next()        // ::
 			p.next()        // *
-			mp := &ast.MemberPointerType{Class: cls.Text, Elem: base}
+			mp := &ast.MemberPointerType{Class: cls.Text(p.file), Elem: base}
 			p.exprPos(mp, cls.Pos)
 			base = mp
 		default:

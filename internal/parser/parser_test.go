@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"deadmembers/internal/ast"
+	"deadmembers/internal/printer"
 	"deadmembers/internal/source"
 )
 
@@ -328,6 +329,43 @@ int C::get() { return v; }
 	// Out-of-line definitions do not produce extra top-level decls.
 	if len(file.Decls) != 1 {
 		t.Errorf("top-level decls = %d, want 1", len(file.Decls))
+	}
+}
+
+// TestOutOfLineReturnTypeConflict: a definition whose return type differs
+// from its in-class declaration is one error, at the definition, naming
+// both types; the definition's type is kept, so its body and callers
+// raise no follow-on errors.
+func TestOutOfLineReturnTypeConflict(t *testing.T) {
+	file, diags := parse(t, `class C {
+public:
+	int v;
+	void f(int a);
+	const int* g();
+	C* h();
+};
+int C::f(int a) { v = a; return v; }
+const int* C::g() { return &v; }
+int* C::h() { return &v; }
+`)
+	want := []string{
+		"t.mcc:8:5: error: conflicting return type for C::f: defined as int, declared as void",
+		"t.mcc:10:6: error: conflicting return type for C::h: defined as int*, declared as C*",
+	}
+	if got := strings.Split(strings.TrimSpace(diags.String()), "\n"); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("diagnostics:\n%v\nwant:\n%s", diags, strings.Join(want, "\n"))
+	}
+	cd := firstClass(t, file)
+	if len(cd.Methods) != 3 {
+		t.Fatalf("methods = %d, want the three declared", len(cd.Methods))
+	}
+	for _, m := range cd.Methods {
+		if m.Body == nil {
+			t.Errorf("%s has no body", m.Name)
+		}
+	}
+	if nt, ok := cd.Methods[0].Return.(*ast.NamedType); !ok || nt.Name != "int" {
+		t.Errorf("C::f returns %s, want the definition's int", printer.PrintType(cd.Methods[0].Return))
 	}
 }
 

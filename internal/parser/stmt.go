@@ -121,7 +121,7 @@ func (p *Parser) parseDeclStmt() ast.Stmt {
 	start := p.cur().Pos
 	typ := p.parseType()
 	name := p.expect(token.Ident)
-	v := p.finishVar(name.Text, typ)
+	v := p.finishVar(name.Text(p.file), typ)
 	setPos(v, start)
 	ds := &ast.DeclStmt{Var: v}
 	setPos(ds, start)
@@ -176,7 +176,7 @@ func (p *Parser) parseFor() ast.Stmt {
 			start := p.cur().Pos
 			typ := p.parseType()
 			name := p.expect(token.Ident)
-			v := p.finishVar(name.Text, typ) // consumes the ';'
+			v := p.finishVar(name.Text(p.file), typ) // consumes the ';'
 			setPos(v, start)
 			ds := &ast.DeclStmt{Var: v}
 			setPos(ds, start)
@@ -227,7 +227,7 @@ func (p *Parser) parseSwitch() ast.Stmt {
 		case p.accept(token.KwDefault):
 			p.expect(token.Colon)
 		default:
-			p.errorf("expected case or default in switch, found %s", p.cur())
+			p.errorf("expected case or default in switch, found %s", p.found())
 			p.sync(token.RBrace)
 			continue
 		}

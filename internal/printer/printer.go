@@ -29,6 +29,14 @@ func PrintExpr(e ast.Expr) string {
 	return p.b.String()
 }
 
+// PrintType renders a syntactic type as written (exported for
+// diagnostics).
+func PrintType(t ast.TypeExpr) string {
+	p := &printer{}
+	p.typeExpr(t)
+	return p.b.String()
+}
+
 type printer struct {
 	b      strings.Builder
 	indent int

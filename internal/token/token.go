@@ -5,8 +5,9 @@ package token
 
 import "fmt"
 
-// Kind identifies a lexical token class.
-type Kind int
+// Kind identifies a lexical token class. It is a byte, so a lexer token
+// (a position, a length and a kind) packs into 16 bytes.
+type Kind uint8
 
 // Token kinds. Layout mirrors go/token: literals, operators, keywords.
 const (
@@ -111,7 +112,9 @@ const (
 	keywordEnd
 )
 
-var kindNames = map[Kind]string{
+// kindNames holds each kind's printable name; the range sentinels
+// (literalBeg, …) have none.
+var kindNames = [keywordEnd]string{
 	Invalid: "INVALID",
 	EOF:     "EOF",
 
@@ -210,8 +213,8 @@ var kindNames = map[Kind]string{
 // String returns a printable name for the kind: the operator spelling,
 // keyword text, or a description for literal classes.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -225,31 +228,35 @@ func (k Kind) IsOperator() bool { return operatorBeg < k && k < operatorEnd }
 // IsKeyword reports whether the kind is a reserved word.
 func (k Kind) IsKeyword() bool { return keywordBeg < k && k < keywordEnd }
 
-// keywords maps spelling to keyword kind.
-var keywords = func() map[string]Kind {
-	m := make(map[string]Kind, keywordEnd-keywordBeg)
+// keywordsByFirst lists, for each lower-case letter, the keywords that
+// begin with it.
+var keywordsByFirst = func() (t [26][]Kind) {
 	for k := keywordBeg + 1; k < keywordEnd; k++ {
-		m[kindNames[k]] = k
+		c := kindNames[k][0] - 'a'
+		t[c] = append(t[c], k)
 	}
-	return m
+	return t
 }()
 
 // LookupKeyword returns the keyword kind for ident, or Ident if it is not a
-// reserved word.
+// reserved word. The lexer calls it on every identifier, so it hashes
+// nothing: it compares ident only with the keywords that share its first
+// byte (at most five), and a length mismatch settles most comparisons.
 func LookupKeyword(ident string) Kind {
-	if k, ok := keywords[ident]; ok {
-		return k
+	if len(ident) < 2 || ident[0] < 'a' || ident[0] > 'z' {
+		return Ident
+	}
+	for _, k := range keywordsByFirst[ident[0]-'a'] {
+		if kindNames[k] == ident {
+			return k
+		}
 	}
 	return Ident
 }
 
-// Keywords returns all keyword spellings (unordered).
+// Keywords returns all keyword spellings, in Kind order.
 func Keywords() []string {
-	out := make([]string, 0, len(keywords))
-	for s := range keywords {
-		out = append(out, s)
-	}
-	return out
+	return append([]string(nil), kindNames[keywordBeg+1:keywordEnd]...)
 }
 
 // Precedence returns the binary-operator precedence of k (higher binds

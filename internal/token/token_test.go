@@ -34,6 +34,22 @@ func TestLookupKeyword(t *testing.T) {
 	}
 }
 
+// TestLookupKeywordExact: every keyword resolves to its own kind, and
+// near misses (prefixes, extensions, other case, other first bytes) are
+// identifiers.
+func TestLookupKeywordExact(t *testing.T) {
+	for k := keywordBeg + 1; k < keywordEnd; k++ {
+		if got := LookupKeyword(k.String()); got != k {
+			t.Errorf("LookupKeyword(%q) = %s, want %s", k.String(), got, k)
+		}
+	}
+	for _, s := range []string{"", "d", "i", "dou", "doubles", "Class", "INT", "_if", "x", "whileX", "protect", "z", "ifx"} {
+		if got := LookupKeyword(s); got != Ident {
+			t.Errorf("LookupKeyword(%q) = %s, want identifier", s, got)
+		}
+	}
+}
+
 func TestPrecedenceOrdering(t *testing.T) {
 	// Multiplication binds tighter than addition, which binds tighter
 	// than comparison, etc.
@@ -86,7 +102,7 @@ func TestStringRendering(t *testing.T) {
 			t.Errorf("%d renders %q, want %q", int(k), k.String(), want)
 		}
 	}
-	if Kind(9999).String() == "" {
+	if Kind(250).String() != "Kind(250)" {
 		t.Error("unknown kind should render a placeholder")
 	}
 }
