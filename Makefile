@@ -32,10 +32,10 @@ race:
 
 # Focused race pass over the concurrency-heavy layers (the server's
 # singleflight/admission paths, the engine's session and result caches,
-# and the lint pass's lazily built write summaries, which its workers
-# share).
+# the lint pass's lazily built write summaries, which its workers
+# share, and the liveness shards, whose tests vary the worker count).
 race-server:
-	$(GO) test -race ./internal/server/... ./internal/engine/... ./internal/lint/...
+	$(GO) test -race ./internal/server/... ./internal/engine/... ./internal/lint/... ./internal/deadmember/...
 
 # Run the analysis daemon locally (see cmd/deadmemd for flags).
 ADDR ?= 127.0.0.1:8100

@@ -118,32 +118,6 @@ func BenchmarkAblationCallGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSequentialVsParallel compares one full engine pass
-// (compile + RTA analysis) over the whole corpus with a sequential
-// pipeline against the parallel parse and liveness stages.
-func BenchmarkEngineSequentialVsParallel(b *testing.B) {
-	for _, workers := range []int{1, 0} { // 1 = sequential, 0 = all cores
-		name := "sequential"
-		if workers == 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, bm := range bench.All() {
-					c := engine.Compile(engine.Config{Workers: workers}, bm.Sources...)
-					if err := c.Err(); err != nil {
-						b.Fatal(err)
-					}
-					res := c.Analyze(deadmember.Options{CallGraph: callgraph.RTA})
-					if s := res.Stats(); s.Members == 0 {
-						b.Fatal("no members")
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCompileOnceVsRecompile measures the tentpole win: the
 // six-variant ablation sweep over the corpus, either recompiling every
 // benchmark per variant (the seed's behaviour) or compiling once per

@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var (
 		format         = fs.String("format", "text", "output format: text, json, or sarif")
 		timeout        = fs.Duration("timeout", 0, "abort the run after this duration (e.g. 30s; 0 = no limit)")
-		parallel       = fs.Int("parallel", 0, "worker count for the parse, liveness, and lint stages (0 = all cores, 1 = sequential)")
 		budget         = fs.Int("budget", 0, "dataflow solver step budget per function (0 = automatic)")
 		precisionFlag  = fs.String("precision", "flow", "liveness tier: paper (flow-insensitive only), flow, or heap (access-graph chained paths)")
 		callgraphMode  = fs.String("callgraph", "rta", "call graph construction: rta, cha, or all")
@@ -114,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		defer cancel()
 	}
 
-	comp := engine.CompileContext(ctx, engine.Config{Workers: *parallel}, sources...)
+	comp := engine.CompileContext(ctx, engine.Config{}, sources...)
 	if err := comp.Err(); err != nil {
 		fmt.Fprintf(stderr, "deadlint: %v\n", err)
 		return 1

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -121,24 +122,26 @@ func TestCompileErrorExit(t *testing.T) {
 
 // TestParallelByteIdentical is the acceptance criterion: for every
 // example program and every format, stdout is byte-identical between
-// -parallel 1 and higher worker counts.
+// GOMAXPROCS 1, where the engine runs the liveness and lint passes on
+// one worker, and GOMAXPROCS 4.
 func TestParallelByteIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, file := range examples(t) {
 		for _, format := range []string{"text", "json", "sarif"} {
 			name := fmt.Sprintf("%s/%s", filepath.Base(file), format)
 			t.Run(name, func(t *testing.T) {
-				code, seq, _ := runCLI(t, "-format", format, "-parallel", "1", file)
+				runtime.GOMAXPROCS(1)
+				code, seq, _ := runCLI(t, "-format", format, file)
 				if code != 0 {
 					t.Fatalf("sequential run failed: exit %d", code)
 				}
-				for _, n := range []string{"2", "8"} {
-					codeN, par, _ := runCLI(t, "-format", format, "-parallel", n, file)
-					if codeN != 0 {
-						t.Fatalf("-parallel %s run failed: exit %d", n, codeN)
-					}
-					if par != seq {
-						t.Fatalf("-parallel %s output differs from sequential:\nseq:\n%s\npar:\n%s", n, seq, par)
-					}
+				runtime.GOMAXPROCS(4)
+				codeN, par, _ := runCLI(t, "-format", format, file)
+				if codeN != 0 {
+					t.Fatalf("GOMAXPROCS 4 run failed: exit %d", codeN)
+				}
+				if par != seq {
+					t.Fatalf("GOMAXPROCS 4 output differs from sequential:\nseq:\n%s\npar:\n%s", seq, par)
 				}
 			})
 		}
@@ -174,13 +177,15 @@ func TestBudgetDegradesExitCode(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsRejected: deadlint runs locally only, so the
-// remote-mode flags are unknown flags.
+// TestRetiredFlagsRejected: deadlint runs locally only and the engine
+// sizes its own workers, so the remote-mode flags and -parallel are
+// unknown flags.
 func TestRetiredFlagsRejected(t *testing.T) {
 	path := filepath.Join("..", "..", "examples", "mcc", "overwrite.mcc")
 	for _, args := range [][]string{
 		{"-server", "http://127.0.0.1:1"},
 		{"-retries", "2"},
+		{"-parallel", "2"},
 	} {
 		code, _, errw := runCLI(t, append(args, path)...)
 		if code != 2 {

@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		libraries      = fs.String("library", "", "comma-separated class names treated as library classes")
 		verbose        = fs.Bool("v", false, "also list live members with the reason they are live")
 		stageTimings   = fs.Bool("verbose", false, "print per-stage wall-clock timings of the engine pipeline")
-		parallel       = fs.Int("parallel", 0, "worker count for the parse and liveness stages (0 = all cores, 1 = sequential)")
 		perClass       = fs.Bool("classes", false, "print a per-class breakdown (IDE-feedback view)")
 		unreachable    = fs.Bool("unreachable", false, "also list unreachable functions")
 		showVersion    = fs.Bool("version", false, "print version and exit")
@@ -109,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		defer cancel()
 	}
 
-	comp, err := deadmembers.CompileWithContext(ctx, deadmembers.CompileConfig{Workers: *parallel}, sources...)
+	comp, err := deadmembers.CompileContext(ctx, sources...)
 	if err != nil {
 		fmt.Fprintf(stderr, "deadmem: %v\n", err)
 		return 1

@@ -57,7 +57,7 @@ func TestVerboseListsLiveMembers(t *testing.T) {
 func TestVerbosePrintsStageTimings(t *testing.T) {
 	path := writeSample(t)
 	var out, errOut strings.Builder
-	if code := run([]string{"-verbose", "-parallel", "2", path}, &out, &errOut); code != 0 {
+	if code := run([]string{"-verbose", path}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	s := out.String()
@@ -251,15 +251,16 @@ func TestTimeoutFlag(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsRejected: deadmem runs locally only, and its report is
-// tier-invariant, so the remote-mode flags and -precision are unknown
-// flags.
+// TestRetiredFlagsRejected: deadmem runs locally only, its report is
+// tier-invariant, and the engine sizes its own workers, so the
+// remote-mode flags, -precision and -parallel are unknown flags.
 func TestRetiredFlagsRejected(t *testing.T) {
 	path := writeSample(t)
 	for _, args := range [][]string{
 		{"-server", "http://127.0.0.1:1"},
 		{"-retries", "2"},
 		{"-precision", "flow"},
+		{"-parallel", "2"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(append(args, path), &out, &errOut); code != 2 {

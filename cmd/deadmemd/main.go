@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.SetOutput(stderr)
 	var (
 		addr            = fs.String("addr", "127.0.0.1:8100", "listen address")
-		parallel        = fs.Int("parallel", 0, "engine worker count per request (0 = all cores, 1 = sequential)")
 		cacheMaxBytes   = fs.Int64("cache-max-bytes", 256<<20, "session cache bound on the heap its compilations retain, as estimated at compile time (negative = unbounded)")
 		cacheMaxEntries = fs.Int("cache-max-entries", 128, "session cache bound on entry count (negative = unbounded)")
 		maxInflight     = fs.Int("max-inflight", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
@@ -78,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	srv, err := server.New(server.Config{
-		Workers:         *parallel,
 		CacheMaxBytes:   *cacheMaxBytes,
 		CacheMaxEntries: *cacheMaxEntries,
 		MaxInflight:     *maxInflight,

@@ -52,9 +52,9 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsRejected: fleet mode, the in-daemon fault injector and
-// the fixed Retry-After override are gone, so their flags are unknown
-// flags now. The unlistenable -addr after each one makes a daemon that
+// TestRetiredFlagsRejected: fleet mode, the in-daemon fault injector,
+// the fixed Retry-After override and the per-request worker count are
+// gone, so their flags are unknown flags now. The unlistenable -addr after each one makes a daemon that
 // still accepted the flag fail fast instead of serving.
 func TestRetiredFlagsRejected(t *testing.T) {
 	for _, args := range [][]string{
@@ -69,6 +69,7 @@ func TestRetiredFlagsRejected(t *testing.T) {
 		{"-chaos-seed", "7"},
 		{"-chaos-latency", "50ms"},
 		{"-retry-after", "2s"},
+		{"-parallel", "2"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(append(args, "-addr", "256.256.256.256:99999"), &out, &errOut); code != 2 {

@@ -40,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		timeout         = fs.Duration("timeout", 0, "abort the run after this duration (e.g. 30s; 0 = no limit)")
 		keepUnreachable = fs.Bool("keep-unreachable", false, "do not remove unreachable functions")
 		verify          = fs.Bool("verify", true, "run original and stripped programs and compare behaviour")
-		parallel        = fs.Int("parallel", 0, "worker count for the parse and liveness stages (0 = all cores, 1 = sequential)")
 		showVersion     = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -75,8 +74,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	// Compile once; the same compilation serves the verification run of
 	// the original program and the strip transform (which consumes it).
-	cfg := deadmembers.CompileConfig{Workers: *parallel}
-	comp, err := deadmembers.CompileWithContext(ctx, cfg, sources...)
+	comp, err := deadmembers.CompileContext(ctx, sources...)
 	if err != nil {
 		fmt.Fprintf(stderr, "deadstrip: %v\n", err)
 		return 1
@@ -122,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *verify {
-		stripped, err := deadmembers.CompileWithContext(ctx, cfg, out.Sources...)
+		stripped, err := deadmembers.CompileContext(ctx, out.Sources...)
 		if err != nil {
 			fmt.Fprintf(stderr, "deadstrip: stripped program does not compile: %v\n", err)
 			return 1

@@ -104,9 +104,9 @@ func TestUsageAndErrors(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsRejected: deadstrip runs locally only, and its output
-// is tier-invariant, so the remote-mode flags and -precision are unknown
-// flags.
+// TestRetiredFlagsRejected: deadstrip runs locally only, its output is
+// tier-invariant, and the engine sizes its own workers, so the
+// remote-mode flags, -precision and -parallel are unknown flags.
 func TestRetiredFlagsRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "e.mcc")
 	if err := os.WriteFile(path, []byte("int main() { return 0; }\n"), 0o644); err != nil {
@@ -116,6 +116,7 @@ func TestRetiredFlagsRejected(t *testing.T) {
 		{"-server", "http://127.0.0.1:1"},
 		{"-retries", "2"},
 		{"-precision", "flow"},
+		{"-parallel", "2"},
 	} {
 		var out, errOut strings.Builder
 		if code := run(append(args, path), &out, &errOut); code != 2 {

@@ -38,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		timeout     = fs.Duration("timeout", 0, "abort compilation and execution after this duration (e.g. 30s; 0 = no limit)")
 		profile     = fs.Bool("profile", false, "run the dead-member analysis and report heap statistics")
 		maxSteps    = fs.Int64("max-steps", 0, "statement execution limit (0 = default)")
-		parallel    = fs.Int("parallel", 0, "worker count for the parse and liveness stages (0 = all cores, 1 = sequential)")
 		showVersion = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		defer cancel()
 	}
 
-	comp, err := deadmembers.CompileWithContext(ctx, deadmembers.CompileConfig{Workers: *parallel}, sources...)
+	comp, err := deadmembers.CompileContext(ctx, sources...)
 	if err != nil {
 		fmt.Fprintf(stderr, "mccrun: %v\n", err)
 		return 1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -116,9 +117,9 @@ int main() { int n = 0; while (true) { n = n + 1; } return n; }`)
 }
 
 // TestExamplesMatchGoldens runs every example program plain, with
-// -profile, and with -profile -parallel 4, and compares stdout, stderr
-// and the exit code with goldens recorded from the tree-walking
-// interpreter, the VM's reference oracle.
+// -profile, and with -profile at GOMAXPROCS 4 (four liveness workers),
+// and compares stdout, stderr and the exit code with goldens recorded
+// from the tree-walking interpreter, the VM's reference oracle.
 func TestExamplesMatchGoldens(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/mcc/*.mcc")
 	if err != nil {
@@ -132,21 +133,24 @@ func TestExamplesMatchGoldens(t *testing.T) {
 		for _, tc := range []struct {
 			golden string
 			flags  []string
+			procs  int // GOMAXPROCS for the run; 0 leaves it alone
 		}{
-			{"run", nil},
-			{"profile", []string{"-profile"}},
-			{"profile", []string{"-profile", "-parallel", "4"}},
+			{"run", nil, 0},
+			{"profile", []string{"-profile"}, 0},
+			{"profile", []string{"-profile"}, 4},
 		} {
 			want, err := os.ReadFile(filepath.Join("testdata", name+"."+tc.golden+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var out, errOut strings.Builder
+			prev := runtime.GOMAXPROCS(tc.procs)
 			code := run(append(tc.flags, path), &out, &errOut)
+			runtime.GOMAXPROCS(prev)
 			got := fmt.Sprintf("exit %d\n-- stdout --\n%s\n-- stderr --\n%s", code, out.String(), errOut.String())
 			if got != string(want) {
-				t.Errorf("mccrun %s %s differs from its golden:\n--- got ---\n%s--- want ---\n%s",
-					strings.Join(tc.flags, " "), path, got, want)
+				t.Errorf("mccrun %s %s (procs %d) differs from its golden:\n--- got ---\n%s--- want ---\n%s",
+					strings.Join(tc.flags, " "), path, tc.procs, got, want)
 			}
 		}
 	}
@@ -162,6 +166,21 @@ func TestEngineFlagRejected(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "flag provided but not defined: -engine") {
 		t.Errorf("stderr missing unknown-flag diagnostic:\n%s", errOut.String())
+	}
+}
+
+// TestRetiredFlagsRejected: the engine sizes its own workers, so
+// -parallel is an unknown flag.
+func TestRetiredFlagsRejected(t *testing.T) {
+	path := write(t, "e.mcc", `int main() { return 0; }`)
+	for _, args := range [][]string{{"-parallel", "4"}} {
+		var out, errOut strings.Builder
+		if code := run(append(args, path), &out, &errOut); code != 2 {
+			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr missing unknown-flag diagnostic:\n%s", args, errOut.String())
+		}
 	}
 }
 

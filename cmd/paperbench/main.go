@@ -9,7 +9,6 @@
 //	paperbench -ablation       # the design-choice ablations
 //	paperbench -precision      # precision/cost frontier across liveness tiers
 //	paperbench -timings        # per-stage engine wall-clock timings
-//	paperbench -parallel 8     # bound the engine's worker pool
 //	paperbench -csv            # machine-readable results
 //	paperbench -dump richards  # print a corpus benchmark's MC++ source
 //
@@ -55,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		precision   = fs.Bool("precision", false, "precision/cost frontier: lint findings and wall clock per liveness tier (paper/flow/heap)")
 		timings     = fs.Bool("timings", false, "per-stage engine wall-clock timings and session cache counters")
 		csvOut      = fs.Bool("csv", false, "machine-readable measured results")
-		parallel    = fs.Int("parallel", 0, "worker count for the parse and liveness stages (0 = all cores, 1 = sequential)")
 		dump        = fs.String("dump", "", "print the MC++ source of the named corpus benchmark and exit")
 		showVersion = fs.Bool("version", false, "print version and exit")
 	)
@@ -88,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		defer cancel()
 	}
 
-	session := engine.NewSession(engine.Config{Workers: *parallel})
+	session := engine.NewSession(engine.Config{})
 
 	results, err := report.CollectAllInContext(ctx, session)
 	if err != nil {
@@ -124,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	// Like -timings, the frontier carries wall-clock columns, so it is
 	// opt-in only: the default exhibit set stays byte-identical across
-	// runs and worker counts.
+	// runs and GOMAXPROCS settings.
 	if *precision {
 		fmt.Fprintln(stdout, report.PrecisionTable(results))
 	}

@@ -48,7 +48,7 @@ func TestSingleExhibits(t *testing.T) {
 
 func TestTimingsFlag(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-timings", "-ablation", "-parallel", "2"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-timings", "-ablation"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	s := out.String()
@@ -93,6 +93,20 @@ func TestTimeoutAbortsSweep(t *testing.T) {
 // selected or compared engines are unknown flags now.
 func TestEngineFlagRejected(t *testing.T) {
 	for _, args := range [][]string{{"-engine", "vm"}, {"-engines"}, {"-large"}, {"-json"}} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr missing unknown-flag diagnostic:\n%s", args, errOut.String())
+		}
+	}
+}
+
+// TestRetiredFlagsRejected: the engine sizes its own workers, so
+// -parallel is an unknown flag.
+func TestRetiredFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-parallel", "8"}} {
 		var out, errOut strings.Builder
 		if code := run(args, &out, &errOut); code != 2 {
 			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)

@@ -28,8 +28,10 @@
 // checker, class hierarchy (member lookup + object layout), call graphs
 // (ALL/CHA/RTA), the paper's detection algorithm, the interpreter's
 // runtime core with the bytecode VM that executes every program on it,
-// and the staged engine (internal/engine) with its parallel
-// parse/liveness stages and compile-once session cache.
+// and the staged engine (internal/engine) with its compile-once session
+// cache. The liveness and lint passes spread over GOMAXPROCS workers and
+// give byte-identical results at any setting; GOMAXPROCS is the way to
+// cap the cores a run uses.
 package deadmembers
 
 import (
@@ -173,14 +175,6 @@ type ExecResult = interp.Result
 // Timings records per-stage wall-clock durations of the pipeline.
 type Timings = engine.Timings
 
-// CompileConfig controls how the engine executes — never what it
-// computes: any configuration yields byte-identical results.
-type CompileConfig struct {
-	// Workers bounds the parallelism of the parse and liveness stages.
-	// 0 means GOMAXPROCS; 1 forces sequential execution.
-	Workers int
-}
-
 // Compilation is a compiled program: the reusable artifact of the
 // frontend stages. Analyze/Profile/Strip/Run execute the later pipeline
 // stages against it; compiling once and analyzing many times is the
@@ -189,27 +183,17 @@ type Compilation struct {
 	eng *engine.Compilation
 }
 
-// Compile runs the frontend (parallel lex/parse, then semantic analysis)
-// over the sources once, returning the reusable Compilation.
+// Compile runs the frontend (lex and parse each file, then semantic
+// analysis) over the sources once, returning the reusable Compilation.
 func Compile(sources ...Source) (*Compilation, error) {
-	return CompileWith(CompileConfig{}, sources...)
-}
-
-// CompileWith is Compile under an explicit execution configuration.
-func CompileWith(cfg CompileConfig, sources ...Source) (*Compilation, error) {
-	return CompileWithContext(context.Background(), cfg, sources...)
+	return CompileContext(context.Background(), sources...)
 }
 
 // CompileContext is Compile under a context: cancellation or deadline
-// expiry aborts the frontend between work items and is reported as the
+// expiry aborts the frontend between files and is reported as the
 // returned error.
 func CompileContext(ctx context.Context, sources ...Source) (*Compilation, error) {
-	return CompileWithContext(ctx, CompileConfig{}, sources...)
-}
-
-// CompileWithContext is CompileWith under a context.
-func CompileWithContext(ctx context.Context, cfg CompileConfig, sources ...Source) (*Compilation, error) {
-	c := engine.CompileContext(ctx, engine.Config{Workers: cfg.Workers}, sources...)
+	c := engine.CompileContext(ctx, engine.Config{}, sources...)
 	if err := c.Err(); err != nil {
 		return nil, err
 	}

@@ -300,24 +300,3 @@ func TestWritesAreUsesOption(t *testing.T) {
 		t.Fatalf("WritesAreUses should leave nothing dead, got %v", res.DeadMembers())
 	}
 }
-
-// TestCompileWithWorkers pins that explicit worker counts (sequential and
-// saturated) agree through the public API.
-func TestCompileWithWorkers(t *testing.T) {
-	var lists [2]string
-	for i, workers := range []int{1, 8} {
-		comp, err := deadmembers.CompileWith(deadmembers.CompileConfig{Workers: workers},
-			deadmembers.Source{Name: "reuse.mcc", Text: reuseExample})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, f := range comp.Analyze(deadmembers.Options{}).DeadMembers() {
-			names = append(names, f.QualifiedName())
-		}
-		lists[i] = strings.Join(names, ",")
-	}
-	if lists[0] != lists[1] {
-		t.Fatalf("worker counts disagree: %q vs %q", lists[0], lists[1])
-	}
-}

@@ -53,9 +53,9 @@ func TestRandomizedSpecSweep(t *testing.T) {
 		}
 		src, ground := Generate(spec)
 
-		// Route through the engine with the default (all cores) worker
-		// pool: the sweep doubles as a differential test of the parallel
-		// parse and liveness stages against the planted ground truth.
+		// Route through the engine, whose liveness pass runs on
+		// GOMAXPROCS workers: the sweep doubles as a differential test
+		// of the sharded pass against the planted ground truth.
 		c := engine.Compile(engine.Config{}, frontend.Source{Name: "sweep.mcc", Text: src})
 		if err := c.Err(); err != nil {
 			t.Fatalf("case %d (seed %#x): generated program does not compile:\n%v", i, spec.Seed, err)

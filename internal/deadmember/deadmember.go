@@ -177,7 +177,8 @@ func (r *Result) Degraded() bool { return len(r.Failures) > 0 }
 // tests respectively.
 type Exec struct {
 	// Workers bounds the number of goroutines marking reachable functions
-	// concurrently. Values ≤ 1 run the paper's sequential loop.
+	// concurrently. Values ≤ 1 run one shard: the paper's sequential
+	// loop.
 	Workers int
 
 	// Graph is an optional prebuilt call graph for the same program and
@@ -192,7 +193,7 @@ type Exec struct {
 
 	// FuncFault, when non-nil, runs inside each function's containment
 	// boundary just before the function is processed. Tests use it to
-	// inject a panic into a chosen function or shard.
+	// inject a panic into a chosen function.
 	FuncFault func(*types.Func)
 }
 
@@ -243,21 +244,8 @@ func AnalyzeWith(prog *types.Program, h *hierarchy.Graph, opts Options, exec Exe
 
 	// Lines 6-8: process every statement of every reachable function.
 	// Each function runs inside a recover boundary so a fault in one
-	// cannot take down the pass; see processFuncGuarded.
-	funcs := a.res.CallGraph.ReachableFuncs()
-	if exec.Workers > 1 && len(funcs) > 1 {
-		a.processFuncsParallel(funcs, exec)
-	} else {
-		for _, f := range funcs {
-			if exec.Ctx != nil && exec.Ctx.Err() != nil {
-				a.res.Interrupted = true
-				break
-			}
-			if pf := a.processFuncGuarded(f, exec.FuncFault); pf != nil {
-				a.res.Failures = append(a.res.Failures, pf)
-			}
-		}
-	}
+	// cannot take down the pass; see parallel.go.
+	a.processFuncs(a.res.CallGraph.ReachableFuncs(), exec)
 
 	// Lines 9-11: union closure, iterated to a fixpoint because marking a
 	// union's contained class members can make another union live.
@@ -298,16 +286,17 @@ func libraryClasses(prog *types.Program, names []string) map[*types.Class]bool {
 	return library
 }
 
-// analysis carries the mutable state of one run. In the parallel liveness
-// pass each worker gets its own analysis value whose marks slice is a
-// private sink; prog, h, info, opts, and res are shared read-only.
+// analysis carries the mutable state of one run. In the liveness pass
+// each shard after the first gets its own analysis value whose marks
+// slice is a private sink; prog, h, info, opts, and res are shared
+// read-only.
 type analysis struct {
 	prog    *types.Program
 	h       *hierarchy.Graph
 	info    *types.Info
 	opts    Options
 	res     *Result
-	marks   []Mark                // mark sink by field ID (res.marks, or worker-local)
+	marks   []Mark                // mark sink by field ID (res.marks, or shard-local)
 	visited map[*types.Class]bool // MarkAllContainedMembers visited set
 }
 

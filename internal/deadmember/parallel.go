@@ -2,99 +2,74 @@ package deadmember
 
 import (
 	"context"
-	"fmt"
 
 	"deadmembers/internal/failure"
 	"deadmembers/internal/parallel"
 	"deadmembers/internal/types"
 )
 
-// This file implements the parallel liveness pass: lines 6-8 of the
-// paper's Figure 2 sharded across worker goroutines.
+// This file implements lines 6-8 of the paper's Figure 2, the pass over
+// every reachable function, split into shards that run on worker
+// goroutines.
 //
-// The sequential loop's only order-sensitive output is the Reason/Witness
-// pair recorded for each member — markLive keeps the *first* access that
+// The pass's only order-sensitive output is the Reason/Witness pair
+// recorded for each member — markLive keeps the *first* access that
 // made a member live, in the deterministic ReachableFuncs order
 // (qualified name, then declaration position, then parameter count, so
 // overloads that share a name, such as a class's constructors, keep a
-// fixed order too). To keep that exact semantics under parallelism:
+// fixed order too). To keep that exact semantics at any worker count:
 //
 //   - the sorted function list is split into CONTIGUOUS shards, one per
-//     worker, each processed in order into a worker-private mark slice
-//     indexed by field ID (first-win within the shard);
-//   - the shard slices are merged back in shard order, adopting a mark
+//     worker, each processed in order. Shard 0 marks straight into the
+//     result; every later shard marks into a private slice indexed by
+//     field ID (first-win within the shard);
+//   - the private slices are merged in shard order, adopting a mark
 //     only if the member is not yet live.
 //
 // Because shards are contiguous blocks of the sequential order, the
 // earliest shard containing a mark for a member holds exactly the mark
-// the sequential loop would have recorded, so the merged Result is
-// byte-identical regardless of the worker count or GOMAXPROCS.
+// the sequential loop would have recorded, so the Result is
+// byte-identical at any worker count. One worker is one shard: the
+// paper's sequential loop.
 //
-// Workers share prog/h/info/res strictly read-only: processFunc touches
-// only the side tables of types.Info (plain map reads) and its private
-// marks slice and visited map, so the pass is race-free by construction
-// (guarded by the engine's -race test).
+// Shards share prog/h/info/res strictly read-only: processFunc touches
+// only the side tables of types.Info (plain reads) and its shard's marks
+// slice and visited map, so the pass is race-free by construction.
 //
-// Failure containment: each shard runs inside one recover boundary (cheap:
-// a single defer on the hot path). If the shard faults, its partial sink
-// is discarded and the shard's functions are reprocessed in order, each
-// inside its own boundary, into a fresh sink. The faulting function panics
-// at the same point on retry (processFunc is deterministic), so the retry
-// sink holds exactly what a sequential guarded run would have recorded:
-// every other function's marks, plus the faulting function's pre-fault
-// marks. Salvaged results therefore stay deterministic. Per-shard failure
-// lists are merged in shard order for the same reason.
+// Failure containment: every function runs inside its own recover
+// boundary (processFuncGuarded). A faulting function keeps the marks it
+// recorded before the fault, and every other function's marks are kept.
+// Each shard lists its failures in function order and the lists are
+// merged in shard order, so a salvaged Result is byte-identical at any
+// worker count too.
 
-// processFuncsParallel shards funcs (already in deterministic order)
-// across workers and merges the per-worker mark sets into a.marks.
-func (a *analysis) processFuncsParallel(funcs []*types.Func, exec Exec) {
+// processFuncs runs the pass over funcs, in ReachableFuncs order, in up
+// to exec.Workers contiguous shards.
+func (a *analysis) processFuncs(funcs []*types.Func, exec Exec) {
 	ctx := exec.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers := exec.Workers
-	if workers > len(funcs) {
-		workers = len(funcs)
-	}
-	shards := make([][]Mark, workers)
-	shardFails := make([][]*failure.Failure, workers)
-	chunk := (len(funcs) + workers - 1) / workers
-	complete := parallel.For(ctx, workers, workers, func(w int) {
-		lo := w * chunk
-		hi := min(lo+chunk, len(funcs))
+	shards := max(min(exec.Workers, len(funcs)), 1)
+	size := (len(funcs) + shards - 1) / shards
+	sinks := make([][]Mark, shards) // sinks[0] stays nil: shard 0 marks a.marks
+	fails := make([][]*failure.Failure, shards)
+	complete := parallel.For(ctx, shards, shards, func(w int) {
+		lo, hi := w*size, min((w+1)*size, len(funcs))
 		if lo >= hi {
 			return
 		}
-		fns := funcs[lo:hi]
-		sink := make([]Mark, len(a.marks))
-		shards[w] = sink
-		worker := a.forkWorker(sink)
-		crashed := failure.Catch("liveness", fmt.Sprintf("shard %d", w), func() {
-			for _, fn := range fns {
-				if ctx.Err() != nil {
-					return
-				}
-				if exec.FuncFault != nil {
-					exec.FuncFault(fn)
-				}
-				worker.processFunc(fn)
-			}
-		})
-		if crashed == nil {
-			return
+		shard := a
+		if w > 0 {
+			sinks[w] = make([]Mark, len(a.marks))
+			shard = a.forkWorker(sinks[w])
 		}
-		// The shard died mid-function: discard its sink and reprocess
-		// the shard sequentially with per-function boundaries, which
-		// isolates the faulting function(s) and salvages the rest.
-		retrySink := make([]Mark, len(a.marks))
-		shards[w] = retrySink
-		retry := a.forkWorker(retrySink)
-		for _, fn := range fns {
+		for _, fn := range funcs[lo:hi] {
 			if ctx.Err() != nil {
 				return
 			}
-			if pf := retry.processFuncGuarded(fn, exec.FuncFault); pf != nil {
-				shardFails[w] = append(shardFails[w], pf)
+			if pf := shard.processFuncGuarded(fn, exec.FuncFault); pf != nil {
+				fails[w] = append(fails[w], pf)
 			}
 		}
 	})
@@ -105,14 +80,14 @@ func (a *analysis) processFuncsParallel(funcs []*types.Func, exec Exec) {
 
 	// Deterministic merge: shard order is sequential order, so the first
 	// live mark seen here is the one the sequential loop would keep.
-	for _, shard := range shards {
-		for id, m := range shard {
+	for _, sink := range sinks {
+		for id, m := range sink {
 			if m.Live && !a.marks[id].Live {
 				a.marks[id] = m
 			}
 		}
 	}
-	for _, fs := range shardFails {
+	for _, fs := range fails {
 		a.res.Failures = append(a.res.Failures, fs...)
 	}
 }

@@ -143,7 +143,7 @@ func TestAnalysisCacheSkipsFailures(t *testing.T) {
 	// Interrupted: cancel from inside the pass.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	comp = engine.Compile(engine.Config{Workers: 1, FuncFault: func(*types.Func) { cancel() }},
+	comp = engine.Compile(engine.Config{FuncFault: func(*types.Func) { cancel() }},
 		engine.Source{Name: "cache.mcc", Text: cacheSrc})
 	if _, err := comp.AnalyzeContext(ctx, opts); err == nil {
 		t.Fatal("a pass cancelled midway returned no error")
@@ -156,7 +156,7 @@ func TestAnalysisCacheSkipsFailures(t *testing.T) {
 // TestAnalysisCacheConcurrent races Analyze and Lint on one compilation:
 // every caller gets the one cached *Result, and the tier results agree.
 func TestAnalysisCacheConcurrent(t *testing.T) {
-	comp := engine.Compile(engine.Config{Workers: 2}, engine.Source{Name: "chain.mcc", Text: lintChainSrc})
+	comp := engine.Compile(engine.Config{}, engine.Source{Name: "chain.mcc", Text: lintChainSrc})
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)
 	}

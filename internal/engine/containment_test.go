@@ -39,12 +39,12 @@ func srcABC() []engine.Source {
 
 var rta = deadmember.Options{CallGraph: callgraph.RTA}
 
-// TestParseWorkerPanicSalvage injects a panic into the parse worker for
-// b.mcc and asserts: the run completes, the panicking file is reported as
-// a structured diagnostic, and the analysis of every other file is
+// TestParseWorkerPanicSalvage injects a panic into the parse of b.mcc
+// and asserts: the run completes, the panicking file is reported as a
+// structured diagnostic, and the analysis of every other file is
 // byte-identical to a clean compile that never saw b.mcc.
 func TestParseWorkerPanicSalvage(t *testing.T) {
-	cfg := engine.Config{Workers: 4, ParseFault: func(name string) {
+	cfg := engine.Config{ParseFault: func(name string) {
 		if name == "b.mcc" {
 			panic("injected parse fault")
 		}
@@ -67,7 +67,7 @@ func TestParseWorkerPanicSalvage(t *testing.T) {
 		t.Fatalf("Error() must be a one-line diagnostic naming the file, got %q", f.Error())
 	}
 
-	clean := engine.Compile(engine.Config{Workers: 4},
+	clean := engine.Compile(engine.Config{},
 		engine.Source{Name: "a.mcc", Text: fileA},
 		engine.Source{Name: "c.mcc", Text: fileC})
 	if err := clean.Err(); err != nil {
@@ -86,9 +86,9 @@ func TestParseWorkerPanicSalvage(t *testing.T) {
 // classification matches a clean run.
 func TestLivenessShardPanicSalvage(t *testing.T) {
 	srcs := srcABC()
-	clean := engine.Compile(engine.Config{Workers: 4}, srcs...).Analyze(rta)
+	clean := engine.Compile(engine.Config{}, srcs...).Analyze(rta)
 
-	cfg := engine.Config{Workers: 4, FuncFault: func(f *types.Func) {
+	cfg := engine.Config{FuncFault: func(f *types.Func) {
 		if f.QualifiedName() == "Alpha::getA" {
 			panic("injected liveness fault")
 		}
@@ -146,7 +146,7 @@ int main() { int n = 0; while (true) { n = n + 1; } return n; }
 func TestCompileContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := engine.CompileContext(ctx, engine.Config{Workers: 4}, srcABC()...)
+	c := engine.CompileContext(ctx, engine.Config{}, srcABC()...)
 	if c.CancelErr() == nil || !errors.Is(c.Err(), context.Canceled) {
 		t.Fatalf("CancelErr = %v, Err = %v, want context.Canceled", c.CancelErr(), c.Err())
 	}
@@ -160,7 +160,7 @@ func TestCompileContextCancelled(t *testing.T) {
 // same content gets a fresh attempt.
 func TestSessionDoesNotCachePoisonedCompiles(t *testing.T) {
 	// Cancelled compiles are not cached.
-	s := engine.NewSession(engine.Config{Workers: 4})
+	s := engine.NewSession(engine.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if c := s.CompileContext(ctx, srcABC()...); c.CancelErr() == nil {
@@ -175,7 +175,7 @@ func TestSessionDoesNotCachePoisonedCompiles(t *testing.T) {
 	}
 
 	// Degraded compiles are not cached either.
-	s2 := engine.NewSession(engine.Config{Workers: 4, ParseFault: func(name string) {
+	s2 := engine.NewSession(engine.Config{ParseFault: func(name string) {
 		if name == "b.mcc" {
 			panic("injected parse fault")
 		}

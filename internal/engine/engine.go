@@ -3,13 +3,14 @@
 //	Lex/Parse → Sema → CallGraph → Liveness → Profile/Strip
 //
 // It exists so callers compile once and analyze many times. The frontend
-// stages produce an explicit Compilation artifact; the analysis stages run
-// against it under any number of deadmember.Options without re-lexing,
-// re-parsing, or re-typechecking. On top of that the engine provides:
+// stages (internal/frontend's Parse, then sema) produce an explicit
+// Compilation artifact; the analysis stages run against it under any
+// number of deadmember.Options without re-lexing, re-parsing, or
+// re-typechecking. On top of that the engine provides:
 //
-//   - parallel per-file parsing through a bounded worker pool;
-//   - a parallel liveness pass (see internal/deadmember/parallel.go) whose
-//     Result is byte-identical regardless of worker count;
+//   - liveness and lint passes spread over GOMAXPROCS workers, whose
+//     results are byte-identical at any worker count (see
+//     internal/deadmember/parallel.go);
 //   - a per-Compilation call-graph cache keyed by the options that affect
 //     graph construction (mode + library classes), so ablation sweeps that
 //     vary only marking rules share one graph;
@@ -43,10 +44,7 @@ import (
 	"deadmembers/internal/heaplive"
 	"deadmembers/internal/hierarchy"
 	"deadmembers/internal/interp"
-	"deadmembers/internal/lexer"
 	"deadmembers/internal/lint"
-	"deadmembers/internal/parallel"
-	"deadmembers/internal/parser"
 	"deadmembers/internal/sema"
 	"deadmembers/internal/source"
 	"deadmembers/internal/strip"
@@ -58,19 +56,17 @@ import (
 // engine callers need only this package).
 type Source = frontend.Source
 
-// Config controls pipeline execution, never results.
+// Config holds the pipeline's fault hooks: tests use them to inject a
+// panic into one unit of a stage. The zero Config injects nothing.
 type Config struct {
-	// Workers bounds the parallelism of the parse and liveness stages.
-	// 0 means GOMAXPROCS; 1 forces sequential execution.
-	Workers int
-
-	// ParseFault, when non-nil, runs inside each parse worker's
-	// containment boundary just before the named file is parsed. Tests
-	// use it to inject a panic into a chosen parse worker.
+	// ParseFault, when non-nil, runs inside each file's parse
+	// containment boundary just before the named file is parsed (see
+	// frontend.Parse).
 	ParseFault func(fileName string)
 
 	// FuncFault, when non-nil, is passed to the liveness pass as
-	// deadmember.Exec.FuncFault (fault injection into a liveness shard).
+	// deadmember.Exec.FuncFault (fault injection into one function's
+	// liveness processing).
 	FuncFault func(*types.Func)
 
 	// LintFault, when non-nil, is passed to the lint pass as
@@ -78,19 +74,12 @@ type Config struct {
 	LintFault func(*types.Func)
 }
 
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
-}
-
 // Timings records per-stage wall-clock durations. Parse and Sema are
 // properties of the Compilation; CallGraph and Liveness of one Analyze
 // call (each is zero when its result came from the per-compilation
 // cache, flagged by CallGraphCached and LivenessCached).
 type Timings struct {
-	Parse     time.Duration // lexing + type prescan + parsing (parallel wall clock)
+	Parse     time.Duration // lexing + type prescan + parsing
 	Sema      time.Duration
 	CallGraph time.Duration
 	Liveness  time.Duration
@@ -136,7 +125,7 @@ type Compilation struct {
 	Fingerprint string
 
 	// Failures records panics contained during the frontend stages (one
-	// per faulted parse worker, or one for a faulted sema pass). The
+	// per faulted file parse, or one for a faulted sema pass). The
 	// faulted unit's results are replaced by an empty salvage value and
 	// every other unit's results are kept, so the artifact is usable but
 	// Degraded: treat its analysis output as incomplete.
@@ -206,22 +195,21 @@ func retainedEstimate(sources []Source, files []*ast.File) int64 {
 	return n
 }
 
-// Compile runs the frontend stages over sources: a parallel type-name
-// prescan, parallel per-file parsing (per-file diagnostic lists merged in
-// file order, so diagnostics are deterministic), then semantic analysis.
-// The result always carries a (possibly partial) program; check Err
-// before trusting it.
+// Compile runs the frontend stages over sources: frontend.Parse (every
+// file lexed, then every file parsed, with diagnostics in file order),
+// then semantic analysis. The result always carries a (possibly partial)
+// program; check Err before trusting it.
 func Compile(cfg Config, sources ...Source) *Compilation {
 	return CompileContext(context.Background(), cfg, sources...)
 }
 
 // CompileContext is Compile under a context. Cancellation is checked
-// cooperatively between work items in the parse worker pool and between
-// stages; a cancelled compile returns early with CancelErr set (and Err
-// returning it). Each parse worker and the sema stage run inside a
-// recover boundary: a panic is converted into a structured Failure, the
-// faulted file salvaged as an empty AST (or the program as an empty
-// program for sema), and every other file's results kept.
+// between files and before sema; a cancelled compile returns early with
+// CancelErr set (and Err returning it). Each file's parse and the sema
+// stage run inside a recover boundary: a panic is converted into a
+// structured Failure, the faulted file salvaged as an empty AST (or the
+// program as an empty program for sema), and every other file's results
+// kept.
 func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compilation {
 	c := &Compilation{
 		Sources:     sources,
@@ -231,92 +219,21 @@ func CompileContext(ctx context.Context, cfg Config, sources ...Source) *Compila
 		analyses:    map[string]*deadmember.Result{},
 		lints:       map[string]*lint.Result{},
 	}
-	workers := cfg.workers()
-
 	parseStart := time.Now()
 	fset := source.NewFileSet()
 	diags := source.NewDiagnosticList(fset)
 	c.FileSet = fset
 	c.Diags = diags
-	srcFiles := make([]*source.File, len(sources))
-	oversized := make([]bool, len(sources))
-	for i, s := range sources {
-		srcFiles[i] = fset.AddFile(s.Name, s.Text)
-		if err := srcFiles[i].CheckSize(); err != nil {
-			oversized[i] = true
-			diags.Errorf(srcFiles[i].Pos(0), "%v", err)
-		}
-	}
-
-	// Stage 1a: lex every file and collect its declared type names, so
-	// class names declared in one file are known while parsing the
-	// others. Each file is lexed once: stage 1b parses these tokens and
-	// reports these lex diagnostics.
-	toks := make([][]lexer.Token, len(srcFiles))
-	lexDiags := make([]*source.DiagnosticList, len(srcFiles))
-	typeSets := make([]map[string]bool, len(srcFiles))
-	ok := parallel.For(ctx, workers, len(srcFiles), func(i int) {
-		if oversized[i] {
-			return
-		}
-		lexDiags[i] = source.NewDiagnosticList(fset)
-		toks[i] = lexer.ScanAll(srcFiles[i], lexDiags[i])
-		typeSets[i] = parser.TypeNames(srcFiles[i], toks[i])
-	})
-	if !ok {
-		return c.cancelled(ctx)
-	}
-	allTypes := map[string]bool{}
-	for _, set := range typeSets {
-		for name := range set {
-			allTypes[name] = true
-		}
-	}
-
-	// Stage 1b: parse each file independently into its own diagnostic
-	// list, lex diagnostics first; merge in file order afterwards. A
-	// panicking worker is contained: its file degrades to an empty AST
-	// (plus the diagnostics it reported before faulting, which are
-	// deterministic), and a structured Failure records the fault.
-	files := make([]*ast.File, len(srcFiles))
-	fileDiags := make([]*source.DiagnosticList, len(srcFiles))
-	fileFails := make([]*failure.Failure, len(srcFiles))
-	ok = parallel.For(ctx, workers, len(srcFiles), func(i int) {
-		fileDiags[i] = source.NewDiagnosticList(fset)
-		name := srcFiles[i].Name()
-		if oversized[i] {
-			files[i] = &ast.File{Name: name}
-			return
-		}
-		fileFails[i] = failure.Catch("parse", name, func() {
-			if cfg.ParseFault != nil {
-				cfg.ParseFault(name)
-			}
-			fileDiags[i].Extend(lexDiags[i])
-			files[i] = parser.ParseTokens(srcFiles[i], toks[i], fileDiags[i], allTypes)
-		})
-		toks[i] = nil // the AST keeps what it needs; free the stream before sema
-		if files[i] == nil {
-			files[i] = &ast.File{Name: name}
-		}
-	})
-	for i, dl := range fileDiags {
-		if dl != nil {
-			diags.Extend(dl)
-		}
-		if fileFails[i] != nil {
-			c.Failures = append(c.Failures, fileFails[i])
-		}
-	}
+	files, fails, err := frontend.Parse(ctx, fset, diags, sources, cfg.ParseFault)
+	c.Failures = fails
 	c.timings.Parse = time.Since(parseStart)
-	if !ok {
+	if err != nil {
 		return c.cancelled(ctx)
 	}
 	c.retained = retainedEstimate(sources, files)
 
-	// Stage 2: semantic analysis (whole-program, sequential). A panic
-	// degrades the compilation to an empty program; the parse diagnostics
-	// are kept.
+	// Semantic analysis (whole-program, sequential). A panic degrades
+	// the compilation to an empty program; the parse diagnostics are kept.
 	semaStart := time.Now()
 	var prog *types.Program
 	var graph *hierarchy.Graph
@@ -425,7 +342,7 @@ func (c *Compilation) analyzeCtx(ctx context.Context, opts deadmember.Options) (
 
 	liveStart := time.Now()
 	res = deadmember.AnalyzeWith(c.Program, c.Hierarchy, opts, deadmember.Exec{
-		Workers:   c.cfg.workers(),
+		Workers:   runtime.GOMAXPROCS(0),
 		Graph:     g,
 		Ctx:       ctx,
 		FuncFault: c.cfg.FuncFault,
@@ -502,7 +419,7 @@ func (c *Compilation) lintAnalyzed(ctx context.Context, ar *deadmember.Result, l
 
 	// The flow and heap tiers come from one pass; both results are
 	// cached, whichever was asked for. The paper tier runs alone.
-	exec := lint.Exec{Workers: c.cfg.workers(), Ctx: ctx, FuncFault: c.cfg.LintFault}
+	exec := lint.Exec{Workers: runtime.GOMAXPROCS(0), Ctx: ctx, FuncFault: c.cfg.LintFault}
 	var tiers [3]*lint.Result // indexed by heaplive.Precision
 	start := time.Now()
 	if lopts.Precision == heaplive.PrecisionPaper {

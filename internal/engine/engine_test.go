@@ -2,13 +2,10 @@ package engine_test
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
 	"deadmembers/internal/ast"
-	"deadmembers/internal/bench"
-	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/frontend"
@@ -36,86 +33,6 @@ func renderResult(res *deadmember.Result) string {
 	}
 	b.WriteString("\n")
 	return b.String()
-}
-
-// TestParallelDeterminism is the engine's core guarantee: analysis of the
-// full corpus yields byte-identical dead-member lists, reasons, and
-// witnesses at GOMAXPROCS (and worker counts) 1, 4, and N — and a cached
-// re-analysis equals a fresh one.
-func TestParallelDeterminism(t *testing.T) {
-	n := runtime.GOMAXPROCS(0)
-	configs := []int{1, 4, n}
-
-	for _, bm := range bench.All() {
-		var want string
-		for _, procs := range configs {
-			prev := runtime.GOMAXPROCS(procs)
-			c := engine.Compile(engine.Config{Workers: procs}, bm.Sources...)
-			if err := c.Err(); err != nil {
-				runtime.GOMAXPROCS(prev)
-				t.Fatalf("%s: %v", bm.Name, err)
-			}
-			got := renderResult(c.Analyze(deadmember.Options{CallGraph: callgraph.RTA}))
-
-			// A second analysis of the same compilation hits the cached
-			// call graph; it must equal the fresh one exactly.
-			again := renderResult(c.Analyze(deadmember.Options{CallGraph: callgraph.RTA}))
-			runtime.GOMAXPROCS(prev)
-			if got != again {
-				t.Fatalf("%s: cached re-analysis differs from fresh at %d workers", bm.Name, procs)
-			}
-
-			if want == "" {
-				want = got
-			} else if got != want {
-				t.Fatalf("%s: result at %d workers differs from sequential:\n--- want ---\n%s--- got ---\n%s",
-					bm.Name, procs, want, got)
-			}
-		}
-
-		// The engine must also agree byte-for-byte with the original
-		// sequential frontend + analysis path.
-		fr := frontend.Compile(bm.Sources...)
-		if err := fr.Err(); err != nil {
-			t.Fatalf("%s: %v", bm.Name, err)
-		}
-		seed := renderResult(deadmember.Analyze(fr.Program, fr.Graph, deadmember.Options{CallGraph: callgraph.RTA}))
-		if seed != want {
-			t.Fatalf("%s: engine result differs from the sequential frontend path", bm.Name)
-		}
-	}
-}
-
-// TestParallelDeterminismAcrossOptions repeats the check for the ablation
-// variants whose reasons are the most order-sensitive (writes-are-uses
-// marks on every write; conservative sizeof fans out MarkAllContained).
-func TestParallelDeterminismAcrossOptions(t *testing.T) {
-	bm, err := bench.ByName("jikes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	variants := []deadmember.Options{
-		{CallGraph: callgraph.ALL},
-		{CallGraph: callgraph.CHA},
-		{CallGraph: callgraph.RTA, WritesAreUses: true},
-		{CallGraph: callgraph.RTA, Sizeof: deadmember.SizeofConservative},
-		{CallGraph: callgraph.RTA, NoDeleteSpecialCase: true},
-	}
-	for vi, opts := range variants {
-		var want string
-		for _, workers := range []int{1, 3, 8} {
-			c := engine.Compile(engine.Config{Workers: workers}, bm.Sources...)
-			if err := c.Err(); err != nil {
-				t.Fatal(err)
-			}
-			got := renderResult(c.Analyze(opts))
-			if want == "" {
-				want = got
-			} else if got != want {
-				t.Fatalf("variant %d: result at %d workers diverges", vi, workers)
-			}
-		}
-	}
 }
 
 // TestSessionCompileOnce checks the content-hash cache: identical sources
@@ -182,27 +99,26 @@ int main() { Box b; return b.used; }
 	}
 }
 
-// TestParallelParseDiagnosticsDeterministic: per-file diagnostic lists
-// are merged in file order, so error reports are identical at any worker
-// count — including which file's error comes first.
+// TestParallelParseDiagnosticsDeterministic: diagnostics come in file
+// order, so which file's error comes first is fixed, and the engine
+// reports exactly what the frontend does.
 func TestParallelParseDiagnosticsDeterministic(t *testing.T) {
 	sources := []frontend.Source{
 		{Name: "one.mcc", Text: "class A { public: int x; };\nint broken1() { return $; }\n"},
 		{Name: "two.mcc", Text: "int broken2() { return @; }\n"},
 		{Name: "three.mcc", Text: "class B : public A { public: int y; };\nint broken3() { return #; }\nint main() { return 0; }\n"},
 	}
-	var want string
-	for _, workers := range []int{1, 2, 8} {
-		c := engine.Compile(engine.Config{Workers: workers}, sources...)
-		err := c.Err()
-		if err == nil {
-			t.Fatal("expected parse errors")
-		}
-		if want == "" {
-			want = err.Error()
-		} else if err.Error() != want {
-			t.Fatalf("diagnostics at %d workers differ:\n--- want ---\n%s\n--- got ---\n%s", workers, want, err.Error())
-		}
+	err := engine.Compile(engine.Config{}, sources...).Err()
+	if err == nil {
+		t.Fatal("expected parse errors")
+	}
+	got := err.Error()
+	one, two, three := strings.Index(got, "one.mcc:"), strings.Index(got, "two.mcc:"), strings.Index(got, "three.mcc:")
+	if one < 0 || one > two || two > three {
+		t.Fatalf("diagnostics are not in file order:\n%s", got)
+	}
+	if want := frontend.Compile(sources...).Err(); want == nil || want.Error() != got {
+		t.Fatalf("engine and frontend diagnostics differ:\n--- engine ---\n%s\n--- frontend ---\n%v", got, want)
 	}
 }
 
@@ -218,7 +134,7 @@ var lexParseSources = []frontend.Source{
 // referenceDiags compiles sources the way the frontend did when every
 // file was lexed twice (once for its type names, once by
 // parser.ParseFileWithTypes), leaving out the files named in skip as a
-// faulted parse worker does, and renders every diagnostic.
+// faulted parse does, and renders every diagnostic.
 func referenceDiags(sources []frontend.Source, skip string) string {
 	fset := source.NewFileSet()
 	diags := source.NewDiagnosticList(fset)
@@ -246,8 +162,8 @@ func referenceDiags(sources []frontend.Source, skip string) string {
 // TestLexDiagnosticsOncePerFile: lexing each file once, in the type-name
 // prescan, reports every lex diagnostic once, in the same place as the
 // lex-twice pipeline did (each file's lex diagnostics just before its
-// parse diagnostics), at any worker count and in both frontends; a
-// faulted parse worker reports none of its file's.
+// parse diagnostics), through the frontend and the engine; a faulted
+// parse reports none of its file's.
 func TestLexDiagnosticsOncePerFile(t *testing.T) {
 	want := referenceDiags(lexParseSources, "")
 	if !strings.Contains(want, "unexpected character") || !strings.Contains(want, "unterminated string") {
@@ -256,14 +172,12 @@ func TestLexDiagnosticsOncePerFile(t *testing.T) {
 	if got := frontend.Compile(lexParseSources...).Diags.String(); got != want {
 		t.Errorf("frontend diagnostics differ:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		if got := engine.Compile(engine.Config{Workers: workers}, lexParseSources...).Diags.String(); got != want {
-			t.Errorf("%d workers: diagnostics differ:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
-		}
+	if got := engine.Compile(engine.Config{}, lexParseSources...).Diags.String(); got != want {
+		t.Errorf("engine diagnostics differ:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 
 	want = referenceDiags(lexParseSources, "two.mcc")
-	c := engine.Compile(engine.Config{Workers: 2, ParseFault: func(name string) {
+	c := engine.Compile(engine.Config{ParseFault: func(name string) {
 		if name == "two.mcc" {
 			panic("injected parse fault")
 		}
@@ -272,18 +186,18 @@ func TestLexDiagnosticsOncePerFile(t *testing.T) {
 		t.Fatalf("failures = %v, want one", c.Failures)
 	}
 	if got := c.Diags.String(); got != want {
-		t.Errorf("faulted worker: diagnostics differ:\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Errorf("faulted parse: diagnostics differ:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
 // TestMultiFileEngineCompile: cross-file type references survive the
-// parallel prescan/parse split.
+// split between the type-name prescan and the parse.
 func TestMultiFileEngineCompile(t *testing.T) {
 	sources := []frontend.Source{
 		{Name: "lib.mcc", Text: "class Vec { public: int x; int pad; Vec() : x(3), pad(0) {} };"},
 		{Name: "app.mcc", Text: "int main() { Vec v; return v.x - 3; }"},
 	}
-	c := engine.Compile(engine.Config{Workers: 4}, sources...)
+	c := engine.Compile(engine.Config{}, sources...)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}

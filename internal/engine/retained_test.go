@@ -49,7 +49,7 @@ func TestRetainedEstimate(t *testing.T) {
 		before := heapAfterGC()
 		for i := range keep {
 			own := engine.Source{Name: src.Name, Text: strings.Clone(src.Text)}
-			keep[i] = engine.Compile(engine.Config{Workers: 1}, own)
+			keep[i] = engine.Compile(engine.Config{}, own)
 			if err := keep[i].Err(); err != nil {
 				t.Fatal(err)
 			}

@@ -30,7 +30,6 @@ func TestFollowersSurviveCancelledLeader(t *testing.T) {
 	block := make(chan struct{})
 	var parses atomic.Int32
 	sess := engine.NewBoundedSession(engine.Config{
-		Workers: 1,
 		// The first compile (the doomed leader) parks here until its
 		// context is cancelled; retries sail through.
 		ParseFault: func(string) {
@@ -104,9 +103,8 @@ func TestFollowersSurviveDegradedLeader(t *testing.T) {
 	block := make(chan struct{})
 	var parses atomic.Int32
 	sess := engine.NewBoundedSession(engine.Config{
-		Workers: 1,
 		// The first compile parks until the followers have joined its
-		// flight, then panics in the parse worker — contained, so the
+		// flight, then panics in its parse — contained, so the
 		// leader gets a degraded artifact; retries are clean.
 		ParseFault: func(string) {
 			if parses.Add(1) == 1 {

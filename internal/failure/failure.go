@@ -2,9 +2,9 @@
 // pipeline: a recover boundary that converts a panicking stage or work
 // item into a structured, reportable Failure instead of a process abort.
 //
-// The pipeline wraps every parallel worker (per-file parse, per-shard
-// liveness) and every whole-program stage (sema, profile, strip) in
-// Catch. When a unit fails, its siblings' results are salvaged and the
+// The pipeline wraps every per-unit work item (each file's parse, each
+// function's liveness and lint pass) and every whole-program stage
+// (sema, profile, strip) in Catch. When a unit fails, its siblings' results are salvaged and the
 // run continues in a degraded-but-diagnosed state; the Failure records
 // where the fault happened (stage + unit), what was thrown, and a stack
 // digest stable enough to deduplicate crash reports.
@@ -24,8 +24,7 @@ type Failure struct {
 	Stage string
 
 	// Unit identifies the work item within the stage: a file name, a
-	// function's qualified name, a shard label, or "program" for
-	// whole-program stages.
+	// function's qualified name, or "program" for whole-program stages.
 	Unit string
 
 	// Value is the recovered panic value, formatted.

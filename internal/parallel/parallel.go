@@ -1,8 +1,8 @@
-// Package parallel holds the one parallel-for loop the pipeline's
-// stages share: the frontend's lex and parse passes, the liveness
-// shards and the per-function lint pass. Callers keep determinism by
-// writing each item's result into its own slot and merging in index
-// order afterwards.
+// Package parallel holds the one parallel-for loop the analysis passes
+// share: the liveness shards and the per-function lint pass. Callers
+// keep determinism by writing each item's result into its own slot and
+// merging in index order afterwards. The engine sizes both passes at
+// GOMAXPROCS; no interface above them takes a worker count.
 package parallel
 
 import (

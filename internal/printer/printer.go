@@ -246,13 +246,27 @@ func (p *printer) typeExpr(t ast.TypeExpr) {
 		p.ws(x.Class)
 		p.ws("::*")
 	case *ast.QualType:
-		if x.Const {
-			p.ws("const ")
+		// A qualifier on a pointer or member pointer qualifies the
+		// pointer itself, so it follows the `*` (int* const); before the
+		// type it would qualify the pointee instead.
+		switch x.Base.(type) {
+		case *ast.PointerType, *ast.MemberPointerType:
+			p.typeExpr(x.Base)
+			p.qualifiers(x, " ", "")
+		default:
+			p.qualifiers(x, "", " ")
+			p.typeExpr(x.Base)
 		}
-		if x.Volatile {
-			p.ws("volatile ")
-		}
-		p.typeExpr(x.Base)
+	}
+}
+
+// qualifiers prints q's cv-qualifiers, each between before and after.
+func (p *printer) qualifiers(q *ast.QualType, before, after string) {
+	if q.Const {
+		p.ws(before + "const" + after)
+	}
+	if q.Volatile {
+		p.ws(before + "volatile" + after)
 	}
 }
 

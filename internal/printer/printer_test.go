@@ -1,9 +1,11 @@
 package printer_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"deadmembers/internal/ast"
 	"deadmembers/internal/bench"
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
@@ -148,5 +150,129 @@ int main() { int a = 1; int b = 2; return a + b * 3; }
 	out := printer.Print(r.Program.Files[0])
 	if !strings.Contains(out, "a + (b * 3)") {
 		t.Errorf("expected parenthesized rendering, got:\n%s", out)
+	}
+}
+
+// typeShape renders the structure of a syntactic type, qualifiers and
+// the node they wrap included.
+func typeShape(t ast.TypeExpr) string {
+	switch x := t.(type) {
+	case nil:
+		return "void"
+	case *ast.NamedType:
+		return x.Name
+	case *ast.PointerType:
+		return "ptr(" + typeShape(x.Elem) + ")"
+	case *ast.ArrayType:
+		return "array(" + typeShape(x.Elem) + ")"
+	case *ast.MemberPointerType:
+		return "memptr(" + x.Class + ", " + typeShape(x.Elem) + ")"
+	case *ast.QualType:
+		return fmt.Sprintf("qual(const=%v volatile=%v, %s)", x.Const, x.Volatile, typeShape(x.Base))
+	}
+	return fmt.Sprintf("%T", t)
+}
+
+// declaredTypes lists "name: shape" for every variable, field and
+// parameter f declares, locals included, in source order.
+func declaredTypes(f *ast.File) []string {
+	var out []string
+	add := func(name string, t ast.TypeExpr) { out = append(out, name+": "+typeShape(t)) }
+	params := func(ps []ast.Param) {
+		for _, p := range ps {
+			add(p.Name, p.Type)
+		}
+	}
+	var stmt func(s ast.Stmt)
+	stmt = func(s ast.Stmt) {
+		switch x := s.(type) {
+		case *ast.BlockStmt:
+			for _, s := range x.Stmts {
+				stmt(s)
+			}
+		case *ast.DeclStmt:
+			add(x.Var.Name, x.Var.Type)
+		case *ast.IfStmt:
+			stmt(x.Then)
+			stmt(x.Else)
+		case *ast.WhileStmt:
+			stmt(x.Body)
+		case *ast.DoWhileStmt:
+			stmt(x.Body)
+		case *ast.ForStmt:
+			stmt(x.Init)
+			stmt(x.Body)
+		case *ast.SwitchStmt:
+			for _, c := range x.Cases {
+				for _, s := range c.Body {
+					stmt(s)
+				}
+			}
+		}
+	}
+	for _, d := range f.Decls {
+		switch x := d.(type) {
+		case *ast.ClassDecl:
+			for _, fd := range x.Fields {
+				add(x.Name+"::"+fd.Name, fd.Type)
+			}
+			for _, m := range x.Methods {
+				params(m.Params)
+				if m.Body != nil {
+					stmt(m.Body)
+				}
+			}
+		case *ast.FuncDecl:
+			params(x.Params)
+			if x.Body != nil {
+				stmt(x.Body)
+			}
+		case *ast.VarDecl:
+			add(x.Name, x.Type)
+		}
+	}
+	return out
+}
+
+// TestRoundTripTypes: printing keeps the structure of every declared
+// type. A qualifier after a `*` qualifies the pointer, so `int * const`
+// must not come back as `const int*`, a pointer to const.
+func TestRoundTripTypes(t *testing.T) {
+	qualified := `
+class C { public: int v; int w; C() : v(1), w(2) {} };
+class K {
+public:
+	int * const p;
+	const int * const q;
+	volatile int * volatile vp;
+	int C::* const pm;
+	K(int * const a) : p(a), q(a), vp(a), pm(&C::v) {}
+};
+const int * const limit = 0;
+int use(int * const a, const int * const b, int C::* const m, C * c) { return *a + *b + c->*m; }
+int main() {
+	C c;
+	int * const p = &c.v;
+	*p = 7;
+	const int * const q = p;
+	int const r = 3;
+	const volatile int s = 1;
+	int C::* const pm = &C::w;
+	K k(p);
+	for (int * const f = p; false; ) {}
+	return use(p, q, pm, &c) + r + s - c.*pm;
+}
+`
+	sources := map[string]string{"qualified": qualified}
+	for _, bm := range bench.All() {
+		sources[bm.Name] = bm.Sources[0].Text
+	}
+	for name, src := range sources {
+		orig, reprinted, printed := roundTrip(t, name, src)
+		want, got := declaredTypes(orig.Program.Files[0]), declaredTypes(reprinted.Program.Files[0])
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: declared types changed in the round trip:\n--- want ---\n%s\n--- got ---\n%s\n--- printed ---\n%s",
+				name, strings.Join(want, "\n"), strings.Join(got, "\n"), printed)
+		}
 	}
 }

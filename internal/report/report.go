@@ -247,7 +247,7 @@ func DegradedNote(results []*BenchmarkResult) string {
 
 // TimingsTable renders the per-benchmark, per-stage wall-clock durations
 // recorded while collecting results, plus the session cache counters —
-// the observability hook for the engine's compile-once and parallel
+// the observability hook for the engine's compile-once and cached
 // stages (run paperbench -timings, or deadmem -verbose, to see it).
 func TimingsTable(results []*BenchmarkResult, stats engine.Stats) string {
 	var b strings.Builder

@@ -112,7 +112,7 @@ public:
 int main() { C%d c; return c.used; }
 `, i, i, i)
 		name := fmt.Sprintf("c%d.mcc", i)
-		comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: name, Text: text})
+		comp := engine.Compile(engine.Config{}, engine.Source{Name: name, Text: text})
 		if err := comp.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,6 @@ int main() { C%d c; return c.used; }
 	}
 
 	cfg := Config{
-		Workers:     1,
 		PersistDir:  dir,
 		MaxInflight: 4,
 		MaxQueue:    64,

@@ -17,14 +17,13 @@ import (
 // completion and returns its full 200 response.
 func TestDrainLetsInflightFinish(t *testing.T) {
 	gate := make(chan struct{})
-	s, err := New(Config{Workers: 1, MaxInflight: 2, MaxQueue: 2})
+	s, err := New(Config{MaxInflight: 2, MaxQueue: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Swap in a session whose compiles block on the gate so the in-flight
 	// request is deterministically mid-pipeline when the drain starts.
 	s.sess = engine.NewBoundedSession(engine.Config{
-		Workers:    1,
 		ParseFault: func(string) { <-gate },
 	}, engine.Limits{})
 	ts := httptest.NewServer(s.Handler())

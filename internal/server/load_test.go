@@ -20,7 +20,7 @@ import (
 // and cache-hit metrics for the other 63.
 func TestConcurrentIdenticalRequestsCompileOnce(t *testing.T) {
 	const n = 64
-	s, ts := newTestServer(t, Config{Workers: 1, MaxInflight: n, MaxQueue: n})
+	s, ts := newTestServer(t, Config{MaxInflight: n, MaxQueue: n})
 
 	start := make(chan struct{})
 	bodies := make([]string, n)
@@ -83,14 +83,13 @@ func TestConcurrentIdenticalRequestsCompileOnce(t *testing.T) {
 // request is shed with 429 + Retry-After while the slot is held.
 func TestAdmissionControlRejects(t *testing.T) {
 	gate := make(chan struct{})
-	s, err := New(Config{Workers: 1, MaxInflight: 1, MaxQueue: 2})
+	s, err := New(Config{MaxInflight: 1, MaxQueue: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Swap in a session whose compiles block on the gate, holding the
 	// execution slot so the queue fills deterministically.
 	s.sess = engine.NewBoundedSession(engine.Config{
-		Workers:    1,
 		ParseFault: func(string) { <-gate },
 	}, engine.Limits{})
 	ts := httptest.NewServer(s.Handler())

@@ -19,7 +19,7 @@ import (
 func TestWarmRestartServesFromDisk(t *testing.T) {
 	dir := t.TempDir()
 
-	s1, ts1 := newTestServer(t, Config{Workers: 1, PersistDir: dir})
+	s1, ts1 := newTestServer(t, Config{PersistDir: dir})
 	resp1, body1 := post(t, ts1.URL+"/v1/analyze?file=sample.mcc", "text/x-mcc", sample)
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("first run: status %d, body: %s", resp1.StatusCode, body1)
@@ -29,7 +29,7 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	}
 	ts1.Close() // process one "dies"; the record is already fsynced
 
-	s2, ts2 := newTestServer(t, Config{Workers: 1, PersistDir: dir})
+	s2, ts2 := newTestServer(t, Config{PersistDir: dir})
 	resp2, body2 := post(t, ts2.URL+"/v1/analyze?file=sample.mcc", "text/x-mcc", sample)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("restarted run: status %d, body: %s", resp2.StatusCode, body2)
@@ -68,9 +68,8 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 // restart should recompute it at full fidelity, not replay the salvage.
 func TestDegradedResponsesNotPersisted(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{Workers: 1, PersistDir: dir})
+	s, ts := newTestServer(t, Config{PersistDir: dir})
 	s.sess = engine.NewBoundedSession(engine.Config{
-		Workers:    1,
 		ParseFault: func(string) { panic("injected parse fault") },
 	}, engine.Limits{})
 
@@ -89,7 +88,7 @@ func TestDegradedResponsesNotPersisted(t *testing.T) {
 // TestRetryAfterAdapts: the hint tracks the recent average service time
 // scaled by the backlog, clamped to [1s, 60s].
 func TestRetryAfterAdapts(t *testing.T) {
-	s, err := New(Config{Workers: 1, MaxInflight: 2, MaxQueue: 4})
+	s, err := New(Config{MaxInflight: 2, MaxQueue: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +120,12 @@ func TestRetryAfterAdapts(t *testing.T) {
 // hint, down while the server is saturated.
 func TestRetryAfterHoldsUnderOverload(t *testing.T) {
 	gate := make(chan struct{})
-	s, err := New(Config{Workers: 1, MaxInflight: 1, MaxQueue: -1})
+	s, err := New(Config{MaxInflight: 1, MaxQueue: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A session whose compiles block on the gate keeps the only slot held.
 	s.sess = engine.NewBoundedSession(engine.Config{
-		Workers:    1,
 		ParseFault: func(string) { <-gate },
 	}, engine.Limits{})
 	ts := httptest.NewServer(s.Handler())

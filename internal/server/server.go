@@ -51,9 +51,6 @@ const degradedHeader = "X-Deadmemd-Degraded"
 // Config sizes the server. Zero fields take the documented defaults;
 // pass a negative value to disable an optional bound.
 type Config struct {
-	// Workers bounds engine parallelism per request (0 = all cores).
-	Workers int
-
 	// CacheMaxBytes bounds the heap the session cache retains, each
 	// entry charged its engine.Compilation.RetainedBytes estimate
 	// (default 256 MiB; negative = unbounded).
@@ -148,7 +145,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:  cfg,
-		sess: engine.NewBoundedSession(engine.Config{Workers: cfg.Workers}, limits),
+		sess: engine.NewBoundedSession(engine.Config{}, limits),
 		adm:  newAdmission(cfg.MaxInflight, maxQueue),
 		met:  newMetrics(),
 		mux:  http.NewServeMux(),
@@ -390,7 +387,7 @@ func (s *Server) lint(ctx context.Context, b *bundle) (*handlerResult, *httpErro
 // endpoint compiles outside the shared cache instead of destroying
 // entries other requests may hold.
 func (s *Server) strip(ctx context.Context, b *bundle) (*handlerResult, *httpError) {
-	comp := engine.CompileContext(ctx, engine.Config{Workers: s.cfg.Workers}, b.sources...)
+	comp := engine.CompileContext(ctx, engine.Config{}, b.sources...)
 	if err := comp.Err(); err != nil {
 		if comp.CancelErr() != nil {
 			return nil, ctxErr(err)

@@ -61,13 +61,13 @@ func post(t *testing.T, url, contentType, body string) (*http.Response, string) 
 // what cmd/deadmem prints to stdout for the same input — both sides go
 // through internal/textreport, and this pins the transport to it.
 func TestAnalyzeMatchesCLIRenderer(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 	resp, body := post(t, ts.URL+"/v1/analyze?file=sample.mcc", "text/x-mcc", sample)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body: %s", resp.StatusCode, body)
 	}
 
-	comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "sample.mcc", Text: sample})
+	comp := engine.Compile(engine.Config{}, engine.Source{Name: "sample.mcc", Text: sample})
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestAnalyzeMatchesCLIRenderer(t *testing.T) {
 // TestAnalyzeJSONBundle: the JSON transport accepts multi-file bundles
 // with the full option set, and whitespace after the object.
 func TestAnalyzeJSONBundle(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 	req := wireRequest{
 		Sources: []wireSource{
 			{Name: "a.mcc", Text: "class A { public: int x; A() : x(1) {} };\n"},
@@ -135,9 +135,9 @@ int main() {
 // (legacy requests), and the heap tier must visibly differ from flow on
 // a chained fixture — proof the knob reaches the analysis.
 func TestLintPrecisionMatchesCLIRenderer(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 
-	comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "chain.mcc", Text: chainSample})
+	comp := engine.Compile(engine.Config{}, engine.Source{Name: "chain.mcc", Text: chainSample})
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +175,9 @@ func TestLintPrecisionMatchesCLIRenderer(t *testing.T) {
 // TestLintFormats: each format matches the shared writer and carries the
 // right content type.
 func TestLintFormats(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 
-	comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "sample.mcc", Text: sample})
+	comp := engine.Compile(engine.Config{}, engine.Source{Name: "sample.mcc", Text: sample})
 	res := comp.Lint(deadmember.Options{}, lint.Options{})
 
 	for _, tc := range []struct {
@@ -209,13 +209,13 @@ func TestLintFormats(t *testing.T) {
 // TestStripEndpoint: the stripped sources match the shared writer, and
 // the transform never touches the shared session cache.
 func TestStripEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{})
 	resp, body := post(t, ts.URL+"/v1/strip?file=sample.mcc", "text/x-mcc", sample)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body: %s", resp.StatusCode, body)
 	}
 
-	comp := engine.Compile(engine.Config{Workers: 1}, engine.Source{Name: "sample.mcc", Text: sample})
+	comp := engine.Compile(engine.Config{}, engine.Source{Name: "sample.mcc", Text: sample})
 	out := comp.Strip(deadmember.Options{}, strip.Options{})
 	var want bytes.Buffer
 	if err := strip.WriteSources(&want, out.Sources); err != nil {
@@ -233,7 +233,7 @@ func TestStripEndpoint(t *testing.T) {
 }
 
 func TestErrorMapping(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxRequestBytes: 128})
+	_, ts := newTestServer(t, Config{MaxRequestBytes: 128})
 
 	get, err := http.Get(ts.URL + "/v1/analyze")
 	if err != nil {
@@ -267,7 +267,7 @@ func TestErrorMapping(t *testing.T) {
 // TestRequestDeadline: an already-expired per-request deadline surfaces
 // as 504, threaded through the engine's cancellation points.
 func TestRequestDeadline(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, RequestTimeout: time.Nanosecond})
+	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	resp, body := post(t, ts.URL+"/v1/analyze?file=sample.mcc", "text/x-mcc", sample)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("status %d, want 504 (body: %s)", resp.StatusCode, body)
@@ -275,7 +275,7 @@ func TestRequestDeadline(t *testing.T) {
 }
 
 func TestProbesAndDrain(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{})
 	for _, path := range []string{"/healthz", "/readyz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -315,7 +315,7 @@ func TestProbesAndDrain(t *testing.T) {
 // TestMetricsExposition: the endpoint serves every documented series in
 // Prometheus text format after traffic has flowed.
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 	post(t, ts.URL+"/v1/analyze?file=s.mcc", "text/x-mcc", sample)
 	post(t, ts.URL+"/v1/analyze?file=s.mcc", "text/x-mcc", sample) // cache hit
 	post(t, ts.URL+"/v1/lint?file=s.mcc", "text/x-mcc", sample)
@@ -350,7 +350,7 @@ func TestMetricsExposition(t *testing.T) {
 // TestHandlerPanicContained: a panic below a handler becomes a 500, not a
 // dead connection, and the server keeps serving.
 func TestHandlerPanicContained(t *testing.T) {
-	s, err := New(Config{Workers: 1})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

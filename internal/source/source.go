@@ -294,8 +294,9 @@ func (dl *DiagnosticList) Warningf(pos Pos, format string, args ...interface{}) 
 func (dl *DiagnosticList) All() []Diagnostic { return dl.diags }
 
 // Extend appends every diagnostic of other, preserving order. It lets a
-// phase that ran on per-file lists (e.g. parallel parsing) merge its
-// output back into the program-wide list deterministically.
+// phase that ran on per-file lists (e.g. each file's lex diagnostics,
+// reported when the file's parse starts) merge its output back into the
+// program-wide list deterministically.
 func (dl *DiagnosticList) Extend(other *DiagnosticList) {
 	dl.diags = append(dl.diags, other.diags...)
 }
