@@ -11,6 +11,8 @@ import (
 	"deadmembers/internal/cfg"
 	"deadmembers/internal/dynprof"
 	"deadmembers/internal/frontend"
+	"deadmembers/internal/heaplive"
+	"deadmembers/internal/lint"
 )
 
 // The fuzz targets hold the pipeline to its containment contract on
@@ -85,10 +87,26 @@ func FuzzAnalyze(f *testing.F) {
 // FuzzCFG holds the flow-sensitive layer to its contract on arbitrary
 // compiling input: every function's CFG satisfies the structural
 // invariants, the lint pass terminates under the default solver budget
-// without degrading, and a deliberately starved budget surfaces only
-// orderly "budget" failures — never a hang or a panic.
+// without degrading at every precision tier, each tier's findings
+// include the lower tier's (paper ⊆ flow ⊆ heap), and a deliberately
+// starved budget surfaces only orderly "budget" failures — never a hang
+// or a panic.
 func FuzzCFG(f *testing.F) {
 	seedCorpus(f)
+	// The lint fixtures and examples give every tier findings to keep.
+	for _, glob := range []string{"internal/lint/testdata/*.mcc", "examples/mcc/*.mcc"} {
+		paths, err := filepath.Glob(glob)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range paths {
+			text, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(string(text))
+		}
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		res := frontend.Compile(frontend.Source{Name: "fuzz.mcc", Text: text})
 		if res.Err() != nil {
@@ -111,12 +129,26 @@ func FuzzCFG(f *testing.F) {
 		if !ok {
 			return
 		}
-		lres := c.Lint(deadmembers.Options{}, deadmembers.LintOptions{})
-		if lres.Degraded() {
-			t.Fatalf("lint degraded on plain source input under the default budget: %v", lres.Failures)
+		var lower map[lint.Finding]int
+		for _, p := range heaplive.Tiers() {
+			lres := c.Lint(deadmembers.Options{}, deadmembers.LintOptions{Precision: p})
+			if lres.Degraded() {
+				t.Fatalf("%s tier degraded on plain source input under the default budget: %v", p, lres.Failures)
+			}
+			found := map[lint.Finding]int{}
+			for _, f := range lres.Findings {
+				found[f]++
+			}
+			for f, n := range lower {
+				if found[f] < n {
+					t.Fatalf("%s tier lost a lower tier's finding: %+v", p, f)
+				}
+			}
+			lower = found
 		}
-		// A starved budget must fail politely, function by function.
-		lres = c.Lint(deadmembers.Options{}, deadmembers.LintOptions{Budget: 1})
+		// A starved budget must fail politely, function by function, in
+		// both passes (the heap result carries the flow pass's failures).
+		lres := c.Lint(deadmembers.Options{}, deadmembers.LintOptions{Budget: 1, Precision: deadmembers.PrecisionHeap})
 		for _, fl := range lres.Failures {
 			if fl.Stack != "budget" {
 				t.Fatalf("non-budget failure under Budget=1: %+v", fl)

@@ -1,15 +1,16 @@
-// Package dataflow implements a generic iterative worklist solver for
+// Package dataflow implements an iterative worklist solver for backward
 // gen/kill bit-vector dataflow problems over control-flow graphs.
 //
-// The solver is direction-agnostic (forward or backward), deterministic
-// (a FIFO worklist with deterministic seeding, so fact vectors are
-// byte-identical across runs), and bounded: every call carries a step
-// budget, and exceeding it returns ErrBudget with the partial solution
-// instead of spinning — the containment contract the fuzz targets hold
-// it to. Cancellation via context is polled between steps.
+// The solver is deterministic (a FIFO worklist with deterministic
+// seeding, so fact vectors are byte-identical across runs) and bounded:
+// every call carries a step budget, and exceeding it returns ErrBudget
+// with the partial solution instead of spinning — the containment
+// contract the fuzz targets hold it to. Cancellation via context is
+// polled between steps.
 //
-// Facts are opaque bit indices; internal/lint keys them by member-access
-// locations, but the solver works for any monotone gen/kill problem.
+// Facts are opaque bit indices; internal/lint keys them by candidate
+// stores, but the solver works for any monotone backward gen/kill
+// problem.
 package dataflow
 
 import (
@@ -87,36 +88,26 @@ func (b BitSet) Count() int {
 	return n
 }
 
-// Direction selects the dataflow direction.
-type Direction int
-
-const (
-	// Forward propagates facts along control flow (entry to exit).
-	Forward Direction = iota
-	// Backward propagates facts against control flow (exit to entry).
-	Backward
-)
-
 // ErrBudget is returned (wrapped) when the solver exceeds its step
 // budget; the partial solution accompanies it.
 var ErrBudget = errors.New("dataflow: step budget exhausted")
 
-// Problem is one gen/kill dataflow instance over a block graph. Blocks
-// are dense IDs 0..NumBlocks-1 (internal/cfg numbering); only successor
-// adjacency is required — predecessors are derived.
+// Problem is one backward gen/kill dataflow instance over a block
+// graph: facts propagate against control flow, from exit to entry.
+// Blocks are dense IDs 0..NumBlocks-1 (internal/cfg numbering); only
+// successor adjacency is required — predecessors are derived.
 type Problem struct {
 	NumBlocks int
 	Succs     [][]int // Succs[b] lists the successor block IDs of b
 	Bits      int     // size of the fact vectors
 
 	// Gen and Kill are the per-block transfer facts: for each block b,
-	// out = Gen[b] ∪ (in − Kill[b]) (roles of in/out swap for Backward).
-	// A nil entry is treated as empty.
+	// In[b] = Gen[b] ∪ (Out[b] − Kill[b]). A nil entry is treated as
+	// empty.
 	Gen, Kill []BitSet
 
-	// Boundary is the fact vector at the graph boundary: the In of
-	// entry blocks (no predecessors) for Forward problems, the Out of
-	// exit blocks (no successors) for Backward ones. Nil means empty.
+	// Boundary is the Out of exit blocks (no successors). Nil means
+	// empty.
 	Boundary BitSet
 
 	// Budget caps the number of block-transfer steps; 0 selects
@@ -131,12 +122,10 @@ type Problem struct {
 	// name) so a budget overrun identifies which function exhausted the
 	// budget in the resulting Failure/degraded record.
 	Unit string
-
-	Dir Direction
 }
 
 // Solution holds the fixpoint fact vectors: In[b] on entry to block b,
-// Out[b] on exit (in the forward sense regardless of direction).
+// Out[b] on exit.
 type Solution struct {
 	In, Out []BitSet
 	Steps   int
@@ -166,7 +155,7 @@ func Solve(p Problem) (*Solution, error) {
 		return sol, nil
 	}
 
-	preds := make([][]int, n)
+	preds := make([][]int, n) // the blocks a change to In[b] notifies
 	edges := 0
 	for b, ss := range p.Succs {
 		edges += len(ss)
@@ -180,17 +169,10 @@ func Solve(p Problem) (*Solution, error) {
 		budget = DefaultBudget(n, edges, p.Bits)
 	}
 
-	// src/dst edges seen from the iteration's point of view: a backward
-	// solve walks Succs to gather input facts and notifies Preds.
-	inputs, notify := preds, p.Succs
-	if p.Dir == Backward {
-		inputs, notify = p.Succs, preds
-	}
-
 	// FIFO worklist, deterministically seeded: reverse postorder would
-	// be fastest, but plain ID order (reversed for backward problems,
-	// whose IDs grow roughly source-forward) converges fine and keeps
-	// the iteration order — and therefore Steps — reproducible.
+	// be fastest, but reversed ID order (IDs grow roughly
+	// source-forward) converges fine and keeps the iteration order —
+	// and therefore Steps — reproducible.
 	queue := make([]int, 0, n)
 	inQueue := make([]bool, n)
 	push := func(b int) {
@@ -199,12 +181,8 @@ func Solve(p Problem) (*Solution, error) {
 			queue = append(queue, b)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if p.Dir == Backward {
-			push(n - 1 - i)
-		} else {
-			push(i)
-		}
+	for b := n - 1; b >= 0; b-- {
+		push(b)
 	}
 
 	gather := NewBitSet(p.Bits)
@@ -225,39 +203,32 @@ func Solve(p Problem) (*Solution, error) {
 		inQueue[b] = false
 		sol.Steps++
 
-		// Meet: the input-side vector is the union of the neighbouring
-		// blocks' result-side vectors, or Boundary at the graph edge.
-		meet, result := sol.In[b], sol.Out[b]
-		if p.Dir == Backward {
-			meet, result = sol.Out[b], sol.In[b]
-		}
-		meet.Reset()
-		if len(inputs[b]) == 0 {
+		// Meet: Out[b] is the union of the successors' In vectors, or
+		// Boundary at an exit.
+		out := sol.Out[b]
+		out.Reset()
+		if len(p.Succs[b]) == 0 {
 			if p.Boundary != nil {
-				meet.Union(p.Boundary)
+				out.Union(p.Boundary)
 			}
 		} else {
-			for _, nb := range inputs[b] {
-				if p.Dir == Backward {
-					meet.Union(sol.In[nb])
-				} else {
-					meet.Union(sol.Out[nb])
-				}
+			for _, succ := range p.Succs[b] {
+				out.Union(sol.In[succ])
 			}
 		}
 
-		// Transfer: result = gen ∪ (meet − kill). Facts only grow, so
+		// Transfer: In[b] = gen ∪ (Out[b] − kill). Facts only grow, so
 		// accumulating with Union doubles as change detection.
-		gather.Copy(meet)
+		gather.Copy(out)
 		if p.Kill != nil && p.Kill[b] != nil {
 			gather.AndNot(p.Kill[b])
 		}
 		if p.Gen != nil && p.Gen[b] != nil {
 			gather.Union(p.Gen[b])
 		}
-		if result.Union(gather) {
-			for _, nb := range notify[b] {
-				push(nb)
+		if sol.In[b].Union(gather) {
+			for _, pred := range preds[b] {
+				push(pred)
 			}
 		}
 	}

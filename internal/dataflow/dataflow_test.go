@@ -67,7 +67,6 @@ func TestSolveBackwardDiamond(t *testing.T) {
 		Bits:      nbits,
 		Gen:       []BitSet{nil, bits(0)(nbits), nil, bits(1)(nbits)},
 		Kill:      []BitSet{nil, nil, bits(0)(nbits), nil},
-		Dir:       Backward,
 	}
 	sol, err := Solve(p)
 	if err != nil {
@@ -89,34 +88,6 @@ func TestSolveBackwardDiamond(t *testing.T) {
 	check(0, 0, 1)
 }
 
-// Forward reaching-facts over a loop: boundary fact 0 enters B0, B1
-// kills it and gens 1, the loop B1<->B1 stays stable.
-func TestSolveForwardLoop(t *testing.T) {
-	nbits := 2
-	p := Problem{
-		NumBlocks: 3,
-		Succs:     [][]int{{1}, {1, 2}, {}},
-		Bits:      nbits,
-		Gen:       []BitSet{nil, bits(1)(nbits), nil},
-		Kill:      []BitSet{nil, bits(0)(nbits), nil},
-		Boundary:  bits(0)(nbits),
-		Dir:       Forward,
-	}
-	sol, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.In[0].Has(0) {
-		t.Error("boundary fact missing at entry")
-	}
-	if sol.Out[1].Has(0) || !sol.Out[1].Has(1) {
-		t.Errorf("Out[1] = kill 0 gen 1 expected, got %v %v", sol.Out[1].Has(0), sol.Out[1].Has(1))
-	}
-	if sol.In[2].Has(0) || !sol.In[2].Has(1) {
-		t.Error("In[2] should see only the generated fact")
-	}
-}
-
 // The solver must be deterministic: identical problems yield identical
 // Steps and vectors.
 func TestSolveDeterministic(t *testing.T) {
@@ -127,7 +98,6 @@ func TestSolveDeterministic(t *testing.T) {
 			Bits:      7,
 			Gen:       []BitSet{bits(0)(7), bits(1)(7), bits(2)(7), bits(3, 4)(7), nil},
 			Kill:      []BitSet{nil, bits(0)(7), nil, bits(1)(7), nil},
-			Dir:       Backward,
 		})
 	}
 	a, err := build()
@@ -157,7 +127,6 @@ func TestSolveBudget(t *testing.T) {
 		Bits:      1,
 		Gen:       []BitSet{nil, nil, bits(0)(1)},
 		Budget:    1, // cannot finish
-		Dir:       Backward,
 	}
 	sol, err := Solve(p)
 	if !errors.Is(err, ErrBudget) {
@@ -185,7 +154,6 @@ func TestSolveBudgetNamesUnit(t *testing.T) {
 		Gen:       []BitSet{nil, nil, bits(0)(1)},
 		Budget:    1,
 		Unit:      "Widget::resize",
-		Dir:       Backward,
 	}
 	sol, err := Solve(p)
 	if !errors.Is(err, ErrBudget) {
@@ -204,6 +172,8 @@ func TestSolveBudgetNamesUnit(t *testing.T) {
 	}
 }
 
+// TestSolveCancellation: a cancelled context aborts the solve before its
+// first step.
 func TestSolveCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -211,8 +181,8 @@ func TestSolveCancellation(t *testing.T) {
 		NumBlocks: 2,
 		Succs:     [][]int{{1}, {}},
 		Bits:      1,
+		Gen:       []BitSet{nil, bits(0)(1)},
 		Ctx:       ctx,
-		Dir:       Forward,
 	}
 	_, err := Solve(p)
 	if !errors.Is(err, context.Canceled) {
@@ -237,7 +207,7 @@ func TestDefaultBudgetSuffices(t *testing.T) {
 		succs[i] = []int{i + 1}
 	}
 	gen[n-1] = bits(0, 1, 2)(8)
-	sol, err := Solve(Problem{NumBlocks: n, Succs: succs, Bits: 8, Gen: gen, Dir: Backward})
+	sol, err := Solve(Problem{NumBlocks: n, Succs: succs, Bits: 8, Gen: gen})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,8 @@
+// Package heaplive names the precision tiers of the flow-sensitive
+// checks. The analyses behind the flow and heap tiers live in
+// internal/lint, which serves both from one store-liveness core; this
+// package holds only the tier names that the CLIs, the engine, the
+// server and the reports share.
 package heaplive
 
 import "fmt"
@@ -9,11 +14,11 @@ import "fmt"
 //   - paper: the flow-insensitive analysis of Sweeney & Tip only; the
 //     dead-store dataflow pass is skipped, so deadlint reports only the
 //     write-only-member corroboration of the paper's dead set.
-//   - flow: the PR 4 layer — per-function CFGs plus backward
-//     may-liveness of length-one access paths (base.field).
-//   - heap: flow plus this package's access-graph heap liveness, which
-//     tracks bounded multi-field access paths (a.b.c, p->next->val), so
-//     chained stores invisible to the flow tier become checkable.
+//   - flow: per-function CFGs plus backward may-liveness of length-one
+//     access paths (base.field).
+//   - heap: flow plus access-graph heap liveness, which tracks bounded
+//     multi-field access paths (a.b.c, p->next->val), so chained stores
+//     invisible to the flow tier become checkable.
 //
 // Findings are monotone across tiers by construction:
 // paper ⊆ flow ⊆ heap.

@@ -190,15 +190,7 @@ func (cl *classifier) readsClass(t types.Type) {
 		seen[c] = true
 		for _, f := range c.Fields {
 			cl.c.reads[f] = true
-			ft := f.Type
-			for {
-				if arr, ok := ft.(*types.Array); ok {
-					ft = arr.Elem
-					continue
-				}
-				break
-			}
-			walk(types.IsClass(ft))
+			walk(types.IsClass(elemType(f.Type)))
 		}
 		for _, b := range c.Bases {
 			walk(b.Class)

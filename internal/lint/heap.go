@@ -1,70 +1,112 @@
 package lint
 
 import (
-	"fmt"
+	"slices"
+	"strings"
 
 	"deadmembers/internal/ast"
-	"deadmembers/internal/deadmember"
-	"deadmembers/internal/heaplive"
 	"deadmembers/internal/types"
 )
 
-// This file bridges the lint layer to internal/heaplive: the heap
-// precision tier reuses lint's per-function access classification and
-// its call-graph summary fixpoint, adapted to heaplive's interfaces.
+// The heap tier's candidates: stores through a chain of member
+// references (o.in.val, p->next->val), which the flow tier's
+// length-one paths cannot see. Liveness at each program point is a set
+// of access paths of 2..maxDepth fields rooted at locals, parameters,
+// globals or the implicit this — the per-root access graph of Khedker,
+// Sanyal and Karkare flattened into the finite universe of the
+// function's candidate store paths. Aliasing is covered without an
+// alias analysis: a read gens every tracked path that ends in its
+// field, whatever the root, and a store to a field at a non-final
+// position re-points (gens, never kills) the paths through it.
 
-// accAdapter presents a classification as heaplive.Accesses.
-type accAdapter struct{ cl *classification }
-
-func mapAccess(a access) heaplive.Access {
-	switch a {
-	case accRead:
-		return heaplive.AccRead
-	case accWrite:
-		return heaplive.AccWrite
-	case accAddr:
-		return heaplive.AccAddr
-	case accPath:
-		return heaplive.AccPath
+// chainStore recognizes the heap tier's candidate stores: a direct
+// store through a member chain of 2..maxDepth fields.
+func (s *storePass) chainStore(n ast.Node) (path, bool) {
+	m, ok := n.(*ast.Member)
+	if !ok || s.cl.acc[m] != accWrite {
+		return path{}, false
 	}
-	return heaplive.AccNone
+	p, ok := s.pathOf(m)
+	if !ok || p.n < 2 {
+		return path{}, false
+	}
+	return p, s.trackable(p)
 }
 
-func (a accAdapter) MemberAccess(n ast.Node) heaplive.Access { return mapAccess(a.cl.acc[n]) }
-func (a accAdapter) VarAccess(id *ast.Ident) heaplive.Access { return mapAccess(a.cl.varAcc[id]) }
-func (a accAdapter) Escaped(v *types.Var) bool               { return a.cl.escaped[v] }
-func (a accAdapter) MutatedVar(n ast.Node) *types.Var        { return a.cl.mut[n] }
-
-// AccessesFor classifies f's body with lint's classifier and adapts it
-// to heaplive.Accesses — the hook internal/heaplive's tests drive the
-// analysis through.
-func AccessesFor(info *types.Info, f *types.Func) heaplive.Accesses {
-	return accAdapter{classify(info, f)}
+// pathOf spells the access path of a member expression: the receiver
+// chain must bottom out at a plain variable, this, or an implicit-this
+// member, every step a resolved field, within maxDepth fields.
+func (s *storePass) pathOf(m *ast.Member) (path, bool) {
+	var p path
+	push := func(f *types.Field) bool {
+		if f == nil || p.n == maxDepth {
+			return false
+		}
+		p.fields[p.n] = f
+		p.n++
+		return true
+	}
+	var node ast.Expr = m
+	for {
+		mm, ok := ast.Unparen(node).(*ast.Member)
+		if !ok {
+			break
+		}
+		if !push(s.info().FieldRefs[mm]) {
+			return path{}, false
+		}
+		node = mm.X
+	}
+	switch base := ast.Unparen(node).(type) {
+	case *ast.ThisExpr:
+	case *ast.Ident:
+		if fld := s.info().FieldOf(base); fld != nil {
+			if !push(fld) { // implicit this->fld
+				return path{}, false
+			}
+		} else if p.root = s.info().VarOf(base); p.root == nil {
+			return path{}, false
+		}
+	default:
+		return path{}, false
+	}
+	slices.Reverse(p.fields[:p.n])
+	return p, true
 }
 
-// heapSummary assembles one function's callee effect summary for the
-// heap tier from the per-function read and write unions.
-func heapSummary(reads, writes *fieldSet) heaplive.Summary {
-	return heaplive.Summary{
-		Reads:     reads.m,
-		Writes:    writes.m,
-		Universal: reads.universal || writes.universal,
+// markReceivers records the receiver of every field-resolving member
+// atom, which tells a chain step (o.in inside o.in.val) from a maximal
+// read.
+func (s *storePass) markReceivers() {
+	s.recv = map[ast.Node]bool{}
+	for _, b := range s.g.Blocks {
+		for _, n := range b.Nodes {
+			if m, ok := n.(*ast.Member); ok && s.info().FieldRefs[m] != nil {
+				s.recv[ast.Unparen(m.X)] = true
+			}
+		}
 	}
 }
 
-// heapFinding converts one chained dead store into a lint finding. The
-// Member field carries the final field — the stored cell — matching the
-// flow tier's convention; the message spells the whole path.
-func heapFinding(ar *deadmember.Result, f *types.Func, ds heaplive.DeadStore) Finding {
-	pos := ar.Program.FileSet.Position(ds.Pos)
-	return Finding{
-		Check:  CheckDeadStore,
-		File:   pos.File,
-		Line:   pos.Line,
-		Col:    pos.Column,
-		Member: ds.Path.Final().QualifiedName(),
-		Func:   f.QualifiedName(),
-		Message: fmt.Sprintf("dead store to %s: no path reads %s before it is overwritten or discarded",
-			ds.Path, ds.Path.Final().Name),
+// String renders the path the way source would spell it, with -> after
+// this and after pointer-typed steps.
+func (p path) String() string {
+	var b strings.Builder
+	var prev types.Type
+	if p.root == nil {
+		b.WriteString("this")
+	} else {
+		b.WriteString(p.root.Name)
+		prev = p.root.Type
 	}
+	for i, f := range p.fields[:p.n] {
+		if (p.root == nil && i == 0) || types.IsPointer(prev) {
+			b.WriteString("->")
+		} else {
+			b.WriteString(".")
+		}
+		b.WriteString(f.Name)
+		prev = f.Type
+	}
+	return b.String()
 }

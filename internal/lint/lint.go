@@ -1,10 +1,14 @@
 // Package lint implements flow-sensitive diagnostics on top of the
 // flow-insensitive dead-member analysis: per-function CFGs
-// (internal/cfg), backward may-liveness of member-access locations
+// (internal/cfg), backward may-liveness of candidate stores
 // (internal/dataflow), and two checks —
 //
-//   - dead-store: a write to o.m that no execution path can follow with
-//     a read of m from o before another write or function exit;
+//   - dead-store: a write to a member no execution path can observe
+//     before another write or function exit. The flow tier checks
+//     stores of one field (o.m); the heap tier adds stores through
+//     chains of two to four fields (o.in.val). One store-liveness core
+//     serves both tiers (deadstore.go), each with its own candidate
+//     set and atom rules (heap.go holds the heap tier's);
 //   - write-only-member: corroborates the flow-insensitive dead set by
 //     listing the orphaned store sites of each dead member.
 //
@@ -126,10 +130,10 @@ func RunWith(ar *deadmember.Result, opts Options, exec Exec) *Result {
 
 // RunTiers produces the flow and heap results from one per-function
 // pass; opts.Precision is ignored. Each reachable function gets one CFG
-// and one dead-store solve, then heaplive's chained-path pass over the
+// and the flow tier's dead-store solve, then the heap tier's over the
 // same CFG. The flow result is the dead stores plus the write-only
-// corroboration; the heap result adds heaplive's chained stores and
-// any failure of that second pass. When it adds nothing, both results
+// corroboration; the heap result adds the chained dead stores and any
+// failure of that second pass. When it adds nothing, both results
 // are the same *Result, which callers must treat as read-only.
 func RunTiers(ar *deadmember.Result, opts Options, exec Exec) (flow, heap *Result) {
 	p := classifyAll(ar, exec)
@@ -152,8 +156,8 @@ func RunTiers(ar *deadmember.Result, opts Options, exec Exec) (flow, heap *Resul
 
 	// The heap tier additionally needs what a call may *write*: a callee
 	// store to a chain-interior field can re-point a tracked path's
-	// prefix. Few functions store through a chain, so the first one
-	// heaplive meets builds the write summaries for every worker.
+	// prefix. Few functions store through a chain, so the first one the
+	// heap pass meets builds the write summaries for every worker.
 	callWrites := sync.OnceValue(func() []*fieldSet {
 		return calleeUnion(ar, funcs, index, writeSummaries(ar, funcs, cls, index))
 	})
@@ -161,27 +165,21 @@ func RunTiers(ar *deadmember.Result, opts Options, exec Exec) (flow, heap *Resul
 	outs := make([]funcOut, len(funcs))
 	lintOne := func(i int) {
 		f, o := funcs[i], &outs[i]
-		var g *cfg.Graph
+		fp := &funcPass{ar: ar, f: f, cl: cls[i], sup: sup, reads: calls[i], budget: opts.Budget, ctx: p.ctx}
 		o.flowFail = failure.Catch("lint", f.QualifiedName(), func() {
 			if exec.FuncFault != nil {
 				exec.FuncFault(f)
 			}
-			g = cfg.Build(f)
-			if g != nil {
-				o.stores, o.flowErr = deadStores(ar, f, g, cls[i], sup, calls[i], opts, p.ctx)
+			fp.g = cfg.Build(f)
+			if fp.g != nil {
+				o.stores, o.flowErr = fp.deadStores(nil)
 			}
 		})
-		if g == nil || o.flowFail != nil || o.flowErr != nil {
+		if fp.g == nil || o.flowFail != nil || o.flowErr != nil {
 			return
 		}
 		o.heapFail = failure.Catch("lint", f.QualifiedName(), func() {
-			summary := func() heaplive.Summary { return heapSummary(calls[i], callWrites()[i]) }
-			var ds []heaplive.DeadStore
-			ds, o.heapErr = heaplive.Analyze(ar.Program.Info, g, accAdapter{cls[i]}, summary, sup,
-				heaplive.Options{Budget: opts.Budget, Ctx: p.ctx})
-			for _, d := range ds {
-				o.chained = append(o.chained, heapFinding(ar, f, d))
-			}
+			o.chained, o.heapErr = fp.deadStores(func() *fieldSet { return callWrites()[i] })
 		})
 	}
 	interrupted := !parallel.For(p.ctx, exec.Workers, len(funcs), lintOne)
@@ -339,15 +337,7 @@ func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.F
 		seen[c] = true
 		for _, f := range c.Fields {
 			sup[f] = true
-			t := f.Type
-			for {
-				if arr, ok := t.(*types.Array); ok {
-					t = arr.Elem
-					continue
-				}
-				break
-			}
-			supClass(types.IsClass(t), seen)
+			supClass(types.IsClass(elemType(f.Type)), seen)
 		}
 		for _, b := range c.Bases {
 			supClass(b.Class, seen)
