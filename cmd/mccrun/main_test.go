@@ -156,16 +156,24 @@ func TestExamplesMatchGoldens(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsRejected: the VM is the only engine, mccrun's report
-// is tier-invariant, and the engine sizes its own workers, so -engine,
-// -precision and -parallel are unknown flags.
+// TestEngineFlagRejected: the VM is the only engine, so -engine is an
+// unknown flag.
+func TestEngineFlagRejected(t *testing.T) {
+	path := write(t, "e.mcc", `int main() { return 0; }`)
+	var out, errOut strings.Builder
+	if code := run([]string{"-engine", "vm", path}, &out, &errOut); code != 2 {
+		t.Fatalf("-engine should exit 2 as an unknown flag, got %d", code)
+	}
+	if !strings.Contains(errOut.String(), "flag provided but not defined: -engine") {
+		t.Errorf("stderr missing unknown-flag diagnostic:\n%s", errOut.String())
+	}
+}
+
+// TestRetiredFlagsRejected: the engine sizes its own workers, so
+// -parallel is an unknown flag.
 func TestRetiredFlagsRejected(t *testing.T) {
 	path := write(t, "e.mcc", `int main() { return 0; }`)
-	for _, args := range [][]string{
-		{"-engine", "vm"},
-		{"-precision", "flow"},
-		{"-parallel", "4"},
-	} {
+	for _, args := range [][]string{{"-parallel", "4"}} {
 		var out, errOut strings.Builder
 		if code := run(append(args, path), &out, &errOut); code != 2 {
 			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
@@ -173,5 +181,19 @@ func TestRetiredFlagsRejected(t *testing.T) {
 		if !strings.Contains(errOut.String(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("%v: stderr missing unknown-flag diagnostic:\n%s", args, errOut.String())
 		}
+	}
+}
+
+// TestPrecisionFlagRejected: mccrun's report is tier-invariant and it
+// has no server mode to forward a tier to, so -precision is an unknown
+// flag.
+func TestPrecisionFlagRejected(t *testing.T) {
+	path := write(t, "e.mcc", `int main() { return 0; }`)
+	var out, errOut strings.Builder
+	if code := run([]string{"-precision", "flow", path}, &out, &errOut); code != 2 {
+		t.Fatalf("-precision should exit 2 as an unknown flag, got %d", code)
+	}
+	if !strings.Contains(errOut.String(), "flag provided but not defined: -precision") {
+		t.Errorf("stderr missing unknown-flag diagnostic:\n%s", errOut.String())
 	}
 }

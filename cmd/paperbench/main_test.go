@@ -89,17 +89,24 @@ func TestTimeoutAbortsSweep(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsRejected: the VM is the only engine and the engine
-// sizes its own workers, so the flags that selected or compared engines
-// and -parallel are unknown flags.
+// TestEngineFlagRejected: the VM is the only engine, so the flags that
+// selected or compared engines are unknown flags now.
+func TestEngineFlagRejected(t *testing.T) {
+	for _, args := range [][]string{{"-engine", "vm"}, {"-engines"}, {"-large"}, {"-json"}} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: stderr missing unknown-flag diagnostic:\n%s", args, errOut.String())
+		}
+	}
+}
+
+// TestRetiredFlagsRejected: the engine sizes its own workers, so
+// -parallel is an unknown flag.
 func TestRetiredFlagsRejected(t *testing.T) {
-	for _, args := range [][]string{
-		{"-engine", "vm"},
-		{"-engines"},
-		{"-large"},
-		{"-json"},
-		{"-parallel", "8"},
-	} {
+	for _, args := range [][]string{{"-parallel", "8"}} {
 		var out, errOut strings.Builder
 		if code := run(args, &out, &errOut); code != 2 {
 			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
