@@ -82,15 +82,17 @@ bench-module:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Short fuzzing smoke over each target (the checked-in corpus under
-# testdata/fuzz/ is replayed by plain `make test` already).
+# testdata/fuzz/ is replayed by plain `make test` already). Each new
+# coverage input is minimized for at most 1s: at the default of 60s the
+# workers spend a short run minimizing and barely execute inputs.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test -fuzz=FuzzCompile -fuzztime=$(FUZZTIME) .
-	$(GO) test -fuzz=FuzzAnalyze -fuzztime=$(FUZZTIME) .
-	$(GO) test -fuzz=FuzzStripRoundTrip -fuzztime=$(FUZZTIME) .
-	$(GO) test -fuzz=FuzzCFG -fuzztime=$(FUZZTIME) .
-	$(GO) test -fuzz=FuzzVMDifferential -fuzztime=$(FUZZTIME) .
-	$(GO) test -fuzz=FuzzLexer -fuzztime=$(FUZZTIME) ./internal/lexer
+	$(GO) test -fuzz=FuzzCompile -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
+	$(GO) test -fuzz=FuzzAnalyze -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
+	$(GO) test -fuzz=FuzzStripRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
+	$(GO) test -fuzz=FuzzCFG -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
+	$(GO) test -fuzz=FuzzVMDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
+	$(GO) test -fuzz=FuzzLexer -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/lexer
 
 # The quick local gate: build + static checks + tests. Slower CI-only
 # passes (race soaks, server smokes) stay out.

@@ -59,6 +59,12 @@ func FuzzCompile(f *testing.F) {
 	})
 }
 
+// FuzzAnalyze holds the liveness pass to its option lattice on every
+// compiling input: no option set degrades the analysis, each rule that
+// marks more members live (writes as uses, no delete/free special case,
+// conservative sizeof) shrinks the default dead set, trusting downcasts
+// grows it, and a weaker call graph reaches more code, so
+// dead(ALL) ⊆ dead(CHA) ⊆ dead(RTA), the default.
 func FuzzAnalyze(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, text string) {
@@ -66,21 +72,35 @@ func FuzzAnalyze(f *testing.F) {
 		if !ok {
 			return
 		}
-		for _, opts := range []deadmembers.Options{
-			{},
-			{CallGraph: deadmembers.CallGraphCHA, WritesAreUses: true},
-			{CallGraph: deadmembers.CallGraphALL, TrustDowncasts: true, NoDeleteSpecialCase: true},
-		} {
+		dead := func(opts deadmembers.Options) map[string]bool {
 			res := c.Analyze(opts)
 			if res.Degraded() {
 				t.Fatalf("analysis degraded on plain source input: %v", res.Failures)
 			}
+			set := map[string]bool{}
 			for _, m := range res.DeadMembers() {
 				if !res.IsDead(m) {
 					t.Fatalf("%s listed dead but IsDead is false", m.QualifiedName())
 				}
+				set[m.QualifiedName()] = true
+			}
+			return set
+		}
+		subset := func(sub, sup map[string]bool, what string) {
+			for m := range sub {
+				if !sup[m] {
+					t.Fatalf("%s: %s is dead in the first set only", what, m)
+				}
 			}
 		}
+		def := dead(deadmembers.Options{})
+		subset(dead(deadmembers.Options{WritesAreUses: true}), def, "dead(WritesAreUses) ⊆ dead(default)")
+		subset(dead(deadmembers.Options{NoDeleteSpecialCase: true}), def, "dead(NoDeleteSpecialCase) ⊆ dead(default)")
+		subset(dead(deadmembers.Options{Sizeof: deadmembers.SizeofConservative}), def, "dead(SizeofConservative) ⊆ dead(default)")
+		subset(def, dead(deadmembers.Options{TrustDowncasts: true}), "dead(default) ⊆ dead(TrustDowncasts)")
+		cha := dead(deadmembers.Options{CallGraph: deadmembers.CallGraphCHA})
+		subset(dead(deadmembers.Options{CallGraph: deadmembers.CallGraphALL}), cha, "dead(ALL) ⊆ dead(CHA)")
+		subset(cha, def, "dead(CHA) ⊆ dead(RTA)")
 	})
 }
 

@@ -234,14 +234,7 @@ func (b *builder) dispatchTo(at, cls *types.Class) {
 }
 
 func (b *builder) instantiateFieldType(caller *types.Func, t types.Type) {
-	for {
-		if a, ok := t.(*types.Array); ok {
-			t = a.Elem
-			continue
-		}
-		break
-	}
-	if c := types.IsClass(t); c != nil {
+	if c := types.IsClass(types.ArrayElem(t)); c != nil {
 		b.instantiate(caller, c)
 		b.construct(caller, c, nil)
 		b.destroy(caller, c)
@@ -272,14 +265,7 @@ func (b *builder) construct(caller *types.Func, cls *types.Class, ctor *types.Fu
 }
 
 func (b *builder) constructFieldDefault(caller *types.Func, t types.Type) {
-	for {
-		if a, ok := t.(*types.Array); ok {
-			t = a.Elem
-			continue
-		}
-		break
-	}
-	if c := types.IsClass(t); c != nil {
+	if c := types.IsClass(types.ArrayElem(t)); c != nil {
 		b.construct(caller, c, nil)
 	}
 }
@@ -294,15 +280,7 @@ func (b *builder) destroy(caller *types.Func, cls *types.Class) {
 		b.destroy(caller, bs.Class)
 	}
 	for _, f := range cls.Fields {
-		t := f.Type
-		for {
-			if a, ok := t.(*types.Array); ok {
-				t = a.Elem
-				continue
-			}
-			break
-		}
-		if c := types.IsClass(t); c != nil {
+		if c := types.IsClass(types.ArrayElem(f.Type)); c != nil {
 			b.destroy(caller, c)
 		}
 	}
@@ -369,7 +347,9 @@ func (b *builder) scan(f *types.Func) {
 			b.destroy(f, bs.Class)
 		}
 		for _, fld := range f.Owner.Fields {
-			b.constructOrDestroyMemberDtor(f, fld.Type)
+			if c := types.IsClass(types.ArrayElem(fld.Type)); c != nil {
+				b.destroy(f, c)
+			}
 		}
 	}
 	// Constructor initializer arguments contain ordinary expressions
@@ -412,19 +392,6 @@ func (b *builder) scanNode(f *types.Func, root ast.Node) {
 	})
 }
 
-func (b *builder) constructOrDestroyMemberDtor(f *types.Func, t types.Type) {
-	for {
-		if a, ok := t.(*types.Array); ok {
-			t = a.Elem
-			continue
-		}
-		break
-	}
-	if c := types.IsClass(t); c != nil {
-		b.destroy(f, c)
-	}
-}
-
 // scanCtorImplicit adds edges for the constructor's initializer list and
 // the implicit default construction of bases/members not named in it.
 func (b *builder) scanCtorImplicit(f *types.Func) {
@@ -462,23 +429,12 @@ func (b *builder) scanVarDecl(f *types.Func, v *ast.VarDecl) {
 }
 
 func (b *builder) instantiateVarType(f *types.Func, t types.Type, ctor *types.Func, decl *ast.VarDecl) {
-	if t == nil {
-		return
-	}
-	isArray := false
-	for {
-		if a, ok := t.(*types.Array); ok {
-			t = a.Elem
-			isArray = true
-			continue
-		}
-		break
-	}
-	cls := types.IsClass(t)
+	elem := types.ArrayElem(t)
+	cls := types.IsClass(elem)
 	if cls == nil {
 		return
 	}
-	if isArray {
+	if elem != t {
 		ctor = nil // array elements default-construct
 	}
 	if decl != nil && decl.Init != nil {
@@ -589,36 +545,9 @@ func (g *Graph) InstantiatedClasses() []*types.Class {
 // and class-typed members/bases of used classes.
 func UsedClasses(prog *types.Program) map[*types.Class]bool {
 	used := map[*types.Class]bool{}
-	var mark func(c *types.Class)
-	mark = func(c *types.Class) {
-		if c == nil || used[c] {
-			return
-		}
-		used[c] = true
-		for _, bs := range c.Bases {
-			mark(bs.Class)
-		}
-		for _, f := range c.Fields {
-			t := f.Type
-			for {
-				if a, ok := t.(*types.Array); ok {
-					t = a.Elem
-					continue
-				}
-				break
-			}
-			mark(types.IsClass(t))
-		}
-	}
+	// Constructing a class constructs every class it contains.
 	markType := func(t types.Type) {
-		for {
-			if a, ok := t.(*types.Array); ok {
-				t = a.Elem
-				continue
-			}
-			break
-		}
-		mark(types.IsClass(t))
+		types.Contained(types.IsClass(types.ArrayElem(t)), used, func(*types.Class) bool { return true })
 	}
 	for _, v := range prog.Globals {
 		markType(v.Type)

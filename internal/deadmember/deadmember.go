@@ -18,6 +18,12 @@
 //     members live), and library classes (unclassifiable).
 //
 // Every member reported dead is guaranteed dead; liveness is conservative.
+//
+// Step 3 is one exported walk, Walk, which sorts every access into a read,
+// a write, an address-taking, an lvalue path step or a delete/free
+// argument and reports it to a Visitor. The liveness pass is one visitor;
+// internal/lint's per-function classification, which feeds the
+// flow-sensitive dead-store checks, is the other.
 package deadmember
 
 import (
@@ -356,30 +362,16 @@ func (a *analysis) markLive(f *types.Field, why Reason, at source.Pos) {
 }
 
 // markAllContainedMembers implements MarkAllContainedMembers of Figure 2:
-// mark every member of c live, recurse into class-typed members and into
-// direct bases, with a visited set to avoid duplicated work.
+// mark every member contained in a value of class c live — its own, its
+// bases', and its class-typed members', through arrays. The visited set
+// skips classes already marked this way.
 func (a *analysis) markAllContainedMembers(c *types.Class, why Reason, at source.Pos) {
-	if c == nil || a.visited[c] {
-		return
-	}
-	a.visited[c] = true
-	for _, f := range c.Fields {
-		a.markLive(f, why, at)
-		t := f.Type
-		for {
-			if arr, ok := t.(*types.Array); ok {
-				t = arr.Elem
-				continue
-			}
-			break
+	types.Contained(c, a.visited, func(k *types.Class) bool {
+		for _, f := range k.Fields {
+			a.markLive(f, why, at)
 		}
-		if n := types.IsClass(t); n != nil {
-			a.markAllContainedMembers(n, why, at)
-		}
-	}
-	for _, b := range c.Bases {
-		a.markAllContainedMembers(b.Class, why, at)
-	}
+		return true
+	})
 }
 
 // unionClosure applies lines 9-11 of Figure 2: if any member of a union is

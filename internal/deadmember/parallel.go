@@ -32,9 +32,11 @@ import (
 // byte-identical at any worker count. One worker is one shard: the
 // paper's sequential loop.
 //
-// Shards share prog/h/info/res strictly read-only: processFunc touches
-// only the side tables of types.Info (plain reads) and its shard's marks
-// slice and visited map, so the pass is race-free by construction.
+// Shards share prog/h/info/res strictly read-only. Each function's walk
+// (Walk) keeps its state on its own stack and only reads the side
+// tables of types.Info; its visitor is the shard's own analysis value,
+// which writes nothing but the shard's marks slice and visited map. So
+// the pass is race-free by construction.
 //
 // Failure containment: every function runs inside its own recover
 // boundary (processFuncGuarded). A faulting function keeps the marks it

@@ -70,9 +70,8 @@ type storePass struct {
 	byFinal    map[*types.Field][]int
 	byNonFinal map[*types.Field][]int
 	byRoot     map[*types.Var][]int
-	recv       map[ast.Node]bool // heap tier: receivers of field-resolving member atoms
-	writes     *fieldSet         // heap tier: what a call out of f may store to
-	all        dataflow.BitSet   // every bit
+	writes     *fieldSet       // heap tier: what a call out of f may store to
+	all        dataflow.BitSet // every bit
 }
 
 // deadStores runs one tier's pass over the function: the flow tier when
@@ -90,7 +89,6 @@ func (fp *funcPass) deadStores(writes func() *fieldSet) ([]Finding, error) {
 	}
 	if s.heap {
 		s.writes = writes()
-		s.markReceivers()
 	}
 	return s.solve()
 }
@@ -166,7 +164,7 @@ func (s *storePass) flowStore(n ast.Node) (path, bool) {
 	case *ast.CtorInit:
 		p.fields[0] = s.info().CtorInitFields[x]
 	case *ast.Member:
-		if s.cl.acc[x] != accWrite {
+		if s.cl.acc[x] != deadmember.AccWrite {
 			return p, false
 		}
 		switch recv := ast.Unparen(x.X).(type) {
@@ -180,7 +178,7 @@ func (s *storePass) flowStore(n ast.Node) (path, bool) {
 		}
 		p.fields[0] = s.info().FieldRefs[x]
 	case *ast.Ident:
-		if s.cl.acc[x] != accWrite {
+		if s.cl.acc[x] != deadmember.AccWrite {
 			return p, false
 		}
 		p.fields[0] = s.info().FieldOf(x)
@@ -277,7 +275,7 @@ func (s *storePass) exitLive() dataflow.BitSet {
 			out.Set(i)
 		case types.IsPointer(p.root.Type):
 			out.Set(i)
-		case hasUserDtor(types.IsClass(p.root.Type), map[*types.Class]bool{}):
+		case types.RunsUserDtor(types.IsClass(p.root.Type)):
 			out.Set(i)
 		default:
 			for _, f := range p.fields[:p.n-1] {
@@ -289,41 +287,6 @@ func (s *storePass) exitLive() dataflow.BitSet {
 		}
 	}
 	return out
-}
-
-// hasUserDtor reports whether destroying a value of class c runs any
-// user-declared destructor — its own, a base's, or a member's, through
-// arrays.
-func hasUserDtor(c *types.Class, seen map[*types.Class]bool) bool {
-	if c == nil || seen[c] {
-		return false
-	}
-	seen[c] = true
-	if c.Dtor() != nil {
-		return true
-	}
-	for _, b := range c.Bases {
-		if hasUserDtor(b.Class, seen) {
-			return true
-		}
-	}
-	for _, f := range c.Fields {
-		if hasUserDtor(types.IsClass(elemType(f.Type)), seen) {
-			return true
-		}
-	}
-	return false
-}
-
-// elemType strips array layers.
-func elemType(t types.Type) types.Type {
-	for {
-		arr, ok := t.(*types.Array)
-		if !ok {
-			return t
-		}
-		t = arr.Elem
-	}
 }
 
 // blockTransfer composes a block's atoms, whose store numbers start at
@@ -351,8 +314,13 @@ func (s *storePass) blockTransfer(nodes []ast.Node, at []int32) (gen, kill dataf
 // value through an alias, whatever its root.
 func (s *storePass) genField(fld *types.Field, gen dataflow.BitSet) {
 	s.genFinal(fld, gen)
-	if c := types.IsClass(elemType(fld.Type)); c != nil {
-		s.genClass(c, gen, map[*types.Class]bool{})
+	if c := types.IsClass(types.ArrayElem(fld.Type)); c != nil {
+		types.Contained(c, map[*types.Class]bool{}, func(k *types.Class) bool {
+			for _, f := range k.Fields {
+				s.genFinal(f, gen)
+			}
+			return true
+		})
 	}
 }
 
@@ -361,22 +329,6 @@ func (s *storePass) genField(fld *types.Field, gen dataflow.BitSet) {
 func (s *storePass) genFinal(fld *types.Field, gen dataflow.BitSet) {
 	for _, id := range s.byFinal[fld] {
 		gen.Set(id)
-	}
-}
-
-// genClass adds liveness for every tracked path whose final field is
-// contained in c (transitively).
-func (s *storePass) genClass(c *types.Class, gen dataflow.BitSet, seen map[*types.Class]bool) {
-	if c == nil || seen[c] {
-		return
-	}
-	seen[c] = true
-	for _, f := range c.Fields {
-		s.genFinal(f, gen)
-		s.genClass(types.IsClass(elemType(f.Type)), gen, seen)
-	}
-	for _, b := range c.Bases {
-		s.genClass(b.Class, gen, seen)
 	}
 }
 
@@ -419,9 +371,10 @@ func (s *storePass) genCall(gen dataflow.BitSet) {
 
 // atomEffect computes one atom's gen/kill contribution; id numbers the
 // store it makes, or is -1. The tiers differ on constructor
-// initializers, address-taking and receivers (see the cases); a
-// detaching store gens nothing at the flow tier, which has no
-// non-final fields.
+// initializers and address-taking (see the cases); a detaching store
+// gens nothing at the flow tier, which has no non-final fields. Both
+// tiers read a receiver (the o and the o.in of o.in.val) as a chain
+// step, not a copy.
 func (s *storePass) atomEffect(n ast.Node, id int32, gen, kill dataflow.BitSet) {
 	if id >= 0 {
 		kill.Set(int(id))
@@ -446,7 +399,7 @@ func (s *storePass) atomEffect(n ast.Node, id int32, gen, kill dataflow.BitSet) 
 			s.fieldAccess(x, fld, gen)
 			return
 		}
-		if v := info.VarOf(x); v != nil && s.cl.varAcc[x] == accRead && !s.recv[x] && types.IsClass(v.Type) != nil {
+		if v := info.VarOf(x); v != nil && s.cl.varAcc[x] == deadmember.AccRead && !s.cl.recv[x] && types.IsClass(v.Type) != nil {
 			// Copying a class-typed variable reads everything under it;
 			// a chain's receiver variable copies nothing.
 			s.genRoot(v, gen)
@@ -504,18 +457,18 @@ func (s *storePass) atomEffect(n ast.Node, id int32, gen, kill dataflow.BitSet) 
 // member atom n.
 func (s *storePass) fieldAccess(n ast.Node, fld *types.Field, gen dataflow.BitSet) {
 	switch s.cl.acc[n] {
-	case accRead:
-		if s.recv[n] {
-			// Heap tier: a receiver (o.in inside o.in.val) reads the
-			// stored cell; the maximal read adds the by-value closure of
-			// what it reads.
+	case deadmember.AccRead:
+		if s.cl.recv[n] {
+			// A receiver (o.in inside o.in.val) reads the stored cell;
+			// the maximal read adds the by-value closure of what it
+			// reads.
 			s.genFinal(fld, gen)
 		} else {
 			s.genField(fld, gen)
 		}
-	case accWrite:
+	case deadmember.AccWrite:
 		s.genDetach(fld, gen)
-	case accAddr:
+	case deadmember.AccAddr:
 		// Heap tier: reads through the pointer to a member cell are
 		// invisible (the field itself is suppressed program-wide).
 		if s.heap {

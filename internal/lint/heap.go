@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"deadmembers/internal/ast"
+	"deadmembers/internal/deadmember"
 	"deadmembers/internal/types"
 )
 
@@ -23,7 +24,7 @@ import (
 // store through a member chain of 2..maxDepth fields.
 func (s *storePass) chainStore(n ast.Node) (path, bool) {
 	m, ok := n.(*ast.Member)
-	if !ok || s.cl.acc[m] != accWrite {
+	if !ok || s.cl.acc[m] != deadmember.AccWrite {
 		return path{}, false
 	}
 	p, ok := s.pathOf(m)
@@ -72,20 +73,6 @@ func (s *storePass) pathOf(m *ast.Member) (path, bool) {
 	}
 	slices.Reverse(p.fields[:p.n])
 	return p, true
-}
-
-// markReceivers records the receiver of every field-resolving member
-// atom, which tells a chain step (o.in inside o.in.val) from a maximal
-// read.
-func (s *storePass) markReceivers() {
-	s.recv = map[ast.Node]bool{}
-	for _, b := range s.g.Blocks {
-		for _, n := range b.Nodes {
-			if m, ok := n.(*ast.Member); ok && s.info().FieldRefs[m] != nil {
-				s.recv[ast.Unparen(m.X)] = true
-			}
-		}
-	}
 }
 
 // String renders the path the way source would spell it, with -> after

@@ -97,3 +97,24 @@ func TestReceiverReadKeepsStoreLive(t *testing.T) {
 		}
 	}
 }
+
+// TestReceiverIsNotACopy: reading o.b observes o.b alone, so the
+// overwritten store o.a = 1 is dead at the flow and the heap tier. A
+// flow tier that read the receiver o as a whole-object copy would keep
+// every store under o live and report nothing.
+func TestReceiverIsNotACopy(t *testing.T) {
+	ar := analyzeFixture(t, "flowreceiver.mcc", deadmember.Options{CallGraph: callgraph.RTA})
+	for _, p := range heaplive.Tiers() {
+		var got []string
+		for _, f := range deadStoreFindings(Run(ar, Options{Precision: p})) {
+			got = append(got, fmt.Sprintf("%d:%s", f.Line, f.Message))
+		}
+		var want []string
+		if p != heaplive.PrecisionPaper {
+			want = []string{"13:dead store to o.a: no path reads a before it is overwritten or discarded"}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s tier dead stores %q, want %q", p, got, want)
+		}
+	}
+}

@@ -12,6 +12,10 @@
 //   - write-only-member: corroborates the flow-insensitive dead set by
 //     listing the orphaned store sites of each dead member.
 //
+// Both checks read one per-function classification of accesses
+// (classify.go), a visitor of deadmember's access walk, the walk the
+// liveness pass marks members from.
+//
 // The paper's special cases carry over as suppressions: volatile,
 // address-taken (incl. pointer-to-member), union-contained,
 // unsafe-cast-exposed, and library-class members never produce
@@ -209,7 +213,7 @@ type pass struct {
 	funcs       []*types.Func
 	index       map[*types.Func]int
 	cls         []*classification
-	fails       []*failure.Failure // classifier faults, in function order
+	fails       []*failure.Failure // classification faults, in function order
 	interrupted bool               // ctx was cancelled during classification
 
 	// writeOnly is phase 3's corroboration, which every tier reports.
@@ -329,19 +333,14 @@ func sortFailures(fs []*failure.Failure) {
 // — sound, because an access in unreachable code cannot execute.
 func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.Field]bool {
 	sup := map[*types.Field]bool{}
-	var supClass func(*types.Class, map[*types.Class]bool)
-	supClass = func(c *types.Class, seen map[*types.Class]bool) {
-		if c == nil || seen[c] {
-			return
-		}
-		seen[c] = true
-		for _, f := range c.Fields {
-			sup[f] = true
-			supClass(types.IsClass(elemType(f.Type)), seen)
-		}
-		for _, b := range c.Bases {
-			supClass(b.Class, seen)
-		}
+	seen := map[*types.Class]bool{}
+	supClass := func(c *types.Class) {
+		types.Contained(c, seen, func(k *types.Class) bool {
+			for _, f := range k.Fields {
+				sup[f] = true
+			}
+			return true
+		})
 	}
 
 	for _, c := range ar.Program.Classes {
@@ -353,7 +352,7 @@ func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.F
 		}
 		// Union-contained members: stores alias across the union.
 		if c.IsUnion() {
-			supClass(c, map[*types.Class]bool{})
+			supClass(c)
 		}
 		// Library classes: unclassifiable (paper §3.3).
 		if c.Library || ar.IsLibraryClass(c) {
@@ -375,7 +374,7 @@ func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.F
 	// user vouched for every downcast.
 	if !ar.Options.TrustDowncasts {
 		for _, src := range ar.Program.Info.UnsafeCasts {
-			supClass(src, map[*types.Class]bool{})
+			supClass(src)
 		}
 	}
 	return sup

@@ -300,34 +300,9 @@ func (s *stripper) checkDeleteStrippable(f *types.Field, arg ast.Expr) {
 		s.block(f, "freed through an effectful receiver")
 		return
 	}
-	if pc := types.PointeeClass(f.Type); pc != nil && classHasDtors(pc) {
+	if types.RunsUserDtor(types.PointeeClass(f.Type)) {
 		s.block(f, "deleting it runs a user destructor")
 	}
-}
-
-func classHasDtors(c *types.Class) bool {
-	if c.Dtor() != nil {
-		return true
-	}
-	for _, b := range c.Bases {
-		if classHasDtors(b.Class) {
-			return true
-		}
-	}
-	for _, f := range c.Fields {
-		t := f.Type
-		for {
-			if a, ok := t.(*types.Array); ok {
-				t = a.Elem
-				continue
-			}
-			break
-		}
-		if mc := types.IsClass(t); mc != nil && classHasDtors(mc) {
-			return true
-		}
-	}
-	return false
 }
 
 // scanExpr blocks any dead member referenced inside a surviving

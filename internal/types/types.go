@@ -310,6 +310,56 @@ func IsClass(t Type) *Class {
 	return c
 }
 
+// ArrayElem returns t with every array layer stripped: T for T[n][m],
+// and t itself when t is no array.
+func ArrayElem(t Type) Type {
+	for {
+		a, ok := t.(*Array)
+		if !ok {
+			return t
+		}
+		t = a.Elem
+	}
+}
+
+// Contained calls yield on c and on every class a value of class c
+// contains by value — the classes of its bases and of its members,
+// through arrays — transitively, each once. A class in seen is skipped,
+// with every class reached only through it, and each class yielded is
+// added to seen, so calls sharing one seen map visit each class once in
+// all. yield returns false to stop the walk; Contained reports whether
+// the walk ran to its end. A nil c yields nothing.
+func Contained(c *Class, seen map[*Class]bool, yield func(*Class) bool) bool {
+	if c == nil || seen[c] {
+		return true
+	}
+	seen[c] = true
+	if !yield(c) {
+		return false
+	}
+	for _, f := range c.Fields {
+		if !Contained(IsClass(ArrayElem(f.Type)), seen, yield) {
+			return false
+		}
+	}
+	for _, b := range c.Bases {
+		if !Contained(b.Class, seen, yield) {
+			return false
+		}
+	}
+	return true
+}
+
+// RunsUserDtor reports whether destroying a value of class c runs a
+// user-declared destructor: its own, a base's, or a member's, through
+// arrays. It is false for a nil c.
+func RunsUserDtor(c *Class) bool {
+	if c == nil {
+		return false
+	}
+	return !Contained(c, map[*Class]bool{}, func(k *Class) bool { return k.Dtor() == nil })
+}
+
 // PointeeClass returns the class C if t is C* (possibly through arrays of
 // C), else nil.
 func PointeeClass(t Type) *Class {

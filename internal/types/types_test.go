@@ -1,6 +1,9 @@
 package types
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestIdentical(t *testing.T) {
 	c1 := &Class{Name: "C", Complete: true}
@@ -117,5 +120,52 @@ func TestTotalDataMembers(t *testing.T) {
 	b := &Class{Name: "B", Fields: []*Field{{}}}
 	if got := TotalDataMembers([]*Class{a, b}); got != 3 {
 		t.Errorf("TotalDataMembers = %d, want 3", got)
+	}
+}
+
+// TestContained: a class contains its bases' classes and its members'
+// classes through arrays, not the classes its pointers reach; a shared
+// seen set visits each class once across calls, and yield can stop the
+// walk.
+func TestContained(t *testing.T) {
+	dtor := &Func{Name: "~Leaf", IsDtor: true}
+	leaf := &Class{Name: "Leaf", Methods: []*Func{dtor}}
+	base := &Class{Name: "Base"}
+	far := &Class{Name: "Far"}
+	top := &Class{Name: "Top", Bases: []Base{{Class: base}}, Fields: []*Field{
+		{Name: "grid", Type: &Array{Elem: &Array{Elem: leaf, Len: 2}, Len: 3}},
+		{Name: "ptr", Type: &Pointer{Elem: far}},
+	}}
+	if got := ArrayElem(top.Fields[0].Type); got != leaf {
+		t.Errorf("ArrayElem(Leaf[3][2]) = %v, want Leaf", got)
+	}
+	if got := ArrayElem(IntType); got != IntType {
+		t.Errorf("ArrayElem(int) = %v, want int", got)
+	}
+
+	var names []string
+	seen := map[*Class]bool{}
+	collect := func(c *Class) bool { names = append(names, c.Name); return true }
+	if !Contained(top, seen, collect) {
+		t.Error("a walk yield never stops should run to its end")
+	}
+	if got := strings.Join(names, " "); got != "Top Leaf Base" {
+		t.Errorf("Contained(Top) yielded %q, want \"Top Leaf Base\"", got)
+	}
+	names = nil
+	Contained(base, seen, collect)
+	Contained(nil, seen, collect)
+	if len(names) != 0 {
+		t.Errorf("a shared seen set yielded %q again", names)
+	}
+	if Contained(top, map[*Class]bool{}, func(c *Class) bool { return c != leaf }) {
+		t.Error("a walk stopped by yield reported running to its end")
+	}
+
+	if !RunsUserDtor(top) || RunsUserDtor(base) || RunsUserDtor(nil) {
+		t.Error("RunsUserDtor: only Top, through its Leaf array, runs a user destructor")
+	}
+	if RunsUserDtor(&Class{Name: "Holder", Fields: []*Field{{Name: "p", Type: &Pointer{Elem: leaf}}}}) {
+		t.Error("RunsUserDtor: destroying a pointer member runs no destructor")
 	}
 }
