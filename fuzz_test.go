@@ -101,6 +101,11 @@ func FuzzAnalyze(f *testing.F) {
 		cha := dead(deadmembers.Options{CallGraph: deadmembers.CallGraphCHA})
 		subset(dead(deadmembers.Options{CallGraph: deadmembers.CallGraphALL}), cha, "dead(ALL) ⊆ dead(CHA)")
 		subset(cha, def, "dead(CHA) ⊆ dead(RTA)")
+		// Combined switches: the walk without its delete rule over every
+		// function the ALL graph reaches.
+		subset(dead(deadmembers.Options{CallGraph: deadmembers.CallGraphCHA, WritesAreUses: true}), cha, "dead(CHA, WritesAreUses) ⊆ dead(CHA)")
+		subset(dead(deadmembers.Options{CallGraph: deadmembers.CallGraphALL, TrustDowncasts: true, NoDeleteSpecialCase: true}),
+			dead(deadmembers.Options{TrustDowncasts: true}), "dead(ALL, TrustDowncasts, NoDeleteSpecialCase) ⊆ dead(TrustDowncasts)")
 	})
 }
 

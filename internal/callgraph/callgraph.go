@@ -547,7 +547,7 @@ func UsedClasses(prog *types.Program) map[*types.Class]bool {
 	used := map[*types.Class]bool{}
 	// Constructing a class constructs every class it contains.
 	markType := func(t types.Type) {
-		types.Contained(types.IsClass(types.ArrayElem(t)), used, func(*types.Class) bool { return true })
+		types.Contained(types.IsClass(types.ArrayElem(t)), used, func(*types.Class) {})
 	}
 	for _, v := range prog.Globals {
 		markType(v.Type)

@@ -366,11 +366,10 @@ func (a *analysis) markLive(f *types.Field, why Reason, at source.Pos) {
 // bases', and its class-typed members', through arrays. The visited set
 // skips classes already marked this way.
 func (a *analysis) markAllContainedMembers(c *types.Class, why Reason, at source.Pos) {
-	types.Contained(c, a.visited, func(k *types.Class) bool {
+	types.Contained(c, a.visited, func(k *types.Class) {
 		for _, f := range k.Fields {
 			a.markLive(f, why, at)
 		}
-		return true
 	})
 }
 

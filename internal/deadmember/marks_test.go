@@ -4,12 +4,8 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
-	goast "go/ast"
-	goparser "go/parser"
-	gotoken "go/token"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -91,7 +87,8 @@ func TestMarksGolden(t *testing.T) {
 			progs = append(progs, program{name, []frontend.Source{{Name: name, Text: string(text)}}})
 		}
 	}
-	progs = append(progs, program{"examples/figure1", []frontend.Source{{Name: "figure1.mcc", Text: embeddedProgram(t, "../../examples/figure1/main.go")}}})
+	// The figure1 const is examples/figure1's program, line for line.
+	progs = append(progs, program{"examples/figure1", []frontend.Source{{Name: "figure1.mcc", Text: figure1}}})
 
 	var b strings.Builder
 	for _, p := range progs {
@@ -143,33 +140,4 @@ func checkGolden(t *testing.T, name, got string) {
 	if got != string(want) {
 		t.Errorf("%s differs from its golden:\n--- got ---\n%s--- want ---\n%s", name, got, want)
 	}
-}
-
-// embeddedProgram returns the `const program` string of a Go example.
-func embeddedProgram(t *testing.T, path string) string {
-	t.Helper()
-	f, err := goparser.ParseFile(gotoken.NewFileSet(), path, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range f.Decls {
-		gd, ok := d.(*goast.GenDecl)
-		if !ok || gd.Tok != gotoken.CONST {
-			continue
-		}
-		for _, s := range gd.Specs {
-			vs := s.(*goast.ValueSpec)
-			if len(vs.Names) == 1 && vs.Names[0].Name == "program" && len(vs.Values) == 1 {
-				if lit, ok := vs.Values[0].(*goast.BasicLit); ok {
-					text, err := strconv.Unquote(lit.Value)
-					if err != nil {
-						t.Fatalf("%s: %v", path, err)
-					}
-					return text
-				}
-			}
-		}
-	}
-	t.Fatalf("%s: no `const program` string", path)
-	return ""
 }

@@ -146,11 +146,10 @@ func (cl *classification) Sizeof(*ast.Sizeof) {}
 // read: copying a class value reads all of it.
 func (cl *classification) readsClass(t types.Type) {
 	if c := types.IsClass(t); c != nil {
-		types.Contained(c, map[*types.Class]bool{}, func(k *types.Class) bool {
+		types.Contained(c, map[*types.Class]bool{}, func(k *types.Class) {
 			for _, f := range k.Fields {
 				cl.reads[f] = true
 			}
-			return true
 		})
 	}
 }

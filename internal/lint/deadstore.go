@@ -315,11 +315,10 @@ func (s *storePass) blockTransfer(nodes []ast.Node, at []int32) (gen, kill dataf
 func (s *storePass) genField(fld *types.Field, gen dataflow.BitSet) {
 	s.genFinal(fld, gen)
 	if c := types.IsClass(types.ArrayElem(fld.Type)); c != nil {
-		types.Contained(c, map[*types.Class]bool{}, func(k *types.Class) bool {
+		types.Contained(c, map[*types.Class]bool{}, func(k *types.Class) {
 			for _, f := range k.Fields {
 				s.genFinal(f, gen)
 			}
-			return true
 		})
 	}
 }

@@ -335,11 +335,10 @@ func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.F
 	sup := map[*types.Field]bool{}
 	seen := map[*types.Class]bool{}
 	supClass := func(c *types.Class) {
-		types.Contained(c, seen, func(k *types.Class) bool {
+		types.Contained(c, seen, func(k *types.Class) {
 			for _, f := range k.Fields {
 				sup[f] = true
 			}
-			return true
 		})
 	}
 

@@ -327,37 +327,30 @@ func ArrayElem(t Type) Type {
 // through arrays — transitively, each once. A class in seen is skipped,
 // with every class reached only through it, and each class yielded is
 // added to seen, so calls sharing one seen map visit each class once in
-// all. yield returns false to stop the walk; Contained reports whether
-// the walk ran to its end. A nil c yields nothing.
-func Contained(c *Class, seen map[*Class]bool, yield func(*Class) bool) bool {
+// all. A nil c yields nothing.
+func Contained(c *Class, seen map[*Class]bool, yield func(*Class)) {
 	if c == nil || seen[c] {
-		return true
+		return
 	}
 	seen[c] = true
-	if !yield(c) {
-		return false
-	}
+	yield(c)
 	for _, f := range c.Fields {
-		if !Contained(IsClass(ArrayElem(f.Type)), seen, yield) {
-			return false
-		}
+		Contained(IsClass(ArrayElem(f.Type)), seen, yield)
 	}
 	for _, b := range c.Bases {
-		if !Contained(b.Class, seen, yield) {
-			return false
-		}
+		Contained(b.Class, seen, yield)
 	}
-	return true
 }
 
 // RunsUserDtor reports whether destroying a value of class c runs a
 // user-declared destructor: its own, a base's, or a member's, through
 // arrays. It is false for a nil c.
 func RunsUserDtor(c *Class) bool {
-	if c == nil {
-		return false
+	runs := false
+	if c != nil {
+		Contained(c, map[*Class]bool{}, func(k *Class) { runs = runs || k.Dtor() != nil })
 	}
-	return !Contained(c, map[*Class]bool{}, func(k *Class) bool { return k.Dtor() == nil })
+	return runs
 }
 
 // PointeeClass returns the class C if t is C* (possibly through arrays of
