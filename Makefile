@@ -43,8 +43,9 @@ serve:
 	$(GO) build -o bin/deadmemd ./cmd/deadmemd
 	bin/deadmemd -addr $(ADDR)
 
-# End-to-end smoke: start deadmemd, probe /healthz, and diff /v1/analyze
-# and /v1/lint responses against deadmem/deadlint stdout byte-for-byte.
+# End-to-end smoke: start deadmemd, probe /healthz, and diff /v1/strip,
+# /v1/analyze and /v1/lint responses against deadstrip/deadmem/deadlint
+# stdout byte-for-byte.
 smoke-server:
 	sh scripts/smoke_server.sh
 

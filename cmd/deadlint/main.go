@@ -81,14 +81,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	opts := deadmember.Options{
 		TrustDowncasts: *trustDowncasts,
 	}
-	switch strings.ToLower(*callgraphMode) {
-	case "rta":
-		opts.CallGraph = callgraph.RTA
-	case "cha":
-		opts.CallGraph = callgraph.CHA
-	case "all":
-		opts.CallGraph = callgraph.ALL
-	default:
+	var ok bool
+	if opts.CallGraph, ok = callgraph.ParseMode(*callgraphMode); !ok {
 		fmt.Fprintf(stderr, "deadlint: unknown -callgraph %q\n", *callgraphMode)
 		return 2
 	}

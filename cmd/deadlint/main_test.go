@@ -91,8 +91,11 @@ func TestUsageErrors(t *testing.T) {
 	if code, _, errw := runCLI(t, "-format", "xml", "x.mcc"); code != 2 || !strings.Contains(errw, "unknown -format") {
 		t.Errorf("bad format: exit = %d, stderr %q", code, errw)
 	}
-	if code, _, _ := runCLI(t, "-callgraph", "magic", "x.mcc"); code != 2 {
-		t.Errorf("bad callgraph: exit = %d, want 2", code)
+	if code, _, errw := runCLI(t, "-callgraph", "magic", "x.mcc"); code != 2 || errw != "deadlint: unknown -callgraph \"magic\"\n" {
+		t.Errorf("bad callgraph: exit = %d, stderr %q", code, errw)
+	}
+	if code, _, errw := runCLI(t, "-callgraph", "CHA", filepath.Join("..", "..", "examples", "mcc", "clean.mcc")); code != 0 {
+		t.Errorf("upper-case callgraph: exit = %d, stderr %q", code, errw)
 	}
 }
 

@@ -20,8 +20,17 @@ import (
 
 	"deadmembers"
 	"deadmembers/internal/buildinfo"
+	"deadmembers/internal/callgraph"
+	"deadmembers/internal/deadmember"
 	"deadmembers/internal/textreport"
 )
+
+// publicMode is the public API's name for each call-graph mode.
+var publicMode = map[callgraph.Mode]deadmembers.CallGraphMode{
+	callgraph.RTA: deadmembers.CallGraphRTA,
+	callgraph.CHA: deadmembers.CallGraphCHA,
+	callgraph.ALL: deadmembers.CallGraphALL,
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -68,23 +77,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		TrustDowncasts:      *trustDowncasts,
 		WritesAreUses:       *writesAreUses,
 	}
-	switch strings.ToLower(*callgraphMode) {
-	case "rta":
-		opts.CallGraph = deadmembers.CallGraphRTA
-	case "cha":
-		opts.CallGraph = deadmembers.CallGraphCHA
-	case "all":
-		opts.CallGraph = deadmembers.CallGraphALL
-	default:
+	mode, ok := callgraph.ParseMode(*callgraphMode)
+	if !ok {
 		fmt.Fprintf(stderr, "deadmem: unknown -callgraph %q\n", *callgraphMode)
 		return 2
 	}
-	switch strings.ToLower(*sizeofPolicy) {
-	case "ignore":
-		opts.Sizeof = deadmembers.SizeofIgnore
-	case "conservative":
-		opts.Sizeof = deadmembers.SizeofConservative
-	default:
+	opts.CallGraph = publicMode[mode]
+	if opts.Sizeof, ok = deadmember.ParseSizeof(*sizeofPolicy); !ok {
 		fmt.Fprintf(stderr, "deadmem: unknown -sizeof %q\n", *sizeofPolicy)
 		return 2
 	}

@@ -70,7 +70,7 @@ func TestVerbosePrintsStageTimings(t *testing.T) {
 
 func TestCallGraphFlag(t *testing.T) {
 	path := writeSample(t)
-	for _, mode := range []string{"rta", "cha", "all"} {
+	for _, mode := range []string{"rta", "cha", "all", "ALL"} {
 		var out, errOut strings.Builder
 		if code := run([]string{"-callgraph", mode, path}, &out, &errOut); code != 0 {
 			t.Errorf("-callgraph %s: exit %d", mode, code)
@@ -79,6 +79,9 @@ func TestCallGraphFlag(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-callgraph", "bogus", path}, &out, &errOut); code != 2 {
 		t.Errorf("bogus mode should exit 2, got %d", code)
+	}
+	if want := "deadmem: unknown -callgraph \"bogus\"\n"; errOut.String() != want {
+		t.Errorf("bogus mode: stderr %q, want %q", errOut.String(), want)
 	}
 }
 
@@ -162,13 +165,19 @@ int main() {
 		t.Errorf("-library should exclude libdata from the dead report:\n%s", out.String())
 	}
 
-	// -sizeof variants accepted; bogus rejected.
-	out.Reset()
-	if code := run([]string{"-sizeof", "conservative", path}, &out, &errOut); code != 0 {
-		t.Fatalf("-sizeof conservative: exit %d", code)
+	// -sizeof variants accepted in any case; bogus rejected.
+	for _, policy := range []string{"conservative", "IGNORE"} {
+		out.Reset()
+		if code := run([]string{"-sizeof", policy, path}, &out, &errOut); code != 0 {
+			t.Fatalf("-sizeof %s: exit %d", policy, code)
+		}
 	}
+	errOut.Reset()
 	if code := run([]string{"-sizeof", "sometimes", path}, &out, &errOut); code != 2 {
 		t.Fatalf("bogus -sizeof should exit 2")
+	}
+	if want := "deadmem: unknown -sizeof \"sometimes\"\n"; errOut.String() != want {
+		t.Errorf("bogus -sizeof: stderr %q, want %q", errOut.String(), want)
 	}
 
 	// -trust-downcasts accepted.

@@ -72,8 +72,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		defer cancel()
 	}
 
-	// Compile once; the same compilation serves the verification run of
-	// the original program and the strip transform (which consumes it).
+	// Compile once; the same compilation serves the strip transform and
+	// the verification run of the original program.
 	comp, err := deadmembers.CompileContext(ctx, sources...)
 	if err != nil {
 		fmt.Fprintf(stderr, "deadstrip: %v\n", err)
@@ -91,8 +91,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	var before *deadmembers.ExecResult
 	if *verify {
-		// Run the original before stripping: the transform rewrites the
-		// compiled syntax trees in place.
 		before, err = comp.RunContext(ctx)
 		if err != nil {
 			fmt.Fprintf(stderr, "deadstrip: original does not run: %v\n", err)

@@ -272,10 +272,9 @@ func (c *Compilation) RunContext(ctx context.Context) (*ExecResult, error) {
 }
 
 // Strip analyzes and removes the dead data members (and unreachable
-// functions) whose elimination is provably behaviour preserving. The
-// transform consumes the compilation (its syntax trees are rewritten in
-// place): do not call Analyze/Profile/Run on it afterwards — compile
-// StripResult.Sources instead.
+// functions) whose elimination is provably behaviour preserving,
+// returning the transformed program. It writes nothing of the
+// compilation, which serves later calls unchanged.
 func (c *Compilation) Strip(opts Options, stripOpts StripOptions) *StripResult {
 	return c.eng.Strip(opts.analysisOptions(), stripOpts)
 }

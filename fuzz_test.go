@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"deadmembers"
+	"deadmembers/internal/ast"
 	"deadmembers/internal/cfg"
 	"deadmembers/internal/dynprof"
 	"deadmembers/internal/frontend"
 	"deadmembers/internal/heaplive"
 	"deadmembers/internal/lint"
+	"deadmembers/internal/printer"
 )
 
 // The fuzz targets hold the pipeline to its containment contract on
@@ -185,14 +187,17 @@ func FuzzCFG(f *testing.F) {
 func FuzzStripRoundTrip(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, text string) {
-		if _, ok := fuzzCompile(t, text); !ok {
+		c, ok := fuzzCompile(t, text)
+		if !ok {
 			return
 		}
-		// Strip consumes its compilation, so let it compile its own.
-		out, err := deadmembers.Strip(deadmembers.Options{}, deadmembers.StripOptions{},
-			deadmembers.Source{Name: "fuzz.mcc", Text: text})
-		if err != nil {
-			t.Fatalf("compiled program failed to strip: %v", err)
+		// Strip writes nothing of its compilation: its files print the
+		// same before and after.
+		files := c.Analyze(deadmembers.Options{}).Program.Files
+		before := printFiles(files)
+		out := c.Strip(deadmembers.Options{}, deadmembers.StripOptions{})
+		if after := printFiles(files); after != before {
+			t.Fatalf("Strip changed its compilation:\n---- before ----\n%s---- after ----\n%s", before, after)
 		}
 		// The round-trip property: whatever the transform emits is a valid
 		// MC++ program — it reparses and rechecks with zero diagnostics.
@@ -204,6 +209,15 @@ func FuzzStripRoundTrip(f *testing.F) {
 			t.Fatalf("stripped output does not recompile: %v\n---- stripped ----\n%s", err, b.String())
 		}
 	})
+}
+
+// printFiles prints every file of a compilation.
+func printFiles(files []*ast.File) string {
+	var b strings.Builder
+	for _, f := range files {
+		b.WriteString(printer.Print(f))
+	}
+	return b.String()
 }
 
 // FuzzVMDifferential holds the bytecode VM, which executes every

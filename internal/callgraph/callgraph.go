@@ -47,6 +47,20 @@ func (m Mode) String() string {
 	return "?"
 }
 
+// ParseMode maps a CLI/wire spelling onto a mode: rta, cha or all, in
+// any case.
+func ParseMode(s string) (Mode, bool) {
+	switch strings.ToLower(s) {
+	case "rta":
+		return RTA, true
+	case "cha":
+		return CHA, true
+	case "all":
+		return ALL, true
+	}
+	return RTA, false
+}
+
 // Graph is a constructed call graph.
 type Graph struct {
 	Mode Mode

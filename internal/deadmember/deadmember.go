@@ -29,6 +29,7 @@ package deadmember
 import (
 	"context"
 	"sort"
+	"strings"
 
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/failure"
@@ -57,6 +58,18 @@ func (p SizeofPolicy) String() string {
 		return "conservative"
 	}
 	return "ignore"
+}
+
+// ParseSizeof maps a CLI/wire spelling onto a policy: ignore or
+// conservative, in any case.
+func ParseSizeof(s string) (SizeofPolicy, bool) {
+	switch strings.ToLower(s) {
+	case "ignore":
+		return SizeofIgnore, true
+	case "conservative":
+		return SizeofConservative, true
+	}
+	return SizeofIgnore, false
 }
 
 // Options configures an analysis run.

@@ -112,7 +112,6 @@ func TestAnalysisCachedPerOptions(t *testing.T) {
 		t.Fatal("entries are not kept per options")
 	}
 
-	// Strip consumes the compilation, so it comes last.
 	if st := comp.Strip(opts, strip.Options{}); len(st.RemovedMembers) == 0 {
 		t.Fatal("Strip removed nothing")
 	}

@@ -6,7 +6,10 @@
 // stages (internal/frontend's Parse, then sema) produce an explicit
 // Compilation artifact; the analysis stages run against it under any
 // number of deadmember.Options without re-lexing, re-parsing, or
-// re-typechecking. On top of that the engine provides:
+// re-typechecking. Every later stage, the strip transform included, leaves
+// the compiled program as it found it, so one Compilation serves any
+// number of calls, concurrent ones included. On top of that the engine
+// provides:
 //
 //   - liveness and lint passes spread over GOMAXPROCS workers, whose
 //     results are byte-identical at any worker count (see
@@ -134,7 +137,6 @@ type Compilation struct {
 	cfg       Config
 	timings   Timings // Parse + Sema only
 	retained  int64   // RetainedBytes, fixed at compile time
-	consumed  bool    // set by Strip: the ASTs were mutated
 	cancelErr error   // context error that aborted Compile, if any
 
 	// The caches hold results only: clean analyses per options and
@@ -493,28 +495,21 @@ func (c *Compilation) NewExecutor() *vm.Executor {
 	return vm.NewExecutor(c.Program, c.Hierarchy)
 }
 
-// Strip analyzes and applies the dead-member elimination transform.
-//
-// The transform consumes the compilation: it rewrites the ASTs in place
-// (see strip.Apply), so this compilation must not be analyzed or executed
-// afterwards — recompile Result.Sources instead. Session caches treat a
-// consumed compilation as evicted.
+// Strip analyzes and applies the dead-member elimination transform. The
+// transform writes nothing of the compilation (see strip.Apply), so the
+// compilation serves later and concurrent calls unchanged.
 func (c *Compilation) Strip(opts deadmember.Options, sopts strip.Options) *strip.Result {
 	res, _ := c.StripContext(context.Background(), opts, sopts)
 	return res
 }
 
 // StripContext is Strip under a context. The analysis polls ctx; a panic
-// inside the transform itself is contained and returned as an error (the
-// compilation is still consumed — its ASTs may be half-rewritten).
+// inside the transform itself is contained and returned as an error.
 func (c *Compilation) StripContext(ctx context.Context, opts deadmember.Options, sopts strip.Options) (*strip.Result, error) {
 	res, err := c.AnalyzeContext(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	c.consumed = true
-	c.mu.Unlock()
 	var out *strip.Result
 	if f := failure.Catch("strip", "program", func() {
 		out = strip.Apply(res, sopts)
@@ -522,13 +517,6 @@ func (c *Compilation) StripContext(ctx context.Context, opts deadmember.Options,
 		return nil, f
 	}
 	return out, nil
-}
-
-// Consumed reports whether Strip has invalidated this compilation.
-func (c *Compilation) Consumed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.consumed
 }
 
 // Fingerprint returns the content hash that keys the session cache (and

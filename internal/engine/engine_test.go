@@ -2,13 +2,17 @@ package engine_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"deadmembers/internal/ast"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/frontend"
+	"deadmembers/internal/heaplive"
+	"deadmembers/internal/lint"
 	"deadmembers/internal/parser"
 	"deadmembers/internal/sema"
 	"deadmembers/internal/source"
@@ -69,33 +73,108 @@ func TestSessionCompileOnce(t *testing.T) {
 	}
 }
 
-// TestStripConsumesCompilation: the strip transform rewrites the ASTs, so
-// the session must treat the compilation as evicted and recompile.
-func TestStripConsumesCompilation(t *testing.T) {
-	s := engine.NewSession(engine.Config{})
-	src := frontend.Source{Name: "s.mcc", Text: `
-class Box { public: int used; int unused; Box() : used(1), unused(2) {} };
-int main() { Box b; return b.used; }
+// stripSrc has a dead member that Strip takes out of a constructor
+// initializer (hoisting its effectful argument), of a method, of a
+// single-statement if body and, with its only reader, of an unreachable
+// method. A strip that wrote its compilation would leave no write of it
+// for a later analysis under WritesAreUses to see.
+var stripSrc = frontend.Source{Name: "s.mcc", Text: `
+int calls = 0;
+int bump() { calls = calls + 1; return calls; }
+class Node {
+public:
+	int val;
+	int cache;
+	Node() : val(1), cache(bump()) {}
+	void set(int v) { val = v; cache = v * 2; }
+	int debug() { return cache; }
+};
+int main() {
+	Node n;
+	n.set(3);
+	if (n.val > 0) n.cache = 5;
+	print(n.val + calls);
+	println();
+	return 0;
+}
 `}
-	c1 := s.Compile(src)
-	out := c1.Strip(deadmember.Options{}, strip.Options{})
-	if len(out.RemovedMembers) != 1 || out.RemovedMembers[0] != "Box::unused" {
-		t.Fatalf("strip removed %v, want [Box::unused]", out.RemovedMembers)
+
+// TestStripLeavesCompilation: the strip transform writes nothing of its
+// compilation, so the session hands the same compilation back, a second
+// Strip emits the same sources, and analyses and runs after a Strip
+// match those of a compilation that was never stripped.
+func TestStripLeavesCompilation(t *testing.T) {
+	s := engine.NewSession(engine.Config{})
+	c1 := s.Compile(stripSrc)
+	fresh := engine.Compile(engine.Config{}, stripSrc)
+	out := c1.Strip(rta, strip.Options{})
+	if len(out.RemovedMembers) != 1 || out.RemovedMembers[0] != "Node::cache" {
+		t.Fatalf("strip removed %v, want [Node::cache]", out.RemovedMembers)
 	}
-	if !c1.Consumed() {
-		t.Fatal("compilation should be consumed after Strip")
+	if c2 := s.Compile(stripSrc); c2 != c1 {
+		t.Fatal("session recompiled a stripped compilation")
 	}
-	c2 := s.Compile(src)
-	if c2 == c1 {
-		t.Fatal("session must recompile a consumed compilation")
+	if st := s.Stats(); st.Compiles != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 compile / 1 hit", st)
 	}
-	if st := s.Stats(); st.Compiles != 2 {
-		t.Fatalf("stats = %+v, want 2 compiles", st)
+	if again := c1.Strip(rta, strip.Options{}); !reflect.DeepEqual(again.Sources, out.Sources) {
+		t.Fatalf("second Strip differs:\n%v\n---\n%v", again.Sources, out.Sources)
 	}
-	// The recompiled artifact still analyzes correctly.
-	res := c2.Analyze(deadmember.Options{})
-	if got := len(res.DeadMembers()); got != 1 {
-		t.Fatalf("recompiled analysis found %d dead members, want 1", got)
+	writes := rta
+	writes.WritesAreUses = true
+	for _, opts := range []deadmember.Options{rta, writes} {
+		if got, want := renderResult(c1.Analyze(opts)), renderResult(fresh.Analyze(opts)); got != want {
+			t.Errorf("Analyze(%+v) after Strip:\n%s\nwant:\n%s", opts, got, want)
+		}
+	}
+	got, err := c1.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Output != want.Output || got.ExitCode != want.ExitCode {
+		t.Errorf("Run after Strip = %d %q, want %d %q", got.ExitCode, got.Output, want.ExitCode, want.Output)
+	}
+}
+
+// TestStripConcurrentWithAnalyses runs Strip, Lint and Analyze on one
+// session compilation from several goroutines at once: every Strip
+// emits the same sources, and under -race (make race-server) nothing
+// they share is written unsynchronized.
+func TestStripConcurrentWithAnalyses(t *testing.T) {
+	const goroutines = 6
+	s := engine.NewSession(engine.Config{})
+	comp := s.Compile(stripSrc)
+	if err := comp.Err(); err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]*strip.Result, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			switch g % 3 {
+			case 0:
+				outs[g] = comp.Strip(rta, strip.Options{})
+			case 1:
+				comp.Lint(rta, lint.Options{Precision: heaplive.PrecisionHeap})
+			default:
+				opts := rta
+				opts.WritesAreUses = g%2 == 0
+				comp.Analyze(opts)
+			}
+		}(g)
+	}
+	wg.Wait()
+	want := engine.Compile(engine.Config{}, stripSrc).Strip(rta, strip.Options{})
+	for g := 0; g < goroutines; g += 3 {
+		if !reflect.DeepEqual(outs[g], want) {
+			t.Errorf("goroutine %d: Strip = %+v, want %+v", g, outs[g], want)
+		}
 	}
 }
 

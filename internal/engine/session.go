@@ -93,8 +93,7 @@ func NewBoundedSession(cfg Config, limits Limits) *Session {
 }
 
 // Compile returns the cached Compilation for sources, running the
-// frontend only on the first sight of this exact content. Compilations
-// consumed by Strip are treated as evicted and recompiled.
+// frontend only on the first sight of this exact content.
 func (s *Session) Compile(sources ...Source) *Compilation {
 	return s.CompileContext(context.Background(), sources...)
 }
@@ -110,22 +109,17 @@ func (s *Session) CompileContext(ctx context.Context, sources ...Source) *Compil
 	for {
 		s.mu.Lock()
 		if el, ok := s.entries[key]; ok {
-			e := el.Value.(*cacheEntry)
-			if e.comp.Consumed() {
-				s.removeLocked(el)
-			} else {
-				s.stats.Hits++
-				s.lru.MoveToFront(el)
-				s.mu.Unlock()
-				return e.comp
-			}
+			s.stats.Hits++
+			s.lru.MoveToFront(el)
+			s.mu.Unlock()
+			return el.Value.(*cacheEntry).comp
 		}
 		if fl, ok := s.inflight[key]; ok {
 			s.mu.Unlock()
 			select {
 			case <-fl.done:
 				c := fl.comp
-				if c.CancelErr() == nil && !c.Degraded() && !c.Consumed() {
+				if c.CancelErr() == nil && !c.Degraded() {
 					s.mu.Lock()
 					s.stats.Hits++
 					s.mu.Unlock()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -248,22 +249,11 @@ func decodeOptions(o wireOptions) (deadmember.Options, *httpError) {
 		WritesAreUses:       o.WritesAreUses,
 		LibraryClasses:      o.Library,
 	}
-	switch strings.ToLower(o.CallGraph) {
-	case "", "rta":
-		opts.CallGraph = callgraph.RTA
-	case "cha":
-		opts.CallGraph = callgraph.CHA
-	case "all":
-		opts.CallGraph = callgraph.ALL
-	default:
+	var ok bool
+	if opts.CallGraph, ok = callgraph.ParseMode(cmp.Or(o.CallGraph, "rta")); !ok {
 		return opts, badRequest("unknown callgraph %q", o.CallGraph)
 	}
-	switch strings.ToLower(o.Sizeof) {
-	case "", "ignore":
-		opts.Sizeof = deadmember.SizeofIgnore
-	case "conservative":
-		opts.Sizeof = deadmember.SizeofConservative
-	default:
+	if opts.Sizeof, ok = deadmember.ParseSizeof(cmp.Or(o.Sizeof, "ignore")); !ok {
 		return opts, badRequest("unknown sizeof %q", o.Sizeof)
 	}
 	return opts, nil

@@ -382,17 +382,11 @@ func (s *Server) lint(ctx context.Context, b *bundle) (*handlerResult, *httpErro
 	return &handlerResult{buf.Bytes(), contentType, comp.Degraded() || res.Degraded()}, nil
 }
 
-// strip serves POST /v1/strip: the transformed sources. The transform
-// consumes its compilation (the ASTs are rewritten in place), so this
-// endpoint compiles outside the shared cache instead of destroying
-// entries other requests may hold.
+// strip serves POST /v1/strip: the transformed sources.
 func (s *Server) strip(ctx context.Context, b *bundle) (*handlerResult, *httpError) {
-	comp := engine.CompileContext(ctx, engine.Config{}, b.sources...)
-	if err := comp.Err(); err != nil {
-		if comp.CancelErr() != nil {
-			return nil, ctxErr(err)
-		}
-		return nil, &httpError{http.StatusUnprocessableEntity, "compile: " + err.Error()}
+	comp, herr := s.compile(ctx, b)
+	if herr != nil {
+		return nil, herr
 	}
 	if comp.Degraded() {
 		// Mirrors deadstrip: never emit a transform derived from salvaged

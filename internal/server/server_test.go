@@ -207,7 +207,8 @@ func TestLintFormats(t *testing.T) {
 }
 
 // TestStripEndpoint: the stripped sources match the shared writer, and
-// the transform never touches the shared session cache.
+// the request compiles through the shared session, whose entry a later
+// analysis of the same source reuses.
 func TestStripEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp, body := post(t, ts.URL+"/v1/strip?file=sample.mcc", "text/x-mcc", sample)
@@ -227,8 +228,14 @@ func TestStripEndpoint(t *testing.T) {
 	if strings.Contains(body, "unused") {
 		t.Errorf("dead member survived the strip:\n%s", body)
 	}
-	if st := s.Session().Stats(); st.Compiles != 0 || st.Entries != 0 {
-		t.Errorf("strip polluted the shared session cache: %+v", st)
+	if st := s.Session().Stats(); st.Compiles != 1 || st.Entries != 1 || st.Hits != 0 {
+		t.Errorf("strip did not compile through the session: %+v", st)
+	}
+	if resp, body := post(t, ts.URL+"/v1/analyze?file=sample.mcc", "text/x-mcc", sample); resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze after strip: status %d, body: %s", resp.StatusCode, body)
+	}
+	if st := s.Session().Stats(); st.Compiles != 1 || st.Hits != 1 {
+		t.Errorf("analyze after strip missed the session: %+v", st)
 	}
 }
 
@@ -247,19 +254,26 @@ func TestErrorMapping(t *testing.T) {
 	for _, tc := range []struct {
 		name, url, contentType, body string
 		want                         int
+		// msg, when set, is the exact response body.
+		msg string
 	}{
-		{"bad json", "/v1/analyze", "application/json", "{not json", http.StatusBadRequest},
-		{"second json object", "/v1/analyze", "application/json", `{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}]}{}`, http.StatusBadRequest},
-		{"junk after json", "/v1/analyze", "application/json", `{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}]} garbage`, http.StatusBadRequest},
-		{"no sources", "/v1/analyze", "application/json", `{"sources":[]}`, http.StatusBadRequest},
-		{"unknown option", "/v1/analyze?callgraph=psychic", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest},
-		{"unknown format", "/v1/lint?format=yaml", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest},
-		{"compile error", "/v1/analyze?file=bad.mcc", "text/x-mcc", "class {", http.StatusUnprocessableEntity},
-		{"oversized body", "/v1/analyze", "text/x-mcc", strings.Repeat("x", 4096), http.StatusRequestEntityTooLarge},
+		{"bad json", "/v1/analyze", "application/json", "{not json", http.StatusBadRequest, ""},
+		{"second json object", "/v1/analyze", "application/json", `{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}]}{}`, http.StatusBadRequest, ""},
+		{"junk after json", "/v1/analyze", "application/json", `{"sources":[{"name":"a.mcc","text":"int main() { return 0; }"}]} garbage`, http.StatusBadRequest, ""},
+		{"no sources", "/v1/analyze", "application/json", `{"sources":[]}`, http.StatusBadRequest, ""},
+		{"unknown option", "/v1/analyze?callgraph=psychic", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest, "deadmemd: unknown callgraph \"psychic\"\n"},
+		{"unknown sizeof", "/v1/analyze?sizeof=sometimes", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest, "deadmemd: unknown sizeof \"sometimes\"\n"},
+		{"upper-case options", "/v1/analyze?callgraph=CHA&sizeof=Conservative", "text/x-mcc", "int main() { return 0; }", http.StatusOK, ""},
+		{"unknown format", "/v1/lint?format=yaml", "text/x-mcc", "int main() { return 0; }", http.StatusBadRequest, ""},
+		{"compile error", "/v1/analyze?file=bad.mcc", "text/x-mcc", "class {", http.StatusUnprocessableEntity, ""},
+		{"oversized body", "/v1/analyze", "text/x-mcc", strings.Repeat("x", 4096), http.StatusRequestEntityTooLarge, ""},
 	} {
 		resp, body := post(t, ts.URL+tc.url, tc.contentType, tc.body)
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d (body: %s)", tc.name, resp.StatusCode, tc.want, body)
+		}
+		if tc.msg != "" && body != tc.msg {
+			t.Errorf("%s: body %q, want %q", tc.name, body, tc.msg)
 		}
 	}
 }

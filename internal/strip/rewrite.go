@@ -2,186 +2,241 @@ package strip
 
 import (
 	"deadmembers/internal/ast"
-	"deadmembers/internal/token"
 	"deadmembers/internal/types"
 )
 
-// rewrite mutates the ASTs: removes declarations and transforms the
-// statements that referenced stripped members.
-func (s *stripper) rewrite() {
-	deadDecls := map[*ast.FieldDecl]bool{}
+// rewrite returns the program's files without the stripped members, the
+// removed functions and the droppable statements of stripped members. It
+// writes nothing of the program: each declaration, statement and list
+// that changes is a copy, and everything else is shared.
+func (s *stripper) rewrite() []*ast.File {
+	// edits maps each declaration that changes to its replacement; a nil
+	// replacement removes it.
+	edits := map[ast.Node]ast.Node{}
 	for f, ok := range s.strippable {
 		if ok && f.Decl != nil {
-			deadDecls[f.Decl] = true
+			edits[f.Decl] = nil
 		}
 	}
-	removedMethodDecls := map[ast.Node]bool{}
-	for fn := range s.removedFuncs {
-		if fn.Decl != nil {
-			removedMethodDecls[fn.Decl] = true
-		}
-	}
-
-	for _, file := range s.res.Program.Files {
-		kept := file.Decls[:0]
-		for _, d := range file.Decls {
-			switch x := d.(type) {
-			case *ast.FuncDecl:
-				if removedMethodDecls[ast.Node(x)] {
-					continue
-				}
-			case *ast.ClassDecl:
-				s.rewriteClass(x, deadDecls, removedMethodDecls)
-			}
-			kept = append(kept, d)
-		}
-		file.Decls = kept
-	}
-
-	// Rewrite all surviving function bodies.
 	for _, fn := range s.res.Program.AllFuncs() {
-		if fn.Body == nil || s.removedFuncs[fn] {
-			continue
+		switch {
+		case s.removedFuncs[fn]:
+			edits[fn.Decl] = nil
+		case fn.Body != nil:
+			if d := s.rewriteFunc(fn); d != nil {
+				edits[fn.Decl] = d
+			}
 		}
-		if fn.IsCtor {
-			s.rewriteCtorInits(fn)
-		}
-		s.rewriteBlock(fn.Body)
 	}
+
+	files := make([]*ast.File, len(s.res.Program.Files))
+	for i, file := range s.res.Program.Files {
+		files[i] = file
+		decls, changed := rewriteList(file.Decls, func(d ast.Decl) ast.Decl {
+			if cd, ok := d.(*ast.ClassDecl); ok {
+				return rewriteClass(cd, edits)
+			}
+			return replace(d, edits)
+		})
+		if changed {
+			nf := *file
+			nf.Decls = decls
+			files[i] = &nf
+		}
+	}
+	return files
 }
 
-func (s *stripper) rewriteClass(cd *ast.ClassDecl, deadDecls map[*ast.FieldDecl]bool, removedMethods map[ast.Node]bool) {
-	fields := cd.Fields[:0]
-	for _, f := range cd.Fields {
-		if !deadDecls[f] {
-			fields = append(fields, f)
-		}
+// rewriteClass returns cd without its edited fields and methods, or cd
+// itself when none is edited.
+func rewriteClass(cd *ast.ClassDecl, edits map[ast.Node]ast.Node) *ast.ClassDecl {
+	fields, fc := rewriteList(cd.Fields, func(f *ast.FieldDecl) *ast.FieldDecl { return replace(f, edits) })
+	methods, mc := rewriteList(cd.Methods, func(m *ast.MethodDecl) *ast.MethodDecl { return replace(m, edits) })
+	if !fc && !mc {
+		return cd
 	}
-	cd.Fields = fields
-
-	methods := cd.Methods[:0]
-	for _, m := range cd.Methods {
-		if !removedMethods[ast.Node(m)] {
-			methods = append(methods, m)
-		}
-	}
-	cd.Methods = methods
+	nc := *cd
+	nc.Fields, nc.Methods = fields, methods
+	return &nc
 }
 
-// rewriteCtorInits drops initializer entries targeting stripped members;
-// effectful argument expressions are hoisted to the front of the body.
-func (s *stripper) rewriteCtorInits(fn *types.Func) {
-	md, ok := fn.Decl.(*ast.MethodDecl)
+// replace returns n's replacement in edits: n itself when it has no
+// entry, and nil when its entry removes it.
+func replace[T ast.Node](n T, edits map[ast.Node]ast.Node) T {
+	r, ok := edits[n]
 	if !ok {
-		return
+		return n
 	}
+	t, _ := r.(T)
+	return t
+}
+
+// rewriteList maps list through f, dropping the elements f maps to nil.
+// It reports whether any element changed, and copies list only then.
+func rewriteList[T comparable](list []T, f func(T) T) ([]T, bool) {
+	var zero T
+	var out []T
+	for i, x := range list {
+		y := f(x)
+		if out == nil {
+			if y == x {
+				continue
+			}
+			out = make([]T, i, len(list))
+			copy(out, list)
+		}
+		if y != zero {
+			out = append(out, y)
+		}
+	}
+	if out == nil {
+		return list, false
+	}
+	return out, true
+}
+
+// rewriteFunc returns a copy of fn's declaration with its body rewritten
+// and, for a constructor, the initializer entries of stripped members
+// dropped and their effectful arguments hoisted to the front of the body,
+// where they are rewritten with it. It returns nil when nothing changes.
+func (s *stripper) rewriteFunc(fn *types.Func) ast.Node {
+	switch d := fn.Decl.(type) {
+	case *ast.FuncDecl:
+		if body := s.rewriteBlock(d.Body); body != d.Body {
+			nd := *d
+			nd.Body = body
+			return &nd
+		}
+	case *ast.MethodDecl:
+		inits, hoisted := s.rewriteInits(d.Inits)
+		body := d.Body
+		if len(hoisted) > 0 {
+			nb := *body
+			nb.Stmts = append(hoisted, body.Stmts...)
+			body = &nb
+		}
+		// Entries are only ever dropped, so a change shortens the list.
+		if body = s.rewriteBlock(body); body != d.Body || len(inits) != len(d.Inits) {
+			nd := *d
+			nd.Inits, nd.Body = inits, body
+			return &nd
+		}
+	}
+	return nil
+}
+
+// rewriteInits returns inits without the entries of stripped members
+// (inits itself when it keeps them all), and the effectful arguments of
+// the dropped entries as statements.
+func (s *stripper) rewriteInits(inits []ast.CtorInit) ([]ast.CtorInit, []ast.Stmt) {
+	var kept []ast.CtorInit
 	var hoisted []ast.Stmt
-	kept := md.Inits[:0]
-	for i := range md.Inits {
-		init := &md.Inits[i]
-		fld := s.info.CtorInitFields[init]
-		if fld != nil && s.strippable[fld] {
-			for _, a := range init.Args {
-				if !effectFree(a) {
-					es := &ast.ExprStmt{X: a}
-					es.SetPos(a.Pos())
-					hoisted = append(hoisted, es)
-				}
+	for i := range inits {
+		init := &inits[i]
+		if f := s.info.CtorInitFields[init]; f == nil || !s.strippable[f] {
+			if kept != nil {
+				kept = append(kept, *init)
 			}
 			continue
 		}
-		kept = append(kept, *init)
-	}
-	md.Inits = kept
-	fn.Inits = kept
-	if len(hoisted) > 0 && md.Body != nil {
-		md.Body.Stmts = append(hoisted, md.Body.Stmts...)
-	}
-}
-
-// rewriteBlock transforms statements in place.
-func (s *stripper) rewriteBlock(b *ast.BlockStmt) {
-	out := b.Stmts[:0]
-	for _, st := range b.Stmts {
-		if repl, drop := s.rewriteStmt(st); !drop {
-			out = append(out, repl)
+		if kept == nil {
+			kept = append(make([]ast.CtorInit, 0, len(inits)), inits[:i]...)
+		}
+		for _, a := range init.Args {
+			if !effectFree(a) {
+				es := &ast.ExprStmt{X: a}
+				es.SetPos(a.Pos())
+				hoisted = append(hoisted, es)
+			}
 		}
 	}
-	b.Stmts = out
+	if kept == nil {
+		return inits, nil
+	}
+	return kept, hoisted
 }
 
-// rewriteStmt returns the replacement statement, or drop=true to delete it.
-func (s *stripper) rewriteStmt(st ast.Stmt) (ast.Stmt, bool) {
+// rewriteBlock returns b with its statements rewritten, or b itself when
+// none changes.
+func (s *stripper) rewriteBlock(b *ast.BlockStmt) *ast.BlockStmt {
+	stmts, changed := rewriteList(b.Stmts, s.rewriteStmt)
+	if !changed {
+		return b
+	}
+	nb := *b
+	nb.Stmts = stmts
+	return &nb
+}
+
+// rewriteStmt returns st with the droppable statements of stripped
+// members taken out: st itself when nothing in it changes, a copy of
+// each node on the path to a change otherwise, and nil when st itself
+// goes. A nil single-statement body prints as an empty block.
+func (s *stripper) rewriteStmt(st ast.Stmt) ast.Stmt {
 	switch x := st.(type) {
 	case *ast.BlockStmt:
-		s.rewriteBlock(x)
-		return x, false
+		return s.rewriteBlock(x)
 	case *ast.ExprStmt:
-		return s.rewriteExprStmt(x)
+		f, _, assign := s.droppable(x.X)
+		if f == nil || !s.strippable[f] {
+			return st
+		}
+		// `x.dead = e;` keeps `e;` unless e is effect-free.
+		if assign == nil || effectFree(assign.RHS) {
+			return nil
+		}
+		nx := *x
+		nx.X = assign.RHS
+		return &nx
 	case *ast.IfStmt:
-		x.Then, _ = s.rewriteStmt(x.Then)
-		if x.Else != nil {
-			if repl, drop := s.rewriteStmt(x.Else); drop {
-				x.Else = nil
-			} else {
-				x.Else = repl
-			}
+		then, els := s.rewriteStmt(x.Then), x.Else
+		if els != nil {
+			els = s.rewriteStmt(els)
 		}
-		return x, false
+		if then != x.Then || els != x.Else {
+			nx := *x
+			nx.Then, nx.Else = then, els
+			return &nx
+		}
 	case *ast.WhileStmt:
-		x.Body, _ = s.rewriteStmt(x.Body)
-		return x, false
+		if body := s.rewriteStmt(x.Body); body != x.Body {
+			nx := *x
+			nx.Body = body
+			return &nx
+		}
 	case *ast.DoWhileStmt:
-		x.Body, _ = s.rewriteStmt(x.Body)
-		return x, false
+		if body := s.rewriteStmt(x.Body); body != x.Body {
+			nx := *x
+			nx.Body = body
+			return &nx
+		}
 	case *ast.ForStmt:
-		if x.Init != nil {
-			x.Init, _ = s.rewriteStmt(x.Init)
+		init := x.Init
+		if init != nil {
+			init = s.rewriteStmt(init)
 		}
-		x.Body, _ = s.rewriteStmt(x.Body)
-		return x, false
+		if body := s.rewriteStmt(x.Body); init != x.Init || body != x.Body {
+			nx := *x
+			nx.Init, nx.Body = init, body
+			return &nx
+		}
 	case *ast.SwitchStmt:
+		var cases []ast.SwitchCase
 		for i := range x.Cases {
-			out := x.Cases[i].Body[:0]
-			for _, st := range x.Cases[i].Body {
-				if repl, drop := s.rewriteStmt(st); !drop {
-					out = append(out, repl)
-				}
+			body, changed := rewriteList(x.Cases[i].Body, s.rewriteStmt)
+			if !changed {
+				continue
 			}
-			x.Cases[i].Body = out
-		}
-		return x, false
-	}
-	return st, false
-}
-
-// rewriteExprStmt handles the expression-statement forms involving
-// stripped members.
-func (s *stripper) rewriteExprStmt(es *ast.ExprStmt) (ast.Stmt, bool) {
-	switch x := ast.Unparen(es.X).(type) {
-	case *ast.Assign:
-		if x.Op == token.Assign {
-			if f := s.deadFieldOf(x.LHS); f != nil && s.strippable[f] {
-				// `x.dead = e;` -> `e;` (or nothing if e is pure).
-				if effectFree(x.RHS) {
-					return nil, true
-				}
-				es.X = x.RHS
-				return es, false
+			if cases == nil {
+				cases = append([]ast.SwitchCase(nil), x.Cases...)
 			}
+			cases[i].Body = body
 		}
-	case *ast.Delete:
-		if f := s.deadFieldOf(x.X); f != nil && s.strippable[f] {
-			return nil, true
-		}
-	case *ast.Call:
-		if fn, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-			if b := s.info.IdentFuncs[fn]; b != nil && b.Builtin && b.Name == "free" && len(x.Args) == 1 {
-				if f := s.deadFieldOf(x.Args[0]); f != nil && s.strippable[f] {
-					return nil, true
-				}
-			}
+		if cases != nil {
+			nx := *x
+			nx.Cases = cases
+			return &nx
 		}
 	}
-	return es, false
+	return st
 }

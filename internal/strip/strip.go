@@ -16,6 +16,12 @@
 // A dead member whose removal cannot be proven behaviour-preserving (for
 // example, one written through an effectful receiver expression) is
 // reported as kept rather than silently broken.
+//
+// Apply is a pure function of the analysis result. It writes no node,
+// list or types.Func of the program it is given: the files it prints
+// share every unchanged node with the compilation and copy only the
+// nodes on the path to a change, so the compilation stays valid for
+// every other analysis, run or strip, including concurrent ones.
 package strip
 
 import (
@@ -53,8 +59,7 @@ type Result struct {
 	RemovedFunctions []string
 }
 
-// Apply runs the transform. The analysis result's ASTs are consumed
-// (mutated); re-run the frontend on Result.Sources afterwards.
+// Apply runs the transform and prints the transformed program.
 func Apply(res *deadmember.Result, opts Options) *Result {
 	s := &stripper{
 		res:  res,
@@ -63,8 +68,7 @@ func Apply(res *deadmember.Result, opts Options) *Result {
 	}
 	s.planFunctionRemoval(opts)
 	s.planMemberRemoval()
-	s.rewrite()
-	for _, file := range res.Program.Files {
+	for _, file := range s.rewrite() {
 		s.out.Sources = append(s.out.Sources, frontend.Source{
 			Name: file.Name,
 			Text: printer.Print(file),
@@ -110,22 +114,63 @@ func (s *stripper) planFunctionRemoval(opts Options) {
 // planMemberRemoval decides which dead members can be removed safely: all
 // surviving references to them must be rewritable (plain writes with
 // effect-free receivers, droppable delete/free statements, or ctor-init
-// entries).
+// entries). It walks each surviving body once, in AllFuncs order, and the
+// first reference that blocks a member gives its reason. Ctor-init
+// entries are always rewritable: their argument expressions are hoisted.
 func (s *stripper) planMemberRemoval() {
 	s.strippable = map[*types.Field]bool{}
 	for _, f := range s.res.DeadMembers() {
 		s.strippable[f] = true
 	}
-	for _, fn := range s.res.Program.AllFuncs() {
-		if fn.Body == nil || s.removedFuncs[fn] {
-			continue
+	// skip is the target of the droppable assignment being walked: the
+	// rewrite takes it out, so it references nothing.
+	var skip ast.Node
+	visit := func(n ast.Node) bool {
+		if n == skip {
+			return false
 		}
-		s.scanStmt(fn.Body)
-		// Ctor-init entries are always rewritable; their argument
-		// expressions are hoisted.
+		switch x := n.(type) {
+		case *ast.ExprStmt:
+			f, operand, assign := s.droppable(x.X)
+			if f == nil {
+				break
+			}
+			if assign != nil {
+				if !effectFreeReceiver(operand) {
+					s.block(f, "written through an effectful receiver")
+				}
+				skip = operand // the right-hand side stays and is walked
+				break
+			}
+			switch {
+			case !effectFreeReceiver(operand):
+				s.block(f, "freed through an effectful receiver")
+			case s.runsUserDtor(f, operand):
+				s.block(f, "deleting it runs a user destructor")
+			}
+			return false
+		case *ast.Member:
+			if f := s.info.FieldRefs[x]; f != nil && s.res.IsDead(f) {
+				s.block(f, "referenced in an expression the transform cannot rewrite")
+			}
+		case *ast.Ident:
+			if f := s.info.FieldOf(x); f != nil && s.res.IsDead(f) {
+				s.block(f, "referenced in an expression the transform cannot rewrite")
+			}
+		case *ast.QualifiedIdent:
+			if f := s.info.QualFieldRefs[x]; f != nil && s.res.IsDead(f) {
+				s.block(f, "pointer-to-member formed over it")
+			}
+		}
+		return true
 	}
-	for f := range s.strippable {
-		if s.strippable[f] {
+	for _, fn := range s.res.Program.AllFuncs() {
+		if fn.Body != nil && !s.removedFuncs[fn] {
+			ast.Inspect(fn.Body, visit)
+		}
+	}
+	for f, ok := range s.strippable {
+		if ok {
 			s.out.RemovedMembers = append(s.out.RemovedMembers, f.QualifiedName())
 		}
 	}
@@ -138,6 +183,39 @@ func (s *stripper) block(f *types.Field, why string) {
 	}
 	s.strippable[f] = false
 	s.out.KeptMembers[f.QualifiedName()] = why
+}
+
+// droppable recognizes the three statements the transform can take out
+// for a dead member m: `m = e;`, which leaves `e;` behind unless e is
+// effect-free, `delete m;` and `free(m);`. It returns m, the operand
+// that denotes it (the assignment's target, or the argument of delete or
+// free) and, for the first form, the assignment. m is nil for any other
+// expression.
+func (s *stripper) droppable(e ast.Expr) (m *types.Field, operand ast.Expr, assign *ast.Assign) {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Assign:
+		if x.Op == token.Assign {
+			return s.deadFieldOf(x.LHS), x.LHS, x
+		}
+	case *ast.Delete:
+		return s.deadFieldOf(x.X), x.X, nil
+	case *ast.Call:
+		if fn, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && len(x.Args) == 1 {
+			if b := s.info.IdentFuncs[fn]; b != nil && b.Builtin && b.Name == "free" {
+				return s.deadFieldOf(x.Args[0]), x.Args[0], nil
+			}
+		}
+	}
+	return nil, nil, nil
+}
+
+// runsUserDtor reports whether deleting operand, which denotes the dead
+// member f, could run a user destructor: through f's declared pointee, or
+// through the pointee of the operand's own type, which a cast may change
+// (`delete (Foo*)raw` for a void* member).
+func (s *stripper) runsUserDtor(f *types.Field, operand ast.Expr) bool {
+	return types.RunsUserDtor(types.PointeeClass(f.Type)) ||
+		types.RunsUserDtor(types.PointeeClass(s.info.TypeOf(operand)))
 }
 
 // deadFieldOf returns the dead member denoted by e (any member access
@@ -163,13 +241,11 @@ func (s *stripper) deadFieldOf(e ast.Expr) *types.Field {
 	return nil
 }
 
-// receiverOf returns the receiver expression of a member access, or nil
-// for implicit-this accesses.
-func receiverOf(e ast.Expr) ast.Expr {
-	if m, ok := ast.Unparen(e).(*ast.Member); ok {
-		return m.X
-	}
-	return nil
+// effectFreeReceiver reports whether the receiver of the member access
+// e, if it has one, evaluates without side effects.
+func effectFreeReceiver(e ast.Expr) bool {
+	m, ok := ast.Unparen(e).(*ast.Member)
+	return !ok || effectFree(m.X)
 }
 
 // effectFree reports whether evaluating e has no side effects (no calls,
@@ -193,136 +269,4 @@ func effectFree(e ast.Expr) bool {
 		return true
 	})
 	return pure
-}
-
-// scanStmt validates all references to dead members inside surviving code,
-// blocking members used in positions the rewrite cannot handle.
-func (s *stripper) scanStmt(stmt ast.Stmt) {
-	switch x := stmt.(type) {
-	case *ast.BlockStmt:
-		for _, st := range x.Stmts {
-			s.scanStmt(st)
-		}
-	case *ast.ExprStmt:
-		if s.scanDroppableExprStmt(x.X) {
-			return
-		}
-		s.scanExpr(x.X)
-	case *ast.DeclStmt:
-		if x.Var.Init != nil {
-			s.scanExpr(x.Var.Init)
-		}
-		for _, a := range x.Var.CtorArgs {
-			s.scanExpr(a)
-		}
-	case *ast.IfStmt:
-		s.scanExpr(x.Cond)
-		s.scanStmt(x.Then)
-		if x.Else != nil {
-			s.scanStmt(x.Else)
-		}
-	case *ast.WhileStmt:
-		s.scanExpr(x.Cond)
-		s.scanStmt(x.Body)
-	case *ast.DoWhileStmt:
-		s.scanStmt(x.Body)
-		s.scanExpr(x.Cond)
-	case *ast.ForStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init)
-		}
-		if x.Cond != nil {
-			s.scanExpr(x.Cond)
-		}
-		if x.Post != nil {
-			s.scanExpr(x.Post)
-		}
-		s.scanStmt(x.Body)
-	case *ast.SwitchStmt:
-		s.scanExpr(x.X)
-		for i := range x.Cases {
-			for _, v := range x.Cases[i].Values {
-				s.scanExpr(v)
-			}
-			for _, st := range x.Cases[i].Body {
-				s.scanStmt(st)
-			}
-		}
-	case *ast.ReturnStmt:
-		if x.X != nil {
-			s.scanExpr(x.X)
-		}
-	}
-}
-
-// scanDroppableExprStmt handles the statement forms the rewrite knows how
-// to transform; returns true when fully handled.
-func (s *stripper) scanDroppableExprStmt(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Assign:
-		if x.Op != token.Assign {
-			return false
-		}
-		f := s.deadFieldOf(x.LHS)
-		if f == nil {
-			return false
-		}
-		if recv := receiverOf(x.LHS); recv != nil && !effectFree(recv) {
-			s.block(f, "written through an effectful receiver")
-		}
-		s.scanExpr(x.RHS) // RHS survives as an expression statement
-		return true
-	case *ast.Delete:
-		f := s.deadFieldOf(x.X)
-		if f == nil {
-			return false
-		}
-		s.checkDeleteStrippable(f, x.X)
-		return true
-	case *ast.Call:
-		if fn, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-			if b := s.info.IdentFuncs[fn]; b != nil && b.Builtin && b.Name == "free" && len(x.Args) == 1 {
-				if f := s.deadFieldOf(x.Args[0]); f != nil {
-					s.checkDeleteStrippable(f, x.Args[0])
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return false
-}
-
-// checkDeleteStrippable blocks dead members whose delete would run a
-// user destructor (dropping it could change observable behaviour).
-func (s *stripper) checkDeleteStrippable(f *types.Field, arg ast.Expr) {
-	if recv := receiverOf(arg); recv != nil && !effectFree(recv) {
-		s.block(f, "freed through an effectful receiver")
-		return
-	}
-	if types.RunsUserDtor(types.PointeeClass(f.Type)) {
-		s.block(f, "deleting it runs a user destructor")
-	}
-}
-
-// scanExpr blocks any dead member referenced inside a surviving
-// expression in a position the rewrite cannot remove.
-func (s *stripper) scanExpr(e ast.Expr) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.Member:
-			if f := s.info.FieldRefs[x]; f != nil && s.res.IsDead(f) {
-				s.block(f, "referenced in an expression the transform cannot rewrite")
-			}
-		case *ast.Ident:
-			if f := s.info.FieldOf(x); f != nil && s.res.IsDead(f) {
-				s.block(f, "referenced in an expression the transform cannot rewrite")
-			}
-		case *ast.QualifiedIdent:
-			if f := s.info.QualFieldRefs[x]; f != nil && s.res.IsDead(f) {
-				s.block(f, "pointer-to-member formed over it")
-			}
-		}
-		return true
-	})
 }

@@ -1,14 +1,18 @@
 package strip_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"deadmembers/internal/ast"
 	"deadmembers/internal/bench"
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/dynprof"
 	"deadmembers/internal/frontend"
+	"deadmembers/internal/printer"
 	"deadmembers/internal/strip"
 )
 
@@ -131,8 +135,17 @@ int main() {
 	}
 }
 
+// TestStripKeepsDeleteWithUserDtor: a dead member whose delete runs a
+// user destructor is kept, whether the member's own type names the class
+// or a cast in the delete does.
 func TestStripKeepsDeleteWithUserDtor(t *testing.T) {
-	src := `
+	for _, tc := range []struct {
+		name, src string
+		// dead is what the analysis reports, removed what the transform
+		// strips, and kept the member it refuses to strip.
+		dead, removed, kept string
+	}{
+		{"member type", `
 class Loud {
 public:
 	int v;
@@ -148,24 +161,35 @@ int main() {
 	Holder h;
 	return 0;
 }
-`
-	res := analyze(t, frontend.Source{Name: "t.mcc", Text: src})
-	// The analysis says pet is dead (its value never affects behaviour
-	// beyond the delete); Loud::v is dead too (never read).
-	deadNames := []string{}
-	for _, f := range res.DeadMembers() {
-		deadNames = append(deadNames, f.QualifiedName())
-	}
-	if strings.Join(deadNames, ",") != "Holder::pet,Loud::v" {
-		t.Fatalf("analysis should report Holder::pet and Loud::v dead, got %v", deadNames)
-	}
-	// ...but the transform must refuse to drop the delete (dtor output).
-	out := strip.Apply(res, strip.Options{})
-	if strings.Join(out.RemovedMembers, ",") != "Loud::v" {
-		t.Fatalf("removed = %v, want only Loud::v (pet kept: user dtor)", out.RemovedMembers)
-	}
-	if why := out.KeptMembers["Holder::pet"]; !strings.Contains(why, "destructor") {
-		t.Fatalf("kept reason = %q", why)
+`, "Holder::pet,Loud::v", "Loud::v", "Holder::pet"},
+		{"cast operand", `
+class Foo { public: int v; Foo() { v = 7; } ~Foo() { print(v); println(); } };
+class H {
+public:
+	void* raw;   // a void* member...
+	H() { raw = (void*)new Foo(); }
+	~H() { delete (Foo*)raw; } // ...deleted as a Foo, whose dtor prints
+};
+int main() { H h; return 0; }
+`, "H::raw", "", "H::raw"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := analyze(t, frontend.Source{Name: "t.mcc", Text: tc.src})
+			var dead []string
+			for _, f := range res.DeadMembers() {
+				dead = append(dead, f.QualifiedName())
+			}
+			if got := strings.Join(dead, ","); got != tc.dead {
+				t.Fatalf("analysis reports %q dead, want %q", got, tc.dead)
+			}
+			out := strip.Apply(res, strip.Options{})
+			if got := strings.Join(out.RemovedMembers, ","); got != tc.removed {
+				t.Fatalf("removed = %q, want %q (%s kept: user dtor)", got, tc.removed, tc.kept)
+			}
+			if why := out.KeptMembers[tc.kept]; why != "deleting it runs a user destructor" {
+				t.Fatalf("kept reason for %s = %q", tc.kept, why)
+			}
+		})
 	}
 }
 
@@ -254,4 +278,48 @@ func TestStripCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestApplyWritesNothing: Apply writes nothing of the program it is
+// given, so printing each file of the compilation gives the same bytes
+// before and after it, for every shipped and every corpus program, with
+// and without the removal of unreachable functions.
+func TestApplyWritesNothing(t *testing.T) {
+	var progs [][]frontend.Source
+	for _, pattern := range []string{"../../examples/mcc/*.mcc", "../../testdata/*.mcc", "../*/testdata/*.mcc"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no programs match %s: %v", pattern, err)
+		}
+		for _, path := range paths {
+			text, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs = append(progs, []frontend.Source{{Name: path, Text: string(text)}})
+		}
+	}
+	for _, bm := range bench.All() {
+		progs = append(progs, bm.Sources)
+	}
+	for _, sources := range progs {
+		res := analyze(t, sources...)
+		before := printFiles(res.Program.Files)
+		for _, opts := range []strip.Options{{}, {KeepUnreachable: true}} {
+			out := strip.Apply(res, opts)
+			if after := printFiles(res.Program.Files); after != before {
+				t.Fatalf("%s: Apply(%+v) changed the compilation's files (removed %v)",
+					sources[0].Name, opts, out.RemovedMembers)
+			}
+		}
+	}
+}
+
+// printFiles prints every file of a compilation.
+func printFiles(files []*ast.File) string {
+	var b strings.Builder
+	for _, f := range files {
+		b.WriteString(printer.Print(f))
+	}
+	return b.String()
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # smoke_server.sh — end-to-end proof that deadmemd is a drop-in transport
 # over the batch pipeline: it starts the daemon, waits for /healthz, and
-# diffs /v1/analyze and /v1/lint responses byte-for-byte against the
-# stdout of deadmem and deadlint -format json on the same sources.
+# diffs /v1/strip, /v1/analyze and /v1/lint responses byte-for-byte
+# against the stdout of deadstrip, deadmem and deadlint -format json on
+# the same sources.
 set -eu
 
 GO=${GO:-go}
@@ -11,6 +12,7 @@ ADDR=${ADDR:-127.0.0.1:8321}
 FILE=${FILE:-examples/mcc/writeonly.mcc}
 
 $GO build -o "$BIN/deadmem" ./cmd/deadmem
+$GO build -o "$BIN/deadstrip" ./cmd/deadstrip
 $GO build -o "$BIN/deadlint" ./cmd/deadlint
 $GO build -o "$BIN/deadmemd" ./cmd/deadmemd
 
@@ -38,6 +40,13 @@ if [ -z "$ok" ]; then
     exit 1
 fi
 
+# /v1/strip must be byte-identical to deadstrip's stdout. It goes first:
+# it compiles through the shared session, so every later request is a
+# cache hit.
+"$BIN/deadstrip" "$FILE" >"$tmp/cli.strip" 2>/dev/null
+curl -fsS --data-binary "@$FILE" "http://$ADDR/v1/strip?file=$FILE" >"$tmp/srv.strip"
+diff -u "$tmp/cli.strip" "$tmp/srv.strip"
+
 # /v1/analyze must be byte-identical to deadmem's stdout.
 "$BIN/deadmem" "$FILE" >"$tmp/cli.analyze"
 curl -fsS --data-binary "@$FILE" "http://$ADDR/v1/analyze?file=$FILE" >"$tmp/srv.analyze"
@@ -48,11 +57,12 @@ diff -u "$tmp/cli.analyze" "$tmp/srv.analyze"
 curl -fsS --data-binary "@$FILE" "http://$ADDR/v1/lint?file=$FILE&format=json" >"$tmp/srv.lint"
 diff -u "$tmp/cli.lint" "$tmp/srv.lint"
 
-# A repeat request must be a cache hit, and the metrics must say so.
+# A repeat request must be a cache hit, and the metrics must say so: one
+# compile (the strip) and three hits (analyze, lint, the repeat).
 curl -fsS --data-binary "@$FILE" "http://$ADDR/v1/analyze?file=$FILE" >/dev/null
 curl -fsS "http://$ADDR/metrics" >"$tmp/metrics"
 grep -q '^deadmemd_cache_compiles_total 1$' "$tmp/metrics"
-grep -q '^deadmemd_cache_hits_total 2$' "$tmp/metrics"
+grep -q '^deadmemd_cache_hits_total 3$' "$tmp/metrics"
 grep -q 'deadmemd_requests_total{endpoint="/v1/analyze",code="200"} 2' "$tmp/metrics"
 
-echo "smoke-server: OK (analyze + lint byte-identical to CLIs, cache hits observed)"
+echo "smoke-server: OK (strip + analyze + lint byte-identical to CLIs, cache hits observed)"
