@@ -355,9 +355,9 @@ func BenchmarkCallGraphScaling(b *testing.B) {
 
 // BenchmarkLintTiers times lint.Run at each precision tier over the
 // whole corpus and over the 3,200-class scaling probe, against one
-// analysis each. The flow and heap tiers run the same pass, so their
-// figures sit together, and a flow-only run pays only the heap tier's
-// cheap early exits.
+// analysis each, and reports its allocations. The flow and heap tiers
+// run the same pass, so their figures sit together, and a flow-only run
+// pays only the heap tier's cheap early exits.
 func BenchmarkLintTiers(b *testing.B) {
 	analyze := func(r *frontend.Result) *deadmember.Result {
 		return deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
@@ -380,6 +380,7 @@ func BenchmarkLintTiers(b *testing.B) {
 	for _, p := range programs {
 		for _, tier := range heaplive.Tiers() {
 			b.Run(p.name+"/"+tier.String(), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for _, ar := range p.ars {
 						if res := lint.Run(ar, lint.Options{Precision: tier}); res.Degraded() {

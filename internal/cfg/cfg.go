@@ -16,7 +16,9 @@
 // constructor-initializer entries, and return markers. Literals,
 // `this`, and parentheses carry no evaluation effect and are omitted.
 // The atom list is what the dataflow layer (internal/dataflow,
-// internal/lint) folds gen/kill facts over.
+// internal/lint) folds gen/kill facts over. A graph holds all its atoms
+// in one slab (Graph.Atoms), block after block, and each block's list is
+// a window of it.
 package cfg
 
 import (
@@ -35,8 +37,10 @@ type Block struct {
 	// "while.head", ...) for dumps; it carries no semantics.
 	Label string
 
-	// Nodes are the evaluation steps of the block, in evaluation order.
+	// Nodes are the evaluation steps of the block, in evaluation order:
+	// Graph.Atoms[Start : Start+len(Nodes)].
 	Nodes []ast.Node
+	Start int
 
 	// Succs and Preds are the control-flow edges. Successor order is
 	// deterministic and meaningful for branches: the first successor is
@@ -56,6 +60,11 @@ type Graph struct {
 	Blocks []*Block // Blocks[i].ID == i
 	Entry  *Block
 	Exit   *Block
+
+	// Atoms holds every block's atoms, in creation order: each block
+	// gathers its atoms in one uninterrupted run while the builder
+	// appends to it, so its Nodes are one window of this slab.
+	Atoms []ast.Node
 }
 
 // Build constructs the CFG of fn, or nil when fn has no body (library
@@ -69,7 +78,10 @@ func Build(fn *types.Func) *Graph {
 	if fn == nil || (fn.Body == nil && len(fn.Inits) == 0) {
 		return nil
 	}
-	b := &builder{}
+	// Most numbered nodes of the body become atoms, and type expressions
+	// and literals leave room for the declarations and returns, so the
+	// node count sizes the slab.
+	b := &builder{atoms: make([]ast.Node, 0, max(fn.NodeHi-fn.NodeLo+1, 0)+len(fn.Inits))}
 	entry := b.newBlock("entry")
 	b.exit = &Block{Label: "exit"}
 	b.cur = entry
@@ -89,9 +101,12 @@ func Build(fn *types.Func) *Graph {
 	}
 
 	b.blocks = append(b.blocks, b.exit)
-	g := &Graph{Fn: fn, Blocks: b.blocks, Entry: entry, Exit: b.exit}
+	g := &Graph{Fn: fn, Blocks: b.blocks, Entry: entry, Exit: b.exit, Atoms: b.atoms}
 	for i, blk := range g.Blocks {
 		blk.ID = i
+		if n := len(blk.Nodes); n > 0 {
+			blk.Nodes = g.Atoms[blk.Start : blk.Start+n : blk.Start+n]
+		}
 	}
 	markReachable(entry)
 	return g
@@ -115,6 +130,7 @@ func markReachable(entry *Block) {
 
 type builder struct {
 	blocks    []*Block
+	atoms     []ast.Node
 	exit      *Block
 	cur       *Block // nil after a terminator (return/break/continue)
 	breaks    []*Block
@@ -140,8 +156,18 @@ func (b *builder) ensure() {
 	}
 }
 
+// atom appends n to the current block. A block's atoms must form one
+// run of the slab; Build windows the slab once the graph is complete.
 func (b *builder) atom(n ast.Node) {
-	b.cur.Nodes = append(b.cur.Nodes, n)
+	blk := b.cur
+	switch {
+	case blk.Nodes == nil:
+		blk.Start = len(b.atoms)
+	case blk.Start+len(blk.Nodes) != len(b.atoms):
+		panic("cfg: " + blk.Label + " block gathers atoms in two runs")
+	}
+	b.atoms = append(b.atoms, n)
+	blk.Nodes = b.atoms[blk.Start:len(b.atoms)]
 }
 
 // ---------------------------------------------------------------------------

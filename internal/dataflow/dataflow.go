@@ -70,6 +70,18 @@ func (b BitSet) Reset() {
 	}
 }
 
+// Slab returns n empty sets with capacity for bits bits each, all
+// windows of one allocation.
+func Slab(n, bits int) []BitSet {
+	w := (bits + 63) / 64
+	words := make(BitSet, n*w)
+	sets := make([]BitSet, n)
+	for i := range sets {
+		sets[i] = words[i*w : (i+1)*w : (i+1)*w]
+	}
+	return sets
+}
+
 // Clone returns an independent copy.
 func (b BitSet) Clone() BitSet {
 	c := make(BitSet, len(b))
@@ -88,9 +100,31 @@ func (b BitSet) Count() int {
 	return n
 }
 
-// ErrBudget is returned (wrapped) when the solver exceeds its step
-// budget; the partial solution accompanies it.
+// ErrBudget is returned (wrapped, as a *BudgetError) when the solver
+// exceeds its step budget; the partial solution accompanies it.
 var ErrBudget = errors.New("dataflow: step budget exhausted")
+
+// BudgetError is the error of a solve that exceeded its step budget. It
+// wraps ErrBudget and reads "dataflow: step budget exhausted in <unit>
+// after ...". The solver leaves Unit empty, which reads "<unnamed>": the
+// caller names the analyzed unit (typically the function's qualified
+// name) only once the budget is exhausted, so that the Failure/degraded
+// record identifies it.
+type BudgetError struct {
+	Unit                        string
+	Steps, Budget, Blocks, Bits int
+}
+
+func (e *BudgetError) Error() string {
+	unit := e.Unit
+	if unit == "" {
+		unit = "<unnamed>"
+	}
+	return fmt.Sprintf("%v in %s after %d steps (budget %d, %d blocks, %d bits)",
+		ErrBudget, unit, e.Steps, e.Budget, e.Blocks, e.Bits)
+}
+
+func (e *BudgetError) Unwrap() error { return ErrBudget }
 
 // Problem is one backward gen/kill dataflow instance over a block
 // graph: facts propagate against control flow, from exit to entry.
@@ -117,11 +151,6 @@ type Problem struct {
 	// Ctx, when non-nil, is polled periodically; cancellation aborts
 	// the solve with the context's error.
 	Ctx context.Context
-
-	// Unit names the analyzed unit (typically the function's qualified
-	// name) so a budget overrun identifies which function exhausted the
-	// budget in the resulting Failure/degraded record.
-	Unit string
 }
 
 // Solution holds the fixpoint fact vectors: In[b] on entry to block b,
@@ -142,25 +171,38 @@ func DefaultBudget(blocks, edges, bits int) int {
 }
 
 // Solve runs the worklist iteration to a fixpoint. On budget exhaustion
-// it returns the partial solution and an error wrapping ErrBudget; on
-// cancellation, the partial solution and the context error.
+// it returns the partial solution and a *BudgetError; on cancellation,
+// the partial solution and the context error. Every In and Out vector
+// is a window of one slab, as is every block's predecessor list.
 func Solve(p Problem) (*Solution, error) {
 	n := p.NumBlocks
-	sol := &Solution{In: make([]BitSet, n), Out: make([]BitSet, n)}
-	for i := 0; i < n; i++ {
-		sol.In[i] = NewBitSet(p.Bits)
-		sol.Out[i] = NewBitSet(p.Bits)
-	}
+	vecs := Slab(2*n, p.Bits)
+	sol := &Solution{In: vecs[:n:n], Out: vecs[n:]}
 	if n == 0 {
 		return sol, nil
 	}
 
-	preds := make([][]int, n) // the blocks a change to In[b] notifies
+	// The blocks a change to In[b] notifies are predSlab[predOff[b]:
+	// predOff[b+1]], in successor order.
 	edges := 0
-	for b, ss := range p.Succs {
+	for _, ss := range p.Succs {
 		edges += len(ss)
+	}
+	buf := make([]int, 2*n+1+edges)
+	predOff, fill, predSlab := buf[:n+1], buf[n+1:2*n+1], buf[2*n+1:]
+	for _, ss := range p.Succs {
 		for _, s := range ss {
-			preds[s] = append(preds[s], b)
+			predOff[s+1]++
+		}
+	}
+	for b := 0; b < n; b++ {
+		predOff[b+1] += predOff[b]
+	}
+	copy(fill, predOff)
+	for b, ss := range p.Succs {
+		for _, s := range ss {
+			predSlab[fill[s]] = b
+			fill[s]++
 		}
 	}
 
@@ -188,12 +230,7 @@ func Solve(p Problem) (*Solution, error) {
 	gather := NewBitSet(p.Bits)
 	for len(queue) > 0 {
 		if sol.Steps >= budget {
-			unit := p.Unit
-			if unit == "" {
-				unit = "<unnamed>"
-			}
-			return sol, fmt.Errorf("%w in %s after %d steps (budget %d, %d blocks, %d bits)",
-				ErrBudget, unit, sol.Steps, budget, n, p.Bits)
+			return sol, &BudgetError{Steps: sol.Steps, Budget: budget, Blocks: n, Bits: p.Bits}
 		}
 		if p.Ctx != nil && sol.Steps%128 == 0 && p.Ctx.Err() != nil {
 			return sol, p.Ctx.Err()
@@ -227,7 +264,7 @@ func Solve(p Problem) (*Solution, error) {
 			gather.Union(p.Gen[b])
 		}
 		if sol.In[b].Union(gather) {
-			for _, pred := range preds[b] {
+			for _, pred := range predSlab[predOff[b]:predOff[b+1]] {
 				push(pred)
 			}
 		}

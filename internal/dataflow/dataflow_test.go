@@ -143,9 +143,9 @@ func TestSolveBudget(t *testing.T) {
 }
 
 // TestSolveBudgetNamesUnit pins the exhaustion-path contract: the error
-// names the unit that hit the budget (so lint Failure records identify
-// the function), falls back to a placeholder when unnamed, and still
-// returns the partial solution.
+// is a *BudgetError, which reads as a placeholder until the caller names
+// the unit (so lint Failure records identify the function), and the
+// partial solution still comes back.
 func TestSolveBudgetNamesUnit(t *testing.T) {
 	p := Problem{
 		NumBlocks: 3,
@@ -153,7 +153,6 @@ func TestSolveBudgetNamesUnit(t *testing.T) {
 		Bits:      1,
 		Gen:       []BitSet{nil, nil, bits(0)(1)},
 		Budget:    1,
-		Unit:      "Widget::resize",
 	}
 	sol, err := Solve(p)
 	if !errors.Is(err, ErrBudget) {
@@ -162,13 +161,13 @@ func TestSolveBudgetNamesUnit(t *testing.T) {
 	if sol == nil || sol.Steps != 1 {
 		t.Fatalf("partial solution missing or wrong steps: %+v", sol)
 	}
-	if !strings.Contains(err.Error(), "Widget::resize") {
-		t.Fatalf("budget error does not name the unit: %q", err)
-	}
-	p.Unit = ""
-	_, err = Solve(p)
-	if !errors.Is(err, ErrBudget) || !strings.Contains(err.Error(), "<unnamed>") {
+	var be *BudgetError
+	if !errors.As(err, &be) || !strings.Contains(err.Error(), "<unnamed>") {
 		t.Fatalf("unnamed overrun missing placeholder: %v", err)
+	}
+	be.Unit = "Widget::resize"
+	if want := "dataflow: step budget exhausted in Widget::resize after 1 steps"; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("budget error %q does not start %q", err, want)
 	}
 }
 

@@ -323,14 +323,18 @@ type analysis struct {
 // boundary. A panic — from the analysis itself or from an injected
 // FuncFault — is contained: marks the function recorded before faulting
 // are kept (they reflect real accesses), and the fault is returned for
-// Result.Failures.
+// Result.Failures. The failure is named after f only when there is one.
 func (a *analysis) processFuncGuarded(f *types.Func, fault func(*types.Func)) *failure.Failure {
-	return failure.Catch("liveness", f.QualifiedName(), func() {
+	fl := failure.Catch("liveness", "", func() {
 		if fault != nil {
 			fault(f)
 		}
 		a.processFunc(f)
 	})
+	if fl != nil {
+		fl.Unit = f.QualifiedName()
+	}
+	return fl
 }
 
 // libraryOverrideRoots returns user methods that override virtual methods

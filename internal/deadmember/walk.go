@@ -278,11 +278,19 @@ func (w *walker) receiver(x ast.Expr, read bool) {
 
 // mutate reports n as a mutation when its target is a plain variable.
 func (w *walker) mutate(n ast.Node, target ast.Expr) {
-	if id, ok := ast.Unparen(target).(*ast.Ident); ok {
-		if v := w.info.VarOf(id); v != nil {
-			w.v.Mutate(n, v)
-		}
+	if v := MutatedVar(w.info, target); v != nil {
+		w.v.Mutate(n, v)
 	}
+}
+
+// MutatedVar returns the plain variable that assigning to, incrementing
+// or decrementing target modifies, or nil when target is not one: the
+// variable Walk reports to Visitor.Mutate for that target.
+func MutatedVar(info *types.Info, target ast.Expr) *types.Var {
+	if id, ok := ast.Unparen(target).(*ast.Ident); ok {
+		return info.VarOf(id)
+	}
+	return nil
 }
 
 // freed is the context of a delete or free argument.

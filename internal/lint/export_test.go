@@ -16,7 +16,7 @@ func EarlyExit(ar *deadmember.Result, f *types.Func) (ok, asked bool, paths int,
 	if fp.g == nil {
 		return false, false, 0, nil, 0, nil
 	}
-	stores, err = fp.deadStores(func() *fieldSet { asked = true; return &fieldSet{} })
+	stores, err = fp.deadStores(func() *calleeSet { asked = true; return &calleeSet{} })
 	s := &storePass{funcPass: fp, heap: true}
 	s.number()
 	allocs = testing.AllocsPerRun(1, func() { (&storePass{funcPass: fp, heap: true}).number() })

@@ -24,7 +24,7 @@ import (
 // store through a member chain of 2..maxDepth fields.
 func (s *storePass) chainStore(n ast.Node) (path, bool) {
 	m, ok := n.(*ast.Member)
-	if !ok || s.cl.acc[m] != deadmember.AccWrite {
+	if !ok || s.cl.at(m).acc != deadmember.AccWrite {
 		return path{}, false
 	}
 	p, ok := s.pathOf(m)

@@ -8,6 +8,7 @@ import (
 
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/cfg"
+	"deadmembers/internal/dataflow"
 	"deadmembers/internal/deadmember"
 	"deadmembers/internal/heaplive"
 	"deadmembers/internal/types"
@@ -17,8 +18,8 @@ import (
 // empty callee summaries, the most candidates and the fewest gens.
 func heapPass(ar *deadmember.Result, f *types.Func) *funcPass {
 	return &funcPass{
-		ar: ar, f: f, g: cfg.Build(f), cl: classify(ar.Program.Info, f),
-		sup: map[*types.Field]bool{}, reads: &fieldSet{},
+		ar: ar, f: f, g: cfg.Build(f), cl: classify(ar.Program.Info, f, newFieldMarks(fieldCount(ar.Program))),
+		sup: dataflow.NewBitSet(fieldCount(ar.Program)), reads: func() *calleeSet { return &calleeSet{} },
 	}
 }
 
@@ -33,7 +34,7 @@ func heapStores(t *testing.T, fixture string) []string {
 		if fp.g == nil {
 			continue
 		}
-		stores, err := fp.deadStores(func() *fieldSet { return &fieldSet{} })
+		stores, err := fp.deadStores(func() *calleeSet { return &calleeSet{} })
 		if err != nil {
 			t.Fatal(err)
 		}

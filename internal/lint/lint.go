@@ -14,7 +14,16 @@
 //
 // Both checks read one per-function classification of accesses
 // (classify.go), a visitor of deadmember's access walk, the walk the
-// liveness pass marks members from.
+// liveness pass marks members from. It keeps a fact table over the
+// function's node range (types.Func.NodeLo..NodeHi).
+//
+// The pass allocates, per function, only what the function holds. A
+// function that stores to no member holds no candidate store at either
+// tier, so it gets no CFG and no store pass. Any other function gets
+// one CFG, whose atoms share one slab; a store pass that finds a
+// candidate indexes its paths in slices and solves over one slab of
+// vectors. The callee summaries are sorted field-ID sets, nil when
+// empty.
 //
 // The paper's special cases carry over as suppressions: volatile,
 // address-taken (incl. pointer-to-member), union-contained,
@@ -22,12 +31,14 @@
 // dead-store findings. Findings are sorted by (file, line, col, check,
 // message), and every per-function pass runs inside a failure.Catch
 // boundary with a dataflow step budget, so one pathological function
-// degrades the result instead of wedging or crashing the run.
+// degrades the result instead of wedging or crashing the run. A
+// failure is named after its function only once it happens.
 package lint
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 
@@ -133,60 +144,67 @@ func RunWith(ar *deadmember.Result, opts Options, exec Exec) *Result {
 }
 
 // RunTiers produces the flow and heap results from one per-function
-// pass; opts.Precision is ignored. Each reachable function gets one CFG
-// and the flow tier's dead-store solve, then the heap tier's over the
-// same CFG. The flow result is the dead stores plus the write-only
-// corroboration; the heap result adds the chained dead stores and any
-// failure of that second pass. When it adds nothing, both results
-// are the same *Result, which callers must treat as read-only.
+// pass; opts.Precision is ignored. Each reachable function that stores
+// to a member gets one CFG and the flow tier's dead-store solve, then
+// the heap tier's over the same CFG; a function that stores to none
+// holds no candidate at either tier, so it gets neither. The flow
+// result is the dead stores plus the write-only corroboration; the heap
+// result adds the chained dead stores and any failure of that second
+// pass. When it adds nothing, both results are the same *Result, which
+// callers must treat as read-only.
 func RunTiers(ar *deadmember.Result, opts Options, exec Exec) (flow, heap *Result) {
 	p := classifyAll(ar, exec)
 	if p.interrupted {
 		r := p.assemble(nil, false, false)
 		return r, r
 	}
-	funcs, cls, index := p.funcs, p.cls, p.index
 
 	// Phase 2 (parallel): per-function CFG + backward liveness. Results
 	// land in per-index slots and merge in index order, so findings are
 	// byte-identical at any worker count.
-	sup := suppressedFields(ar, cls)
-	sums := readSummaries(ar, funcs, cls, index)
-
-	// What each function's outgoing calls may read: the union of its
-	// callees' transitive summaries (not the function's own reads —
-	// those gen at their own atoms).
-	calls := calleeUnion(ar, funcs, index, sums)
+	sup := suppressedFields(ar, p.cls)
+	reads := p.summaries(func(cl *classification) []int32 { return cl.reads })
 
 	// The heap tier additionally needs what a call may *write*: a callee
 	// store to a chain-interior field can re-point a tracked path's
 	// prefix. Few functions store through a chain, so the first one the
 	// heap pass meets builds the write summaries for every worker.
-	callWrites := sync.OnceValue(func() []*fieldSet {
-		return calleeUnion(ar, funcs, index, writeSummaries(ar, funcs, cls, index))
+	writes := sync.OnceValue(func() []fieldSet {
+		return p.summaries(func(cl *classification) []int32 {
+			for _, w := range cl.writes {
+				p.marks.add(w.field.ID)
+			}
+			return p.marks.take()
+		})
 	})
 
-	outs := make([]funcOut, len(funcs))
+	outs := make([]funcOut, len(p.funcs))
 	lintOne := func(i int) {
-		f, o := funcs[i], &outs[i]
-		fp := &funcPass{ar: ar, f: f, cl: cls[i], sup: sup, reads: calls[i], budget: opts.Budget, ctx: p.ctx}
-		o.flowFail = failure.Catch("lint", f.QualifiedName(), func() {
+		f, o, cl := p.funcs[i], &outs[i], p.cls[i]
+		var fp *funcPass
+		o.flowFail = catch(f, func() {
 			if exec.FuncFault != nil {
 				exec.FuncFault(f)
 			}
-			fp.g = cfg.Build(f)
-			if fp.g != nil {
-				o.stores, o.flowErr = fp.deadStores(nil)
+			if len(cl.writes) == 0 {
+				return
 			}
+			g := cfg.Build(f)
+			if g == nil {
+				return
+			}
+			fp = &funcPass{ar: ar, f: f, g: g, cl: cl, sup: sup, budget: opts.Budget, ctx: p.ctx,
+				reads: func() *calleeSet { return p.callees(i, reads) }}
+			o.stores, o.flowErr = fp.deadStores(nil)
 		})
-		if fp.g == nil || o.flowFail != nil || o.flowErr != nil {
+		if fp == nil || o.flowFail != nil || o.flowErr != nil {
 			return
 		}
-		o.heapFail = failure.Catch("lint", f.QualifiedName(), func() {
-			o.chained, o.heapErr = fp.deadStores(func() *fieldSet { return callWrites()[i] })
+		o.heapFail = catch(f, func() {
+			o.chained, o.heapErr = fp.deadStores(func() *calleeSet { return p.callees(i, writes()) })
 		})
 	}
-	interrupted := !parallel.For(p.ctx, exec.Workers, len(funcs), lintOne)
+	interrupted := !parallel.For(p.ctx, exec.Workers, len(p.funcs), lintOne)
 	flow = p.assemble(outs, false, interrupted)
 	for i := range outs {
 		if o := &outs[i]; len(o.chained) > 0 || o.heapFail != nil || o.heapErr != nil {
@@ -196,6 +214,16 @@ func RunTiers(ar *deadmember.Result, opts Options, exec Exec) (flow, heap *Resul
 	// Usually no function stores through a chain: the heap result is the
 	// flow result, and one *Result serves both tiers.
 	return flow, flow
+}
+
+// catch runs fn inside f's containment boundary. The failure, if any,
+// is named after f only then.
+func catch(f *types.Func, fn func()) *failure.Failure {
+	fl := failure.Catch("lint", "", fn)
+	if fl != nil {
+		fl.Unit = f.QualifiedName()
+	}
+	return fl
 }
 
 // funcOut is one function's share of the flow and heap results. The
@@ -213,6 +241,8 @@ type pass struct {
 	funcs       []*types.Func
 	index       map[*types.Func]int
 	cls         []*classification
+	fields      int                // the program's field count: types.Field.ID < fields
+	marks       *fieldMarks        // the field set being built, used by one phase at a time
 	fails       []*failure.Failure // classification faults, in function order
 	interrupted bool               // ctx was cancelled during classification
 
@@ -224,7 +254,8 @@ type pass struct {
 // function's accesses once; the classifications feed suppression,
 // callee summaries, and the per-function dataflow passes alike.
 func classifyAll(ar *deadmember.Result, exec Exec) *pass {
-	p := &pass{ar: ar, ctx: exec.Ctx}
+	p := &pass{ar: ar, ctx: exec.Ctx, fields: fieldCount(ar.Program)}
+	p.marks = newFieldMarks(p.fields)
 	if p.ctx == nil {
 		p.ctx = context.Background()
 	}
@@ -237,8 +268,8 @@ func classifyAll(ar *deadmember.Result, exec Exec) *pass {
 			return p
 		}
 		p.index[f] = i
-		if pf := failure.Catch("lint", f.QualifiedName(), func() {
-			p.cls[i] = classify(ar.Program.Info, f)
+		if pf := catch(f, func() {
+			p.cls[i] = classify(ar.Program.Info, f, p.marks)
 		}); pf != nil {
 			p.fails = append(p.fails, pf)
 			p.cls[i] = &classification{} // empty: function contributes nothing
@@ -250,6 +281,17 @@ func classifyAll(ar *deadmember.Result, exec Exec) *pass {
 	// orphaned; list them as the explanation.
 	p.writeOnly = writeOnly(ar, p.funcs, p.cls)
 	return p
+}
+
+// fieldCount returns one more than the largest types.Field.ID of prog.
+func fieldCount(prog *types.Program) int {
+	n := 0
+	for _, c := range prog.Classes {
+		for _, f := range c.Fields {
+			n = max(n, f.ID+1)
+		}
+	}
+	return n
 }
 
 // assemble builds one tier's Result: per function, in order, the dead
@@ -280,15 +322,19 @@ func (p *pass) assemble(outs []funcOut, heap, interrupted bool) *Result {
 		if fail != nil {
 			res.Failures = append(res.Failures, fail)
 		}
+		var budget *dataflow.BudgetError
 		switch {
 		case err == nil:
-		case errors.Is(err, dataflow.ErrBudget):
+		case errors.As(err, &budget):
 			// A budget overrun is an ordinary internal diagnostic, not a
-			// crash: surface it through the same Failures/Degraded path.
+			// crash: surface it through the same Failures/Degraded path,
+			// named after the function only now.
+			named := *budget
+			named.Unit = p.funcs[i].QualifiedName()
 			res.Failures = append(res.Failures, &failure.Failure{
 				Stage: "lint",
-				Unit:  p.funcs[i].QualifiedName(),
-				Value: err.Error(),
+				Unit:  named.Unit,
+				Value: named.Error(),
 				Stack: "budget",
 			})
 		default:
@@ -328,16 +374,17 @@ func sortFailures(fs []*failure.Failure) {
 }
 
 // suppressedFields computes the program-wide set of fields that never
-// produce dead-store findings: the paper's special cases, applied as
-// suppressions. The address-taken scan covers reachable functions only
-// — sound, because an access in unreachable code cannot execute.
-func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.Field]bool {
-	sup := map[*types.Field]bool{}
+// produce dead-store findings, one bit per types.Field.ID: the paper's
+// special cases, applied as suppressions. The address-taken scan covers
+// reachable functions only — sound, because an access in unreachable
+// code cannot execute.
+func suppressedFields(ar *deadmember.Result, cls []*classification) dataflow.BitSet {
+	sup := dataflow.NewBitSet(fieldCount(ar.Program))
 	seen := map[*types.Class]bool{}
 	supClass := func(c *types.Class) {
 		types.Contained(c, seen, func(k *types.Class) {
 			for _, f := range k.Fields {
-				sup[f] = true
+				sup.Set(f.ID)
 			}
 		})
 	}
@@ -346,7 +393,7 @@ func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.F
 		// Volatile members: every write is observable.
 		for _, f := range c.Fields {
 			if f.Volatile {
-				sup[f] = true
+				sup.Set(f.ID)
 			}
 		}
 		// Union-contained members: stores alias across the union.
@@ -356,7 +403,7 @@ func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.F
 		// Library classes: unclassifiable (paper §3.3).
 		if c.Library || ar.IsLibraryClass(c) {
 			for _, f := range c.Fields {
-				sup[f] = true
+				sup.Set(f.ID)
 			}
 		}
 	}
@@ -364,8 +411,8 @@ func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.F
 	// Address-taken members (incl. &C::m): reads through the pointer
 	// are invisible to the tracker.
 	for _, cl := range cls {
-		for f := range cl.addr {
-			sup[f] = true
+		for _, f := range cl.addr {
+			sup.Set(f.ID)
 		}
 	}
 
@@ -379,74 +426,104 @@ func suppressedFields(ar *deadmember.Result, cls []*classification) map[*types.F
 	return sup
 }
 
-// fieldSet is a callee read summary: the fields a call may read, or
+// fieldSet is a callee summary: the fields a call may read or store to,
+// as sorted, distinct types.Field.IDs (nil when there are none), or
 // everything (pointer-to-member deref somewhere below).
 type fieldSet struct {
-	m         map[*types.Field]bool
+	ids       []int32
 	universal bool
 }
 
-// readSummaries computes, for each reachable function, the set of
-// fields transitively read by itself and its callees — the gen effect
-// of a call atom.
-func readSummaries(ar *deadmember.Result, funcs []*types.Func, cls []*classification, index map[*types.Func]int) []*fieldSet {
-	sums := make([]*fieldSet, len(funcs))
-	for i, cl := range cls {
-		s := &fieldSet{m: map[*types.Field]bool{}, universal: cl.universal}
-		for f := range cl.reads {
-			s.m[f] = true
-		}
-		sums[i] = s
+// has reports whether the set holds f.
+func (s *fieldSet) has(f *types.Field) bool {
+	if s.universal {
+		return true
 	}
-	return summaryFixpoint(ar, funcs, index, sums)
+	_, ok := slices.BinarySearch(s.ids, int32(f.ID))
+	return ok
 }
 
-// writeSummaries is the store-side counterpart (heap tier): the fields
-// each function and its callees may store to, seeded from the
-// classifier's write sites (including constructor initializers).
-func writeSummaries(ar *deadmember.Result, funcs []*types.Func, cls []*classification, index map[*types.Func]int) []*fieldSet {
-	sums := make([]*fieldSet, len(funcs))
-	for i, cl := range cls {
-		s := &fieldSet{m: map[*types.Field]bool{}, universal: cl.universal}
-		for _, w := range cl.writes {
-			s.m[w.field] = true
-		}
-		sums[i] = s
-	}
-	return summaryFixpoint(ar, funcs, index, sums)
+// calleeSet is what a call out of one function may touch: the union of
+// its callees' transitive summaries (not the function's own accesses —
+// those gen at their own atoms), kept as the list of those summaries.
+type calleeSet struct {
+	sums      []*fieldSet
+	universal bool
 }
 
-// summaryFixpoint closes per-function seed sets over the call graph's
-// edges: each function absorbs its callees' sets until quiescence.
-// Monotone, so iteration terminates.
-func summaryFixpoint(ar *deadmember.Result, funcs []*types.Func, index map[*types.Func]int, sums []*fieldSet) []*fieldSet {
+// has reports whether a call may touch f.
+func (c *calleeSet) has(f *types.Field) bool {
+	if c.universal {
+		return true
+	}
+	for _, s := range c.sums {
+		if s.has(f) {
+			return true
+		}
+	}
+	return false
+}
+
+// callees returns what a call out of function i may touch, given every
+// function's transitive summary.
+func (p *pass) callees(i int, sums []fieldSet) *calleeSet {
+	c := &calleeSet{}
+	for _, callee := range p.ar.CallGraph.Edges[p.funcs[i]] {
+		j, ok := p.index[callee]
+		switch {
+		case !ok, sums[j].universal:
+			// An edge to a function outside the reachable scan
+			// (defensive) may touch anything.
+			c.universal = true
+		case sums[j].ids != nil:
+			c.sums = append(c.sums, &sums[j])
+		}
+	}
+	return c
+}
+
+// summaries computes, for each reachable function, the fields it and
+// its callees may touch: the function's own, as seed returns them
+// (sorted and distinct), closed over the call graph's edges. Each
+// function absorbs its callees' sets until quiescence; monotone, so
+// iteration terminates. A function that reads a statically unknown
+// member touches everything, and so does one that calls it.
+func (p *pass) summaries(seed func(*classification) []int32) []fieldSet {
+	m := p.marks
+	sums := make([]fieldSet, len(p.funcs))
+	for i, cl := range p.cls {
+		sums[i] = fieldSet{ids: seed(cl), universal: cl.universal}
+	}
 	for {
 		changed := false
-		for i, f := range funcs {
-			s := sums[i]
-			for _, callee := range ar.CallGraph.Edges[f] {
-				j, ok := index[callee]
-				if !ok {
-					// Edge to a function outside the reachable scan
+		for i, f := range p.funcs {
+			edges := p.ar.CallGraph.Edges[f]
+			if len(edges) == 0 {
+				continue
+			}
+			s := &sums[i]
+			m.hold(s.ids)
+			for _, callee := range edges {
+				j, ok := p.index[callee]
+				if !ok || sums[j].universal {
+					// An edge to a function outside the reachable scan
 					// (defensive): assume it may touch anything.
 					if !s.universal {
 						s.universal = true
 						changed = true
 					}
-					continue
-				}
-				cs := sums[j]
-				if cs.universal && !s.universal {
-					s.universal = true
-					changed = true
-				}
-				for fld := range cs.m {
-					if !s.m[fld] {
-						s.m[fld] = true
-						changed = true
+					if !ok {
+						continue
 					}
 				}
+				for _, id := range sums[j].ids {
+					m.add(int(id))
+				}
 			}
+			if m.grew() {
+				changed = true
+			}
+			s.ids = m.take()
 		}
 		if !changed {
 			return sums
@@ -454,27 +531,50 @@ func summaryFixpoint(ar *deadmember.Result, funcs []*types.Func, index map[*type
 	}
 }
 
-// calleeUnion computes, per function, the union of its callees'
-// transitive summaries — the effect of one call atom out of that
-// function.
-func calleeUnion(ar *deadmember.Result, funcs []*types.Func, index map[*types.Func]int, sums []*fieldSet) []*fieldSet {
-	out := make([]*fieldSet, len(funcs))
-	for i, f := range funcs {
-		s := &fieldSet{m: map[*types.Field]bool{}}
-		for _, callee := range ar.CallGraph.Edges[f] {
-			j, ok := index[callee]
-			if !ok {
-				s.universal = true
-				continue
-			}
-			if sums[j].universal {
-				s.universal = true
-			}
-			for fld := range sums[j].m {
-				s.m[fld] = true
-			}
-		}
-		out[i] = s
+// fieldMarks accumulates a set of fields: one bit per types.Field.ID,
+// program-wide and reused, plus the list of the IDs it holds, so that
+// taking the set sorts and clears only what it holds.
+type fieldMarks struct {
+	bits  dataflow.BitSet
+	held  []int32 // a sorted set marked by hold
+	added []int32 // IDs marked by add, in marking order
+}
+
+func newFieldMarks(fields int) *fieldMarks {
+	return &fieldMarks{bits: dataflow.NewBitSet(fields)}
+}
+
+// hold marks the sorted set ids.
+func (m *fieldMarks) hold(ids []int32) {
+	for _, id := range ids {
+		m.bits.Set(int(id))
 	}
+	m.held = ids
+}
+
+// add marks id.
+func (m *fieldMarks) add(id int) {
+	if !m.bits.Has(id) {
+		m.bits.Set(id)
+		m.added = append(m.added, int32(id))
+	}
+}
+
+// grew reports whether add marked anything since the last take.
+func (m *fieldMarks) grew() bool { return len(m.added) > 0 }
+
+// take returns the marked IDs, sorted and distinct — the held slice
+// itself when add marked nothing, nil when nothing is marked — and
+// clears every mark.
+func (m *fieldMarks) take() []int32 {
+	out := m.held
+	if len(m.added) > 0 {
+		out = append(append(make([]int32, 0, len(m.held)+len(m.added)), m.held...), m.added...)
+		slices.Sort(out)
+	}
+	for _, id := range out {
+		m.bits[id/64] = 0
+	}
+	m.held, m.added = nil, m.added[:0]
 	return out
 }

@@ -4,10 +4,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"deadmembers/internal/ast"
 	"deadmembers/internal/bench"
+	"deadmembers/internal/cfg"
+	"deadmembers/internal/deadmember"
 	"deadmembers/internal/frontend"
 	"deadmembers/internal/parser"
 	"deadmembers/internal/sema"
@@ -259,5 +264,130 @@ func TestNumberingDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// rangeCheck is a deadmember.Visitor that holds every node the access
+// walk reports for one function, and the receiver of every member
+// access it reports (which lint indexes too), to the function's
+// recorded node range.
+type rangeCheck struct {
+	t    *testing.T
+	name string
+	f    *types.Func
+	fset *source.FileSet
+}
+
+func (c *rangeCheck) in(n ast.Node) {
+	if id := n.ID(); id < c.f.NodeLo || id > c.f.NodeHi {
+		c.t.Errorf("%s: %s: %T at %v has ID %d outside its range %d..%d",
+			c.name, c.f.QualifiedName(), n, c.fset.Position(n.Pos()), id, c.f.NodeLo, c.f.NodeHi)
+	}
+}
+
+func (c *rangeCheck) Field(n ast.Node, _ *types.Field, _ deadmember.Access) {
+	switch x := n.(type) {
+	case *ast.Member:
+		c.in(x)
+		c.in(ast.Unparen(x.X))
+	case *ast.Ident:
+		c.in(x)
+	}
+}
+func (c *rangeCheck) Var(x *ast.Ident, _ *types.Var, _ deadmember.Access) { c.in(x) }
+func (c *rangeCheck) MemberPointer(*types.Field, source.Pos)              {}
+func (c *rangeCheck) Mutate(n ast.Node, _ *types.Var)                     { c.in(n) }
+func (c *rangeCheck) Deref(x ast.Expr, _ deadmember.Access)               { c.in(x) }
+func (c *rangeCheck) MemberPtrDeref(x *ast.MemberPtrDeref)                { c.in(x) }
+func (c *rangeCheck) Cast(x *ast.Cast)                                    { c.in(x) }
+func (c *rangeCheck) Sizeof(x *ast.Sizeof)                                { c.in(x) }
+
+// fuzzSeeds returns the fuzz targets' seed programs: the lint and CFG
+// fixtures, the inline seeds, and the checked-in fuzz corpora.
+func fuzzSeeds(t *testing.T) map[string][]frontend.Source {
+	t.Helper()
+	out := map[string][]frontend.Source{
+		"seed:empty-main": {{Name: "fuzz.mcc", Text: "int main() { return 0; }"}},
+		"seed:ctor-init":  {{Name: "fuzz.mcc", Text: "class C { public: int x; C() : x(1) {} }; int main() { C c; return c.x; }"}},
+	}
+	for _, pattern := range []string{"../lint/testdata/*.mcc", "../cfg/testdata/*.mcc", "../../testdata/fuzz/*/*"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			text, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := string(text)
+			if rest, ok := strings.CutPrefix(src, "go test fuzz v1\n"); ok {
+				// One string("...") argument per corpus entry.
+				rest = strings.TrimSpace(rest)
+				lit, ok := strings.CutPrefix(rest, "string(")
+				if !ok || !strings.HasSuffix(lit, ")") {
+					continue
+				}
+				if src, err = strconv.Unquote(strings.TrimSuffix(lit, ")")); err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+			}
+			out[path] = []frontend.Source{{Name: filepath.Base(path), Text: src}}
+		}
+	}
+	return out
+}
+
+// TestFuncNodeRanges: sema numbers each function's initializers and
+// body in one run, NodeLo..NodeHi, and the runs of two functions never
+// overlap. Every node the access walk reports for a function, every
+// receiver of a member access it reports, and every numbered CFG atom
+// lies in the function's run, so lint's per-function fact tables,
+// indexed by ID - NodeLo, hold every node they are asked about. The
+// check covers the shipped programs and the fuzz targets' seeds.
+func TestFuncNodeRanges(t *testing.T) {
+	all := programs(t)
+	for name, srcs := range fuzzSeeds(t) {
+		all[name] = srcs
+	}
+	checked := 0
+	for name, srcs := range all {
+		r := frontend.Compile(srcs...)
+		if r.Err() != nil {
+			continue // a fuzz seed that is meant to be rejected
+		}
+		info := r.Program.Info
+		var runs [][2]int
+		for _, f := range r.Program.AllFuncs() {
+			if f.Body == nil {
+				continue
+			}
+			if f.NodeLo < 1 || f.NodeHi > info.Nodes() || f.NodeLo > f.NodeHi+1 {
+				t.Errorf("%s: %s: range %d..%d outside 1..%d", name, f.QualifiedName(), f.NodeLo, f.NodeHi, info.Nodes())
+			}
+			if f.NodeLo <= f.NodeHi {
+				runs = append(runs, [2]int{f.NodeLo, f.NodeHi})
+			}
+			c := &rangeCheck{t: t, name: name, f: f, fset: r.FileSet}
+			deadmember.Walk(info, f, false, c)
+			deadmember.Walk(info, f, true, c)
+			if g := cfg.Build(f); g != nil {
+				for _, n := range g.Atoms {
+					if n.ID() != 0 {
+						c.in(n)
+					}
+				}
+			}
+			checked++
+		}
+		slices.SortFunc(runs, func(a, b [2]int) int { return a[0] - b[0] })
+		for i := 1; i < len(runs); i++ {
+			if runs[i][0] <= runs[i-1][1] {
+				t.Errorf("%s: node ranges %v and %v overlap", name, runs[i-1], runs[i])
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("checked %d functions; the programs did not compile", checked)
 	}
 }

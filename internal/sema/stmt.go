@@ -44,10 +44,15 @@ func (c *Checker) checkFuncBody(f *types.Func) {
 			c.declare(p)
 		}
 	}
+	// Sema numbers nodes as it first records them, so the initializers
+	// and body take one contiguous run of numbers, which the lint pass
+	// indexes its per-function tables by.
+	f.NodeLo = c.info.Nodes() + 1
 	if f.IsCtor {
 		c.checkCtorInits(f)
 	}
 	c.checkStmt(f.Body)
+	f.NodeHi = c.info.Nodes()
 	c.popScope()
 	c.cur = nil
 }

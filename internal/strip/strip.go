@@ -114,9 +114,12 @@ func (s *stripper) planFunctionRemoval(opts Options) {
 // planMemberRemoval decides which dead members can be removed safely: all
 // surviving references to them must be rewritable (plain writes with
 // effect-free receivers, droppable delete/free statements, or ctor-init
-// entries). It walks each surviving body once, in AllFuncs order, and the
-// first reference that blocks a member gives its reason. Ctor-init
-// entries are always rewritable: their argument expressions are hoisted.
+// entries). It walks each surviving function once, in AllFuncs order —
+// its constructor-initializer arguments, then its body — and the first
+// reference that blocks a member gives its reason. Ctor-init entries are
+// always rewritable, but their arguments all survive, kept in place or
+// hoisted into the body, so a reference inside one blocks like any
+// other.
 func (s *stripper) planMemberRemoval() {
 	s.strippable = map[*types.Field]bool{}
 	for _, f := range s.res.DeadMembers() {
@@ -165,7 +168,15 @@ func (s *stripper) planMemberRemoval() {
 		return true
 	}
 	for _, fn := range s.res.Program.AllFuncs() {
-		if fn.Body != nil && !s.removedFuncs[fn] {
+		if s.removedFuncs[fn] {
+			continue
+		}
+		for i := range fn.Inits {
+			for _, arg := range fn.Inits[i].Args {
+				ast.Inspect(arg, visit)
+			}
+		}
+		if fn.Body != nil {
 			ast.Inspect(fn.Body, visit)
 		}
 	}
@@ -218,18 +229,23 @@ func (s *stripper) runsUserDtor(f *types.Field, operand ast.Expr) bool {
 		types.RunsUserDtor(types.PointeeClass(s.info.TypeOf(operand)))
 }
 
-// deadFieldOf returns the dead member denoted by e (any member access
-// form, looking through parens and casts — `free((void*)buf)`), or nil.
-func (s *stripper) deadFieldOf(e ast.Expr) *types.Field {
+// access returns e without the parentheses and casts around it: the
+// member access the droppable statements name (`free((void*)buf)`).
+func access(e ast.Expr) ast.Expr {
 	for {
-		if c, ok := ast.Unparen(e).(*ast.Cast); ok {
-			e = c.X
-			continue
+		c, ok := ast.Unparen(e).(*ast.Cast)
+		if !ok {
+			return ast.Unparen(e)
 		}
-		break
+		e = c.X
 	}
+}
+
+// deadFieldOf returns the dead member denoted by e (any member access
+// form, looking through parens and casts), or nil.
+func (s *stripper) deadFieldOf(e ast.Expr) *types.Field {
 	var f *types.Field
-	switch x := ast.Unparen(e).(type) {
+	switch x := access(e).(type) {
 	case *ast.Member:
 		f = s.info.FieldRefs[x]
 	case *ast.Ident:
@@ -242,9 +258,11 @@ func (s *stripper) deadFieldOf(e ast.Expr) *types.Field {
 }
 
 // effectFreeReceiver reports whether the receiver of the member access
-// e, if it has one, evaluates without side effects.
+// e, if it has one, evaluates without side effects. It sees through the
+// same parentheses and casts as deadFieldOf, so `(void*)a.self()->buf`
+// has the effectful receiver `a.self()`.
 func effectFreeReceiver(e ast.Expr) bool {
-	m, ok := ast.Unparen(e).(*ast.Member)
+	m, ok := access(e).(*ast.Member)
 	return !ok || effectFree(m.X)
 }
 

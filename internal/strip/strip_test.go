@@ -193,6 +193,61 @@ int main() { H h; return 0; }
 	}
 }
 
+// TestStripKeepsUnrewritableReferences: a dead member the transform
+// cannot take out without changing the program is kept with a reason,
+// and the emitted program compiles and behaves as the original does.
+// The receiver test sees through the casts that deadFieldOf sees through
+// (a freed member behind a cast and an effectful receiver), and the plan
+// walks constructor-initializer arguments (a write to a dead member
+// inside one).
+func TestStripKeepsUnrewritableReferences(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, kept, why string
+	}{
+		{"free through a cast and a call", `
+class A {
+public:
+	int live;
+	int* buf;
+	A() { live = 1; buf = (int*)malloc(8); }
+	A* self() { print(1); println(); return this; }
+};
+int main() { A a; free((void*)a.self()->buf); return a.live; }
+`, "A::buf", "freed through an effectful receiver"},
+		{"write in an initializer argument", `
+class A { public: int live; int dead; A() : live(dead = 3) {} };
+int main() { A a; return a.live; }
+`, "A::dead", "referenced in an expression the transform cannot rewrite"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := analyze(t, frontend.Source{Name: "t.mcc", Text: tc.src})
+			out := strip.Apply(res, strip.Options{})
+			if len(out.RemovedMembers) != 0 {
+				t.Fatalf("removed = %v, want none", out.RemovedMembers)
+			}
+			if got := out.KeptMembers[tc.kept]; got != tc.why {
+				t.Fatalf("kept reason for %s = %q, want %q", tc.kept, got, tc.why)
+			}
+			r2 := frontend.Compile(out.Sources...)
+			if err := r2.Err(); err != nil {
+				t.Fatalf("stripped program does not compile:\n%v\n----\n%s", err, out.Sources[0].Text)
+			}
+			p1, err := dynprof.Run(res, dynprof.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p2, err := dynprof.Run(deadmember.Analyze(r2.Program, r2.Graph, deadmember.Options{CallGraph: callgraph.RTA}), dynprof.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p1.Exec.ExitCode != p2.Exec.ExitCode || p1.Exec.Output != p2.Exec.Output {
+				t.Fatalf("behaviour changed: exit %d %q, stripped exit %d %q",
+					p1.Exec.ExitCode, p1.Exec.Output, p2.Exec.ExitCode, p2.Exec.Output)
+			}
+		})
+	}
+}
+
 func TestStripUnreachableReaders(t *testing.T) {
 	src := `
 class Stats {

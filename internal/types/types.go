@@ -246,6 +246,13 @@ type Func struct {
 	Body    *ast.BlockStmt
 	Inits   []ast.CtorInit // constructor member-initializer list
 	Decl    ast.Node       // *ast.FuncDecl or *ast.MethodDecl
+
+	// NodeLo and NodeHi bound the node numbers (ast.Node.ID) sema gave
+	// while checking the function's initializers and body: every
+	// expression and syntactic type in them is numbered in NodeLo..NodeHi,
+	// one contiguous run. NodeLo > NodeHi when sema numbered none, and
+	// both are 0 for a function without a body.
+	NodeLo, NodeHi int
 }
 
 // QualifiedName returns "Class::name" for methods and "name" otherwise.
