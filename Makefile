@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint test race race-server bench bench-smoke bench-module fuzz serve smoke-server smoke-restart smoke-precision chaos-smoke check ci
+.PHONY: build vet fmt-check lint test race race-server bench bench-smoke bench-module fuzz serve smoke-server smoke-restart smoke-precision smoke-examples chaos-smoke check ci
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,11 @@ smoke-restart:
 smoke-precision:
 	sh scripts/smoke_precision.sh
 
+# Examples smoke: go run each Go example and diff its stdout and exit
+# code against examples/<name>/expected.txt.
+smoke-examples:
+	sh scripts/smoke_examples.sh
+
 # Chaos soak under the race detector: faulty disk under the persist
 # store, abrupt in-test kill and restart, byte-identity and zero failed
 # requests against a live server asserted throughout (see
@@ -100,4 +105,4 @@ fuzz:
 check: build vet fmt-check test bench-module
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build vet race race-server bench-smoke bench-module lint smoke-server smoke-restart smoke-precision chaos-smoke
+ci: build vet race race-server bench-smoke bench-module lint smoke-server smoke-restart smoke-precision smoke-examples chaos-smoke

@@ -5,6 +5,7 @@
 package deadmembers_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -85,7 +86,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkFigure4 measures deriving the Figure 4 percentages, including
 // the rendering, for the whole corpus.
 func BenchmarkFigure4(b *testing.B) {
-	results, err := report.CollectAll()
+	results, err := report.CollectAll(context.Background(), engine.NewSession(engine.Config{}, engine.Limits{}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func BenchmarkAblationCompileOnceVsRecompile(b *testing.B) {
 	})
 	b.Run("compile-once", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			session := engine.NewSession(engine.Config{})
+			session := engine.NewSession(engine.Config{}, engine.Limits{})
 			for _, bm := range bench.All() {
 				c := session.Compile(bm.Sources...)
 				if err := c.Err(); err != nil {

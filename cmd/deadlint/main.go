@@ -22,10 +22,9 @@ import (
 	"strings"
 	"time"
 
+	"deadmembers"
 	"deadmembers/internal/buildinfo"
 	"deadmembers/internal/callgraph"
-	"deadmembers/internal/deadmember"
-	"deadmembers/internal/engine"
 	"deadmembers/internal/heaplive"
 	"deadmembers/internal/lint"
 )
@@ -78,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	opts := deadmember.Options{
+	opts := deadmembers.Options{
 		TrustDowncasts: *trustDowncasts,
 	}
 	var ok bool
@@ -90,14 +89,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		opts.LibraryClasses = strings.Split(*libraries, ",")
 	}
 
-	var sources []engine.Source
+	var sources []deadmembers.Source
 	for _, path := range fs.Args() {
 		text, err := os.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(stderr, "deadlint: %v\n", err)
 			return 1
 		}
-		sources = append(sources, engine.Source{Name: path, Text: string(text)})
+		sources = append(sources, deadmembers.Source{Name: path, Text: string(text)})
 	}
 
 	ctx := context.Background()
@@ -107,12 +106,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		defer cancel()
 	}
 
-	comp := engine.CompileContext(ctx, engine.Config{}, sources...)
-	if err := comp.Err(); err != nil {
+	comp, err := deadmembers.CompileContext(ctx, sources...)
+	if err != nil {
 		fmt.Fprintf(stderr, "deadlint: %v\n", err)
 		return 1
 	}
-	res, timings, err := comp.LintContext(ctx, opts, lint.Options{Budget: *budget, Precision: precision})
+	res, timings, err := comp.LintContext(ctx, opts, deadmembers.LintOptions{Budget: *budget, Precision: precision})
 	if err != nil {
 		fmt.Fprintf(stderr, "deadlint: %v\n", err)
 		return 1

@@ -25,13 +25,6 @@ import (
 	"deadmembers/internal/textreport"
 )
 
-// publicMode is the public API's name for each call-graph mode.
-var publicMode = map[callgraph.Mode]deadmembers.CallGraphMode{
-	callgraph.RTA: deadmembers.CallGraphRTA,
-	callgraph.CHA: deadmembers.CallGraphCHA,
-	callgraph.ALL: deadmembers.CallGraphALL,
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -77,12 +70,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		TrustDowncasts:      *trustDowncasts,
 		WritesAreUses:       *writesAreUses,
 	}
-	mode, ok := callgraph.ParseMode(*callgraphMode)
-	if !ok {
+	var ok bool
+	if opts.CallGraph, ok = callgraph.ParseMode(*callgraphMode); !ok {
 		fmt.Fprintf(stderr, "deadmem: unknown -callgraph %q\n", *callgraphMode)
 		return 2
 	}
-	opts.CallGraph = publicMode[mode]
 	if opts.Sizeof, ok = deadmember.ParseSizeof(*sizeofPolicy); !ok {
 		fmt.Fprintf(stderr, "deadmem: unknown -sizeof %q\n", *sizeofPolicy)
 		return 2
@@ -112,13 +104,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "deadmem: %v\n", err)
 		return 1
 	}
-	res, timings, err := comp.AnalyzeTimedContext(ctx, opts)
+	res, timings, err := comp.AnalyzeContext(ctx, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "deadmem: %v\n", err)
 		return 1
 	}
 	degraded := comp.Degraded() || res.Degraded()
-	for _, f := range comp.Failures() {
+	for _, f := range comp.Failures {
 		fmt.Fprintf(stderr, "deadmem: degraded: %v\n", f)
 	}
 	for _, f := range res.Failures {

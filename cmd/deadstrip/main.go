@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if comp.Degraded() {
 		// A degraded analysis could misclassify members: never emit a
 		// transform derived from salvaged results.
-		for _, f := range comp.Failures() {
+		for _, f := range comp.Failures {
 			fmt.Fprintf(stderr, "deadstrip: degraded: %v\n", f)
 		}
 		fmt.Fprintf(stderr, "deadstrip: refusing to strip from a degraded compilation\n")
@@ -91,16 +91,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	var before *deadmembers.ExecResult
 	if *verify {
-		before, err = comp.RunContext(ctx)
+		before, err = comp.RunContext(ctx, 0)
 		if err != nil {
 			fmt.Fprintf(stderr, "deadstrip: original does not run: %v\n", err)
 			return 1
 		}
 	}
 
-	out := comp.Strip(deadmembers.Options{}, deadmembers.StripOptions{
+	out, err := comp.StripContext(ctx, deadmembers.Options{}, deadmembers.StripOptions{
 		KeepUnreachable: *keepUnreachable,
 	})
+	if err != nil {
+		fmt.Fprintf(stderr, "deadstrip: %v\n", err)
+		return 1
+	}
 
 	for _, m := range out.RemovedMembers {
 		fmt.Fprintf(stderr, "removed member   %s\n", m)
@@ -123,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "deadstrip: stripped program does not compile: %v\n", err)
 			return 1
 		}
-		after, err := stripped.RunContext(ctx)
+		after, err := stripped.RunContext(ctx, 0)
 		if err != nil {
 			fmt.Fprintf(stderr, "deadstrip: stripped program does not run: %v\n", err)
 			return 1

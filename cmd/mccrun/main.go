@@ -74,12 +74,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "mccrun: %v\n", err)
 		return 1
 	}
-	for _, f := range comp.Failures() {
+	for _, f := range comp.Failures {
 		fmt.Fprintf(stderr, "mccrun: degraded: %v\n", f)
 	}
 
 	if *profile {
-		prof, err := comp.ProfileContext(ctx, deadmembers.Options{MaxSteps: *maxSteps})
+		prof, err := comp.ProfileContext(ctx, deadmembers.Options{}, *maxSteps)
 		if err != nil {
 			fmt.Fprintf(stderr, "mccrun: %v\n", err)
 			return 1
@@ -106,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return prof.Exec.ExitCode
 	}
 
-	res, err := comp.RunContext(ctx)
+	res, err := comp.RunContext(ctx, *maxSteps)
 	if err != nil {
 		fmt.Fprintf(stderr, "mccrun: %v\n", err)
 		return 1

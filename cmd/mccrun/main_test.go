@@ -54,15 +54,20 @@ int main() {
 	}
 }
 
+// TestMaxStepsFlag: the budget bounds plain runs as well as profiled
+// ones, and the error carries the source position.
 func TestMaxStepsFlag(t *testing.T) {
 	path := write(t, "loop.mcc", `
 int main() { int s = 0; for (int i = 0; i < 100000; i++) { s++; } return 0; }`)
-	var out, errOut strings.Builder
-	if code := run([]string{"-max-steps", "50", "-profile", path}, &out, &errOut); code != 1 {
-		t.Fatalf("step-limited run should exit 1, got %d", code)
-	}
-	if !strings.Contains(errOut.String(), "step limit") {
-		t.Errorf("stderr missing step-limit error:\n%s", errOut.String())
+	for _, mode := range [][]string{nil, {"-profile"}} {
+		var out, errOut strings.Builder
+		args := append(append([]string{"-max-steps", "50"}, mode...), path)
+		if code := run(args, &out, &errOut); code != 1 {
+			t.Fatalf("%v: step-limited run should exit 1, got %d", mode, code)
+		}
+		if want := "step limit exceeded (50) at " + path + ":2:"; !strings.Contains(errOut.String(), want) {
+			t.Errorf("%v: stderr missing %q:\n%s", mode, want, errOut.String())
+		}
 	}
 }
 

@@ -86,9 +86,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		defer cancel()
 	}
 
-	session := engine.NewSession(engine.Config{})
+	session := engine.NewSession(engine.Config{}, engine.Limits{})
 
-	results, err := report.CollectAllInContext(ctx, session)
+	results, err := report.CollectAll(ctx, session)
 	if err != nil {
 		fmt.Fprintf(stderr, "paperbench: %v\n", err)
 		return 1
@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprint(stdout, report.CSV(results))
 	}
 	if all || *ablation {
-		rows, err := report.RunAblationsIn(session)
+		rows, err := report.RunAblations(ctx, session)
 		if err != nil {
 			fmt.Fprintf(stderr, "paperbench: %v\n", err)
 			return 1

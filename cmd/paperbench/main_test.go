@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,5 +133,40 @@ func TestProfiledExhibitsThroughVM(t *testing.T) {
 	}
 	if out.String() != string(want) {
 		t.Errorf("-table2 -figure4 differs from the golden:\n--- got ---\n%s--- want ---\n%s", out.String(), want)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the paperbench goldens")
+
+// TestGoldens holds paperbench's stdout, stderr and exit code for the
+// default exhibit set (ablation included) and for -csv. Neither carries
+// wall clock, so both are byte-identical across runs.
+func TestGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"default.golden", nil},
+		{"csv.golden", []string{"-csv"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			var out, errOut strings.Builder
+			code := run(tc.args, &out, &errOut)
+			got := fmt.Sprintf("exit %d\n-- stderr --\n%s-- stdout --\n%s", code, errOut.String(), out.String())
+			path := filepath.Join("testdata", tc.golden)
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to record it)", err)
+			}
+			if got != string(want) {
+				t.Errorf("output differs from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+			}
+		})
 	}
 }

@@ -21,12 +21,21 @@
 //	profile, err := comp.Profile(deadmembers.Options{})
 //	fmt.Println(profile.Ledger.DeadPercent())
 //
-// The one-shot helpers (Analyze, AnalyzeSource, ProfileProgram, Strip,
-// Run) remain as thin wrappers that compile and run a single stage.
+// There is one API layer: Compilation, Options, CallGraphMode and the
+// other types here are aliases of the engine's (internal/engine,
+// internal/deadmember, internal/callgraph, internal/lint), so a value
+// passes between this package and the engine unconverted. Each stage has
+// a plain method and one Context method, which takes a context and
+// returns the stage's error (and, for Analyze and Lint, its Timings);
+// the run and profile Context methods also take the step budget. This
+// package adds only the error-returning Compile and CompileContext and
+// the one-shot helpers (Analyze, AnalyzeSource, ProfileProgram,
+// ProfileSource, Strip, Run), thin wrappers that compile and run a
+// single stage.
 //
 // The internal packages implement the full pipeline: lexer, parser, type
 // checker, class hierarchy (member lookup + object layout), call graphs
-// (ALL/CHA/RTA), the paper's detection algorithm, the interpreter's
+// (RTA/CHA/ALL), the paper's detection algorithm, the interpreter's
 // runtime core with the bytecode VM that executes every program on it,
 // and the staged engine (internal/engine) with its compile-once session
 // cache. The liveness and lint passes spread over GOMAXPROCS workers and
@@ -54,25 +63,14 @@ type Source = frontend.Source
 
 // CallGraphMode selects call-graph precision. The zero value is RTA, the
 // paper's configuration.
-type CallGraphMode int
+type CallGraphMode = callgraph.Mode
 
 // Call graph modes, in decreasing order of precision.
 const (
-	CallGraphRTA CallGraphMode = iota
-	CallGraphCHA
-	CallGraphALL
+	CallGraphRTA = callgraph.RTA
+	CallGraphCHA = callgraph.CHA
+	CallGraphALL = callgraph.ALL
 )
-
-func (m CallGraphMode) internal() callgraph.Mode {
-	switch m {
-	case CallGraphCHA:
-		return callgraph.CHA
-	case CallGraphALL:
-		return callgraph.ALL
-	default:
-		return callgraph.RTA
-	}
-}
 
 // SizeofPolicy controls how sizeof expressions are treated (paper §3.2).
 type SizeofPolicy = deadmember.SizeofPolicy
@@ -83,50 +81,14 @@ const (
 	SizeofConservative = deadmember.SizeofConservative
 )
 
-// Options configures analysis and profiling. The zero value reproduces the
-// paper's configuration: RTA call graph, sizeof ignored, delete/free
-// special case enabled, downcasts treated conservatively.
-type Options struct {
-	// CallGraph selects the call-graph algorithm (default RTA).
-	CallGraph CallGraphMode
-
-	// Sizeof selects the sizeof policy (default SizeofIgnore).
-	Sizeof SizeofPolicy
-
-	// NoDeleteSpecialCase disables the delete/free rule (ablation).
-	NoDeleteSpecialCase bool
-
-	// TrustDowncasts disables the unsafe-cast rule for downcasts that the
-	// user has verified safe (the paper verified all of its benchmarks').
-	TrustDowncasts bool
-
-	// WritesAreUses makes every write access mark a member live, the way a
-	// naive "is it mentioned?" analysis would. The paper's §2 definition —
-	// a member is dead when only written, because "data members are
-	// typically initialized with a value in a constructor" — is exactly
-	// what this switch disables; turning it on quantifies how few members
-	// would be reported dead without the write/read distinction (ablation).
-	WritesAreUses bool
-
-	// LibraryClasses names classes whose source is nominally unavailable;
-	// their members are unclassifiable and their virtual methods'
-	// overriders become call-graph roots.
-	LibraryClasses []string
-
-	// MaxSteps bounds interpreter execution in ProfileProgram (0 = default).
-	MaxSteps int64
-}
-
-func (o Options) analysisOptions() deadmember.Options {
-	return deadmember.Options{
-		CallGraph:           o.CallGraph.internal(),
-		Sizeof:              o.Sizeof,
-		NoDeleteSpecialCase: o.NoDeleteSpecialCase,
-		TrustDowncasts:      o.TrustDowncasts,
-		WritesAreUses:       o.WritesAreUses,
-		LibraryClasses:      o.LibraryClasses,
-	}
-}
+// Options configures the analysis, and the analysis that profiling and
+// stripping run first. The zero value reproduces the paper's
+// configuration: RTA call graph, sizeof ignored, delete/free special
+// case enabled, downcasts treated conservatively. Its fields are
+// CallGraph, Sizeof, NoDeleteSpecialCase, TrustDowncasts, WritesAreUses
+// (the ablation of the paper's §2 write/read distinction) and
+// LibraryClasses (see internal/deadmember for each).
+type Options = deadmember.Options
 
 // Result is a completed static analysis (see internal/deadmember for the
 // full accessor set).
@@ -138,15 +100,11 @@ type Result = deadmember.Result
 // and marked degraded instead.
 type Failure = failure.Failure
 
-// LintOptions configures the flow-sensitive lint pass.
-type LintOptions struct {
-	// Budget caps dataflow solver steps per function (0 = automatic).
-	Budget int
-
-	// Precision selects the liveness tier — PrecisionPaper,
-	// PrecisionFlow (the zero-value default), or PrecisionHeap.
-	Precision Precision
-}
+// LintOptions configures the flow-sensitive lint pass: Budget caps
+// dataflow solver steps per function (0 = automatic), and Precision
+// selects the liveness tier — PrecisionPaper, PrecisionFlow (the
+// zero-value default), or PrecisionHeap.
+type LintOptions = lint.Options
 
 // Precision selects the lint liveness tier (see internal/heaplive):
 // paper ⊆ flow ⊆ heap.
@@ -175,13 +133,20 @@ type ExecResult = interp.Result
 // Timings records per-stage wall-clock durations of the pipeline.
 type Timings = engine.Timings
 
+// StripOptions configures the dead-member elimination transform.
+type StripOptions = strip.Options
+
+// StripResult reports what the transform removed (and what it refused to
+// remove, with reasons).
+type StripResult = strip.Result
+
 // Compilation is a compiled program: the reusable artifact of the
-// frontend stages. Analyze/Profile/Strip/Run execute the later pipeline
-// stages against it; compiling once and analyzing many times is the
-// intended idiom for sweeps and services.
-type Compilation struct {
-	eng *engine.Compilation
-}
+// frontend stages. Analyze/Lint/Profile/Strip/Run execute the later
+// pipeline stages against it; compiling once and analyzing many times is
+// the intended idiom for sweeps and services. A repeat analysis under
+// the same Options returns the same cached *Result, which Lint, Profile
+// and Strip share too; treat it as read-only.
+type Compilation = engine.Compilation
 
 // Compile runs the frontend (lex and parse each file, then semantic
 // analysis) over the sources once, returning the reusable Compilation.
@@ -197,93 +162,8 @@ func CompileContext(ctx context.Context, sources ...Source) (*Compilation, error
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	return &Compilation{eng: c}, nil
+	return c, nil
 }
-
-// Degraded reports whether a panic was contained while compiling: the
-// crashing unit was dropped and the rest of the program salvaged. Consult
-// Failures for the structured diagnostics.
-func (c *Compilation) Degraded() bool { return c.eng.Degraded() }
-
-// Failures lists the panics contained during compilation, in a
-// deterministic order.
-func (c *Compilation) Failures() []*Failure { return c.eng.Failures }
-
-// Analyze runs the dead-data-member analysis. Repeated calls reuse the
-// compiled program (and the call graph, when only marking rules differ);
-// a repeat under the same options returns the same cached *Result, which
-// Lint, Profile and Strip share too. Treat it as read-only.
-func (c *Compilation) Analyze(opts Options) *Result {
-	return c.eng.Analyze(opts.analysisOptions())
-}
-
-// AnalyzeContext is Analyze under a context: cancellation is polled
-// between functions in the liveness pass and reported as the returned
-// error.
-func (c *Compilation) AnalyzeContext(ctx context.Context, opts Options) (*Result, error) {
-	return c.eng.AnalyzeContext(ctx, opts.analysisOptions())
-}
-
-// AnalyzeTimed is Analyze plus per-stage wall-clock timings (Parse/Sema
-// are the compilation's; CallGraph/Liveness are this call's).
-func (c *Compilation) AnalyzeTimed(opts Options) (*Result, Timings) {
-	return c.eng.AnalyzeTimed(opts.analysisOptions())
-}
-
-// AnalyzeTimedContext is AnalyzeTimed under a context.
-func (c *Compilation) AnalyzeTimedContext(ctx context.Context, opts Options) (*Result, Timings, error) {
-	return c.eng.AnalyzeTimedContext(ctx, opts.analysisOptions())
-}
-
-// Lint runs the flow-sensitive diagnostics — dead-store detection and
-// write-only-member corroboration — on top of the analysis, returning
-// findings sorted by (file, line, col, check).
-func (c *Compilation) Lint(opts Options, lopts LintOptions) *LintResult {
-	return c.eng.Lint(opts.analysisOptions(), lint.Options{Budget: lopts.Budget, Precision: lopts.Precision})
-}
-
-// LintContext is Lint under a context, with per-stage timings. An
-// interrupted run returns the context's error and a nil result.
-func (c *Compilation) LintContext(ctx context.Context, opts Options, lopts LintOptions) (*LintResult, Timings, error) {
-	return c.eng.LintContext(ctx, opts.analysisOptions(), lint.Options{Budget: lopts.Budget, Precision: lopts.Precision})
-}
-
-// Profile analyzes and then executes the program with an instrumented
-// heap, attributing bytes to the dead members found.
-func (c *Compilation) Profile(opts Options) (*Profile, error) {
-	return c.ProfileContext(context.Background(), opts)
-}
-
-// ProfileContext is Profile under a context: cancellation or deadline
-// expiry is polled at the interpreter's step boundary and aborts the run
-// with an error satisfying errors.Is(err, ctx.Err()).
-func (c *Compilation) ProfileContext(ctx context.Context, opts Options) (*Profile, error) {
-	return c.eng.ProfileContext(ctx, opts.analysisOptions(), dynprof.Options{MaxSteps: opts.MaxSteps})
-}
-
-// Run executes the program without instrumentation.
-func (c *Compilation) Run() (*ExecResult, error) {
-	return c.eng.Run()
-}
-
-// RunContext is Run under a context (see ProfileContext).
-func (c *Compilation) RunContext(ctx context.Context) (*ExecResult, error) {
-	return c.eng.RunContext(ctx)
-}
-
-// Strip analyzes and removes the dead data members (and unreachable
-// functions) whose elimination is provably behaviour preserving,
-// returning the transformed program. It writes nothing of the
-// compilation, which serves later calls unchanged.
-func (c *Compilation) Strip(opts Options, stripOpts StripOptions) *StripResult {
-	return c.eng.Strip(opts.analysisOptions(), stripOpts)
-}
-
-// Timings returns the frontend stage durations of this compilation.
-func (c *Compilation) Timings() Timings { return c.eng.Timings() }
-
-// Fingerprint returns the content hash identifying the compiled sources.
-func (c *Compilation) Fingerprint() string { return c.eng.Fingerprint }
 
 // Analyze compiles the sources and runs the dead-data-member analysis.
 func Analyze(opts Options, sources ...Source) (*Result, error) {
@@ -313,13 +193,6 @@ func ProfileProgram(opts Options, sources ...Source) (*Profile, error) {
 func ProfileSource(name, text string, opts Options) (*Profile, error) {
 	return ProfileProgram(opts, Source{Name: name, Text: text})
 }
-
-// StripOptions configures the dead-member elimination transform.
-type StripOptions = strip.Options
-
-// StripResult reports what the transform removed (and what it refused to
-// remove, with reasons).
-type StripResult = strip.Result
 
 // Strip analyzes the sources and removes the dead data members (and
 // unreachable functions) whose elimination is provably behaviour

@@ -271,7 +271,7 @@ func TestCompileReuse(t *testing.T) {
 	if tm.Total() <= 0 {
 		t.Fatalf("timings not recorded: %+v", tm)
 	}
-	if comp.Fingerprint() == "" {
+	if comp.Fingerprint == "" {
 		t.Fatal("empty fingerprint")
 	}
 

@@ -1,6 +1,7 @@
 package deadmembers_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -49,7 +50,7 @@ func fuzzCompile(t *testing.T, text string) (*deadmembers.Compilation, bool) {
 		return nil, false // rejected with diagnostics: fine
 	}
 	if c.Degraded() {
-		t.Fatalf("compile degraded on plain source input: %v", c.Failures())
+		t.Fatalf("compile degraded on plain source input: %v", c.Failures)
 	}
 	return c, true
 }
@@ -239,7 +240,7 @@ func FuzzVMDifferential(f *testing.F) {
 		// instrumentation; both evaluators count statements identically,
 		// so the budget trips in lockstep.
 		const budget = 20_000
-		vm, verr := c.Profile(deadmembers.Options{MaxSteps: budget})
+		vm, verr := c.ProfileContext(context.Background(), deadmembers.Options{}, budget)
 		res := c.Analyze(deadmembers.Options{})
 		tree, terr := dynprof.Run(res, dynprof.Options{MaxSteps: budget, FileSet: res.Program.FileSet})
 		if (terr != nil) != (verr != nil) {

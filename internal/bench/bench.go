@@ -92,15 +92,10 @@ func All() []*Benchmark {
 	return out
 }
 
-// Compile compiles the benchmark's sources in session s. The session
-// caches by content hash, so repeated calls — collection then ablation,
-// or a benchmark loop — run the frontend once per benchmark.
-func (b *Benchmark) Compile(s *engine.Session) (*engine.Compilation, error) {
-	return b.CompileContext(context.Background(), s)
-}
-
-// CompileContext is Compile under a context.
-func (b *Benchmark) CompileContext(ctx context.Context, s *engine.Session) (*engine.Compilation, error) {
+// Compile compiles the benchmark's sources in session s under ctx. The
+// session caches by content hash, so repeated calls — collection then
+// ablation, or a benchmark loop — run the frontend once per benchmark.
+func (b *Benchmark) Compile(ctx context.Context, s *engine.Session) (*engine.Compilation, error) {
 	c := s.CompileContext(ctx, b.Sources...)
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync"
@@ -29,9 +30,9 @@ var (
 func corpus(t *testing.T) []*corpusRun {
 	t.Helper()
 	corpusOnce.Do(func() {
-		session := engine.NewSession(engine.Config{})
+		session := engine.NewSession(engine.Config{}, engine.Limits{})
 		for _, b := range All() {
-			c, err := b.Compile(session)
+			c, err := b.Compile(context.Background(), session)
 			if err != nil {
 				corpusErr = err
 				return

@@ -27,11 +27,14 @@ import (
 // Mode selects the construction algorithm.
 type Mode int
 
-// Construction modes, in increasing order of precision.
+// Construction modes, in decreasing order of precision. RTA, the
+// paper's configuration, is the zero value, so the zero
+// deadmember.Options (and the public deadmembers.Options, its alias)
+// analyzes as the paper did.
 const (
-	ALL Mode = iota
+	RTA Mode = iota
 	CHA
-	RTA
+	ALL
 )
 
 // String returns the conventional acronym.
@@ -75,6 +78,9 @@ type Graph struct {
 	// Instantiated is the set of classes constructed in reachable code
 	// (for RTA this drives dispatch; for other modes it is informational).
 	Instantiated map[*types.Class]bool
+
+	// funcs is Reachable in ReachableFuncs' order, fixed by Build.
+	funcs []*types.Func
 }
 
 // Options configures construction.
@@ -87,9 +93,12 @@ type Options struct {
 	ExtraRoots []*types.Func
 }
 
-// Build constructs the call graph of prog under opts.
+// Build constructs the call graph of prog under opts, and orders its
+// reachable functions once for ReachableFuncs.
 func Build(prog *types.Program, h *hierarchy.Graph, opts Options) *Graph {
-	return build(prog, h, opts).g
+	g := build(prog, h, opts).g
+	g.funcs = sortedFuncs(g.Reachable)
+	return g
 }
 
 func build(prog *types.Program, h *hierarchy.Graph, opts Options) *builder {
@@ -520,15 +529,20 @@ func (b *builder) methodCall(caller *types.Func, static *types.Class, m *types.F
 // qualified name, then declaration position, then parameter count.
 // Overloads share a qualified name (every constructor of C is C::C), so
 // the name alone would leave their order to map iteration, and with it
-// which access the liveness pass records first. Each name is built once,
-// not on every comparison.
-func (g *Graph) ReachableFuncs() []*types.Func {
+// which access the liveness pass records first. Build computes the
+// order once; every call returns the same slice, which callers must not
+// modify.
+func (g *Graph) ReachableFuncs() []*types.Func { return g.funcs }
+
+// sortedFuncs orders reachable in ReachableFuncs' order. Each name is
+// built once, not on every comparison.
+func sortedFuncs(reachable map[*types.Func]bool) []*types.Func {
 	type keyed struct {
 		name string
 		f    *types.Func
 	}
-	ks := make([]keyed, 0, len(g.Reachable))
-	for f := range g.Reachable {
+	ks := make([]keyed, 0, len(reachable))
+	for f := range reachable {
 		ks = append(ks, keyed{f.QualifiedName(), f})
 	}
 	slices.SortFunc(ks, func(a, b keyed) int {

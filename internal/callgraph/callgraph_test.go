@@ -372,11 +372,12 @@ int main() {
 `
 
 // TestReachableFuncsOrdersOverloads pins the tie-break among functions
-// that share a qualified name: declaration order, on every call (the
+// that share a qualified name: declaration order, on every build (the
 // name alone left it to map iteration).
 func TestReachableFuncsOrdersOverloads(t *testing.T) {
-	_, g := build(t, twoCtorsProgram, callgraph.RTA)
+	r := compile(t, twoCtorsProgram)
 	for run := 0; run < 50; run++ {
+		g := callgraph.Build(r.Program, r.Graph, callgraph.Options{Mode: callgraph.RTA})
 		var ctors []*types.Func
 		for _, f := range g.ReachableFuncs() {
 			if f.QualifiedName() == "C::C" {
@@ -388,6 +389,21 @@ func TestReachableFuncsOrdersOverloads(t *testing.T) {
 		}
 		if !(ctors[0].Pos < ctors[1].Pos) || len(ctors[0].Params) != 0 {
 			t.Fatalf("call %d: constructors out of declaration order: %v then %v", run, ctors[0], ctors[1])
+		}
+	}
+}
+
+// TestReachableFuncsOrderedOnce: Build orders the reachable functions
+// once, in every mode, so a pass that asks for them allocates nothing.
+func TestReachableFuncsOrderedOnce(t *testing.T) {
+	r := compile(t, dispatchProgram)
+	for _, mode := range []callgraph.Mode{callgraph.RTA, callgraph.CHA, callgraph.ALL} {
+		g := callgraph.Build(r.Program, r.Graph, callgraph.Options{Mode: mode})
+		if got, want := len(g.ReachableFuncs()), len(g.Reachable); got != want {
+			t.Errorf("%v: ReachableFuncs has %d functions, Reachable %d", mode, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { g.ReachableFuncs() }); allocs != 0 {
+			t.Errorf("%v: ReachableFuncs allocates %.0f times per call, want 0", mode, allocs)
 		}
 	}
 }

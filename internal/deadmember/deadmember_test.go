@@ -1,6 +1,7 @@
 package deadmember_test
 
 import (
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -678,4 +679,20 @@ int main() { P p; return p.x; }
 	if m := res.MarkOf(twin); m != (deadmember.Mark{}) {
 		t.Fatalf("MarkOf a field of another program = %+v, want the zero Mark", m)
 	}
+}
+
+// TestZeroOptionsIsRTA: the zero Options is the paper's configuration.
+// wordhist.mcc's three HashMap members are read only in methods that
+// main never calls: RTA leaves those unreachable and finds the members
+// dead, where ALL counts every body as reachable and keeps them live.
+func TestZeroOptionsIsRTA(t *testing.T) {
+	text, err := os.ReadFile("../../testdata/wordhist.mcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := analyze(t, string(text), deadmember.Options{})
+	if res.Options.CallGraph != callgraph.RTA {
+		t.Errorf("zero Options builds the %v call graph, want RTA", res.Options.CallGraph)
+	}
+	expectDead(t, res, "HashMap::maxLoad", "HashMap::rehashes", "HashMap::tombstones")
 }

@@ -9,7 +9,6 @@ import (
 
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
-	"deadmembers/internal/dynprof"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/heaplive"
 	"deadmembers/internal/lint"
@@ -60,7 +59,7 @@ func TestAnalysisCachedPerOptions(t *testing.T) {
 	comp, runs := countingCompile(t, nil)
 	opts := deadmember.Options{CallGraph: callgraph.RTA}
 
-	first, tm := comp.AnalyzeTimed(opts)
+	first, tm, _ := comp.AnalyzeContext(context.Background(), opts)
 	perPass := runs.Load()
 	if perPass == 0 {
 		t.Fatal("FuncFault did not count the liveness pass")
@@ -75,7 +74,7 @@ func TestAnalysisCachedPerOptions(t *testing.T) {
 		}
 	}
 
-	again, tm := comp.AnalyzeTimed(opts)
+	again, tm, _ := comp.AnalyzeContext(context.Background(), opts)
 	noLiveness("a repeat Analyze")
 	if again != first {
 		t.Fatal("a repeat Analyze returned a different *Result")
@@ -89,7 +88,7 @@ func TestAnalysisCachedPerOptions(t *testing.T) {
 	}
 	noLiveness("Lint")
 
-	prof, err := comp.Profile(opts, dynprof.Options{})
+	prof, err := comp.Profile(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +143,10 @@ func TestAnalysisCacheSkipsFailures(t *testing.T) {
 	defer cancel()
 	comp = engine.Compile(engine.Config{FuncFault: func(*types.Func) { cancel() }},
 		engine.Source{Name: "cache.mcc", Text: cacheSrc})
-	if _, err := comp.AnalyzeContext(ctx, opts); err == nil {
+	if _, _, err := comp.AnalyzeContext(ctx, opts); err == nil {
 		t.Fatal("a pass cancelled midway returned no error")
 	}
-	if _, tm, err := comp.AnalyzeTimedContext(context.Background(), opts); err != nil || tm.LivenessCached {
+	if _, tm, err := comp.AnalyzeContext(context.Background(), opts); err != nil || tm.LivenessCached {
 		t.Fatalf("after an interrupted pass: err=%v livenessCached=%v", err, tm.LivenessCached)
 	}
 }

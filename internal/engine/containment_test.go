@@ -9,7 +9,6 @@ import (
 
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
-	"deadmembers/internal/dynprof"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/types"
 )
@@ -129,7 +128,7 @@ int main() { int n = 0; while (true) { n = n + 1; } return n; }
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := comp.ProfileContext(ctx, rta, dynprof.Options{})
+	_, err := comp.ProfileContext(ctx, rta, 0)
 	if err == nil {
 		t.Fatal("expected the deadline to abort the run")
 	}
@@ -160,7 +159,7 @@ func TestCompileContextCancelled(t *testing.T) {
 // same content gets a fresh attempt.
 func TestSessionDoesNotCachePoisonedCompiles(t *testing.T) {
 	// Cancelled compiles are not cached.
-	s := engine.NewSession(engine.Config{})
+	s := engine.NewSession(engine.Config{}, engine.Limits{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if c := s.CompileContext(ctx, srcABC()...); c.CancelErr() == nil {
@@ -179,7 +178,7 @@ func TestSessionDoesNotCachePoisonedCompiles(t *testing.T) {
 		if name == "b.mcc" {
 			panic("injected parse fault")
 		}
-	}})
+	}}, engine.Limits{})
 	if c := s2.Compile(srcABC()...); !c.Degraded() {
 		t.Fatal("expected a degraded compile")
 	}

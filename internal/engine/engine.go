@@ -25,6 +25,14 @@
 //     compilations of identical sources skip the frontend entirely;
 //   - wall-clock timings for every stage, so speedups are observable
 //     without a profiler.
+//
+// Each stage has at most two entry points: a plain method (Analyze,
+// Lint, Strip, Profile, Run) and one Context method that takes a
+// context and returns the result, the stage's Timings where it reports
+// them (Analyze and Lint), and an error. The run and profile Context
+// methods also take the step budget. The public deadmembers package
+// aliases Compilation, so these methods are its API too; it adds no
+// second layer.
 package engine
 
 import (
@@ -294,28 +302,8 @@ func (c *Compilation) graphFor(opts deadmember.Options) (g *callgraph.Graph, cac
 // the same Options returns the cached *Result without a liveness pass.
 // The Result is shared and must be treated as read-only.
 func (c *Compilation) Analyze(opts deadmember.Options) *deadmember.Result {
-	res, _ := c.AnalyzeTimed(opts)
+	res, _, _ := c.AnalyzeContext(context.Background(), opts)
 	return res
-}
-
-// AnalyzeTimed is Analyze plus the per-stage wall-clock timings of this
-// call (Parse/Sema are the compilation's, CallGraph/Liveness this run's).
-func (c *Compilation) AnalyzeTimed(opts deadmember.Options) (*deadmember.Result, Timings) {
-	res, t, _ := c.analyzeCtx(context.Background(), opts)
-	return res, t
-}
-
-// AnalyzeContext is Analyze under a context: cancellation is polled
-// between functions of the liveness pass, and an interrupted run returns
-// the context's error (the partial result must not be trusted).
-func (c *Compilation) AnalyzeContext(ctx context.Context, opts deadmember.Options) (*deadmember.Result, error) {
-	res, _, err := c.analyzeCtx(ctx, opts)
-	return res, err
-}
-
-// AnalyzeTimedContext is AnalyzeTimed under a context (see AnalyzeContext).
-func (c *Compilation) AnalyzeTimedContext(ctx context.Context, opts deadmember.Options) (*deadmember.Result, Timings, error) {
-	return c.analyzeCtx(ctx, opts)
 }
 
 // analysisKey identifies everything that can change an analysis result.
@@ -323,7 +311,12 @@ func analysisKey(opts deadmember.Options) string {
 	return fmt.Sprintf("%+v", opts)
 }
 
-func (c *Compilation) analyzeCtx(ctx context.Context, opts deadmember.Options) (*deadmember.Result, Timings, error) {
+// AnalyzeContext is Analyze under a context, returning the per-stage
+// wall-clock timings of this call (Parse/Sema are the compilation's,
+// CallGraph/Liveness this run's). Cancellation is polled between
+// functions of the liveness pass, and an interrupted run returns the
+// context's error and a nil result.
+func (c *Compilation) AnalyzeContext(ctx context.Context, opts deadmember.Options) (*deadmember.Result, Timings, error) {
 	t := c.timings
 	if err := ctx.Err(); err != nil {
 		return nil, t, err
@@ -383,7 +376,7 @@ func (c *Compilation) Lint(opts deadmember.Options, lopts lint.Options) *lint.Re
 // is a hit, and the reverse. An interrupted run returns the context's
 // error and a nil result.
 func (c *Compilation) LintContext(ctx context.Context, opts deadmember.Options, lopts lint.Options) (*lint.Result, Timings, error) {
-	ar, t, err := c.analyzeCtx(ctx, opts)
+	ar, t, err := c.AnalyzeContext(ctx, opts)
 	if err != nil {
 		return nil, t, err
 	}
@@ -391,15 +384,6 @@ func (c *Compilation) LintContext(ctx context.Context, opts deadmember.Options, 
 	t.Lint = took
 	t.LintCached = cached
 	return lres, t, err
-}
-
-// LintAnalyzed lints an existing analysis result, reusing its call
-// graph and dead set instead of re-running liveness. It returns the
-// pass's wall clock so callers can fold it into their Timings (zero on
-// a lint-cache hit).
-func (c *Compilation) LintAnalyzed(ctx context.Context, ar *deadmember.Result, lopts lint.Options) (*lint.Result, time.Duration, error) {
-	res, took, _, err := c.lintAnalyzed(ctx, ar, lopts)
-	return res, took, err
 }
 
 // lintKey identifies everything that can change a lint result: the
@@ -449,37 +433,40 @@ func (c *Compilation) lintAnalyzed(ctx context.Context, ar *deadmember.Result, l
 
 // Profile analyzes and then executes the program with an instrumented
 // heap, attributing bytes to the dead members found.
-func (c *Compilation) Profile(opts deadmember.Options, dopts dynprof.Options) (*dynprof.Profile, error) {
-	return c.ProfileContext(context.Background(), opts, dopts)
+func (c *Compilation) Profile(opts deadmember.Options) (*dynprof.Profile, error) {
+	return c.ProfileContext(context.Background(), opts, 0)
 }
 
-// ProfileContext is Profile under a context: the analysis polls it
+// ProfileContext is Profile under a context and a step budget (maxSteps
+// statements; 0 = the interpreter's default). The analysis polls ctx
 // between liveness functions and the instrumented execution polls it at
 // the interpreter's step boundary, so a deadline bounds the whole run.
 // The execution runs on a fresh NewExecutor, with runtime diagnostics
 // positioned through the compilation's FileSet.
-func (c *Compilation) ProfileContext(ctx context.Context, opts deadmember.Options, dopts dynprof.Options) (*dynprof.Profile, error) {
-	res, err := c.AnalyzeContext(ctx, opts)
+func (c *Compilation) ProfileContext(ctx context.Context, opts deadmember.Options, maxSteps int64) (*dynprof.Profile, error) {
+	res, _, err := c.AnalyzeContext(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	if dopts.Context == nil {
-		dopts.Context = ctx
-	}
-	dopts.Executor = c.NewExecutor()
-	dopts.FileSet = c.FileSet
-	return dynprof.Run(res, dopts)
+	return dynprof.Run(res, dynprof.Options{
+		MaxSteps: maxSteps,
+		Context:  ctx,
+		Executor: c.NewExecutor(),
+		FileSet:  c.FileSet,
+	})
 }
 
 // Run executes the program without instrumentation.
 func (c *Compilation) Run() (*interp.Result, error) {
-	return c.RunContext(context.Background())
+	return c.RunContext(context.Background(), 0)
 }
 
 // RunContext is Run under a context, polled at the interpreter's step
-// boundary.
-func (c *Compilation) RunContext(ctx context.Context) (*interp.Result, error) {
+// boundary, and a step budget (maxSteps statements; 0 = the
+// interpreter's default).
+func (c *Compilation) RunContext(ctx context.Context, maxSteps int64) (*interp.Result, error) {
 	return interp.Run(c.Program, c.Hierarchy, interp.Options{
+		MaxSteps: maxSteps,
 		Context:  ctx,
 		FileSet:  c.FileSet,
 		Executor: c.NewExecutor(),
@@ -506,7 +493,7 @@ func (c *Compilation) Strip(opts deadmember.Options, sopts strip.Options) *strip
 // StripContext is Strip under a context. The analysis polls ctx; a panic
 // inside the transform itself is contained and returned as an error.
 func (c *Compilation) StripContext(ctx context.Context, opts deadmember.Options, sopts strip.Options) (*strip.Result, error) {
-	res, err := c.AnalyzeContext(ctx, opts)
+	res, _, err := c.AnalyzeContext(ctx, opts)
 	if err != nil {
 		return nil, err
 	}

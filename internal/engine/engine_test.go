@@ -43,7 +43,7 @@ func renderResult(res *deadmember.Result) string {
 // compile once, different sources miss, and the cached Compilation is the
 // same artifact (so its call-graph cache is shared too).
 func TestSessionCompileOnce(t *testing.T) {
-	s := engine.NewSession(engine.Config{})
+	s := engine.NewSession(engine.Config{}, engine.Limits{})
 	src := frontend.Source{Name: "a.mcc", Text: "class A { public: int x; A() : x(1) {} }; int main() { A a; return 0; }"}
 
 	c1 := s.Compile(src)
@@ -104,7 +104,7 @@ int main() {
 // Strip emits the same sources, and analyses and runs after a Strip
 // match those of a compilation that was never stripped.
 func TestStripLeavesCompilation(t *testing.T) {
-	s := engine.NewSession(engine.Config{})
+	s := engine.NewSession(engine.Config{}, engine.Limits{})
 	c1 := s.Compile(stripSrc)
 	fresh := engine.Compile(engine.Config{}, stripSrc)
 	out := c1.Strip(rta, strip.Options{})
@@ -146,7 +146,7 @@ func TestStripLeavesCompilation(t *testing.T) {
 // they share is written unsynchronized.
 func TestStripConcurrentWithAnalyses(t *testing.T) {
 	const goroutines = 6
-	s := engine.NewSession(engine.Config{})
+	s := engine.NewSession(engine.Config{}, engine.Limits{})
 	comp := s.Compile(stripSrc)
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)

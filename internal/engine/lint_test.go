@@ -34,7 +34,7 @@ int main() {
 `
 
 func TestLintTimingsAndFindings(t *testing.T) {
-	sess := engine.NewSession(engine.Config{})
+	sess := engine.NewSession(engine.Config{}, engine.Limits{})
 	comp := sess.CompileContext(context.Background(), engine.Source{Name: "lint.mcc", Text: lintSrc})
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestLintCachePerPrecision(t *testing.T) {
 		{heaplive.PrecisionFlow, heaplive.PrecisionHeap},
 		{heaplive.PrecisionHeap, heaplive.PrecisionFlow},
 	} {
-		sess := engine.NewSession(engine.Config{})
+		sess := engine.NewSession(engine.Config{}, engine.Limits{})
 		comp := sess.CompileContext(context.Background(), engine.Source{Name: "chain.mcc", Text: lintChainSrc})
 		if err := comp.Err(); err != nil {
 			t.Fatal(err)
@@ -160,7 +160,7 @@ func TestLintFaultContainment(t *testing.T) {
 				panic("injected lint fault")
 			}
 		},
-	})
+	}, engine.Limits{})
 	comp := sess.CompileContext(context.Background(), engine.Source{Name: "lint.mcc", Text: lintSrc})
 	if err := comp.Err(); err != nil {
 		t.Fatal(err)

@@ -75,14 +75,9 @@ type Stats struct {
 	Frontend Timings
 }
 
-// NewSession returns an empty unbounded session compiling under cfg.
-func NewSession(cfg Config) *Session {
-	return NewBoundedSession(cfg, Limits{})
-}
-
-// NewBoundedSession returns an empty session compiling under cfg whose
-// cache is bounded by limits.
-func NewBoundedSession(cfg Config, limits Limits) *Session {
+// NewSession returns an empty session compiling under cfg whose cache is
+// bounded by limits (the zero Limits leave it unbounded).
+func NewSession(cfg Config, limits Limits) *Session {
 	return &Session{
 		cfg:      cfg,
 		limits:   limits,

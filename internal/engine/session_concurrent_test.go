@@ -39,7 +39,7 @@ func TestSessionConcurrentCompile(t *testing.T) {
 		goroutines = 64
 		rounds     = 8
 	)
-	s := engine.NewSession(engine.Config{})
+	s := engine.NewSession(engine.Config{}, engine.Limits{})
 
 	// Pin every goroutine to the same start line so the very first round
 	// races identical fingerprints through the singleflight path.
@@ -93,7 +93,7 @@ func TestSessionConcurrentCompile(t *testing.T) {
 // MaxEntries evicts the least-recently-used entry and the byte gauge
 // tracks the retained entries' estimates.
 func TestSessionBoundedEviction(t *testing.T) {
-	s := engine.NewBoundedSession(engine.Config{}, engine.Limits{MaxEntries: 2})
+	s := engine.NewSession(engine.Config{}, engine.Limits{MaxEntries: 2})
 	a, b, c := program(0), program(1), program(2)
 
 	s.Compile(a)
@@ -122,7 +122,7 @@ func TestSessionBoundedEviction(t *testing.T) {
 // never-cacheable oversized path.
 func TestSessionByteBound(t *testing.T) {
 	a, b := program(0), program(1)
-	s := engine.NewBoundedSession(engine.Config{},
+	s := engine.NewSession(engine.Config{},
 		engine.Limits{MaxBytes: entryCost(a) + entryCost(b) - 1})
 	s.Compile(a)
 	s.Compile(b) // pushes total past MaxBytes → a evicted
@@ -132,7 +132,7 @@ func TestSessionByteBound(t *testing.T) {
 			st.Evictions, st.Entries, st.Bytes, entryCost(b))
 	}
 
-	tiny := engine.NewBoundedSession(engine.Config{}, engine.Limits{MaxBytes: 1})
+	tiny := engine.NewSession(engine.Config{}, engine.Limits{MaxBytes: 1})
 	tiny.Compile(a)
 	tiny.Compile(a) // oversized entries are never cached: second call recompiles
 	if st := tiny.Stats(); st.Compiles != 2 || st.Entries != 0 {
@@ -153,7 +153,7 @@ func TestSessionRetainedBound(t *testing.T) {
 	if src := int64(len(a.Name) + len(a.Text)); cost < 5*src {
 		t.Fatalf("entry cost %d is not a retained-heap estimate (source bytes %d)", cost, src)
 	}
-	s := engine.NewBoundedSession(engine.Config{}, engine.Limits{MaxBytes: 2*cost + 1})
+	s := engine.NewSession(engine.Config{}, engine.Limits{MaxBytes: 2*cost + 1})
 	s.Compile(a)
 	s.Compile(b)
 	s.Compile(a) // touch a: b becomes the LRU victim
@@ -186,7 +186,7 @@ func TestSessionWaiterCancellation(t *testing.T) {
 		ParseFault: func(string) {
 			once.Do(func() { <-gate }) // block only the leader's compile
 		},
-	})
+	}, engine.Limits{})
 	src := program(7)
 
 	leaderDone := make(chan *engine.Compilation)

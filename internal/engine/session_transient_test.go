@@ -29,7 +29,7 @@ int main() { T t; return t.used; }
 func TestFollowersSurviveCancelledLeader(t *testing.T) {
 	block := make(chan struct{})
 	var parses atomic.Int32
-	sess := engine.NewBoundedSession(engine.Config{
+	sess := engine.NewSession(engine.Config{
 		// The first compile (the doomed leader) parks here until its
 		// context is cancelled; retries sail through.
 		ParseFault: func(string) {
@@ -102,7 +102,7 @@ func TestFollowersSurviveCancelledLeader(t *testing.T) {
 func TestFollowersSurviveDegradedLeader(t *testing.T) {
 	block := make(chan struct{})
 	var parses atomic.Int32
-	sess := engine.NewBoundedSession(engine.Config{
+	sess := engine.NewSession(engine.Config{
 		// The first compile parks until the followers have joined its
 		// flight, then panics in its parse — contained, so the
 		// leader gets a degraded artifact; retries are clean.

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -34,26 +35,26 @@ type AblationRow struct {
 	Members int
 }
 
-// RunAblations analyzes every corpus benchmark under each variant.
-func RunAblations() ([]*AblationRow, error) {
-	return RunAblationsIn(engine.NewSession(engine.Config{}))
-}
-
-// RunAblationsIn runs the sweep against a shared engine session: each
-// benchmark is compiled exactly once (or not at all, if the session
-// already holds it from an earlier collection), and the four RTA-mode
-// variants share one cached call graph. Liveness is cached per options,
-// so the plain RTA variant reuses an earlier collection's analysis.
-func RunAblationsIn(s *engine.Session) ([]*AblationRow, error) {
+// RunAblations analyzes every corpus benchmark under each variant
+// against a shared engine session: each benchmark is compiled exactly
+// once (or not at all, if the session already holds it from an earlier
+// collection), and the four RTA-mode variants share one cached call
+// graph. Liveness is cached per options, so the plain RTA variant reuses
+// an earlier collection's analysis. Cancellation or deadline expiry
+// aborts the sweep and is reported as the returned error.
+func RunAblations(ctx context.Context, s *engine.Session) ([]*AblationRow, error) {
 	var out []*AblationRow
 	for _, b := range bench.All() {
-		c, err := b.Compile(s)
+		c, err := b.Compile(ctx, s)
 		if err != nil {
 			return nil, err
 		}
 		row := &AblationRow{Name: b.Name}
 		for _, v := range ablationVariants(row) {
-			res := c.Analyze(v.opts)
+			res, _, err := c.AnalyzeContext(ctx, v.opts)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", b.Name, err)
+			}
 			st := res.Stats()
 			*v.dst = st.DeadMembers
 			row.Members = st.Members

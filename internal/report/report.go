@@ -15,7 +15,6 @@ import (
 	"deadmembers/internal/bench"
 	"deadmembers/internal/callgraph"
 	"deadmembers/internal/deadmember"
-	"deadmembers/internal/dynprof"
 	"deadmembers/internal/engine"
 	"deadmembers/internal/failure"
 	"deadmembers/internal/heaplive"
@@ -71,27 +70,19 @@ type BenchmarkResult struct {
 	FailReason string
 }
 
-// Collect runs analysis and instrumented execution for one benchmark.
-func Collect(b *bench.Benchmark) (*BenchmarkResult, error) {
-	return CollectIn(engine.NewSession(engine.Config{}), b)
-}
-
-// CollectIn is Collect against a shared engine session: the benchmark's
-// frontend compile is cached, so a subsequent ablation sweep (or repeated
-// collection) reuses the same Compilation.
-func CollectIn(s *engine.Session, b *bench.Benchmark) (*BenchmarkResult, error) {
-	return CollectInContext(context.Background(), s, b)
-}
-
-// CollectInContext is CollectIn under a context: cancellation or deadline
-// expiry aborts the benchmark's pipeline between work items and is
-// reported as the returned error.
-func CollectInContext(ctx context.Context, s *engine.Session, b *bench.Benchmark) (*BenchmarkResult, error) {
-	c, err := b.CompileContext(ctx, s)
+// Collect runs analysis and instrumented execution for one benchmark
+// against a shared engine session: the benchmark's frontend compile is
+// cached, so a subsequent ablation sweep (or repeated collection) reuses
+// the same Compilation. Cancellation or deadline expiry aborts the
+// benchmark's pipeline between work items and is reported as the
+// returned error.
+func Collect(ctx context.Context, s *engine.Session, b *bench.Benchmark) (*BenchmarkResult, error) {
+	c, err := b.Compile(ctx, s)
 	if err != nil {
 		return nil, err
 	}
-	res, timings, err := c.AnalyzeTimedContext(ctx, deadmember.Options{CallGraph: callgraph.RTA})
+	rta := deadmember.Options{CallGraph: callgraph.RTA}
+	res, timings, err := c.AnalyzeContext(ctx, rta)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
@@ -116,15 +107,17 @@ func CollectInContext(ctx context.Context, s *engine.Session, b *bench.Benchmark
 	r.DeadMembers = st.DeadMembers
 	r.DeadPercent = st.DeadPercent()
 
-	// Flow-sensitive pass, reusing the analysis just computed. Rows that
-	// are already degraded are skipped: their findings would be partial,
-	// and the lint statistics only count clean rows (same contract as
-	// the dynamic measurements).
+	// Flow-sensitive pass, reusing the analysis just computed (a clean
+	// analysis is cached, so LintContext's own is a hit). Rows that are
+	// already degraded are skipped: their findings would be partial, and
+	// the lint statistics only count clean rows (same contract as the
+	// dynamic measurements).
 	if !r.Degraded {
-		lres, lintTime, err := c.LintAnalyzed(ctx, res, lint.Options{})
+		lres, lt, err := c.LintContext(ctx, rta, lint.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
+		lintTime := lt.Lint
 		r.Timings.Lint = lintTime
 		if lres.Degraded() {
 			r.Degraded = true
@@ -142,7 +135,7 @@ func CollectInContext(ctx context.Context, s *engine.Session, b *bench.Benchmark
 				if p == heaplive.PrecisionFlow {
 					continue
 				}
-				tres, took, err := c.LintAnalyzed(ctx, res, lint.Options{Precision: p})
+				tres, tt, err := c.LintContext(ctx, rta, lint.Options{Precision: p})
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", b.Name, err)
 				}
@@ -151,6 +144,7 @@ func CollectInContext(ctx context.Context, s *engine.Session, b *bench.Benchmark
 					r.FailReason = tres.Failures[0].Error()
 					break
 				}
+				took := tt.Lint
 				if p == heaplive.PrecisionHeap {
 					took = lintTime
 				}
@@ -160,7 +154,7 @@ func CollectInContext(ctx context.Context, s *engine.Session, b *bench.Benchmark
 		}
 	}
 
-	prof, err := dynprof.Run(res, dynprof.Options{Context: ctx, Executor: c.NewExecutor()})
+	prof, err := c.ProfileContext(ctx, rta, 0)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
@@ -185,26 +179,16 @@ func CollectInContext(ctx context.Context, s *engine.Session, b *bench.Benchmark
 	return r, nil
 }
 
-// CollectAll measures the whole corpus in presentation order.
-func CollectAll() ([]*BenchmarkResult, error) {
-	return CollectAllIn(engine.NewSession(engine.Config{}))
-}
-
-// CollectAllIn measures the whole corpus against a shared engine session,
-// compiling each benchmark at most once per session.
-func CollectAllIn(s *engine.Session) ([]*BenchmarkResult, error) {
-	return CollectAllInContext(context.Background(), s)
-}
-
-// CollectAllInContext measures the whole corpus under a context. One
-// benchmark failing does not abandon the sweep: the failure becomes a
-// degraded stub row (zero measurements, FailReason set) and collection
-// continues with the next benchmark. Only cancellation aborts the sweep,
-// reported as the returned error.
-func CollectAllInContext(ctx context.Context, s *engine.Session) ([]*BenchmarkResult, error) {
+// CollectAll measures the whole corpus in presentation order against a
+// shared engine session, compiling each benchmark at most once per
+// session. One benchmark failing does not abandon the sweep: the failure
+// becomes a degraded stub row (zero measurements, FailReason set) and
+// collection continues with the next benchmark. Only cancellation aborts
+// the sweep, reported as the returned error.
+func CollectAll(ctx context.Context, s *engine.Session) ([]*BenchmarkResult, error) {
 	var out []*BenchmarkResult
 	for _, b := range bench.All() {
-		r, err := CollectInContext(ctx, s, b)
+		r, err := Collect(ctx, s, b)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err

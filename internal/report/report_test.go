@@ -2,6 +2,7 @@ package report
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ var (
 func allResults(t *testing.T) []*BenchmarkResult {
 	t.Helper()
 	resultsOnce.Do(func() {
-		resultsAll, resultsErr = CollectAll()
+		resultsAll, resultsErr = CollectAll(context.Background(), engine.NewSession(engine.Config{}, engine.Limits{}))
 	})
 	if resultsErr != nil {
 		t.Fatalf("CollectAll: %v", resultsErr)
@@ -169,7 +170,7 @@ func TestCSVExport(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	rows, err := RunAblations()
+	rows, err := RunAblations(context.Background(), engine.NewSession(engine.Config{}, engine.Limits{}))
 	if err != nil {
 		t.Fatalf("RunAblations: %v", err)
 	}
@@ -224,10 +225,10 @@ func TestAblations(t *testing.T) {
 // table is byte-identical to the one produced by recompiling per variant
 // with the pre-engine frontend path.
 func TestAblationSweepCompilesOncePerBenchmark(t *testing.T) {
-	s := engine.NewSession(engine.Config{})
-	rows, err := RunAblationsIn(s)
+	s := engine.NewSession(engine.Config{}, engine.Limits{})
+	rows, err := RunAblations(context.Background(), s)
 	if err != nil {
-		t.Fatalf("RunAblationsIn: %v", err)
+		t.Fatalf("RunAblations: %v", err)
 	}
 	n := len(bench.All())
 	if st := s.Stats(); st.Compiles != n || st.Hits != 0 {
@@ -235,8 +236,8 @@ func TestAblationSweepCompilesOncePerBenchmark(t *testing.T) {
 	}
 
 	// A full result collection afterwards must not compile anything new.
-	if _, err := CollectAllIn(s); err != nil {
-		t.Fatalf("CollectAllIn: %v", err)
+	if _, err := CollectAll(context.Background(), s); err != nil {
+		t.Fatalf("CollectAll: %v", err)
 	}
 	if st := s.Stats(); st.Compiles != n || st.Hits != n {
 		t.Fatalf("after collection stats = %+v, want still %d compiles and %d hits", st, n, n)
@@ -272,8 +273,8 @@ func TestSweepSurvivesDegradedBenchmark(t *testing.T) {
 		if name == "richards.mcc" {
 			panic("injected parse fault")
 		}
-	}})
-	results, err := CollectAllInContext(context.Background(), s)
+	}}, engine.Limits{})
+	results, err := CollectAll(context.Background(), s)
 	if err != nil {
 		t.Fatalf("sweep aborted: %v", err)
 	}
@@ -307,8 +308,25 @@ func TestSweepSurvivesDegradedBenchmark(t *testing.T) {
 func TestSweepAbortsOnCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CollectAllInContext(ctx, engine.NewSession(engine.Config{})); err == nil {
+	if _, err := CollectAll(ctx, engine.NewSession(engine.Config{}, engine.Limits{})); err == nil {
 		t.Fatal("expected the cancelled sweep to report an error")
+	}
+}
+
+// TestAblationsAbortOnCancellation: the ablation sweep's analyses run
+// under its context. The session already holds every benchmark, so
+// compiling is a cache hit and the error comes from the analysis.
+func TestAblationsAbortOnCancellation(t *testing.T) {
+	s := engine.NewSession(engine.Config{}, engine.Limits{})
+	for _, b := range bench.All() {
+		if _, err := b.Compile(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunAblations(ctx, s); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ablation sweep returned %v, want the context's error", err)
 	}
 }
 

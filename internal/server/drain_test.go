@@ -23,7 +23,7 @@ func TestDrainLetsInflightFinish(t *testing.T) {
 	}
 	// Swap in a session whose compiles block on the gate so the in-flight
 	// request is deterministically mid-pipeline when the drain starts.
-	s.sess = engine.NewBoundedSession(engine.Config{
+	s.sess = engine.NewSession(engine.Config{
 		ParseFault: func(string) { <-gate },
 	}, engine.Limits{})
 	ts := httptest.NewServer(s.Handler())

@@ -89,7 +89,7 @@ func TestAdmissionControlRejects(t *testing.T) {
 	}
 	// Swap in a session whose compiles block on the gate, holding the
 	// execution slot so the queue fills deterministically.
-	s.sess = engine.NewBoundedSession(engine.Config{
+	s.sess = engine.NewSession(engine.Config{
 		ParseFault: func(string) { <-gate },
 	}, engine.Limits{})
 	ts := httptest.NewServer(s.Handler())

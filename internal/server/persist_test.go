@@ -69,7 +69,7 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 func TestDegradedResponsesNotPersisted(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{PersistDir: dir})
-	s.sess = engine.NewBoundedSession(engine.Config{
+	s.sess = engine.NewSession(engine.Config{
 		ParseFault: func(string) { panic("injected parse fault") },
 	}, engine.Limits{})
 
@@ -125,7 +125,7 @@ func TestRetryAfterHoldsUnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A session whose compiles block on the gate keeps the only slot held.
-	s.sess = engine.NewBoundedSession(engine.Config{
+	s.sess = engine.NewSession(engine.Config{
 		ParseFault: func(string) { <-gate },
 	}, engine.Limits{})
 	ts := httptest.NewServer(s.Handler())

@@ -145,7 +145,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:  cfg,
-		sess: engine.NewBoundedSession(engine.Config{}, limits),
+		sess: engine.NewSession(engine.Config{}, limits),
 		adm:  newAdmission(cfg.MaxInflight, maxQueue),
 		met:  newMetrics(),
 		mux:  http.NewServeMux(),
@@ -337,7 +337,7 @@ func (s *Server) analyze(ctx context.Context, b *bundle) (*handlerResult, *httpE
 	if herr != nil {
 		return nil, herr
 	}
-	res, _, err := comp.AnalyzeTimedContext(ctx, b.opts)
+	res, _, err := comp.AnalyzeContext(ctx, b.opts)
 	if err != nil {
 		return nil, ctxErr(err)
 	}

@@ -35,7 +35,7 @@ func runBoth(t *testing.T, name, src string) *interp.Result {
 	t.Helper()
 	c := compile(t, name, src)
 	tres, terr := interp.Run(c.Program, c.Hierarchy, interp.Options{FileSet: c.FileSet})
-	vres, verr := c.RunContext(context.Background())
+	vres, verr := c.RunContext(context.Background(), 0)
 	assertSameRun(t, name, tres, terr, vres, verr)
 	return vres
 }
@@ -293,7 +293,7 @@ func TestDifferentialLargeKernel(t *testing.T) {
 func assertSameProfile(t *testing.T, name string, c *engine.Compilation) {
 	t.Helper()
 	tp, terr := dynprof.Run(c.Analyze(deadmember.Options{}), dynprof.Options{FileSet: c.FileSet})
-	vp, verr := c.ProfileContext(context.Background(), deadmember.Options{}, dynprof.Options{})
+	vp, verr := c.ProfileContext(context.Background(), deadmember.Options{}, 0)
 	if (terr == nil) != (verr == nil) {
 		t.Fatalf("%s: engines disagree on profile failure: tree err=%v, vm err=%v", name, terr, verr)
 	}
@@ -529,7 +529,7 @@ func TestCtorInitNamesShadowingParameter(t *testing.T) {
 		}`
 	c := compile(t, "shadow.mcc", src)
 	assertSameProfile(t, "shadow", c)
-	res, err := c.RunContext(context.Background())
+	res, err := c.RunContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func TestNonVirtualDiamondDestruction(t *testing.T) {
 		}`
 	c := compile(t, "diamond.mcc", src)
 	assertSameProfile(t, "diamond", c)
-	prof, err := c.ProfileContext(context.Background(), deadmember.Options{}, dynprof.Options{})
+	prof, err := c.ProfileContext(context.Background(), deadmember.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
