@@ -73,6 +73,7 @@ func BenchmarkTable2(b *testing.B) {
 		}
 		res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
 		b.Run(bm.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ex := vm.NewExecutor(r.Program, r.Graph)
 				if _, err := dynprof.Run(res, dynprof.Options{Executor: ex}); err != nil {
@@ -255,6 +256,7 @@ func BenchmarkInterpRichards(b *testing.B) {
 		b.Fatal(err)
 	}
 	res := deadmember.Analyze(r.Program, r.Graph, deadmember.Options{CallGraph: callgraph.RTA})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prof, err := dynprof.Run(res, dynprof.Options{Executor: vm.NewExecutor(r.Program, r.Graph)})

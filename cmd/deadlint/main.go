@@ -25,6 +25,7 @@ import (
 	"deadmembers"
 	"deadmembers/internal/buildinfo"
 	"deadmembers/internal/callgraph"
+	"deadmembers/internal/deadmember"
 	"deadmembers/internal/heaplive"
 	"deadmembers/internal/lint"
 )
@@ -48,8 +49,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		budget         = fs.Int("budget", 0, "dataflow solver step budget per function (0 = automatic)")
 		precisionFlag  = fs.String("precision", "flow", "liveness tier: paper (flow-insensitive only), flow, or heap (access-graph chained paths)")
 		callgraphMode  = fs.String("callgraph", "rta", "call graph construction: rta, cha, or all")
+		sizeofPolicy   = fs.String("sizeof", "ignore", "sizeof policy: ignore (paper setting) or conservative")
+		noDeleteRule   = fs.Bool("no-delete-rule", false, "disable the delete/free special case")
 		libraries      = fs.String("library", "", "comma-separated class names treated as library classes")
 		trustDowncasts = fs.Bool("trust-downcasts", false, "treat all downcasts as verified safe")
+		writesAreUses  = fs.Bool("writes-are-uses", false, "ablation: treat every write as a use (paper §2 argues against this)")
 		stageTimings   = fs.Bool("timings", false, "print per-stage wall-clock timings to stderr")
 		showVersion    = fs.Bool("version", false, "print version and exit")
 	)
@@ -78,11 +82,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	opts := deadmembers.Options{
-		TrustDowncasts: *trustDowncasts,
+		NoDeleteSpecialCase: *noDeleteRule,
+		TrustDowncasts:      *trustDowncasts,
+		WritesAreUses:       *writesAreUses,
 	}
 	var ok bool
 	if opts.CallGraph, ok = callgraph.ParseMode(*callgraphMode); !ok {
 		fmt.Fprintf(stderr, "deadlint: unknown -callgraph %q\n", *callgraphMode)
+		return 2
+	}
+	if opts.Sizeof, ok = deadmember.ParseSizeof(*sizeofPolicy); !ok {
+		fmt.Fprintf(stderr, "deadlint: unknown -sizeof %q\n", *sizeofPolicy)
 		return 2
 	}
 	if *libraries != "" {

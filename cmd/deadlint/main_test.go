@@ -99,6 +99,33 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestAnalysisFlags: deadlint takes deadmem's -sizeof, -no-delete-rule
+// and -writes-are-uses, with the same spellings and parsers, and each
+// reaches the analysis the findings build on.
+func TestAnalysisFlags(t *testing.T) {
+	path := filepath.Join("..", "..", "internal", "lint", "testdata", "specialcases.mcc")
+	lines := func(args ...string) int {
+		t.Helper()
+		code, out, errw := runCLI(t, append(args, path)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", args, code, errw)
+		}
+		return strings.Count(out, "\n")
+	}
+	def := lines()
+	for _, args := range [][]string{{"-writes-are-uses"}, {"-no-delete-rule"}, {"-sizeof", "conservative"}} {
+		if n := lines(args...); n >= def {
+			t.Errorf("%v: %d findings, want fewer than the default's %d", args, n, def)
+		}
+	}
+	if n := lines("-sizeof", "IGNORE"); n != def {
+		t.Errorf("-sizeof IGNORE: %d findings, want the default's %d", n, def)
+	}
+	if code, _, errw := runCLI(t, "-sizeof", "sometimes", path); code != 2 || errw != "deadlint: unknown -sizeof \"sometimes\"\n" {
+		t.Errorf("bogus -sizeof: exit = %d, stderr %q", code, errw)
+	}
+}
+
 func TestMissingFile(t *testing.T) {
 	code, _, errw := runCLI(t, filepath.Join(t.TempDir(), "absent.mcc"))
 	if code != 1 || !strings.Contains(errw, "deadlint:") {

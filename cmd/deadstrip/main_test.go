@@ -44,6 +44,32 @@ int main() {
 	}
 }
 
+// TestDeleteThroughNonVirtualBaseVerifies: deleting a Derived through a
+// Base without a virtual destructor runs Base's destruction only, which
+// is what the call graph reaches, so stripping the delete's operand
+// H::p keeps the program's behaviour (empty output) and verifies.
+func TestDeleteThroughNonVirtualBaseVerifies(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "base.mcc")
+	src := `
+class Base { public: int tag; Base() { tag = 1; } };
+class Derived : public Base { public: int v; Derived() { v = 9; } ~Derived() { print(v); println(); } };
+class H { public: Base* p; H() { p = new Derived(); } ~H() { delete p; } };
+int main() { H h; return 0; }
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{path}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errOut.String())
+	}
+	for _, want := range []string{"removed member   H::p", "verified: identical behaviour"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, errOut.String())
+		}
+	}
+}
+
 // TestKeptMembersSorted: dead members that cannot be stripped safely are
 // reported in order of their qualified names on every run. Each one here
 // is written through an effectful receiver (o.pa()->d = 5), so all three

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite the mccrun goldens")
 
 func write(t *testing.T, name, text string) string {
 	t.Helper()
@@ -121,20 +124,24 @@ int main() { int n = 0; while (true) { n = n + 1; } return n; }`)
 	}
 }
 
-// TestExamplesMatchGoldens runs every example program plain, with
-// -profile, and with -profile at GOMAXPROCS 4 (four liveness workers),
-// and compares stdout, stderr and the exit code with goldens recorded
-// from the tree-walking interpreter, the VM's reference oracle.
+// TestExamplesMatchGoldens runs every shipped program (examples/mcc,
+// the top-level testdata and every internal package's fixtures) plain,
+// with -profile, and with -profile at GOMAXPROCS 4 (four liveness
+// workers), and compares stdout, stderr and the exit code with goldens.
+// The VM and the tree-walker share the runtime core, so these goldens,
+// not the differential tests, are what notice a change in it. -update
+// rewrites them.
 func TestExamplesMatchGoldens(t *testing.T) {
-	paths, err := filepath.Glob("../../examples/mcc/*.mcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no example programs found")
+	var paths []string
+	for _, pattern := range []string{"examples/mcc/*.mcc", "testdata/*.mcc", "internal/*/testdata/*.mcc"} {
+		matches, err := filepath.Glob(filepath.Join("..", "..", pattern))
+		if err != nil || len(matches) == 0 {
+			t.Fatalf("no programs match %s: %v", pattern, err)
+		}
+		paths = append(paths, matches...)
 	}
 	for _, path := range paths {
-		name := strings.TrimSuffix(filepath.Base(path), ".mcc")
+		stem := strings.NewReplacer("../", "", "/", "_").Replace(filepath.ToSlash(strings.TrimSuffix(path, ".mcc")))
 		for _, tc := range []struct {
 			golden string
 			flags  []string
@@ -144,15 +151,22 @@ func TestExamplesMatchGoldens(t *testing.T) {
 			{"profile", []string{"-profile"}, 0},
 			{"profile", []string{"-profile"}, 4},
 		} {
-			want, err := os.ReadFile(filepath.Join("testdata", name+"."+tc.golden+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
 			var out, errOut strings.Builder
 			prev := runtime.GOMAXPROCS(tc.procs)
 			code := run(append(tc.flags, path), &out, &errOut)
 			runtime.GOMAXPROCS(prev)
 			got := fmt.Sprintf("exit %d\n-- stdout --\n%s\n-- stderr --\n%s", code, out.String(), errOut.String())
+			golden := filepath.Join("testdata", stem+"."+tc.golden+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to record it)", err)
+			}
 			if got != string(want) {
 				t.Errorf("mccrun %s %s (procs %d) differs from its golden:\n--- got ---\n%s--- want ---\n%s",
 					strings.Join(tc.flags, " "), path, tc.procs, got, want)

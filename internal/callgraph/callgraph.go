@@ -318,7 +318,7 @@ func (b *builder) destroyDynamic(caller *types.Func, static *types.Class) {
 		return
 	}
 	b.seenDtors[ds] = true
-	if !b.hasVirtualDtor(static) {
+	if !b.h.HasVirtualDtor(static) {
 		b.destroy(caller, static)
 		return
 	}
@@ -329,20 +329,6 @@ func (b *builder) destroyDynamic(caller *types.Func, static *types.Class) {
 		b.destroy(caller, sub)
 	}
 	b.dtorsAt[static] = append(b.dtorsAt[static], caller)
-}
-
-// hasVirtualDtor reports whether c or any of its bases declares a
-// virtual destructor.
-func (b *builder) hasVirtualDtor(c *types.Class) bool {
-	if d := c.Dtor(); d != nil && d.Virtual {
-		return true
-	}
-	for _, bc := range b.h.AllBases(c) {
-		if d := bc.Dtor(); d != nil && d.Virtual {
-			return true
-		}
-	}
-	return false
 }
 
 // resolveVirtual adds edges for one virtual call site under the current

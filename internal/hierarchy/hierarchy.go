@@ -26,6 +26,10 @@ type Graph struct {
 	allBases map[*types.Class][]*types.Class
 	isBase   map[*types.Class]map[*types.Class]bool
 
+	// virtualDtor holds the classes whose destructor is virtual: declared
+	// so by the class or by one of its bases.
+	virtualDtor map[*types.Class]bool
+
 	layouts map[*types.Class]*Layout
 
 	// Memoization caches: hierarchy queries are invoked per call site and
@@ -49,6 +53,7 @@ func New(classes []*types.Class) *Graph {
 		derived:         map[*types.Class][]*types.Class{},
 		allBases:        map[*types.Class][]*types.Class{},
 		isBase:          map[*types.Class]map[*types.Class]bool{},
+		virtualDtor:     map[*types.Class]bool{},
 		layouts:         map[*types.Class]*Layout{},
 		subclassesCache: map[*types.Class][]*types.Class{},
 		vbasesCache:     map[*types.Class][]*types.Class{},
@@ -65,7 +70,17 @@ func New(classes []*types.Class) *Graph {
 		g.allBases[c] = collectBases(c, set, nil)
 		g.isBase[c] = set
 	}
+	for _, c := range classes {
+		if declaresVirtualDtor(c) || slices.ContainsFunc(g.allBases[c], declaresVirtualDtor) {
+			g.virtualDtor[c] = true
+		}
+	}
 	return g
+}
+
+func declaresVirtualDtor(c *types.Class) bool {
+	d := c.Dtor()
+	return d != nil && d.Virtual
 }
 
 func collectBases(c *types.Class, set map[*types.Class]bool, order []*types.Class) []*types.Class {
@@ -94,6 +109,13 @@ func (g *Graph) IsBaseOf(base, derived *types.Class) bool {
 // mutate the result.
 func (g *Graph) AllBases(c *types.Class) []*types.Class {
 	return g.allBases[c]
+}
+
+// HasVirtualDtor reports whether c or any of its bases declares a
+// virtual destructor, so that deleting through a c* destroys the
+// object's dynamic class. It is decided once per class, in New.
+func (g *Graph) HasVirtualDtor(c *types.Class) bool {
+	return g.virtualDtor[c]
 }
 
 // Related reports whether a and b are the same class or related by

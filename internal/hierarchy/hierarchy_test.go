@@ -51,6 +51,29 @@ func TestBaseRelations(t *testing.T) {
 	}
 }
 
+// TestHasVirtualDtor: a destructor is virtual when the class or any of
+// its bases, through virtual inheritance too, declares it virtual; a
+// non-virtual destructor or none at all does not count.
+func TestHasVirtualDtor(t *testing.T) {
+	dtor := func(c *types.Class, virtual bool) {
+		addMethod(c, "~"+c.Name, virtual).IsDtor = true
+	}
+	root := mkClass("Root", 0)
+	dtor(root, true)
+	mid := mkClass("Mid", 0, types.Base{Class: root, Virtual: true})
+	dtor(mid, false)
+	leaf := mkClass("Leaf", 0, types.Base{Class: mid})
+	plain := mkClass("Plain", 0)
+	dtor(plain, false)
+	under := mkClass("Under", 0, types.Base{Class: plain})
+	g := New([]*types.Class{root, mid, leaf, plain, under})
+	for c, want := range map[*types.Class]bool{root: true, mid: true, leaf: true, plain: false, under: false} {
+		if got := g.HasVirtualDtor(c); got != want {
+			t.Errorf("HasVirtualDtor(%s) = %v, want %v", c.Name, got, want)
+		}
+	}
+}
+
 // TestLookupDirectHitAllocatesNothing: a member the class declares itself
 // is returned without building a candidate list, and a field still hides
 // a method of the same name.

@@ -110,29 +110,33 @@ func (m *Machine) NewArray(pos source.Pos, t types.Type, n64 int64) Value {
 	if n < 0 {
 		m.Fail(pos, "negative array size %d in new[]", n)
 	}
-	blk := &HeapBlock{Array: true}
-	cells := make([]*Cell, n)
+	a := &allocation{blk: HeapBlock{Array: true}}
+	cells := cellSlab(n)
 	if cls := types.IsClass(t); cls != nil {
-		for i := range cells {
+		a.blk.Objs = make([]*Object, n)
+		for i, c := range cells {
 			obj := m.NewObject(cls, true)
 			m.ConstructObject(obj, cls.CtorByArity(0), nil)
-			cells[i] = &Cell{V: Value{K: KObj, Obj: obj}}
-			blk.Objs = append(blk.Objs, obj)
+			c.V = Value{K: KObj, Obj: obj}
+			a.blk.Objs[i] = obj
 		}
 	} else {
-		for i := range cells {
-			cells[i] = &Cell{V: m.ZeroValue(t)}
+		for _, c := range cells {
+			c.V = m.ZeroValue(t)
 		}
 	}
-	blk.Cells = cells
-	return ptrV(Pointer{Arr: cells, arrp: true, Block: blk})
+	a.blk.Cells = cells
+	a.ptr = Pointer{Arr: cells, arrp: true, Block: &a.blk}
+	return Value{K: KPtr, P: &a.ptr}
 }
 
 // FinishNew completes new C(args) on an already-allocated object.
 func (m *Machine) FinishNew(obj *Object, ctor *types.Func, args []Value) Value {
 	m.ConstructObject(obj, ctor, args)
-	blk := &HeapBlock{Objs: []*Object{obj}}
-	return ptrV(Pointer{Obj: obj, Block: blk})
+	a := &allocation{one: [1]*Object{obj}}
+	a.blk.Objs = a.one[:]
+	a.ptr = Pointer{Obj: obj, Block: &a.blk}
+	return Value{K: KPtr, P: &a.ptr}
 }
 
 // NewScalar implements scalar new T(init); init may be nil.
@@ -141,16 +145,26 @@ func (m *Machine) NewScalar(t types.Type, init *Value) Value {
 	if init != nil {
 		m.StoreInto(cell, m.Convert(*init, t))
 	}
-	blk := &HeapBlock{Cells: []*Cell{cell}}
-	return ptrV(Pointer{Cell: cell, Block: blk})
+	a := &allocation{blk: HeapBlock{Cells: []*Cell{cell}}}
+	a.ptr = Pointer{Cell: cell, Block: &a.blk}
+	return Value{K: KPtr, P: &a.ptr}
 }
 
 func (m *Machine) evalDelete(f *Frame, x *ast.Delete) {
-	m.DeleteValue(x.Pos(), m.evalExpr(f, x.X), x.Array)
+	var static *types.Class
+	if !x.Array {
+		static = types.PointeeClass(m.info.TypeOf(x.X))
+	}
+	m.DeleteValue(x.Pos(), m.evalExpr(f, x.X), x.Array, static)
 }
 
 // DeleteValue implements delete / delete[] on an evaluated operand.
-func (m *Machine) DeleteValue(pos source.Pos, v Value, isArray bool) {
+// static is the operand's static pointee class for a scalar delete, nil
+// otherwise. When the object's class is a proper subclass of static and
+// static's destructor is not virtual, only static's destruction runs
+// (its destructor body, members and bases), as C++ compilers do; the
+// block is still freed whole, with the object's ledger charge.
+func (m *Machine) DeleteValue(pos source.Pos, v Value, isArray bool, static *types.Class) {
 	if v.K != KPtr {
 		m.Fail(pos, "delete of non-pointer")
 	}
@@ -172,6 +186,14 @@ func (m *Machine) DeleteValue(pos source.Pos, v Value, isArray bool) {
 		m.Fail(pos, "scalar allocation must be released with delete, not delete[]")
 	}
 	blk.Freed = true
+	if static != nil && len(blk.Objs) == 1 {
+		if obj := blk.Objs[0]; static != obj.Class && !obj.Destroyed &&
+			!m.h.HasVirtualDtor(static) && m.h.IsBaseOf(static, obj.Class) {
+			m.destroy(obj, m.PlanOf(static))
+			m.release(obj)
+			return
+		}
+	}
 	for i := len(blk.Objs) - 1; i >= 0; i-- {
 		m.DestroyObject(blk.Objs[i])
 	}
@@ -217,15 +239,18 @@ func (m *Machine) Malloc(pos source.Pos, n64 int64) Value {
 	if n < 0 {
 		m.Fail(pos, "malloc of negative size %d", n)
 	}
-	cells := make([]*Cell, n)
-	for i := range cells {
-		cells[i] = &Cell{V: intV(0)}
+	cells := cellSlab(n)
+	for _, c := range cells {
+		c.V = intV(0)
 	}
-	blk := &HeapBlock{Cells: cells, Array: true}
-	return ptrV(Pointer{Arr: cells, arrp: true, Block: blk})
+	a := &allocation{blk: HeapBlock{Cells: cells, Array: true}}
+	a.ptr = Pointer{Arr: cells, arrp: true, Block: &a.blk}
+	return Value{K: KPtr, P: &a.ptr}
 }
 
-// FreeValue implements the free builtin on an evaluated argument.
+// FreeValue implements the free builtin on an evaluated argument. free
+// runs no destructor, so a block holding class objects must be released
+// with delete or delete[].
 func (m *Machine) FreeValue(pos source.Pos, v Value) Value {
 	if v.K != KPtr || v.P.IsNull() {
 		return Value{K: KVoid} // free(nullptr) is a no-op
@@ -237,10 +262,10 @@ func (m *Machine) FreeValue(pos source.Pos, v Value) Value {
 	if blk.Freed {
 		m.Fail(pos, "double free")
 	}
-	blk.Freed = true
-	for i := len(blk.Objs) - 1; i >= 0; i-- {
-		m.DestroyObject(blk.Objs[i])
+	if len(blk.Objs) > 0 {
+		m.Fail(pos, "free of class objects allocated with new; release them with delete")
 	}
+	blk.Freed = true
 	return Value{K: KVoid}
 }
 

@@ -61,12 +61,7 @@ func (m *Machine) evalExpr(f *Frame, e ast.Expr) Value {
 	case *ast.NullLit:
 		return nullV()
 	case *ast.StringLit:
-		cells := make([]*Cell, len(x.Value)+1)
-		for i := 0; i < len(x.Value); i++ {
-			cells[i] = &Cell{V: charV(x.Value[i])}
-		}
-		cells[len(x.Value)] = &Cell{V: charV(0)}
-		return ptrV(Pointer{Arr: cells, arrp: true})
+		return m.StringValue(x.Value)
 	case *ast.ThisExpr:
 		if f.This == nil {
 			m.Fail(x.Pos(), "this used with no receiver")
@@ -142,7 +137,7 @@ func (m *Machine) varCell(f *Frame, x *ast.Ident) *Cell {
 	if f.Fn != nil {
 		for i, p := range f.Fn.Params {
 			if p == v && i < len(f.Params) {
-				return f.Params[i]
+				return &f.Params[i]
 			}
 		}
 	}

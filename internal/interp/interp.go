@@ -115,6 +115,11 @@ type Machine struct {
 	ctx      context.Context
 	fset     *source.FileSet
 	plans    map[*types.Class]*FieldPlan
+
+	// frames is the stack of activation records, reused last in, first
+	// out: frames[:nframes] are in use (see pushFrame).
+	frames  []*Frame
+	nframes int
 }
 
 // Run executes prog from main under opts.
@@ -226,7 +231,9 @@ func (m *Machine) StepContextPoll() {
 
 // Frame is one function activation. Exported so an alternative
 // Executor (the bytecode VM in internal/vm) can run function bodies on
-// the shared runtime core.
+// the shared runtime core. The Machine reuses frames last in, first
+// out, so an executor must not keep a *Frame past the ExecBody call it
+// was handed in.
 type Frame struct {
 	Fn *types.Func
 	// Vars maps the tree-walker's local variables to their cells. It
@@ -234,14 +241,39 @@ type Frame struct {
 	Vars map[*types.Var]*Cell
 	This *Object
 
-	// Params holds the parameter cells in declaration order; varCell
-	// finds a parameter by its position in Fn.Params, and a slot-based
-	// executor binds them without map lookups.
-	Params []*Cell
+	// Params holds the parameter cells in declaration order, in a slab
+	// of their own: &param can outlive the call, so a frame's reuse
+	// never reuses its parameters. varCell finds a parameter by its
+	// position in Fn.Params, and a slot-based executor binds them
+	// without map lookups.
+	Params []Cell
 
 	// Locals are the counted local class objects, destroyed in reverse
 	// order at function exit (or scope exit, via PopScope).
 	Locals []*Object
+}
+
+// pushFrame hands out the machine's next free frame for an activation
+// of fn on this, without parameters. A runtime error abandons the
+// machine with its frames, so only a completed activation pops.
+func (m *Machine) pushFrame(fn *types.Func, this *Object) *Frame {
+	if m.nframes == len(m.frames) {
+		m.frames = append(m.frames, &Frame{})
+	}
+	f := m.frames[m.nframes]
+	m.nframes++
+	f.Fn, f.This = fn, this
+	return f
+}
+
+// popFrame returns f, the innermost frame, to the machine, dropping what
+// it references so the frame keeps nothing alive.
+func (m *Machine) popFrame(f *Frame) {
+	m.nframes--
+	f.Fn, f.This, f.Params = nil, nil, nil
+	clear(f.Vars)
+	clear(f.Locals)
+	f.Locals = f.Locals[:0]
 }
 
 // initGlobals allocates and initializes global variables in declaration
@@ -310,9 +342,9 @@ func (m *Machine) ZeroValue(t types.Type) Value {
 	case *types.Class:
 		return Value{K: KObj, Obj: m.NewObject(x, false)}
 	case *types.Array:
-		cells := make([]*Cell, x.Len)
-		for i := range cells {
-			cells[i] = &Cell{V: m.ZeroValue(x.Elem)}
+		cells := cellSlab(x.Len)
+		for _, c := range cells {
+			c.V = m.ZeroValue(x.Elem)
 		}
 		return arrV(cells)
 	}
@@ -322,15 +354,15 @@ func (m *Machine) ZeroValue(t types.Type) Value {
 // makeArray builds an array value for a local/global declaration,
 // registering counted class elements for destruction via objs.
 func (m *Machine) MakeArray(arr *types.Array, objs *[]*Object) Value {
-	cells := make([]*Cell, arr.Len)
-	for i := range cells {
+	cells := cellSlab(arr.Len)
+	for _, c := range cells {
 		if ec := types.IsClass(arr.Elem); ec != nil {
 			obj := m.NewObject(ec, true)
 			m.ConstructObject(obj, ec.CtorByArity(0), nil)
-			cells[i] = &Cell{V: Value{K: KObj, Obj: obj}}
+			c.V = Value{K: KObj, Obj: obj}
 			*objs = append(*objs, obj)
 		} else {
-			cells[i] = &Cell{V: m.ZeroValue(arr.Elem)}
+			c.V = m.ZeroValue(arr.Elem)
 		}
 	}
 	return arrV(cells)
@@ -338,7 +370,8 @@ func (m *Machine) MakeArray(arr *types.Array, objs *[]*Object) Value {
 
 // PlanOf returns the (per-run cached) field plan of cls: the distinct
 // data members in deterministic order — own fields first, then bases
-// depth-first, members shared through virtual bases once — and the
+// depth-first, members shared through virtual bases once — the slot of
+// each level's first field, the flattened destruction protocol, and the
 // ledger sizes of a counted instance, which depend only on the class
 // layout and Options.DeadField, both fixed for the run.
 func (m *Machine) PlanOf(cls *types.Class) *FieldPlan {
@@ -353,17 +386,52 @@ func (m *Machine) PlanOf(cls *types.Class) *FieldPlan {
 			return
 		}
 		seen[c] = true
+		body := c.Dtor()
+		if body != nil && body.Body == nil {
+			body = nil
+		}
+		p.levels = append(p.levels, level{cls: c, off: len(p.Fields), body: body})
 		for _, f := range c.Fields {
-			if _, dup := p.Index[f]; !dup {
-				p.Index[f] = len(p.Fields)
-				p.Fields = append(p.Fields, f)
-			}
+			p.Index[f] = len(p.Fields)
+			p.Fields = append(p.Fields, f)
 		}
 		for _, b := range c.Bases {
 			add(b.Class)
 		}
 	}
 	add(cls)
+
+	// Destruction is the class's own pass, then one pass per virtual
+	// base, last first. A pass destroys a level (destructor body, then
+	// members in reverse), then its non-virtual bases in reverse, depth
+	// first; a level reached twice in one pass, through a non-virtual
+	// diamond, is destroyed once.
+	var walk func(c *types.Class)
+	walk = func(c *types.Class) {
+		if seen[c] {
+			return
+		}
+		seen[c] = true
+		for _, l := range p.levels {
+			if l.cls == c {
+				p.dtor = append(p.dtor, l)
+				break
+			}
+		}
+		for i := len(c.Bases) - 1; i >= 0; i-- {
+			if !c.Bases[i].Virtual {
+				walk(c.Bases[i].Class)
+			}
+		}
+	}
+	clear(seen)
+	walk(cls)
+	p.vbases = m.h.VirtualBases(cls)
+	for i := len(p.vbases) - 1; i >= 0; i-- {
+		clear(seen)
+		walk(p.vbases[i])
+	}
+
 	lay := m.h.LayoutOf(cls)
 	p.size, p.adjSize = lay.Size, lay.Size
 	if m.opts.DeadField != nil {
@@ -380,13 +448,10 @@ func (m *Machine) PlanOf(cls *types.Class) *FieldPlan {
 // balance.
 func (m *Machine) NewObject(cls *types.Class, counted bool) *Object {
 	plan := m.PlanOf(cls)
-	slab := make([]Cell, len(plan.Fields))
-	cells := make([]*Cell, len(plan.Fields))
+	obj := &Object{Class: cls, Plan: plan, Cells: make([]Cell, len(plan.Fields))}
 	for i, f := range plan.Fields {
-		slab[i].V = m.ZeroValue(f.Type)
-		cells[i] = &slab[i]
+		obj.Cells[i].V = m.ZeroValue(f.Type)
 	}
-	obj := &Object{Class: cls, Plan: plan, Cells: cells}
 
 	if counted {
 		obj.Size, obj.DeadBytes, obj.AdjSize = plan.size, plan.deadBytes, plan.adjSize
@@ -403,7 +468,7 @@ func (m *Machine) NewObject(cls *types.Class, counted bool) *Object {
 func (m *Machine) ConstructObject(obj *Object, ctor *types.Func, args []Value) {
 	cls := obj.Class
 	// Virtual bases are initialized once, by the most-derived object.
-	for _, vb := range m.h.VirtualBases(cls) {
+	for _, vb := range obj.Plan.vbases {
 		if ctor != nil {
 			if init, ok := m.findInit(ctor, vb.Name); ok {
 				m.runCtorInitTarget(obj, ctor, args, vb, init)
@@ -412,7 +477,7 @@ func (m *Machine) ConstructObject(obj *Object, ctor *types.Func, args []Value) {
 		}
 		m.runClassCtor(obj, vb, vb.CtorByArity(0), nil)
 	}
-	m.runClassCtor(obj, cls, ctor, args)
+	m.runClassCtor(obj, cls, ctor, m.bindParams(ctor, args))
 }
 
 // findInit locates the ctor-init entry naming name.
@@ -429,39 +494,53 @@ func (m *Machine) findInit(ctor *types.Func, name string) (*ast.CtorInit, bool) 
 // in the most-derived constructor; the entry's arguments are evaluated in
 // that constructor's Frame.
 func (m *Machine) runCtorInitTarget(obj *Object, ctor *types.Func, args []Value, vb *types.Class, init *ast.CtorInit) {
-	f := m.ctorFrame(obj, ctor, args)
-	var vals []Value
-	for _, a := range init.Args {
-		vals = append(vals, m.evalExpr(f, a))
-	}
-	m.runClassCtor(obj, vb, vb.CtorByArity(len(init.Args)), vals)
+	f := m.pushFrame(ctor, obj)
+	f.Params = m.bindParams(ctor, args)
+	params := m.evalParams(f, init.Args)
+	m.popFrame(f)
+	m.runClassCtor(obj, vb, vb.CtorByArity(len(init.Args)), params)
 }
 
-// ctorFrame builds a Frame for evaluating a constructor's initializer
-// arguments (parameters bound, this set), with the parameter cells in
-// one slab.
-func (m *Machine) ctorFrame(obj *Object, ctor *types.Func, args []Value) *Frame {
-	f := &Frame{Fn: ctor, This: obj}
-	if n := len(ctor.Params); n > 0 {
-		cells := make([]Cell, n)
-		f.Params = make([]*Cell, n)
-		for i, p := range ctor.Params {
-			if i < len(args) {
-				cells[i].V = args[i]
-			} else {
-				cells[i].V = m.ZeroValue(p.Type)
-			}
-			f.Params[i] = &cells[i]
+// bindParams binds args to ctor's parameters in a slab of their own;
+// parameters without an argument are zero. A nil ctor binds nothing.
+func (m *Machine) bindParams(ctor *types.Func, args []Value) []Cell {
+	if ctor == nil || len(ctor.Params) == 0 {
+		return nil
+	}
+	params := make([]Cell, len(ctor.Params))
+	for i, p := range ctor.Params {
+		if i < len(args) {
+			params[i].V = args[i]
+		} else {
+			params[i].V = m.ZeroValue(p.Type)
 		}
 	}
-	return f
+	return params
+}
+
+// evalParams evaluates a constructor initializer's arguments in f
+// straight into the parameter slab of the constructor they select, the
+// one whose arity is their count.
+func (m *Machine) evalParams(f *Frame, args []ast.Expr) []Cell {
+	if len(args) == 0 {
+		return nil
+	}
+	params := make([]Cell, len(args))
+	for i, a := range args {
+		params[i].V = m.evalExpr(f, a)
+	}
+	return params
 }
 
 // runClassCtor initializes the cls-level of obj: non-virtual bases,
 // members, and the constructor body. Virtual bases are not handled
 // here: ConstructObject initializes them once, for the most-derived
-// object.
-func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, args []Value) {
+// object. params is ctor's parameter slab.
+func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, params []Cell) {
+	off := obj.Plan.offset(cls)
+	if off < 0 {
+		m.Fail(cls.Pos, "internal: object of class %s has no %s part", obj.Class.Name, cls.Name)
+	}
 	if ctor == nil {
 		// Default construction: default-construct bases and class members.
 		for _, b := range cls.Bases {
@@ -470,13 +549,14 @@ func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, 
 			}
 			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(0), nil)
 		}
-		for _, fld := range cls.Fields {
-			m.defaultConstructMember(obj, fld)
+		for i, fld := range cls.Fields {
+			m.defaultConstructMember(&obj.Cells[off+i], fld.Type)
 		}
 		return
 	}
 
-	f := m.ctorFrame(obj, ctor, args)
+	f := m.pushFrame(ctor, obj)
+	f.Params = params
 
 	// Direct non-virtual bases, in declaration order.
 	for _, b := range cls.Bases {
@@ -484,35 +564,25 @@ func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, 
 			continue
 		}
 		if init, ok := m.findInit(ctor, b.Class.Name); ok {
-			var vals []Value
-			for _, a := range init.Args {
-				vals = append(vals, m.evalExpr(f, a))
-			}
-			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(len(init.Args)), vals)
+			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(len(init.Args)), m.evalParams(f, init.Args))
 		} else {
 			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(0), nil)
 		}
 	}
 
 	// Members in declaration order.
-	for _, fld := range cls.Fields {
+	for i, fld := range cls.Fields {
+		cell := &obj.Cells[off+i]
 		if init, ok := m.findInit(ctor, fld.Name); ok {
-			cell, okc := obj.Cell(fld)
-			if !okc {
-				m.Fail(ctor.Pos, "internal: missing cell for %s", fld.QualifiedName())
-			}
 			if mc := types.IsClass(fld.Type); mc != nil {
-				var vals []Value
-				for _, a := range init.Args {
-					vals = append(vals, m.evalExpr(f, a))
-				}
+				vals := m.evalArgs(f, init.Args)
 				m.ConstructObject(cell.V.Obj, mc.CtorByArity(len(init.Args)), vals)
 			} else {
 				v := m.evalExpr(f, init.Args[0])
 				m.StoreInto(cell, m.Convert(v, fld.Type))
 			}
 		} else {
-			m.defaultConstructMember(obj, fld)
+			m.defaultConstructMember(cell, fld.Type)
 		}
 	}
 
@@ -520,14 +590,12 @@ func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, 
 	if ctor.Body != nil {
 		m.execFuncBody(f, ctor)
 	}
+	m.popFrame(f)
 }
 
-func (m *Machine) defaultConstructMember(obj *Object, fld *types.Field) {
-	t := fld.Type
-	cell, ok := obj.Cell(fld)
-	if !ok {
-		return
-	}
+// defaultConstructMember default-constructs the class objects a member
+// cell of type t holds: the member itself, or an array's elements.
+func (m *Machine) defaultConstructMember(cell *Cell, t types.Type) {
 	if arr, isArr := t.(*types.Array); isArr {
 		if ec := types.IsClass(arr.Elem); ec != nil {
 			for _, ecell := range cell.V.Cells() {
@@ -541,75 +609,56 @@ func (m *Machine) defaultConstructMember(obj *Object, fld *types.Field) {
 	}
 }
 
-// destroyObject runs the destructor protocol on obj (dtor bodies of the
+// DestroyObject runs the destructor protocol on obj (dtor bodies of the
 // dynamic class and its bases, members in reverse order, virtual bases
 // last) and balances the ledger for counted objects.
 func (m *Machine) DestroyObject(obj *Object) {
 	if obj == nil || obj.Destroyed {
 		return
 	}
-	obj.Destroyed = true
-	m.destroyLevel(obj, obj.Class, nil)
-	for i := len(m.h.VirtualBases(obj.Class)) - 1; i >= 0; i-- {
-		vb := m.h.VirtualBases(obj.Class)[i]
-		m.destroyLevel(obj, vb, nil)
-	}
-	if obj.Size > 0 && m.opts.Ledger != nil {
-		m.opts.Ledger.Free(obj.Class, obj.Size, obj.DeadBytes, obj.AdjSize)
-	}
+	m.destroy(obj, obj.Plan)
+	m.release(obj)
 }
 
-// destroyLevel runs the dtor body of cls, destroys cls's class-typed
-// members in reverse order, then recurses into non-virtual bases in
-// reverse order. seen holds the levels already destroyed; a caller
-// passes nil, and the set is allocated at the first level with bases,
-// since only through bases can a level be reached twice.
-func (m *Machine) destroyLevel(obj *Object, cls *types.Class, seen map[*types.Class]bool) {
-	if seen[cls] {
-		return
-	}
-	if seen != nil {
-		seen[cls] = true
-	} else if len(cls.Bases) > 0 {
-		seen = map[*types.Class]bool{cls: true}
-	}
-	if d := cls.Dtor(); d != nil && d.Body != nil {
-		m.execFuncBody(&Frame{Fn: d, This: obj}, d)
-	}
-	for i := len(cls.Fields) - 1; i >= 0; i-- {
-		fld := cls.Fields[i]
-		cell, ok := obj.Cell(fld)
-		if !ok {
-			continue
+// destroy runs the destruction protocol of plan p on obj: obj's own
+// plan, or the plan of a base of obj's class when obj is deleted through
+// a base without a virtual destructor. Member subobjects are destroyed
+// in place and are never ledger-counted.
+func (m *Machine) destroy(obj *Object, p *FieldPlan) {
+	obj.Destroyed = true
+	for _, l := range p.dtor {
+		off := l.off
+		if p != obj.Plan {
+			off = obj.Plan.offset(l.cls)
 		}
-		switch {
-		case cell.V.K == KObj && cell.V.Obj != nil:
-			m.destroyEmbedded(cell.V.Obj)
-		case cell.V.K == KArr:
-			dcells := cell.V.Cells()
-			for j := len(dcells) - 1; j >= 0; j-- {
-				if ev := dcells[j].V; ev.K == KObj && ev.Obj != nil {
-					m.destroyEmbedded(ev.Obj)
+		if l.body != nil {
+			f := m.pushFrame(l.body, obj)
+			m.execFuncBody(f, l.body)
+			m.popFrame(f)
+		}
+		members := obj.Cells[off : off+len(l.cls.Fields)]
+		for i := len(members) - 1; i >= 0; i-- {
+			switch v := members[i].V; v.K {
+			case KObj:
+				if v.Obj != nil && !v.Obj.Destroyed {
+					m.destroy(v.Obj, v.Obj.Plan)
+				}
+			case KArr:
+				elems := v.Cells()
+				for j := len(elems) - 1; j >= 0; j-- {
+					if ev := elems[j].V; ev.K == KObj && ev.Obj != nil && !ev.Obj.Destroyed {
+						m.destroy(ev.Obj, ev.Obj.Plan)
+					}
 				}
 			}
 		}
 	}
-	for i := len(cls.Bases) - 1; i >= 0; i-- {
-		if !cls.Bases[i].Virtual {
-			m.destroyLevel(obj, cls.Bases[i].Class, seen)
-		}
-	}
 }
 
-// destroyEmbedded destroys a member subobject (never ledger-counted).
-func (m *Machine) destroyEmbedded(obj *Object) {
-	if obj.Destroyed {
-		return
-	}
-	obj.Destroyed = true
-	m.destroyLevel(obj, obj.Class, nil)
-	for i := len(m.h.VirtualBases(obj.Class)) - 1; i >= 0; i-- {
-		m.destroyLevel(obj, m.h.VirtualBases(obj.Class)[i], nil)
+// release balances the ledger for a destroyed counted object.
+func (m *Machine) release(obj *Object) {
+	if obj.Size > 0 && m.opts.Ledger != nil {
+		m.opts.Ledger.Free(obj.Class, obj.Size, obj.DeadBytes, obj.AdjSize)
 	}
 }
 
@@ -628,24 +677,26 @@ func (m *Machine) CallFunction(fn *types.Func, this *Object, args []Value) Value
 	}
 	defer func() { m.depth-- }()
 
-	f := &Frame{Fn: fn, This: this}
+	f := m.pushFrame(fn, this)
 	if n := len(fn.Params); n > 0 {
-		f.Params = make([]*Cell, 0, n)
-	}
-	for i, p := range fn.Params {
-		var v Value
-		if i < len(args) {
-			v = m.Convert(args[i], p.Type)
-		} else {
-			v = m.ZeroValue(p.Type)
+		f.Params = make([]Cell, n)
+		for i, p := range fn.Params {
+			var v Value
+			if i < len(args) {
+				v = m.Convert(args[i], p.Type)
+			} else {
+				v = m.ZeroValue(p.Type)
+			}
+			if v.K == KObj && v.Obj != nil {
+				// By-value class parameter: bitwise copy (uncounted).
+				v = Value{K: KObj, Obj: m.CloneObject(v.Obj)}
+			}
+			f.Params[i].V = v
 		}
-		if v.K == KObj && v.Obj != nil {
-			// By-value class parameter: bitwise copy (uncounted).
-			v = Value{K: KObj, Obj: m.CloneObject(v.Obj)}
-		}
-		f.Params = append(f.Params, &Cell{V: v})
 	}
-	return m.execFuncBody(f, fn)
+	ret := m.execFuncBody(f, fn)
+	m.popFrame(f)
+	return ret
 }
 
 // execFuncBody executes fn's body in Frame f, catching return. An
@@ -686,6 +737,12 @@ func (m *Machine) CloneObject(src *Object) *Object {
 // from dst — e.g. when copying into a base-class subobject — are
 // skipped, as before the flat-cell layout).
 func (m *Machine) CopyObject(dst, src *Object) {
+	if dst.Plan == src.Plan {
+		for i := range src.Cells {
+			m.copyValueInto(&dst.Cells[i], src.Cells[i].V)
+		}
+		return
+	}
 	for i, fld := range src.Plan.Fields {
 		dc, ok := dst.Cell(fld)
 		if !ok {

@@ -24,11 +24,11 @@ func (m *Machine) GlobalCell(v *types.Var) (*Cell, bool) {
 // array per evaluation, exactly as the tree-walker builds one each time
 // the literal is evaluated.
 func (m *Machine) StringValue(s string) Value {
-	cells := make([]*Cell, len(s)+1)
+	cells := cellSlab(len(s) + 1)
 	for i := 0; i < len(s); i++ {
-		cells[i] = &Cell{V: charV(s[i])}
+		cells[i].V = charV(s[i])
 	}
-	cells[len(s)] = &Cell{V: charV(0)}
+	cells[len(s)].V = charV(0)
 	return ptrV(Pointer{Arr: cells, arrp: true})
 }
 

@@ -6,6 +6,14 @@
 // creation and destruction is reported to a heapsim.Ledger together with
 // its byte-exact layout size.
 //
+// A run allocates per call and per object only what the program can
+// reach. The Machine reuses Frames last in, first out, so an Executor
+// keeps none past ExecBody; parameters get a fresh slab per call,
+// because their address can outlive it. An object's cells are one
+// []Cell slab, and each class's per-run FieldPlan records once the slot
+// of every level's first field and the flattened destruction order, so
+// construction and destruction index cells without hashing.
+//
 // Semantics notes (documented deviations from full C++, all irrelevant to
 // the measurements):
 //
@@ -13,7 +21,11 @@
 //   - memory is modeled as typed cells, not raw bytes: casts between
 //     pointer types reinterpret nothing, and pointer arithmetic works at
 //     element granularity;
-//   - class-typed temporaries (by-value returns) are not destructed.
+//   - class-typed temporaries (by-value returns) are not destructed;
+//   - what C++ leaves undefined is a runtime error where it can be told
+//     (free of class objects, mismatched delete/delete[]); a delete
+//     through a base without a virtual destructor runs the base's
+//     destruction, as C++ compilers do.
 package interp
 
 import (
@@ -79,6 +91,25 @@ type HeapBlock struct {
 	Cells []*Cell
 	Freed bool
 	Array bool // allocated with new[] (or malloc)
+}
+
+// allocation holds one heap allocation's bookkeeping in a single Go
+// allocation: the block, the backing of a new C(…)'s one-object Objs,
+// and the pointer value the allocator returns.
+type allocation struct {
+	blk HeapBlock
+	one [1]*Object
+	ptr Pointer
+}
+
+// cellSlab returns n fresh zero cells, all in one slab.
+func cellSlab(n int) []*Cell {
+	slab := make([]Cell, n)
+	cells := make([]*Cell, n)
+	for i := range cells {
+		cells[i] = &slab[i]
+	}
+	return cells
 }
 
 // Value is a tagged-union runtime value. The pointer and array payloads
@@ -211,8 +242,41 @@ type FieldPlan struct {
 	Fields []*types.Field
 	Index  map[*types.Field]int
 
+	// levels holds every class whose fields the plan holds, with the
+	// slot of its first field: a class's fields are contiguous, in
+	// declaration order, so construction indexes them from there.
+	levels []level
+
+	// dtor is the destruction protocol of a complete object, flattened
+	// once per class: the levels whose destructor bodies and members
+	// run, in order (see PlanOf).
+	dtor []level
+
+	// vbases are the class's virtual bases, which a complete object
+	// constructs first.
+	vbases []*types.Class
+
 	// Ledger sizes of a counted instance (see NewObject).
 	size, deadBytes, adjSize int
+}
+
+// level is one class of a field plan: where its fields start in an
+// instance's cells, and its destructor when that has a body.
+type level struct {
+	cls  *types.Class
+	off  int
+	body *types.Func
+}
+
+// offset returns the slot of cls's first field in p, or -1 when p holds
+// no cls level. Plans hold a handful of levels, so a scan beats hashing.
+func (p *FieldPlan) offset(cls *types.Class) int {
+	for _, l := range p.levels {
+		if l.cls == cls {
+			return l.off
+		}
+	}
+	return -1
 }
 
 // Object is a class instance with one cell per distinct data member
@@ -220,7 +284,7 @@ type FieldPlan struct {
 type Object struct {
 	Class *types.Class
 	Plan  *FieldPlan
-	Cells []*Cell // one per Plan.Fields entry, same order
+	Cells []Cell // one per Plan.Fields entry, same order
 
 	// Size/DeadBytes/AdjSize cache the ledger accounting recorded at
 	// allocation so destruction balances exactly.
@@ -238,5 +302,5 @@ func (o *Object) Cell(f *types.Field) (*Cell, bool) {
 	if !ok {
 		return nil, false
 	}
-	return o.Cells[i], true
+	return &o.Cells[i], true
 }

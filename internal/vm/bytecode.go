@@ -5,7 +5,9 @@
 // heap ledger, step counter, builtins) stays in internal/interp, and the
 // VM only replaces the per-statement AST walk, which is what keeps the
 // instrumented heap byte-identical to the tree-walker the tests use as
-// its oracle.
+// its oracle. The VM binds a frame's parameter slab and reads member
+// cells in place (&obj.Cells[i]); it keeps no interp.Frame past the
+// ExecBody call that hands it one, since the Machine reuses frames.
 //
 // Compilation is per function, lazy, and all-or-nothing: a body using a
 // construct the compiler does not model falls back to the tree-walker in
@@ -96,7 +98,7 @@ const (
 	opFinishNew // (a+1→1) pop a args + staged object; construct, push pointer
 	opNewArr    // (1→1) pop length; new typ[n]
 	opNewScalar // (a→1) scalar new typ, a=1 pops the initializer
-	opDelete    // (1→1) delete (a=1: delete[]); pushes void
+	opDelete    // (1→1) delete (a=1: delete[]) through static pointee class cls; pushes void
 
 	opDeclCell      // (→) slot a = fresh empty cell (registered before init runs)
 	opDeclZero      // (→) slot a = fresh cell holding zero value of typ

@@ -457,10 +457,13 @@ func (c *compiler) expr(e ast.Expr) {
 	case *ast.Delete:
 		c.expr(x.X)
 		arr := 0
+		var static *types.Class
 		if x.Array {
 			arr = 1
+		} else {
+			static = types.PointeeClass(c.info.TypeOf(x.X))
 		}
-		c.emit(instr{op: opDelete, a: arr, pos: x.Pos()})
+		c.emit(instr{op: opDelete, a: arr, cls: static, pos: x.Pos()})
 	case *ast.Sizeof:
 		var t types.Type
 		if x.Type != nil {

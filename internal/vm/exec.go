@@ -109,9 +109,9 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 	code := ch.code
 	fs := e.acquire(ch.numSlots)
 	slots := fs.slots
-	for i, cell := range f.Params {
+	for i := range f.Params {
 		if i < len(slots) {
-			slots[i] = cell
+			slots[i] = &f.Params[i]
 		}
 	}
 	stack := fs.stack
@@ -689,7 +689,7 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			}
 		case opDelete:
 			v := stack[len(stack)-1]
-			m.DeleteValue(ins.pos, v, ins.a == 1)
+			m.DeleteValue(ins.pos, v, ins.a == 1, ins.cls)
 			stack[len(stack)-1] = interp.Value{K: interp.KVoid}
 
 		case opAssignPop:
@@ -807,7 +807,7 @@ func (e *Executor) globalCell(m *interp.Machine, ins *instr) *interp.Cell {
 // invalid-downcast diagnostics) and then fill the cache.
 func fieldCellIC(m *interp.Machine, ins *instr, obj *interp.Object) *interp.Cell {
 	if obj != nil && obj.Class == ins.cacheClass {
-		return obj.Cells[ins.cacheIdx]
+		return &obj.Cells[ins.cacheIdx]
 	}
 	cell := m.FieldCell(ins.pos, obj, ins.fld)
 	ins.cacheClass = obj.Class

@@ -568,3 +568,138 @@ func TestNonVirtualDiamondDestruction(t *testing.T) {
 			l.TotalObjects, l.LiveBytes, l.AdjustedLiveBytes, prof.AccountingErr)
 	}
 }
+
+// TestDeleteThroughNonVirtualBase: deleting an object through a base
+// whose destructor is not virtual runs the base's destruction only, as
+// C++ compilers do, while the block is freed whole with the object's
+// ledger charge. Through a virtual destructor, or through the object's
+// own class, the whole object is destroyed.
+func TestDeleteThroughNonVirtualBase(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want string
+		objects         int64
+	}{
+		{"dtor-only-in-derived", `
+			class Base { public: int tag; Base() { tag = 1; } };
+			class Derived : public Base { public: int v; Derived() { v = 9; } ~Derived() { print(v); println(); } };
+			class H { public: Base* p; H() { p = new Derived(); } ~H() { delete p; } };
+			int main() { H h; return 0; }`, "", 2},
+		{"base-members-and-bases", `
+			class M { public: int m; ~M() { print("~M"); } };
+			class Root { public: int r; ~Root() { print("~Root"); } };
+			class Base : public Root { public: M mem; ~Base() { print("~Base"); } };
+			class Derived : public Base { public: M extra; ~Derived() { print("~Derived"); } };
+			int main() {
+				Base* b = new Derived();
+				delete b;
+				println();
+				Derived* d = new Derived();
+				delete d;
+				println();
+				return 0;
+			}`, "~Base~M~Root\n~Derived~M~Base~M~Root\n", 2},
+		{"virtual-dtor-in-base", `
+			class Root { public: int r; virtual ~Root() { print("~Root"); } };
+			class Base : public Root { public: int b; ~Base() { print("~Base"); } };
+			class Derived : public Base { public: int d; ~Derived() { print("~Derived"); } };
+			int main() { Base* b = new Derived(); delete b; println(); return 0; }`, "~Derived~Base~Root\n", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := compile(t, tc.name+".mcc", tc.src)
+			assertSameProfile(t, tc.name, c)
+			prof, err := c.ProfileContext(context.Background(), deadmember.Options{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prof.Exec.Output != tc.want {
+				t.Errorf("output %q, want %q", prof.Exec.Output, tc.want)
+			}
+			if l := prof.Ledger; l.TotalObjects != tc.objects || l.LiveBytes != 0 || l.AdjustedLiveBytes != 0 || prof.AccountingErr != nil {
+				t.Errorf("ledger: objects %d (want %d), live %d, adjusted live %d, err %v",
+					l.TotalObjects, tc.objects, l.LiveBytes, l.AdjustedLiveBytes, prof.AccountingErr)
+			}
+		})
+	}
+}
+
+// TestFreeOfObjectsFails: free runs no destructor, so freeing a block
+// that holds class objects is a runtime error on both evaluators, as a
+// mismatched delete/delete[] is. A malloc'd block still frees.
+func TestFreeOfObjectsFails(t *testing.T) {
+	for name, src := range map[string]string{
+		"new": `
+			class A { public: int v; A() { v = 7; } ~A() { print(v); println(); } };
+			int main() { A* a = new A(); free(a); return 0; }`,
+		"new-array": `
+			class A { public: int v; };
+			int main() { A* a = new A[2]; free(a); return 0; }`,
+	} {
+		c := compile(t, name+".mcc", src)
+		tres, terr := interp.Run(c.Program, c.Hierarchy, interp.Options{FileSet: c.FileSet})
+		vres, verr := c.RunContext(context.Background(), 0)
+		assertSameRun(t, name, tres, terr, vres, verr)
+		if want := "free of class objects allocated with new"; verr == nil || !strings.Contains(verr.Error(), want) {
+			t.Errorf("%s: err = %v, want a runtime error containing %q", name, verr, want)
+		}
+	}
+	runBoth(t, "malloc.mcc", `int main() { int* p = (int*)malloc(2); free(p); return 0; }`)
+}
+
+// TestEscapedCellsSurviveLaterCalls: frames are reused, but a cell whose
+// address escapes its activation keeps its value through later calls on
+// both evaluators: a parameter, a local, the parameters of a recursion,
+// and a constructor parameter passed out through an initializer.
+func TestEscapedCellsSurviveLaterCalls(t *testing.T) {
+	res := runBoth(t, "escape.mcc", `
+		int* slots[4];
+		int* param(int v) { return &v; }
+		int* local(int v) { int x = v * 10; return &x; }
+		void rec(int n) { slots[n] = &n; if (n > 0) { rec(n - 1); } }
+		class Keep { public: int* p; Keep(int x) : p(&x) {} };
+		class Base { public: int* q; Base(int* q0) : q(q0) {} };
+		class Derived : public Base { public: Derived(int y) : Base(&y) {} };
+		int main() {
+			int* a = param(1);
+			int* b = param(2);
+			int* c = local(3);
+			int* d = local(4);
+			rec(3);
+			Keep* k1 = new Keep(5);
+			Keep* k2 = new Keep(6);
+			Derived* d1 = new Derived(7);
+			Derived* d2 = new Derived(8);
+			param(9); local(9); rec(2);
+			print(*a); print(*b); print(" "); print(*c); print(*d); print(" ");
+			print(*slots[0]); print(*slots[1]); print(*slots[2]); print(*slots[3]); print(" ");
+			print(*k1->p); print(*k2->p); print(*d1->q); print(*d2->q); println();
+			delete k1; delete k2; delete d1; delete d2;
+			return 0;
+		}`)
+	if want := "12 3040 0123 5678\n"; res.Output != want {
+		t.Fatalf("output %q, want %q", res.Output, want)
+	}
+}
+
+// TestProfileAllocs: one instrumented richards run allocates per call
+// and per object only what the program can reach. Fresh frames, boxed
+// parameter cells and a cell apiece took 105,110 allocations per run;
+// the run takes about 37,000.
+func TestProfileAllocs(t *testing.T) {
+	b, err := bench.ByName("richards")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := engine.Compile(engine.Config{}, b.Sources...)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	res := c.Analyze(deadmember.Options{})
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := dynprof.Run(res, dynprof.Options{Executor: vm.NewExecutor(c.Program, c.Hierarchy)}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 45_000 {
+		t.Errorf("profiling richards allocates %v times, want at most 45,000", allocs)
+	}
+}

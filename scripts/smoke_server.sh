@@ -3,7 +3,8 @@
 # over the batch pipeline: it starts the daemon, waits for /healthz, and
 # diffs /v1/strip, /v1/analyze and /v1/lint responses byte-for-byte
 # against the stdout of deadstrip, deadmem and deadlint -format json on
-# the same sources.
+# the same sources, and /v1/lint?writes-are-uses=1 against
+# deadlint -writes-are-uses.
 set -eu
 
 GO=${GO:-go}
@@ -64,5 +65,12 @@ curl -fsS "http://$ADDR/metrics" >"$tmp/metrics"
 grep -q '^deadmemd_cache_compiles_total 1$' "$tmp/metrics"
 grep -q '^deadmemd_cache_hits_total 3$' "$tmp/metrics"
 grep -q 'deadmemd_requests_total{endpoint="/v1/analyze",code="200"} 2' "$tmp/metrics"
+
+# deadlint takes the analysis options /v1/lint takes: the
+# writes-are-uses ablation must answer the same on both.
+SPECIAL=internal/lint/testdata/specialcases.mcc
+"$BIN/deadlint" -writes-are-uses "$SPECIAL" >"$tmp/cli.lint.wau"
+curl -fsS --data-binary "@$SPECIAL" "http://$ADDR/v1/lint?file=$SPECIAL&writes-are-uses=1" >"$tmp/srv.lint.wau"
+diff -u "$tmp/cli.lint.wau" "$tmp/srv.lint.wau"
 
 echo "smoke-server: OK (strip + analyze + lint byte-identical to CLIs, cache hits observed)"
