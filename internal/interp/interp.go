@@ -241,12 +241,15 @@ type Frame struct {
 	Vars map[*types.Var]*Cell
 	This *Object
 
-	// Params holds the parameter cells in declaration order, in a slab
-	// of their own: &param can outlive the call, so a frame's reuse
-	// never reuses its parameters. varCell finds a parameter by its
-	// position in Fn.Params, and a slot-based executor binds them
+	// Params holds the parameter cells in declaration order. They are
+	// the frame's own slab, which every activation the frame hosts
+	// reuses, unless the address of one of Fn's parameters is taken
+	// (types.Var.AddrTaken): &param can outlive the call, so such an
+	// activation gets a slab of its own. varCell finds a parameter by
+	// its position in Fn.Params, and a slot-based executor binds them
 	// without map lookups.
 	Params []Cell
+	slab   []Cell
 
 	// Locals are the counted local class objects, destroyed in reverse
 	// order at function exit (or scope exit, via PopScope).
@@ -266,8 +269,29 @@ func (m *Machine) pushFrame(fn *types.Func, this *Object) *Frame {
 	return f
 }
 
+// bindParams sets f.Params to one cell per parameter of f.Fn and returns
+// them: the frame's own slab, unless a parameter's address is taken.
+func (f *Frame) bindParams() []Cell {
+	n := len(f.Fn.Params)
+	if n == 0 {
+		return nil
+	}
+	for _, p := range f.Fn.Params {
+		if p.AddrTaken {
+			f.Params = make([]Cell, n)
+			return f.Params
+		}
+	}
+	if cap(f.slab) < n {
+		f.slab = make([]Cell, n)
+	}
+	f.Params = f.slab[:n]
+	return f.Params
+}
+
 // popFrame returns f, the innermost frame, to the machine, dropping what
-// it references so the frame keeps nothing alive.
+// it references, apart from its own parameter slab, which nothing outside
+// the frame can reach.
 func (m *Machine) popFrame(f *Frame) {
 	m.nframes--
 	f.Fn, f.This, f.Params = nil, nil, nil
@@ -462,22 +486,29 @@ func (m *Machine) NewObject(cls *types.Class, counted bool) *Object {
 	return obj
 }
 
-// constructObject runs the full construction protocol on obj: virtual
+// ConstructObject runs the full construction protocol on obj: virtual
 // bases (most-derived), then the selected constructor's base/member init
 // chain and body. ctor may be nil (default construction).
 func (m *Machine) ConstructObject(obj *Object, ctor *types.Func, args []Value) {
-	cls := obj.Class
-	// Virtual bases are initialized once, by the most-derived object.
+	m.construct(obj, m.ctorFrame(ctor, obj, args))
+}
+
+// construct runs the construction protocol on obj with f, the frame of
+// the selected constructor, already pushed and bound; f is nil for
+// default construction. Virtual bases are initialized once, by the
+// most-derived object, and a virtual-base initializer the constructor
+// gives is evaluated in f, beneath the base constructor's frame.
+func (m *Machine) construct(obj *Object, f *Frame) {
 	for _, vb := range obj.Plan.vbases {
-		if ctor != nil {
-			if init, ok := m.findInit(ctor, vb.Name); ok {
-				m.runCtorInitTarget(obj, ctor, args, vb, init)
+		if f != nil {
+			if init, ok := m.findInit(f.Fn, vb.Name); ok {
+				m.runClassCtor(obj, vb, m.initFrame(f, vb.CtorByArity(len(init.Args)), obj, init.Args))
 				continue
 			}
 		}
-		m.runClassCtor(obj, vb, vb.CtorByArity(0), nil)
+		m.runClassCtor(obj, vb, m.ctorFrame(vb.CtorByArity(0), obj, nil))
 	}
-	m.runClassCtor(obj, cls, ctor, m.bindParams(ctor, args))
+	m.runClassCtor(obj, obj.Class, f)
 }
 
 // findInit locates the ctor-init entry naming name.
@@ -490,24 +521,15 @@ func (m *Machine) findInit(ctor *types.Func, name string) (*ast.CtorInit, bool) 
 	return nil, false
 }
 
-// runCtorInitTarget constructs virtual base vb using the init entry found
-// in the most-derived constructor; the entry's arguments are evaluated in
-// that constructor's Frame.
-func (m *Machine) runCtorInitTarget(obj *Object, ctor *types.Func, args []Value, vb *types.Class, init *ast.CtorInit) {
-	f := m.pushFrame(ctor, obj)
-	f.Params = m.bindParams(ctor, args)
-	params := m.evalParams(f, init.Args)
-	m.popFrame(f)
-	m.runClassCtor(obj, vb, vb.CtorByArity(len(init.Args)), params)
-}
-
-// bindParams binds args to ctor's parameters in a slab of their own;
-// parameters without an argument are zero. A nil ctor binds nothing.
-func (m *Machine) bindParams(ctor *types.Func, args []Value) []Cell {
-	if ctor == nil || len(ctor.Params) == 0 {
+// ctorFrame pushes the frame of ctor on obj with args bound to its
+// parameters; parameters without an argument are zero. A nil ctor
+// (default construction) has no frame.
+func (m *Machine) ctorFrame(ctor *types.Func, obj *Object, args []Value) *Frame {
+	if ctor == nil {
 		return nil
 	}
-	params := make([]Cell, len(ctor.Params))
+	f := m.pushFrame(ctor, obj)
+	params := f.bindParams()
 	for i, p := range ctor.Params {
 		if i < len(args) {
 			params[i].V = args[i]
@@ -515,48 +537,53 @@ func (m *Machine) bindParams(ctor *types.Func, args []Value) []Cell {
 			params[i].V = m.ZeroValue(p.Type)
 		}
 	}
-	return params
+	return f
 }
 
-// evalParams evaluates a constructor initializer's arguments in f
-// straight into the parameter slab of the constructor they select, the
-// one whose arity is their count.
-func (m *Machine) evalParams(f *Frame, args []ast.Expr) []Cell {
-	if len(args) == 0 {
+// initFrame pushes the frame of ctor, the constructor that a constructor
+// initializer selects on obj by its argument count, and evaluates the
+// initializer's arguments in the enclosing frame f straight into its
+// parameter cells. With no constructor to select, the arguments are still
+// evaluated and construction is the default.
+func (m *Machine) initFrame(f *Frame, ctor *types.Func, obj *Object, args []ast.Expr) *Frame {
+	if ctor == nil {
+		for _, a := range args {
+			m.evalExpr(f, a)
+		}
 		return nil
 	}
-	params := make([]Cell, len(args))
+	cf := m.pushFrame(ctor, obj)
+	params := cf.bindParams()
 	for i, a := range args {
 		params[i].V = m.evalExpr(f, a)
 	}
-	return params
+	return cf
 }
 
 // runClassCtor initializes the cls-level of obj: non-virtual bases,
 // members, and the constructor body. Virtual bases are not handled
-// here: ConstructObject initializes them once, for the most-derived
-// object. params is ctor's parameter slab.
-func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, params []Cell) {
+// here: construct initializes them once, for the most-derived object.
+// f is the pushed frame of cls's constructor, which runClassCtor pops,
+// or nil for default construction.
+func (m *Machine) runClassCtor(obj *Object, cls *types.Class, f *Frame) {
 	off := obj.Plan.offset(cls)
 	if off < 0 {
 		m.Fail(cls.Pos, "internal: object of class %s has no %s part", obj.Class.Name, cls.Name)
 	}
-	if ctor == nil {
+	if f == nil {
 		// Default construction: default-construct bases and class members.
 		for _, b := range cls.Bases {
 			if b.Virtual {
 				continue
 			}
-			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(0), nil)
+			m.runClassCtor(obj, b.Class, m.ctorFrame(b.Class.CtorByArity(0), obj, nil))
 		}
 		for i, fld := range cls.Fields {
 			m.defaultConstructMember(&obj.Cells[off+i], fld.Type)
 		}
 		return
 	}
-
-	f := m.pushFrame(ctor, obj)
-	f.Params = params
+	ctor := f.Fn
 
 	// Direct non-virtual bases, in declaration order.
 	for _, b := range cls.Bases {
@@ -564,9 +591,9 @@ func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, 
 			continue
 		}
 		if init, ok := m.findInit(ctor, b.Class.Name); ok {
-			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(len(init.Args)), m.evalParams(f, init.Args))
+			m.runClassCtor(obj, b.Class, m.initFrame(f, b.Class.CtorByArity(len(init.Args)), obj, init.Args))
 		} else {
-			m.runClassCtor(obj, b.Class, b.Class.CtorByArity(0), nil)
+			m.runClassCtor(obj, b.Class, m.ctorFrame(b.Class.CtorByArity(0), obj, nil))
 		}
 	}
 
@@ -575,8 +602,8 @@ func (m *Machine) runClassCtor(obj *Object, cls *types.Class, ctor *types.Func, 
 		cell := &obj.Cells[off+i]
 		if init, ok := m.findInit(ctor, fld.Name); ok {
 			if mc := types.IsClass(fld.Type); mc != nil {
-				vals := m.evalArgs(f, init.Args)
-				m.ConstructObject(cell.V.Obj, mc.CtorByArity(len(init.Args)), vals)
+				mobj := cell.V.Obj
+				m.construct(mobj, m.initFrame(f, mc.CtorByArity(len(init.Args)), mobj, init.Args))
 			} else {
 				v := m.evalExpr(f, init.Args[0])
 				m.StoreInto(cell, m.Convert(v, fld.Type))
@@ -678,21 +705,19 @@ func (m *Machine) CallFunction(fn *types.Func, this *Object, args []Value) Value
 	defer func() { m.depth-- }()
 
 	f := m.pushFrame(fn, this)
-	if n := len(fn.Params); n > 0 {
-		f.Params = make([]Cell, n)
-		for i, p := range fn.Params {
-			var v Value
-			if i < len(args) {
-				v = m.Convert(args[i], p.Type)
-			} else {
-				v = m.ZeroValue(p.Type)
-			}
-			if v.K == KObj && v.Obj != nil {
-				// By-value class parameter: bitwise copy (uncounted).
-				v = Value{K: KObj, Obj: m.CloneObject(v.Obj)}
-			}
-			f.Params[i].V = v
+	params := f.bindParams()
+	for i, p := range fn.Params {
+		var v Value
+		if i < len(args) {
+			v = m.Convert(args[i], p.Type)
+		} else {
+			v = m.ZeroValue(p.Type)
 		}
+		if v.K == KObj && v.Obj != nil {
+			// By-value class parameter: bitwise copy (uncounted).
+			v = Value{K: KObj, Obj: m.CloneObject(v.Obj)}
+		}
+		params[i].V = v
 	}
 	ret := m.execFuncBody(f, fn)
 	m.popFrame(f)

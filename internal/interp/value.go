@@ -6,12 +6,14 @@
 // creation and destruction is reported to a heapsim.Ledger together with
 // its byte-exact layout size.
 //
-// A run allocates per call and per object only what the program can
-// reach. The Machine reuses Frames last in, first out, so an Executor
-// keeps none past ExecBody; parameters get a fresh slab per call,
-// because their address can outlive it. An object's cells are one
-// []Cell slab, and each class's per-run FieldPlan records once the slot
-// of every level's first field and the flattened destruction order, so
+// A run allocates no cell that cannot outlive its activation. The
+// Machine reuses Frames last in, first out, so an Executor keeps none
+// past ExecBody, and a frame's parameter cells are a slab the frame owns
+// and every activation it hosts reuses. Only a function that takes a
+// parameter's address (types.Var.AddrTaken) gets a fresh slab per call,
+// because &param can outlive it. An object's cells are one []Cell slab,
+// and each class's per-run FieldPlan records once the slot of every
+// level's first field and the flattened destruction order, so
 // construction and destruction index cells without hashing.
 //
 // Semantics notes (documented deviations from full C++, all irrelevant to

@@ -172,6 +172,11 @@ func (c *Checker) checkUnary(x *ast.Unary) types.Type {
 		}
 		t := c.checkExpr(x.X)
 		c.requireLvalue(x.X)
+		if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
+			if v := c.info.VarOf(id); v != nil {
+				v.AddrTaken = true
+			}
+		}
 		return &types.Pointer{Elem: t}
 	}
 

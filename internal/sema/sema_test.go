@@ -190,3 +190,47 @@ int main() {
 	checkErr(t, `int main() { malloc(); return 0; }`, "expects 1 argument")
 	checkErr(t, `int f() { return 1; } int g() { return 2; } int print(int x) { return x; } int main() { return f() + g(); }`, "conflicts with builtin")
 }
+
+// TestAddrTaken pins types.Var.AddrTaken, which lets the runtime reuse
+// the cell of a local or parameter that cannot outlive its activation:
+// &x, &(x) and &*&x take x's address; &p[i] and *p = 1 take the
+// pointee's, not p's. A global's address is recorded the same way,
+// though the runtime never reuses a global's cell.
+func TestAddrTaken(t *testing.T) {
+	r := check(t, `
+		int g;
+		int h;
+		int* gp = &g;
+		int f(int a, int b, int* p, int* q) {
+			int x = 1;
+			int y = 2;
+			int z = 3;
+			int u = 4;
+			int* r1 = &x;
+			int* r2 = &(y);
+			int* r3 = &*&z;
+			int* r4 = &p[1];
+			*q = 1;
+			int* r5 = &a;
+			return u + b + h;
+		}
+		int main() { int arr[2]; return f(1, 2, &arr[0], &arr[1]); }`)
+	got := map[string]bool{}
+	for _, v := range r.Program.FuncByName["f"].Params {
+		got[v.Name] = v.AddrTaken
+	}
+	for _, v := range r.Program.Info.VarObjects {
+		got[v.Name] = v.AddrTaken
+	}
+	for name, want := range map[string]bool{
+		"x": true, "y": true, "z": true, "a": true, "g": true,
+		"u": false, "b": false, "p": false, "q": false, "h": false, "arr": false,
+		"r1": false, "r4": false,
+	} {
+		if have, ok := got[name]; !ok {
+			t.Errorf("no variable %s", name)
+		} else if have != want {
+			t.Errorf("%s.AddrTaken = %v, want %v", name, have, want)
+		}
+	}
+}

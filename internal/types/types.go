@@ -225,8 +225,18 @@ type Var struct {
 	Name   string
 	Type   Type
 	Global bool
-	Pos    source.Pos
-	Decl   *ast.VarDecl // nil for parameters
+
+	// AddrTaken reports that the program takes the variable's address:
+	// some & has, through parentheses, an identifier naming it as its
+	// operand. MC++ has no references and no conditional or assignment
+	// lvalues, so that is the only way to reach the variable's cell, and
+	// a local or parameter without it cannot outlive its activation (the
+	// runtime reuses its cell). &p[i] and *p take the pointee's address,
+	// not p's. A global's cell lives for the whole run whatever this says.
+	AddrTaken bool
+
+	Pos  source.Pos
+	Decl *ast.VarDecl // nil for parameters
 }
 
 func (v *Var) String() string { return v.Name }

@@ -7,7 +7,10 @@
 // instrumented heap byte-identical to the tree-walker the tests use as
 // its oracle. The VM binds a frame's parameter slab and reads member
 // cells in place (&obj.Cells[i]); it keeps no interp.Frame past the
-// ExecBody call that hands it one, since the Machine reuses frames.
+// ExecBody call that hands it one, since the Machine reuses frames. A
+// scalar or pointer local whose address is never taken lives in a cell
+// that the activation's pooled state owns, so executing its declaration
+// allocates nothing.
 //
 // Compilation is per function, lazy, and all-or-nothing: a body using a
 // construct the compiler does not model falls back to the tree-walker in
@@ -16,6 +19,10 @@
 // keyed on the receiver's dynamic class; the class hierarchy and field
 // plans are frozen after sema, so caches never need invalidation (they
 // are still per-run, because global-variable cells are per-Machine).
+// An instruction holds only int32 operands and positions; its pointer
+// operands and inline cache live in its chunk's side table. One compiler
+// per Executor emits every chunk of the run into buffers it reuses, and
+// each chunk keeps exact-length copies.
 package vm
 
 import (
@@ -101,7 +108,8 @@ const (
 	opDelete    // (1→1) delete (a=1: delete[]) through static pointee class cls; pushes void
 
 	opDeclCell      // (→) slot a = fresh empty cell (registered before init runs)
-	opDeclZero      // (→) slot a = fresh cell holding zero value of typ
+	opDeclZero      // (→) slot a = fresh cell holding zero value of typ (address taken)
+	opDeclLocal     // (→) slot a = the activation's own cell a, reset to zero value of typ
 	opDeclStore     // (1→) store popped init into slot a with conversion to typ
 	opDeclConstruct // (b+1→) pop b ctor args + staged object; construct into slot a
 	opDeclCopyInit  // (1→) pop init value; copy-construct a cls local into slot a
@@ -134,40 +142,48 @@ const (
 	opIntBin2CS // (1→1) top (op e) (consts[b] (op c) slots[a])
 )
 
-// instr is one decoded instruction. The operand fields are a union:
-// which ones are meaningful depends on op (see the opcode comments).
-// The cache* fields are the instruction's monomorphic inline cache,
-// mutated during execution; an Executor is per-run, so the mutation is
-// single-goroutine.
+// instr is one decoded instruction: 48 bytes, with no pointers for the
+// collector to scan. Which operands are meaningful depends on op (see the
+// opcode comments); an instruction's pointer operands (str, typ, fld,
+// cls, fn, and a global's vr) and its inline cache live in the chunk's
+// side table, at refs[r], and a slot's variable, which the not-in-scope
+// failure names, in vars.
 type instr struct {
 	op      opcode
 	mode    uint8 // result mode of the opIntBin family (see peephole.go)
 	stepped bool  // perform a statement step (at pos2) before executing
-	a, b, c int
-	d       int        // fused store slot / branch target (mode != modePush)
-	e       int        // outer operator of a two-stage fused binop
+	a, b, c int32
+	d       int32      // fused store slot / branch target (mode != modePush)
+	e       int32      // outer operator of a two-stage fused binop
+	r       int32      // the instruction's entry in chunk.refs
 	pos     source.Pos // primary position (the expression/statement)
 	pos2    source.Pos // receiver position or fused step position
-	str     string
-	fld     *types.Field
-	cls     *types.Class
-	fn      *types.Func
-	typ     types.Type
-	vr      *types.Var
-	vr2     *types.Var // second variable of a fused superinstruction
-
-	cacheClass *types.Class // receiver class the cache was filled for
-	cacheIdx   int          // field slot within the cached class's plan
-	cacheFn    *types.Func  // dispatch target for the cached class
-	cacheCell  *interp.Cell // resolved global cell
 }
 
-// chunk is one compiled function body.
+// ref is an instruction's side-table entry: its pointer operands, and
+// the ic* fields, its monomorphic inline cache, mutated during
+// execution. An Executor is per-run, so the mutation is single-goroutine.
+type ref struct {
+	str string
+	typ types.Type
+	fld *types.Field
+	cls *types.Class
+	fn  *types.Func
+	vr  *types.Var
+
+	icClass *types.Class // receiver class the cache was filled for
+	icIdx   int          // field slot within the cached class's plan
+	icFn    *types.Func  // dispatch target for the cached class
+	icCell  *interp.Cell // resolved global cell
+}
+
+// chunk is one compiled function body. Each slice has exact length.
 type chunk struct {
-	fn       *types.Func
-	code     []instr
-	consts   []interp.Value
-	numSlots int
+	fn     *types.Func
+	code   []instr
+	consts []interp.Value
+	refs   []ref
+	vars   []*types.Var // the variable of each frame slot: parameters, then locals
 }
 
 // pending is a staged call: target and receiver are resolved before the

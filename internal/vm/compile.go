@@ -16,6 +16,11 @@ import (
 // the VM does not model; the caller falls back to the tree-walker.
 var errUnsupported = fmt.Errorf("vm: unsupported construct")
 
+// compiler translates function bodies to bytecode. An Executor keeps one
+// and compiles every function of its run with it: code, consts and refs
+// are emit buffers that each compile starts empty and hands to its chunk
+// as exact-length copies, and isTarget and remap are the peephole
+// passes' scratch.
 type compiler struct {
 	info *types.Info
 	h    *hierarchy.Graph
@@ -23,10 +28,14 @@ type compiler struct {
 
 	code   []instr
 	consts []interp.Value
+	refs   []ref
 	slotOf map[*types.Var]int
 
 	depth int // open destructor scopes
 	ctxs  []ctrlCtx
+
+	isTarget []bool
+	remap    []int32
 }
 
 // ctrlCtx is an open break/continue target (a loop or a switch).
@@ -38,30 +47,40 @@ type ctrlCtx struct {
 	contSites  []int
 }
 
-// compileFunc translates fn's body to bytecode, or returns nil when any
+// compile translates fn's body to bytecode, or returns nil when any
 // construct is unsupported (whole-function fallback: partial compilation
 // could reorder side effects, so it is all-or-nothing). Any panic during
 // compilation also falls back — the tree-walker is always a correct
 // implementation, so a compiler gap degrades performance, never
 // semantics.
-func compileFunc(fn *types.Func, info *types.Info, h *hierarchy.Graph) (ch *chunk) {
+func (c *compiler) compile(fn *types.Func) (ch *chunk) {
 	defer func() {
 		if r := recover(); r != nil {
 			ch = nil
 		}
 	}()
-	c := &compiler{info: info, h: h, fn: fn, slotOf: map[*types.Var]int{}}
+	c.fn, c.depth = fn, 0
+	c.code, c.consts, c.refs, c.ctxs = c.code[:0], c.consts[:0], c.refs[:0], c.ctxs[:0]
+	clear(c.slotOf)
 	for i, p := range fn.Params {
 		c.slotOf[p] = i
 	}
 	c.scanDecls(fn.Body)
 	c.stmt(fn.Body)
 	c.emit(instr{op: opReturnVoid})
-	// The peephole rewrites c.code in place; the chunk keeps an
-	// exact-length copy, not the emit buffer's spare capacity, for the
-	// rest of the run.
-	code := slices.Clone(peephole(c.code))
-	return &chunk{fn: fn, code: code, consts: c.consts, numSlots: len(c.slotOf)}
+	// The peephole rewrites c.code in place; the chunk keeps exact-length
+	// copies, not the emit buffers, for the rest of the run.
+	ch = &chunk{
+		fn:     fn,
+		code:   slices.Clone(c.peephole(c.code)),
+		consts: slices.Clone(c.consts),
+		refs:   slices.Clone(c.refs),
+		vars:   make([]*types.Var, len(c.slotOf)),
+	}
+	for v, slot := range c.slotOf {
+		ch.vars[slot] = v
+	}
+	return ch
 }
 
 // scanDecls pre-assigns a frame slot to every local declaration so
@@ -108,24 +127,31 @@ func (c *compiler) emit(ins instr) int {
 	return len(c.code) - 1
 }
 
+// emitRef emits ins with r as its side-table entry.
+func (c *compiler) emitRef(ins instr, r ref) int {
+	ins.r = int32(len(c.refs))
+	c.refs = append(c.refs, r)
+	return c.emit(ins)
+}
+
 func (c *compiler) constant(v interp.Value) int {
 	c.consts = append(c.consts, v)
 	return len(c.consts) - 1
 }
 
 func (c *compiler) emitConst(v interp.Value) {
-	c.emit(instr{op: opConst, a: c.constant(v)})
+	c.emit(instr{op: opConst, a: int32(c.constant(v))})
 }
 
 // here is the label for the next instruction to be emitted.
 func (c *compiler) here() int { return len(c.code) }
 
-func (c *compiler) patch(site, target int) { c.code[site].a = target }
+func (c *compiler) patch(site, target int) { c.code[site].a = int32(target) }
 
 // failAt compiles a deterministic runtime failure with a preformatted
 // message, matching the tree-walker's error text and position.
 func (c *compiler) failAt(pos source.Pos, format string, args ...interface{}) {
-	c.emit(instr{op: opFail, pos: pos, str: fmt.Sprintf(format, args...)})
+	c.emitRef(instr{op: opFail, pos: pos}, ref{str: fmt.Sprintf(format, args...)})
 }
 
 // ---------------------------------------------------------------------------
@@ -171,7 +197,7 @@ func (c *compiler) stmt(s ast.Stmt) {
 		c.expr(x.Cond)
 		jf := c.emit(instr{op: opJF})
 		c.scoped(x.Body)
-		c.emit(instr{op: opJump, a: cond})
+		c.emit(instr{op: opJump, a: int32(cond)})
 		end := c.here()
 		c.patch(jf, end)
 		c.popCtx(ctx, end, cond)
@@ -182,7 +208,7 @@ func (c *compiler) stmt(s ast.Stmt) {
 		c.scoped(x.Body)
 		cond := c.here()
 		c.expr(x.Cond)
-		c.emit(instr{op: opJT, a: body})
+		c.emit(instr{op: opJT, a: int32(body)})
 		end := c.here()
 		c.popCtx(ctx, end, cond)
 
@@ -207,7 +233,7 @@ func (c *compiler) stmt(s ast.Stmt) {
 			c.expr(x.Post)
 			c.emit(instr{op: opPop})
 		}
-		c.emit(instr{op: opJump, a: cond})
+		c.emit(instr{op: opJump, a: int32(cond)})
 		end := c.here()
 		if jf >= 0 {
 			c.patch(jf, end)
@@ -222,7 +248,7 @@ func (c *compiler) stmt(s ast.Stmt) {
 	case *ast.ReturnStmt:
 		if x.X != nil {
 			c.expr(x.X)
-			c.emit(instr{op: opReturnValue, typ: c.fn.Return})
+			c.emitRef(instr{op: opReturnValue}, ref{typ: c.fn.Return})
 		} else {
 			c.emit(instr{op: opReturnVoid})
 		}
@@ -256,7 +282,7 @@ func (c *compiler) scoped(s ast.Stmt) {
 
 func (c *compiler) emitPopN(n int) {
 	if n > 0 {
-		c.emit(instr{op: opScopePopN, a: n})
+		c.emit(instr{op: opScopePopN, a: int32(n)})
 	}
 }
 
@@ -351,27 +377,34 @@ func (c *compiler) decl(d *ast.VarDecl) {
 		panic(errUnsupported)
 	}
 
+	a := int32(slot)
 	if cls := types.IsClass(t); cls != nil {
-		c.emit(instr{op: opDeclCell, a: slot})
+		c.emit(instr{op: opDeclCell, a: a})
 		if d.Init != nil {
 			c.expr(d.Init)
-			c.emit(instr{op: opDeclCopyInit, a: slot, cls: cls})
+			c.emitRef(instr{op: opDeclCopyInit, a: a}, ref{cls: cls})
 			return
 		}
-		c.emit(instr{op: opNewObj, cls: cls})
-		for _, a := range d.CtorArgs {
-			c.expr(a)
+		c.emitRef(instr{op: opNewObj}, ref{cls: cls})
+		for _, arg := range d.CtorArgs {
+			c.expr(arg)
 		}
-		c.emit(instr{op: opDeclConstruct, a: slot, b: len(d.CtorArgs), fn: c.info.VarCtors[d]})
+		c.emitRef(instr{op: opDeclConstruct, a: a, b: int32(len(d.CtorArgs))}, ref{fn: c.info.VarCtors[d]})
 		return
 	}
 
 	if arr, isArr := t.(*types.Array); isArr {
-		c.emit(instr{op: opDeclArray, a: slot, typ: arr})
+		c.emitRef(instr{op: opDeclArray, a: a}, ref{typ: arr})
 		return
 	}
 
-	c.emit(instr{op: opDeclZero, a: slot, typ: t})
+	// A scalar or pointer local whose address is never taken cannot
+	// outlive its activation, so it lives in a cell the activation owns.
+	op := opDeclLocal
+	if v.AddrTaken {
+		op = opDeclZero
+	}
+	c.emitRef(instr{op: op, a: a}, ref{typ: t})
 	var init ast.Expr
 	if d.Init != nil {
 		init = d.Init
@@ -380,7 +413,7 @@ func (c *compiler) decl(d *ast.VarDecl) {
 	}
 	if init != nil {
 		c.expr(init)
-		c.emit(instr{op: opDeclStore, a: slot, typ: t})
+		c.emitRef(instr{op: opDeclStore, a: a}, ref{typ: t})
 	}
 }
 
@@ -407,12 +440,12 @@ func (c *compiler) expr(e ast.Expr) {
 	case *ast.NullLit:
 		c.emitConst(interp.NullValue())
 	case *ast.StringLit:
-		c.emit(instr{op: opStr, str: x.Value})
+		c.emitRef(instr{op: opStr}, ref{str: x.Value})
 	case *ast.ThisExpr:
 		c.emit(instr{op: opThis, pos: x.Pos()})
 	case *ast.Ident:
 		if fld := c.info.FieldOf(x); fld != nil {
-			c.emit(instr{op: opLoadField, fld: fld, pos: x.Pos()})
+			c.emitRef(instr{op: opLoadField, pos: x.Pos()}, ref{fld: fld})
 			return
 		}
 		c.varAccess(x, opLoadSlot, opLoadGlobal)
@@ -422,7 +455,7 @@ func (c *compiler) expr(e ast.Expr) {
 		c.unary(x)
 	case *ast.Postfix:
 		c.lvalue(x.X)
-		inc := 0
+		var inc int32
 		if x.Op == token.Inc {
 			inc = 1
 		}
@@ -451,19 +484,19 @@ func (c *compiler) expr(e ast.Expr) {
 		c.call(x)
 	case *ast.Cast:
 		c.expr(x.X)
-		c.emit(instr{op: opConvert, typ: c.info.TypeExprOf(x.Type)})
+		c.emitRef(instr{op: opConvert}, ref{typ: c.info.TypeExprOf(x.Type)})
 	case *ast.New:
 		c.newExpr(x)
 	case *ast.Delete:
 		c.expr(x.X)
-		arr := 0
+		var arr int32
 		var static *types.Class
 		if x.Array {
 			arr = 1
 		} else {
 			static = types.PointeeClass(c.info.TypeOf(x.X))
 		}
-		c.emit(instr{op: opDelete, a: arr, cls: static, pos: x.Pos()})
+		c.emitRef(instr{op: opDelete, a: arr, pos: x.Pos()}, ref{cls: static})
 	case *ast.Sizeof:
 		var t types.Type
 		if x.Type != nil {
@@ -490,10 +523,10 @@ func (c *compiler) varAccess(x *ast.Ident, slotOp, globalOp opcode) {
 		return
 	}
 	if slot, ok := c.slotOf[v]; ok {
-		c.emit(instr{op: slotOp, a: slot, vr: v, pos: x.Pos()})
+		c.emit(instr{op: slotOp, a: int32(slot), pos: x.Pos()})
 		return
 	}
-	c.emit(instr{op: globalOp, vr: v, pos: x.Pos()})
+	c.emitRef(instr{op: globalOp, pos: x.Pos()}, ref{vr: v})
 }
 
 func (c *compiler) unary(x *ast.Unary) {
@@ -536,7 +569,7 @@ func (c *compiler) unary(x *ast.Unary) {
 		c.emit(instr{op: opTilde})
 	case token.Inc, token.Dec:
 		c.lvalue(x.X)
-		inc := 0
+		var inc int32
 		if x.Op == token.Inc {
 			inc = 1
 		}
@@ -578,7 +611,7 @@ func (c *compiler) binary(x *ast.Binary) {
 		}
 		// The operator rides in c as well as b so the opIntBin family
 		// (fused or not) reads it from one place; opBinary keeps b.
-		c.emit(instr{op: op, b: int(x.Op), c: int(x.Op), pos: x.Pos()})
+		c.emit(instr{op: op, b: int32(x.Op), c: int32(x.Op), pos: x.Pos()})
 	}
 }
 
@@ -600,26 +633,26 @@ func (c *compiler) stmtExpr(e ast.Expr) bool {
 	case *ast.Assign:
 		lt := c.info.TypeOf(x.LHS)
 		if x.Op == token.Assign {
-			if slot, v, ok := c.intSlotTarget(x.LHS); ok {
+			if slot, ok := c.intSlotTarget(x.LHS); ok {
 				if d, fused := incPattern(x, c.info); fused {
-					c.emit(instr{op: opIncSlotI, a: slot, b: d, vr: v, typ: v.Type, pos: x.Pos()})
+					c.emit(instr{op: opIncSlotI, a: slot, b: d, pos: x.Pos()})
 					return true
 				}
 				// The tree-walker resolves the lvalue before the RHS
 				// runs, so a dead slot must fail first.
-				c.emit(instr{op: opCheckSlot, a: slot, vr: v, pos: x.LHS.Pos()})
+				c.emit(instr{op: opCheckSlot, a: slot, pos: x.LHS.Pos()})
 				c.expr(x.RHS)
 				c.emit(instr{op: opStoreSlotI, a: slot, pos: x.Pos()})
 				return true
 			}
 			c.lvalue(x.LHS)
 			c.expr(x.RHS)
-			c.emit(instr{op: opAssignPop, typ: lt, pos: x.Pos()})
+			c.emitRef(instr{op: opAssignPop, pos: x.Pos()}, ref{typ: lt})
 			return true
 		}
 		c.lvalue(x.LHS)
 		c.expr(x.RHS)
-		c.emit(instr{op: opAssignOpPop, b: int(x.Op.CompoundBase()), typ: lt, pos: x.Pos()})
+		c.emitRef(instr{op: opAssignOpPop, b: int32(x.Op.CompoundBase()), pos: x.Pos()}, ref{typ: lt})
 		return true
 	case *ast.Postfix:
 		c.incDecStmt(x.X, x.Op, x.Pos())
@@ -635,16 +668,16 @@ func (c *compiler) stmtExpr(e ast.Expr) bool {
 
 // incDecStmt compiles a statement-position ++/--.
 func (c *compiler) incDecStmt(target ast.Expr, op token.Kind, pos source.Pos) {
-	if slot, v, ok := c.intSlotTarget(target); ok {
-		d := 1
+	if slot, ok := c.intSlotTarget(target); ok {
+		d := int32(1)
 		if op == token.Dec {
 			d = -1
 		}
-		c.emit(instr{op: opIncSlotI, a: slot, b: d, vr: v, typ: v.Type, pos: pos})
+		c.emit(instr{op: opIncSlotI, a: slot, b: d, pos: pos})
 		return
 	}
 	c.lvalue(target)
-	inc := 0
+	var inc int32
 	if op == token.Inc {
 		inc = 1
 	}
@@ -652,29 +685,29 @@ func (c *compiler) incDecStmt(target ast.Expr, op token.Kind, pos source.Pos) {
 }
 
 // intSlotTarget matches e as a local frame slot of static type int.
-func (c *compiler) intSlotTarget(e ast.Expr) (int, *types.Var, bool) {
+func (c *compiler) intSlotTarget(e ast.Expr) (int32, bool) {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok || c.info.FieldOf(id) != nil {
-		return 0, nil, false
+		return 0, false
 	}
 	v := c.info.VarOf(id)
 	if v == nil {
-		return 0, nil, false
+		return 0, false
 	}
 	slot, ok := c.slotOf[v]
 	if !ok {
-		return 0, nil, false
+		return 0, false
 	}
 	if b, isBasic := v.Type.(*types.Basic); !isBasic || b.Kind != types.Int {
-		return 0, nil, false
+		return 0, false
 	}
-	return slot, v, true
+	return int32(slot), true
 }
 
 // incPattern matches x as `v = v + c` / `v = v - c` with an integer
 // literal c, returning the signed delta. Both loads are side-effect
 // free, so the whole statement collapses to one instruction.
-func incPattern(x *ast.Assign, info *types.Info) (int, bool) {
+func incPattern(x *ast.Assign, info *types.Info) (int32, bool) {
 	lhs, ok := ast.Unparen(x.LHS).(*ast.Ident)
 	if !ok {
 		return 0, false
@@ -691,7 +724,7 @@ func incPattern(x *ast.Assign, info *types.Info) (int, bool) {
 	if !ok || lit.Value > 1<<30 || lit.Value < -(1<<30) {
 		return 0, false
 	}
-	d := int(lit.Value)
+	d := int32(lit.Value)
 	if bin.Op == token.Minus {
 		d = -d
 	}
@@ -703,17 +736,17 @@ func (c *compiler) assign(x *ast.Assign) {
 	c.expr(x.RHS)
 	lt := c.info.TypeOf(x.LHS)
 	if x.Op == token.Assign {
-		c.emit(instr{op: opAssign, typ: lt, pos: x.Pos()})
+		c.emitRef(instr{op: opAssign, pos: x.Pos()}, ref{typ: lt})
 		return
 	}
-	c.emit(instr{op: opAssignOp, b: int(x.Op.CompoundBase()), typ: lt, pos: x.Pos()})
+	c.emitRef(instr{op: opAssignOp, b: int32(x.Op.CompoundBase()), pos: x.Pos()}, ref{typ: lt})
 }
 
 // member compiles a data-member access; rvalue selects load vs location.
 func (c *compiler) member(x *ast.Member, rvalue bool) {
 	fld := c.info.FieldRefs[x]
 	c.expr(x.X)
-	arrow := 0
+	var arrow int32
 	if x.Arrow {
 		arrow = 1
 	}
@@ -727,12 +760,12 @@ func (c *compiler) member(x *ast.Member, rvalue bool) {
 	if rvalue {
 		op = opMemberLoad
 	}
-	c.emit(instr{op: op, a: arrow, fld: fld, pos: x.Pos(), pos2: x.X.Pos()})
+	c.emitRef(instr{op: op, a: arrow, pos: x.Pos(), pos2: x.X.Pos()}, ref{fld: fld})
 }
 
 func (c *compiler) memberPtr(x *ast.MemberPtrDeref, rvalue bool) {
 	c.expr(x.X)
-	arrow := 0
+	var arrow int32
 	if x.Arrow {
 		arrow = 1
 	}
@@ -752,7 +785,7 @@ func (c *compiler) lvalue(e ast.Expr) {
 		c.lvalue(x.X)
 	case *ast.Ident:
 		if fld := c.info.FieldOf(x); fld != nil {
-			c.emit(instr{op: opLvField, fld: fld, pos: x.Pos()})
+			c.emitRef(instr{op: opLvField, pos: x.Pos()}, ref{fld: fld})
 			return
 		}
 		c.varAccess(x, opLvSlot, opLvGlobal)
@@ -780,11 +813,11 @@ func (c *compiler) call(x *ast.Call) {
 	switch fun := ast.Unparen(x.Fun).(type) {
 	case *ast.Ident:
 		if mth, ok := c.info.IdentMethods[fun]; ok {
-			c.emit(instr{op: opPendImplicit, fn: mth, pos: x.Pos()})
+			c.emitRef(instr{op: opPendImplicit, pos: x.Pos()}, ref{fn: mth})
 			for _, a := range x.Args {
 				c.expr(a)
 			}
-			c.emit(instr{op: opCall, a: len(x.Args)})
+			c.emit(instr{op: opCall, a: int32(len(x.Args))})
 			return
 		}
 		if fn, ok := c.info.IdentFuncs[fun]; ok {
@@ -792,11 +825,11 @@ func (c *compiler) call(x *ast.Call) {
 				c.builtin(fn.Name, x)
 				return
 			}
-			c.emit(instr{op: opPendFunc, fn: fn})
+			c.emitRef(instr{op: opPendFunc}, ref{fn: fn})
 			for _, a := range x.Args {
 				c.expr(a)
 			}
-			c.emit(instr{op: opCall, a: len(x.Args)})
+			c.emit(instr{op: opCall, a: int32(len(x.Args))})
 			return
 		}
 		c.failAt(x.Pos(), "unresolved call target %s", fun.Name)
@@ -806,16 +839,16 @@ func (c *compiler) call(x *ast.Call) {
 			c.failAt(x.Pos(), "unresolved method %s", fun.Name)
 			return
 		}
-		arrow := 0
+		var arrow int32
 		if fun.Arrow {
 			arrow = 1
 		}
 		c.expr(fun.X)
-		c.emit(instr{op: opPendMethod, fn: mth, str: fun.Qual, a: arrow, pos: x.Pos(), pos2: fun.X.Pos()})
+		c.emitRef(instr{op: opPendMethod, a: arrow, pos: x.Pos(), pos2: fun.X.Pos()}, ref{fn: mth, str: fun.Qual})
 		for _, a := range x.Args {
 			c.expr(a)
 		}
-		c.emit(instr{op: opCall, a: len(x.Args)})
+		c.emit(instr{op: opCall, a: int32(len(x.Args))})
 	default:
 		c.failAt(x.Pos(), "called expression is not callable")
 	}
@@ -837,7 +870,7 @@ func (c *compiler) builtin(name string, x *ast.Call) {
 	case "print", "println":
 		if len(x.Args) == 1 {
 			c.expr(x.Args[0])
-			c.emit(instr{op: opPrint, typ: c.info.TypeOf(x.Args[0])})
+			c.emitRef(instr{op: opPrint}, ref{typ: c.info.TypeOf(x.Args[0])})
 		}
 		if name == "println" {
 			c.emit(instr{op: opPrintNL})
@@ -872,27 +905,27 @@ func (c *compiler) newExpr(x *ast.New) {
 
 	if x.Len != nil { // new T[n]
 		c.expr(x.Len)
-		c.emit(instr{op: opNewArr, typ: t, pos: x.Pos()})
+		c.emitRef(instr{op: opNewArr, pos: x.Pos()}, ref{typ: t})
 		return
 	}
 
 	if cls := types.IsClass(t); cls != nil { // new C(args)
 		// Allocation (and its ledger record) precedes the arguments.
-		c.emit(instr{op: opNewObj, cls: cls})
+		c.emitRef(instr{op: opNewObj}, ref{cls: cls})
 		for _, a := range x.Args {
 			c.expr(a)
 		}
-		c.emit(instr{op: opFinishNew, a: len(x.Args), fn: c.info.NewCtors[x]})
+		c.emitRef(instr{op: opFinishNew, a: int32(len(x.Args))}, ref{fn: c.info.NewCtors[x]})
 		return
 	}
 
 	// Scalar new.
-	hasInit := 0
+	var hasInit int32
 	if len(x.Args) == 1 {
 		c.expr(x.Args[0])
 		hasInit = 1
 	} else if len(x.Args) > 1 {
 		panic(errUnsupported)
 	}
-	c.emit(instr{op: opNewScalar, a: hasInit, typ: t})
+	c.emitRef(instr{op: opNewScalar, a: hasInit}, ref{typ: t})
 }

@@ -21,6 +21,7 @@ type Executor struct {
 	info *types.Info
 
 	chunks map[*types.Func]*chunk // nil entry = compile declined, tree-walk
+	comp   compiler               // compiles every chunk of the run
 
 	compiled int // functions compiled to bytecode
 	fallback int // functions declined to the tree-walker
@@ -30,8 +31,15 @@ type Executor struct {
 
 // frameState is the scratch state of one bytecode activation, pooled on
 // the Executor so recursive call chains do not allocate per call.
+//
+// cells holds the activation's own locals: a scalar or pointer local
+// whose address is never taken (types.Var.AddrTaken) lives in the cell
+// of its slot, which every activation that reuses the state reuses.
+// Nothing else can reach such a cell, so it dies with the activation.
+// Its slot still turns non-nil only when the declaration executes.
 type frameState struct {
 	slots []*interp.Cell
+	cells []interp.Cell
 	stack []interp.Value
 	locs  []interp.Loc
 	marks []int
@@ -48,11 +56,10 @@ func (e *Executor) acquire(numSlots int) *frameState {
 	}
 	if cap(fs.slots) < numSlots {
 		fs.slots = make([]*interp.Cell, numSlots)
+		fs.cells = make([]interp.Cell, numSlots)
 	} else {
 		fs.slots = fs.slots[:numSlots]
-		for i := range fs.slots {
-			fs.slots[i] = nil
-		}
+		clear(fs.slots)
 	}
 	fs.stack = fs.stack[:0]
 	fs.locs = fs.locs[:0]
@@ -66,7 +73,11 @@ func (e *Executor) release(fs *frameState) { e.pool = append(e.pool, fs) }
 // NewExecutor builds a VM executor for one program. Pass it via
 // interp.Options.Executor (or dynprof.Options.Executor).
 func NewExecutor(prog *types.Program, h *hierarchy.Graph) *Executor {
-	return &Executor{prog: prog, h: h, info: prog.Info, chunks: map[*types.Func]*chunk{}}
+	return &Executor{
+		prog: prog, h: h, info: prog.Info,
+		chunks: map[*types.Func]*chunk{},
+		comp:   compiler{info: prog.Info, h: h, slotOf: map[*types.Var]int{}},
+	}
 }
 
 // Counts reports how many distinct functions were compiled versus
@@ -76,7 +87,7 @@ func (e *Executor) Counts() (compiled, fallback int) { return e.compiled, e.fall
 func (e *Executor) chunkFor(fn *types.Func) *chunk {
 	ch, ok := e.chunks[fn]
 	if !ok {
-		ch = compileFunc(fn, e.info, e.h)
+		ch = e.comp.compile(fn)
 		e.chunks[fn] = ch
 		if ch != nil {
 			e.compiled++
@@ -106,9 +117,9 @@ func (e *Executor) ExecBody(m *interp.Machine, f *interp.Frame, fn *types.Func) 
 }
 
 func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Value {
-	code := ch.code
-	fs := e.acquire(ch.numSlots)
-	slots := fs.slots
+	code, refs := ch.code, ch.refs
+	fs := e.acquire(len(ch.vars))
+	slots, cells := fs.slots, fs.cells
 	for i := range f.Params {
 		if i < len(slots) {
 			slots[i] = &f.Params[i]
@@ -146,7 +157,7 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 		case opConst:
 			stack = pushScalar(stack, ch.consts[ins.a])
 		case opStr:
-			stack = append(stack, m.StringValue(ins.str))
+			stack = append(stack, m.StringValue(refs[ins.r].str))
 		case opThis:
 			if f.This == nil {
 				m.Fail(ins.pos, "this used with no receiver")
@@ -158,17 +169,17 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 		case opLoadSlot:
 			cell := slots[ins.a]
 			if cell == nil {
-				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ins.vr.Name)
+				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.a].Name)
 			}
 			stack = pushScalar(stack, cell.V)
 		case opLoadGlobal:
-			stack = append(stack, e.globalCell(m, ins).V)
+			stack = append(stack, globalCell(m, ins, &refs[ins.r]).V)
 		case opLoadField:
-			stack = append(stack, fieldCellIC(m, ins, f.This).V)
+			stack = append(stack, fieldCellIC(m, ins, &refs[ins.r], f.This).V)
 		case opMemberLoad:
 			v := stack[len(stack)-1]
 			obj := m.ReceiverFromValue(ins.pos2, v, ins.a == 1)
-			stack[len(stack)-1] = fieldCellIC(m, ins, obj).V
+			stack[len(stack)-1] = fieldCellIC(m, ins, &refs[ins.r], obj).V
 		case opIndexLoad:
 			loc := indexLoc(m, ins, &stack)
 			stack = append(stack, loc.Load())
@@ -185,18 +196,18 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 		case opLvSlot:
 			cell := slots[ins.a]
 			if cell == nil {
-				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ins.vr.Name)
+				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.a].Name)
 			}
 			locs = append(locs, interp.Loc{C: cell})
 		case opLvGlobal:
-			locs = append(locs, interp.Loc{C: e.globalCell(m, ins)})
+			locs = append(locs, interp.Loc{C: globalCell(m, ins, &refs[ins.r])})
 		case opLvField:
-			locs = append(locs, interp.Loc{C: fieldCellIC(m, ins, f.This)})
+			locs = append(locs, interp.Loc{C: fieldCellIC(m, ins, &refs[ins.r], f.This)})
 		case opLvMember:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			obj := m.ReceiverFromValue(ins.pos2, v, ins.a == 1)
-			locs = append(locs, interp.Loc{C: fieldCellIC(m, ins, obj)})
+			locs = append(locs, interp.Loc{C: fieldCellIC(m, ins, &refs[ins.r], obj)})
 		case opLvIndex:
 			locs = append(locs, indexLoc(m, ins, &stack))
 		case opLvDeref:
@@ -217,8 +228,8 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			rhs := stack[len(stack)-1]
 			l := locs[len(locs)-1]
 			locs = locs[:len(locs)-1]
-			if ins.typ != nil {
-				rhs = m.Convert(rhs, ins.typ)
+			if t := refs[ins.r].typ; t != nil {
+				rhs = m.Convert(rhs, t)
 			}
 			m.StoreLoc(l, rhs)
 			stack[len(stack)-1] = l.Load()
@@ -227,8 +238,8 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			l := locs[len(locs)-1]
 			locs = locs[:len(locs)-1]
 			res := m.ApplyBinary(ins.pos, token.Kind(ins.b), l.Load(), rhs)
-			if ins.typ != nil {
-				res = m.Convert(res, ins.typ)
+			if t := refs[ins.r].typ; t != nil {
+				res = m.Convert(res, t)
 			}
 			m.StoreLoc(l, res)
 			stack[len(stack)-1] = res
@@ -254,7 +265,7 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			stack = stack[:len(stack)-2]
 			if v, ok := m.TryAddrOfIndex(ins.pos, base, idx.AsInt()); ok {
 				stack = append(stack, v)
-				pc = ins.a
+				pc = int(ins.a)
 			}
 
 		case opReceiver:
@@ -309,13 +320,13 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			default:
 				c1 := slots[ins.a]
 				if c1 == nil {
-					m.Fail(ins.pos, "variable %s has no storage (not in scope)", ins.vr.Name)
+					m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.a].Name)
 				}
 				switch ins.op {
 				case opIntBinSS:
 					c2 := slots[ins.b]
 					if c2 == nil {
-						m.Fail(ins.pos, "variable %s has no storage (not in scope)", ins.vr2.Name)
+						m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.b].Name)
 					}
 					av, bv = &c1.V, &c2.V
 				case opIntBinSC:
@@ -416,7 +427,7 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 					stack = stack[:len(stack)-1]
 				}
 				if !r.IsTruthy() {
-					pc = ins.d
+					pc = int(ins.d)
 				}
 			}
 
@@ -431,14 +442,14 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			// behaviour operator by operator.
 			c1 := slots[ins.a]
 			if c1 == nil {
-				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ins.vr.Name)
+				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.a].Name)
 			}
 			var av, bv *interp.Value
 			switch ins.op {
 			case opIntBin2SS:
 				c2 := slots[ins.b]
 				if c2 == nil {
-					m.Fail(ins.pos, "variable %s has no storage (not in scope)", ins.vr2.Name)
+					m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.b].Name)
 				}
 				av, bv = &c1.V, &c2.V
 			case opIntBin2SC:
@@ -565,32 +576,32 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			case modeJF:
 				stack = stack[:len(stack)-1]
 				if !r.IsTruthy() {
-					pc = ins.d
+					pc = int(ins.d)
 				}
 			}
 		case opConvert:
-			stack[len(stack)-1] = m.Convert(stack[len(stack)-1], ins.typ)
+			stack[len(stack)-1] = m.Convert(stack[len(stack)-1], refs[ins.r].typ)
 
 		case opJump:
-			pc = ins.a
+			pc = int(ins.a)
 		case opJF:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if !v.IsTruthy() {
-				pc = ins.a
+				pc = int(ins.a)
 			}
 		case opJT:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if v.IsTruthy() {
-				pc = ins.a
+				pc = int(ins.a)
 			}
 		case opCaseEq:
 			cv := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if cv.AsInt() == stack[len(stack)-1].AsInt() {
 				stack = stack[:len(stack)-1]
-				pc = ins.a
+				pc = int(ins.a)
 			}
 
 		case opStep:
@@ -607,14 +618,14 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			marks = marks[:len(marks)-1]
 			m.PopScope(f, mark)
 		case opScopePopN:
-			mark := marks[len(marks)-ins.a]
-			marks = marks[:len(marks)-ins.a]
+			mark := marks[len(marks)-int(ins.a)]
+			marks = marks[:len(marks)-int(ins.a)]
 			m.PopScope(f, mark)
 
 		case opReturnValue:
 			v := stack[len(stack)-1]
-			if ins.typ != nil {
-				v = m.Convert(v, ins.typ)
+			if t := refs[ins.r].typ; t != nil {
+				v = m.Convert(v, t)
 			}
 			if v.K == interp.KObj && v.Obj != nil {
 				v = interp.Value{K: interp.KObj, Obj: m.CloneObject(v.Obj)} // return by value
@@ -623,22 +634,22 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 		case opReturnVoid:
 			return interp.Value{K: interp.KVoid}
 		case opFail:
-			m.Fail(ins.pos, "%s", ins.str)
+			m.Fail(ins.pos, "%s", refs[ins.r].str)
 
 		case opPendFunc:
-			pend = append(pend, pending{fn: ins.fn})
+			pend = append(pend, pending{fn: refs[ins.r].fn})
 		case opPendImplicit:
 			if f.This == nil {
 				m.Fail(ins.pos, "implicit member call with no receiver")
 			}
-			pend = append(pend, pending{fn: dispatchIC(m, ins, f.This), obj: f.This})
+			pend = append(pend, pending{fn: dispatchIC(m, ins, &refs[ins.r], f.This), obj: f.This})
 		case opPendMethod:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			obj := m.ReceiverFromValue(ins.pos2, v, ins.a == 1)
-			pend = append(pend, pending{fn: dispatchIC(m, ins, obj), obj: obj})
+			pend = append(pend, pending{fn: dispatchIC(m, ins, &refs[ins.r], obj), obj: obj})
 		case opCall:
-			n := ins.a
+			n := int(ins.a)
 			args := stack[len(stack)-n:]
 			pe := pend[len(pend)-1]
 			pend = pend[:len(pend)-1]
@@ -649,7 +660,7 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 		case opPrint:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			m.PrintValueTyped(v, ins.typ)
+			m.PrintValueTyped(v, refs[ins.r].typ)
 		case opPrintNL:
 			m.PrintNewline()
 		case opMalloc:
@@ -668,28 +679,28 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			stack = append(stack, m.ClockValue())
 
 		case opNewObj:
-			obj := m.NewObject(ins.cls, true)
+			obj := m.NewObject(refs[ins.r].cls, true)
 			stack = append(stack, interp.Value{K: interp.KObj, Obj: obj})
 		case opFinishNew:
-			n := ins.a
+			n := int(ins.a)
 			args := stack[len(stack)-n:]
 			objv := stack[len(stack)-n-1]
-			res := m.FinishNew(objv.Obj, ins.fn, args)
+			res := m.FinishNew(objv.Obj, refs[ins.r].fn, args)
 			stack = stack[:len(stack)-n-1]
 			stack = append(stack, res)
 		case opNewArr:
 			v := stack[len(stack)-1]
-			stack[len(stack)-1] = m.NewArray(ins.pos, ins.typ, v.AsInt())
+			stack[len(stack)-1] = m.NewArray(ins.pos, refs[ins.r].typ, v.AsInt())
 		case opNewScalar:
 			if ins.a == 1 {
 				v := stack[len(stack)-1]
-				stack[len(stack)-1] = m.NewScalar(ins.typ, &v)
+				stack[len(stack)-1] = m.NewScalar(refs[ins.r].typ, &v)
 			} else {
-				stack = append(stack, m.NewScalar(ins.typ, nil))
+				stack = append(stack, m.NewScalar(refs[ins.r].typ, nil))
 			}
 		case opDelete:
 			v := stack[len(stack)-1]
-			m.DeleteValue(ins.pos, v, ins.a == 1, ins.cls)
+			m.DeleteValue(ins.pos, v, ins.a == 1, refs[ins.r].cls)
 			stack[len(stack)-1] = interp.Value{K: interp.KVoid}
 
 		case opAssignPop:
@@ -697,8 +708,8 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			stack = stack[:len(stack)-1]
 			l := locs[len(locs)-1]
 			locs = locs[:len(locs)-1]
-			if ins.typ != nil {
-				rhs = m.Convert(rhs, ins.typ)
+			if t := refs[ins.r].typ; t != nil {
+				rhs = m.Convert(rhs, t)
 			}
 			m.StoreLoc(l, rhs)
 		case opAssignOpPop:
@@ -707,8 +718,8 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			l := locs[len(locs)-1]
 			locs = locs[:len(locs)-1]
 			res := m.ApplyBinary(ins.pos, token.Kind(ins.b), l.Load(), rhs)
-			if ins.typ != nil {
-				res = m.Convert(res, ins.typ)
+			if t := refs[ins.r].typ; t != nil {
+				res = m.Convert(res, t)
 			}
 			m.StoreLoc(l, res)
 		case opIncDecPop:
@@ -717,7 +728,7 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			m.StoreLoc(l, m.IncDec(ins.pos, l.Load(), ins.a == 1))
 		case opCheckSlot:
 			if slots[ins.a] == nil {
-				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ins.vr.Name)
+				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.a].Name)
 			}
 		case opStoreSlotI:
 			v := stack[len(stack)-1]
@@ -739,36 +750,40 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 		case opIncSlotI:
 			cell := slots[ins.a]
 			if cell == nil {
-				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ins.vr.Name)
+				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.a].Name)
 			}
 			if v := cell.V; v.K == interp.KInt {
 				cell.V = interp.Value{K: interp.KInt, I: v.I + int64(ins.b)}
 			} else {
 				// An int slot holding a non-int kind: general add+convert.
 				r := m.ApplyBinary(ins.pos, token.Plus, v, interp.Value{K: interp.KInt, I: int64(ins.b)})
-				m.StoreInto(cell, m.Convert(r, ins.typ))
+				m.StoreInto(cell, m.Convert(r, ch.vars[ins.a].Type))
 			}
 
 		case opDeclCell:
 			slots[ins.a] = &interp.Cell{}
 		case opDeclZero:
-			slots[ins.a] = &interp.Cell{V: m.ZeroValue(ins.typ)}
+			slots[ins.a] = &interp.Cell{V: m.ZeroValue(refs[ins.r].typ)}
+		case opDeclLocal:
+			cell := &cells[ins.a]
+			cell.V = m.ZeroValue(refs[ins.r].typ)
+			slots[ins.a] = cell
 		case opDeclStore:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			m.StoreInto(slots[ins.a], m.Convert(v, ins.typ))
+			m.StoreInto(slots[ins.a], m.Convert(v, refs[ins.r].typ))
 		case opDeclConstruct:
-			n := ins.b
+			n := int(ins.b)
 			args := stack[len(stack)-n:]
 			objv := stack[len(stack)-n-1]
-			m.ConstructObject(objv.Obj, ins.fn, args)
+			m.ConstructObject(objv.Obj, refs[ins.r].fn, args)
 			stack = stack[:len(stack)-n-1]
 			slots[ins.a].V = objv
 			f.Locals = append(f.Locals, objv.Obj)
 		case opDeclCopyInit:
 			src := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			obj := m.NewObject(ins.cls, true)
+			obj := m.NewObject(refs[ins.r].cls, true)
 			if src.K == interp.KObj && src.Obj != nil {
 				m.CopyObject(obj, src.Obj)
 			}
@@ -778,53 +793,53 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			cell := &interp.Cell{}
 			slots[ins.a] = cell
 			var objs []*interp.Object
-			cell.V = m.MakeArray(ins.typ.(*types.Array), &objs)
+			cell.V = m.MakeArray(refs[ins.r].typ.(*types.Array), &objs)
 			f.Locals = append(f.Locals, objs...)
 		}
 	}
 }
 
-// globalCell resolves the instruction's global variable to its cell,
-// caching the result. Globals register incrementally while their
+// globalCell resolves the instruction's global variable r.vr to its
+// cell, caching the result. Globals register incrementally while their
 // initializers run, so an early access must still fail exactly like the
 // tree-walker's varCell; only successful lookups are cached.
-func (e *Executor) globalCell(m *interp.Machine, ins *instr) *interp.Cell {
-	if ins.cacheCell != nil {
-		return ins.cacheCell
+func globalCell(m *interp.Machine, ins *instr, r *ref) *interp.Cell {
+	if r.icCell != nil {
+		return r.icCell
 	}
-	c, ok := m.GlobalCell(ins.vr)
+	c, ok := m.GlobalCell(r.vr)
 	if !ok {
-		m.Fail(ins.pos, "variable %s has no storage (not in scope)", ins.vr.Name)
+		m.Fail(ins.pos, "variable %s has no storage (not in scope)", r.vr.Name)
 	}
-	ins.cacheCell = c
+	r.icCell = c
 	return c
 }
 
-// fieldCellIC resolves the field of ins on obj through the instruction's
+// fieldCellIC resolves the field r.fld on obj through the instruction's
 // monomorphic inline cache: a hit on the receiver's dynamic class maps
 // straight to a flat cell index in the class's field plan. Misses go
 // through the shared FieldCell (which owns the null-receiver and
 // invalid-downcast diagnostics) and then fill the cache.
-func fieldCellIC(m *interp.Machine, ins *instr, obj *interp.Object) *interp.Cell {
-	if obj != nil && obj.Class == ins.cacheClass {
-		return &obj.Cells[ins.cacheIdx]
+func fieldCellIC(m *interp.Machine, ins *instr, r *ref, obj *interp.Object) *interp.Cell {
+	if obj != nil && obj.Class == r.icClass {
+		return &obj.Cells[r.icIdx]
 	}
-	cell := m.FieldCell(ins.pos, obj, ins.fld)
-	ins.cacheClass = obj.Class
-	ins.cacheIdx = obj.Plan.Index[ins.fld]
+	cell := m.FieldCell(ins.pos, obj, r.fld)
+	r.icClass = obj.Class
+	r.icIdx = obj.Plan.Index[r.fld]
 	return cell
 }
 
-// dispatchIC resolves the call target for obj through the instruction's
-// inline cache. The class hierarchy is frozen after sema, so a cached
-// (class → target) pair never invalidates.
-func dispatchIC(m *interp.Machine, ins *instr, obj *interp.Object) *types.Func {
-	if obj.Class == ins.cacheClass {
-		return ins.cacheFn
+// dispatchIC resolves the call target of method r.fn, qualified by r.str,
+// for obj through the instruction's inline cache. The class hierarchy is
+// frozen after sema, so a cached (class → target) pair never invalidates.
+func dispatchIC(m *interp.Machine, ins *instr, r *ref, obj *interp.Object) *types.Func {
+	if obj.Class == r.icClass {
+		return r.icFn
 	}
-	target := m.Dispatch(ins.pos, obj, ins.fn, true, ins.str)
-	ins.cacheClass = obj.Class
-	ins.cacheFn = target
+	target := m.Dispatch(ins.pos, obj, r.fn, true, r.str)
+	r.icClass = obj.Class
+	r.icFn = target
 	return target
 }
 

@@ -1,6 +1,6 @@
 package vm
 
-// Peephole fusion. compileFunc runs these passes over the emitted code:
+// Peephole fusion. compiler.compile runs these passes over the emitted code:
 //
 //  1. triples  — opLoadSlot/opConst pairs feeding an opIntBin collapse
 //     into one superinstruction (opIntBinSS / opIntBinSC / opIntBinCS);
@@ -27,14 +27,18 @@ package vm
 //
 // Fusion never makes code longer, so every pass rewrites code in place
 // (its write index never passes its read index), and the passes share
-// one jump-target buffer and one remap buffer sized for the input.
-func peephole(code []instr) []instr {
-	isTarget := make([]bool, len(code)+1)
-	remap := make([]int, len(code)+1)
+// the compiler's jump-target and remap buffers, which every compile of
+// the run reuses.
+func (c *compiler) peephole(code []instr) []instr {
+	n := len(code) + 1
+	if cap(c.isTarget) < n {
+		c.isTarget = make([]bool, n)
+		c.remap = make([]int32, n)
+	}
 	for _, fuse := range [...]fuseRule{
 		fuseTriple, fusePair, fuseChain, dropCheck, fuseStore, fuseBranch, fuseStep,
 	} {
-		code = fusePass(code, fuse, isTarget[:len(code)+1], remap[:len(code)+1])
+		code = fusePass(code, fuse, c.isTarget[:len(code)+1], c.remap[:len(code)+1])
 	}
 	return code
 }
@@ -57,14 +61,14 @@ const (
 // fusePass rewrites code in place with one local fusion rule and
 // returns the shortened prefix. isTarget and remap are scratch buffers
 // of len(code)+1.
-func fusePass(code []instr, fuse fuseRule, isTarget []bool, remap []int) []instr {
+func fusePass(code []instr, fuse fuseRule, isTarget []bool, remap []int32) []instr {
 	clear(isTarget)
 	for i := range code {
 		if ref := jumpRef(&code[i]); ref != nil {
 			isTarget[*ref] = true
 		}
 	}
-	w := 0
+	w := int32(0)
 	for pc := 0; pc < len(code); {
 		remap[pc] = w
 		ins, n := fuse(code, pc, isTarget)
@@ -90,7 +94,7 @@ func fusePass(code []instr, fuse fuseRule, isTarget []bool, remap []int) []instr
 
 // jumpRef returns a pointer to ins's code-offset operand, or nil when
 // it has none (no instruction has more than one).
-func jumpRef(ins *instr) *int {
+func jumpRef(ins *instr) *int32 {
 	switch ins.op {
 	case opJump, opJF, opJT, opCaseEq, opAddrIndexTry:
 		return &ins.a
@@ -115,14 +119,11 @@ func fuseTriple(code []instr, pc int, isTarget []bool) (instr, int) {
 	l1, l2, bin := &code[pc], &code[pc+1], &code[pc+2]
 	switch {
 	case l1.op == opLoadSlot && l2.op == opLoadSlot:
-		return instr{op: opIntBinSS, a: l1.a, b: l2.a, c: bin.c,
-			pos: bin.pos, vr: l1.vr, vr2: l2.vr}, 3
+		return instr{op: opIntBinSS, a: l1.a, b: l2.a, c: bin.c, pos: bin.pos}, 3
 	case l1.op == opLoadSlot && l2.op == opConst:
-		return instr{op: opIntBinSC, a: l1.a, b: l2.a, c: bin.c,
-			pos: bin.pos, vr: l1.vr}, 3
+		return instr{op: opIntBinSC, a: l1.a, b: l2.a, c: bin.c, pos: bin.pos}, 3
 	case l1.op == opConst && l2.op == opLoadSlot:
-		return instr{op: opIntBinCS, a: l2.a, b: l1.a, c: bin.c,
-			pos: bin.pos, vr: l2.vr}, 3
+		return instr{op: opIntBinCS, a: l2.a, b: l1.a, c: bin.c, pos: bin.pos}, 3
 	}
 	return instr{}, 0
 }
@@ -142,7 +143,7 @@ func fusePair(code []instr, pc int, isTarget []bool) (instr, int) {
 	l, bin := &code[pc], &code[pc+1]
 	switch l.op {
 	case opLoadSlot:
-		return instr{op: opIntBinXS, a: l.a, c: bin.c, pos: bin.pos, vr: l.vr}, 2
+		return instr{op: opIntBinXS, a: l.a, c: bin.c, pos: bin.pos}, 2
 	case opConst:
 		return instr{op: opIntBinXC, b: l.a, c: bin.c, pos: bin.pos}, 2
 	}
@@ -255,7 +256,7 @@ func stepFusable(op opcode) bool {
 	case opConst, opStr, opThis, opLoadSlot, opLoadGlobal, opLoadField,
 		opLvSlot, opLvGlobal, opLvField, opScopePush, opJump,
 		opPendFunc, opPendImplicit, opReturnVoid,
-		opDeclCell, opDeclZero, opDeclArray,
+		opDeclCell, opDeclZero, opDeclLocal, opDeclArray,
 		opCheckSlot, opIncSlotI,
 		opIntBin, opIntBinSS, opIntBinSC, opIntBinCS,
 		opIntBin2SS, opIntBin2SC, opIntBin2CS:
