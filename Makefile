@@ -98,6 +98,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStripRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
 	$(GO) test -fuzz=FuzzCFG -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
 	$(GO) test -fuzz=FuzzVMDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
+	$(GO) test -fuzz=FuzzStripBehaviour -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
 	$(GO) test -fuzz=FuzzLexer -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/lexer
 
 # The quick local gate: build + static checks + tests. Slower CI-only

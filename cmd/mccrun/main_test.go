@@ -74,15 +74,19 @@ int main() { int s = 0; for (int i = 0; i < 100000; i++) { s++; } return 0; }`)
 	}
 }
 
+// TestRuntimeErrorReported: a runtime error names its position, in
+// plain and profiled runs alike.
 func TestRuntimeErrorReported(t *testing.T) {
 	path := write(t, "crash.mcc", `
 int main() { int* p = nullptr; return *p; }`)
-	var out, errOut strings.Builder
-	if code := run([]string{path}, &out, &errOut); code != 1 {
-		t.Fatalf("runtime error should exit 1, got %d", code)
-	}
-	if !strings.Contains(errOut.String(), "null pointer dereference") {
-		t.Errorf("stderr missing runtime error:\n%s", errOut.String())
+	for _, mode := range [][]string{nil, {"-profile"}} {
+		var out, errOut strings.Builder
+		if code := run(append(mode, path), &out, &errOut); code != 1 {
+			t.Fatalf("%v: runtime error should exit 1, got %d", mode, code)
+		}
+		if want := "mccrun: runtime error: null pointer dereference at " + path + ":2:39\n"; errOut.String() != want {
+			t.Errorf("%v: stderr = %q, want %q", mode, errOut.String(), want)
+		}
 	}
 }
 

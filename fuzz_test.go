@@ -28,19 +28,27 @@ import (
 
 func seedCorpus(f *testing.F) {
 	f.Helper()
-	paths, err := filepath.Glob(filepath.Join("testdata", "*.mcc"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, p := range paths {
-		text, err := os.ReadFile(p)
+	seedFiles(f, filepath.Join("testdata", "*.mcc"))
+	f.Add("int main() { return 0; }")
+	f.Add("class C { public: int x; C() : x(1) {} }; int main() { C c; return c.x; }")
+}
+
+// seedFiles adds every file the glob patterns match as a seed.
+func seedFiles(f *testing.F, patterns ...string) {
+	f.Helper()
+	for _, glob := range patterns {
+		paths, err := filepath.Glob(glob)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(string(text))
+		for _, p := range paths {
+			text, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(string(text))
+		}
 	}
-	f.Add("int main() { return 0; }")
-	f.Add("class C { public: int x; C() : x(1) {} }; int main() { C c; return c.x; }")
 }
 
 func fuzzCompile(t *testing.T, text string) (*deadmembers.Compilation, bool) {
@@ -122,19 +130,7 @@ func FuzzAnalyze(f *testing.F) {
 func FuzzCFG(f *testing.F) {
 	seedCorpus(f)
 	// The lint fixtures and examples give every tier findings to keep.
-	for _, glob := range []string{"internal/lint/testdata/*.mcc", "examples/mcc/*.mcc"} {
-		paths, err := filepath.Glob(glob)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for _, p := range paths {
-			text, err := os.ReadFile(p)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(string(text))
-		}
-	}
+	seedFiles(f, "internal/lint/testdata/*.mcc", "examples/mcc/*.mcc")
 	f.Fuzz(func(t *testing.T, text string) {
 		res := frontend.Compile(frontend.Source{Name: "fuzz.mcc", Text: text})
 		if res.Err() != nil {
@@ -212,6 +208,47 @@ func FuzzStripRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzStripBehaviour holds the strip transform to the guarantee that
+// deadstrip -verify checks: a compiling program whose run ends cleanly
+// under a step budget prints the same output and exits with the same
+// code once stripped and recompiled. Stripping runs under conservative
+// sizeof, which keeps every member of a class whose size the program
+// takes. Seeds are the shipped programs and the checked-in strip probes
+// under testdata/fuzz/FuzzStripBehaviour.
+func FuzzStripBehaviour(f *testing.F) {
+	seedFiles(f, "examples/mcc/*.mcc", "testdata/*.mcc", "internal/*/testdata/*.mcc")
+	f.Fuzz(func(t *testing.T, text string) {
+		c, ok := fuzzCompile(t, text)
+		if !ok {
+			return
+		}
+		// The budget of FuzzVMDifferential: every shipped program ends
+		// well within it.
+		const budget = 20_000
+		before, err := c.RunContext(context.Background(), budget)
+		if err != nil {
+			return // the original fails: there is no behaviour to keep
+		}
+		out := c.Strip(deadmembers.Options{Sizeof: deadmembers.SizeofConservative}, deadmembers.StripOptions{})
+		var src strings.Builder
+		for _, s := range out.Sources {
+			src.WriteString(s.Text)
+		}
+		stripped, err := deadmembers.Compile(out.Sources...)
+		if err != nil {
+			t.Fatalf("stripped output does not recompile: %v\n---- stripped ----\n%s", err, src.String())
+		}
+		after, err := stripped.RunContext(context.Background(), budget)
+		if err != nil {
+			t.Fatalf("stripped program fails where the original exits %d: %v\n---- stripped ----\n%s", before.ExitCode, err, src.String())
+		}
+		if before.Output != after.Output || before.ExitCode != after.ExitCode {
+			t.Fatalf("behaviour changed (removed %v): output %q exit %d, stripped output %q exit %d\n---- stripped ----\n%s",
+				out.RemovedMembers, before.Output, before.ExitCode, after.Output, after.ExitCode, src.String())
+		}
+	})
+}
+
 // printFiles prints every file of a compilation.
 func printFiles(files []*ast.File) string {
 	var b strings.Builder
@@ -272,13 +309,41 @@ func FuzzVMDifferential(f *testing.F) {
 // seeds live: a seed the frontend rejects returns before either
 // evaluator runs, so plain `go test` would replay it as a no-op.
 func TestVMDifferentialSeedsCompile(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzVMDifferential", "*"))
+	for path, text := range checkedInSeeds(t, "FuzzVMDifferential") {
+		if _, err := deadmembers.Compile(deadmembers.Source{Name: filepath.Base(path), Text: text}); err != nil {
+			t.Errorf("%s does not compile: %v", path, err)
+		}
+	}
+}
+
+// TestStripBehaviourSeedsRun keeps the checked-in FuzzStripBehaviour
+// seeds live: each compiles and runs to its exit within the fuzz
+// target's budget, so plain `go test` strips and reruns it.
+func TestStripBehaviourSeedsRun(t *testing.T) {
+	for path, text := range checkedInSeeds(t, "FuzzStripBehaviour") {
+		c, err := deadmembers.Compile(deadmembers.Source{Name: filepath.Base(path), Text: text})
+		if err != nil {
+			t.Errorf("%s does not compile: %v", path, err)
+			continue
+		}
+		if _, err := c.RunContext(context.Background(), 20_000); err != nil {
+			t.Errorf("%s does not run: %v", path, err)
+		}
+	}
+}
+
+// checkedInSeeds decodes the checked-in seeds of the named fuzz target,
+// by path.
+func checkedInSeeds(t *testing.T, target string) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) == 0 {
-		t.Fatal("no FuzzVMDifferential seeds found")
+		t.Fatalf("no %s seeds found", target)
 	}
+	seeds := map[string]string{}
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -291,8 +356,7 @@ func TestVMDifferentialSeedsCompile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: not a one-string fuzz seed: %v", path, err)
 		}
-		if _, err := deadmembers.Compile(deadmembers.Source{Name: filepath.Base(path), Text: text}); err != nil {
-			t.Errorf("%s does not compile: %v", path, err)
-		}
+		seeds[path] = text
 	}
+	return seeds
 }

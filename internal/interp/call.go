@@ -90,9 +90,9 @@ func (m *Machine) evalNew(f *Frame, x *ast.New) Value {
 	if cls := types.IsClass(t); cls != nil { // new C(args)
 		// The allocation (and its ledger record) precedes argument
 		// evaluation, matching constructor-call ordering.
-		obj := m.NewObject(cls, true)
+		p := m.NewHeapObject(cls)
 		args := m.evalArgs(f, x.Args)
-		return m.FinishNew(obj, m.info.NewCtors[x], args)
+		return m.FinishNew(p, m.info.NewCtors[x], args)
 	}
 
 	// Scalar new.
@@ -117,7 +117,7 @@ func (m *Machine) NewArray(pos source.Pos, t types.Type, n64 int64) Value {
 		for i, c := range cells {
 			obj := m.NewObject(cls, true)
 			m.ConstructObject(obj, cls.CtorByArity(0), nil)
-			c.V = Value{K: KObj, Obj: obj}
+			c.V = ObjValue(obj)
 			a.blk.Objs[i] = obj
 		}
 	} else {
@@ -127,16 +127,27 @@ func (m *Machine) NewArray(pos source.Pos, t types.Type, n64 int64) Value {
 	}
 	a.blk.Cells = cells
 	a.ptr = Pointer{Arr: cells, arrp: true, Block: &a.blk}
-	return Value{K: KPtr, P: &a.ptr}
+	return a.value()
 }
 
-// FinishNew completes new C(args) on an already-allocated object.
-func (m *Machine) FinishNew(obj *Object, ctor *types.Func, args []Value) Value {
-	m.ConstructObject(obj, ctor, args)
-	a := &allocation{one: [1]*Object{obj}}
+// NewHeapObject allocates the object of new C(…) and records it in the
+// ledger. It returns the pointer new yields, which FinishNew completes:
+// the object header, its heap block and that pointer are one Go
+// allocation, so an object costs two with its cell slab.
+func (m *Machine) NewHeapObject(cls *types.Class) Value {
+	a := &objectAllocation{}
+	m.initObject(&a.obj, cls, true)
+	a.one[0] = &a.obj
 	a.blk.Objs = a.one[:]
-	a.ptr = Pointer{Obj: obj, Block: &a.blk}
-	return Value{K: KPtr, P: &a.ptr}
+	a.ptr = Pointer{Obj: &a.obj, Block: &a.blk}
+	return a.value()
+}
+
+// FinishNew completes new C(args) on p, the pointer NewHeapObject
+// returned, and returns p.
+func (m *Machine) FinishNew(p Value, ctor *types.Func, args []Value) Value {
+	m.ConstructObject(p.Ptr().Obj, ctor, args)
+	return p
 }
 
 // NewScalar implements scalar new T(init); init may be nil.
@@ -147,7 +158,7 @@ func (m *Machine) NewScalar(t types.Type, init *Value) Value {
 	}
 	a := &allocation{blk: HeapBlock{Cells: []*Cell{cell}}}
 	a.ptr = Pointer{Cell: cell, Block: &a.blk}
-	return Value{K: KPtr, P: &a.ptr}
+	return a.value()
 }
 
 func (m *Machine) evalDelete(f *Frame, x *ast.Delete) {
@@ -168,7 +179,7 @@ func (m *Machine) DeleteValue(pos source.Pos, v Value, isArray bool, static *typ
 	if v.K != KPtr {
 		m.Fail(pos, "delete of non-pointer")
 	}
-	p := v.P
+	p := v.Ptr()
 	if p.IsNull() {
 		return // deleting null is a no-op, as in C++
 	}
@@ -241,21 +252,22 @@ func (m *Machine) Malloc(pos source.Pos, n64 int64) Value {
 	}
 	cells := cellSlab(n)
 	for _, c := range cells {
-		c.V = intV(0)
+		c.V = IntValue(0)
 	}
 	a := &allocation{blk: HeapBlock{Cells: cells, Array: true}}
 	a.ptr = Pointer{Arr: cells, arrp: true, Block: &a.blk}
-	return Value{K: KPtr, P: &a.ptr}
+	return a.value()
 }
 
 // FreeValue implements the free builtin on an evaluated argument. free
 // runs no destructor, so a block holding class objects must be released
 // with delete or delete[].
 func (m *Machine) FreeValue(pos source.Pos, v Value) Value {
-	if v.K != KPtr || v.P.IsNull() {
+	p := v.Ptr()
+	if p.IsNull() {
 		return Value{K: KVoid} // free(nullptr) is a no-op
 	}
-	blk := v.P.Block
+	blk := p.Block
 	if blk == nil {
 		m.Fail(pos, "free of pointer not obtained from an allocator")
 	}
@@ -281,11 +293,11 @@ func (m *Machine) RandNext(pos source.Pos, n int64) Value {
 		m.Fail(pos, "rand_next bound must be positive, got %d", n)
 	}
 	m.rng = m.rng*6364136223846793005 + 1442695040888963407
-	return intV(int64((m.rng >> 33) % uint64(n)))
+	return IntValue(int64((m.rng >> 33) % uint64(n)))
 }
 
 // ClockValue implements the clock builtin: the executed-statement count.
-func (m *Machine) ClockValue() Value { return intV(m.steps) }
+func (m *Machine) ClockValue() Value { return IntValue(m.steps) }
 
 // PrintNewline emits println's trailing newline.
 func (m *Machine) PrintNewline() { fmt.Fprintln(m.out) }
@@ -294,8 +306,8 @@ func (m *Machine) PrintNewline() { fmt.Fprintln(m.out) }
 // argument's static type t) prints as a NUL-terminated string.
 func (m *Machine) PrintValueTyped(v Value, t types.Type) {
 	if p, ok := t.(*types.Pointer); ok {
-		if b, isBasic := p.Elem.(*types.Basic); isBasic && b.Kind == types.Char && v.K == KPtr && !v.P.IsNull() {
-			m.printCString(v.P)
+		if b, isBasic := p.Elem.(*types.Basic); isBasic && b.Kind == types.Char && !v.Ptr().IsNull() {
+			m.printCString(v.Ptr())
 			return
 		}
 	}

@@ -19,7 +19,7 @@ func (l Loc) Load() Value {
 	if l.C != nil {
 		return l.C.V
 	}
-	return Value{K: KObj, Obj: l.O}
+	return ObjValue(l.O)
 }
 
 func (m *Machine) StoreLoc(l Loc, v Value) {
@@ -27,8 +27,8 @@ func (m *Machine) StoreLoc(l Loc, v Value) {
 		m.StoreInto(l.C, v)
 		return
 	}
-	if v.K == KObj && v.Obj != nil {
-		m.CopyObject(l.O, v.Obj)
+	if o := v.Obj(); o != nil {
+		m.CopyObject(l.O, o)
 	}
 }
 
@@ -37,8 +37,8 @@ func (l Loc) ObjectOf() *Object {
 	if l.O != nil {
 		return l.O
 	}
-	if l.C != nil && l.C.V.K == KObj {
-		return l.C.V.Obj
+	if l.C != nil {
+		return l.C.V.Obj()
 	}
 	return nil
 }
@@ -51,15 +51,15 @@ func (m *Machine) evalExpr(f *Frame, e ast.Expr) Value {
 	case *ast.Paren:
 		return m.evalExpr(f, x.X)
 	case *ast.IntLit:
-		return intV(x.Value)
+		return IntValue(x.Value)
 	case *ast.FloatLit:
-		return doubleV(x.Value)
+		return DoubleValue(x.Value)
 	case *ast.CharLit:
-		return charV(x.Value)
+		return CharValue(x.Value)
 	case *ast.BoolLit:
-		return boolV(x.Value)
+		return BoolValue(x.Value)
 	case *ast.NullLit:
-		return nullV()
+		return NullValue()
 	case *ast.StringLit:
 		return m.StringValue(x.Value)
 	case *ast.ThisExpr:
@@ -117,7 +117,7 @@ func (m *Machine) evalExpr(f *Frame, e ast.Expr) Value {
 		} else {
 			t = m.info.TypeOf(x.X) // operand is not evaluated
 		}
-		return intV(int64(m.h.SizeOf(t)))
+		return IntValue(int64(m.h.SizeOf(t)))
 	}
 	m.Fail(e.Pos(), "unsupported expression")
 	return Value{}
@@ -181,10 +181,10 @@ func (m *Machine) evalLValue(f *Frame, e ast.Expr) Loc {
 	case *ast.MemberPtrDeref:
 		obj := m.receiverObject(f, x.X, x.Arrow)
 		pv := m.evalExpr(f, x.Ptr)
-		if pv.K != KMemberPtr || pv.MP == nil {
+		if pv.K != KMemberPtr || pv.MemberPtr() == nil {
 			m.Fail(x.Pos(), "dereference of null pointer-to-member")
 		}
-		return Loc{C: m.FieldCell(x.Pos(), obj, pv.MP)}
+		return Loc{C: m.FieldCell(x.Pos(), obj, pv.MemberPtr())}
 	case *ast.Index:
 		base := m.evalExpr(f, x.X)
 		idx := int(m.evalExpr(f, x.I).AsInt())
@@ -196,7 +196,7 @@ func (m *Machine) evalLValue(f *Frame, e ast.Expr) Loc {
 			}
 			return Loc{C: cells[idx]}
 		case KPtr:
-			return m.PointerElem(x.Pos(), base.P, idx)
+			return m.PointerElem(x.Pos(), base.Ptr(), idx)
 		}
 		m.Fail(x.Pos(), "indexing non-array value")
 	case *ast.Unary:
@@ -205,7 +205,7 @@ func (m *Machine) evalLValue(f *Frame, e ast.Expr) Loc {
 			if p.K != KPtr {
 				m.Fail(x.Pos(), "dereference of non-pointer")
 			}
-			return m.PointerElem(x.Pos(), p.P, 0)
+			return m.PointerElem(x.Pos(), p.Ptr(), 0)
 		}
 	}
 	m.Fail(e.Pos(), "expression is not an lvalue at run time")
@@ -254,17 +254,18 @@ func (m *Machine) ReceiverFromValue(pos source.Pos, v Value, arrow bool) *Object
 		if v.K != KPtr {
 			m.Fail(pos, "-> on non-pointer value")
 		}
-		l := m.PointerElem(pos, v.P, 0)
+		l := m.PointerElem(pos, v.Ptr(), 0)
 		obj := l.ObjectOf()
 		if obj == nil {
 			m.Fail(pos, "-> target is not a class object")
 		}
 		return obj
 	}
-	if v.K != KObj || v.Obj == nil {
+	obj := v.Obj()
+	if obj == nil {
 		m.Fail(pos, "member access on non-object value")
 	}
-	return v.Obj
+	return obj
 }
 
 func (m *Machine) evalUnary(f *Frame, x *ast.Unary) Value {
@@ -275,46 +276,30 @@ func (m *Machine) evalUnary(f *Frame, x *ast.Unary) Value {
 			if fld == nil {
 				m.Fail(x.Pos(), "unresolved pointer-to-member &%s::%s", qi.Class, qi.Name)
 			}
-			return memberPtrV(fld)
+			return MemberPtrValue(fld)
 		}
 		// &arr[i] yields a pointer into the array so that pointer
 		// arithmetic on the result works.
 		if ix, ok := ast.Unparen(x.X).(*ast.Index); ok {
 			base := m.evalExpr(f, ix.X)
-			idx := int(m.evalExpr(f, ix.I).AsInt())
-			switch base.K {
-			case KArr:
-				cells := base.Cells()
-				if idx < 0 || idx > len(cells) {
-					m.Fail(x.Pos(), "&array[%d] out of range [0,%d]", idx, len(cells))
-				}
-				return ptrV(Pointer{Arr: cells, Idx: idx, arrp: true})
-			case KPtr:
-				if base.P.arrp {
-					p := *base.P
-					p.Idx += idx
-					return ptrV(p)
-				}
+			if v, ok := m.TryAddrOfIndex(x.Pos(), base, m.evalExpr(f, ix.I).AsInt()); ok {
+				return v
 			}
 		}
-		l := m.evalLValue(f, x.X)
-		if obj := l.ObjectOf(); obj != nil && (l.C == nil || l.C.V.K == KObj) {
-			return ptrV(Pointer{Obj: obj})
-		}
-		return ptrV(Pointer{Cell: l.C})
+		return AddrOfLoc(m.evalLValue(f, x.X))
 	case token.Star:
 		l := m.evalLValue(f, x)
 		return l.Load()
 	case token.Minus:
 		v := m.evalExpr(f, x.X)
 		if v.K == KDouble {
-			return doubleV(-v.F)
+			return DoubleValue(-v.Float())
 		}
-		return intV(-v.AsInt())
+		return IntValue(-v.AsInt())
 	case token.Not:
-		return boolV(!m.evalExpr(f, x.X).IsTruthy())
+		return BoolValue(!m.evalExpr(f, x.X).IsTruthy())
 	case token.Tilde:
-		return intV(^m.evalExpr(f, x.X).AsInt())
+		return IntValue(^m.evalExpr(f, x.X).AsInt())
 	case token.Inc, token.Dec:
 		l := m.evalLValue(f, x.X)
 		nv := m.IncDec(x.Pos(), l.Load(), x.Op == token.Inc)
@@ -332,9 +317,9 @@ func (m *Machine) IncDec(pos source.Pos, v Value, inc bool) Value {
 	}
 	switch v.K {
 	case KDouble:
-		return doubleV(v.F + float64(d))
+		return DoubleValue(v.Float() + float64(d))
 	case KPtr:
-		p := *v.P
+		p := *v.Ptr()
 		if p.Cell != nil || p.Obj != nil {
 			m.Fail(pos, "pointer arithmetic on non-array pointer")
 		}
@@ -342,7 +327,7 @@ func (m *Machine) IncDec(pos source.Pos, v Value, inc bool) Value {
 		return ptrV(p)
 	default:
 		nv := v
-		nv.I += d
+		nv.n += uint64(d)
 		return nv
 	}
 }
@@ -372,14 +357,14 @@ func (m *Machine) evalBinary(f *Frame, x *ast.Binary) Value {
 	switch x.Op {
 	case token.AmpAmp:
 		if !m.evalExpr(f, x.X).IsTruthy() {
-			return boolV(false)
+			return BoolValue(false)
 		}
-		return boolV(m.evalExpr(f, x.Y).IsTruthy())
+		return BoolValue(m.evalExpr(f, x.Y).IsTruthy())
 	case token.PipePipe:
 		if m.evalExpr(f, x.X).IsTruthy() {
-			return boolV(true)
+			return BoolValue(true)
 		}
-		return boolV(m.evalExpr(f, x.Y).IsTruthy())
+		return BoolValue(m.evalExpr(f, x.Y).IsTruthy())
 	}
 	a := m.evalExpr(f, x.X)
 	b := m.evalExpr(f, x.Y)
@@ -392,9 +377,9 @@ func (m *Machine) ApplyBinary(pos source.Pos, op token.Kind, a, b Value) Value {
 	if a.K == KMemberPtr || b.K == KMemberPtr {
 		switch op {
 		case token.Eq:
-			return boolV(a.MP == b.MP)
+			return BoolValue(a.MemberPtr() == b.MemberPtr())
 		case token.Ne:
-			return boolV(a.MP != b.MP)
+			return BoolValue(a.MemberPtr() != b.MemberPtr())
 		}
 		m.Fail(pos, "invalid operation on pointer-to-member")
 	}
@@ -406,71 +391,71 @@ func (m *Machine) ApplyBinary(pos source.Pos, op token.Kind, a, b Value) Value {
 		x, y := a.AsFloat(), b.AsFloat()
 		switch op {
 		case token.Plus:
-			return doubleV(x + y)
+			return DoubleValue(x + y)
 		case token.Minus:
-			return doubleV(x - y)
+			return DoubleValue(x - y)
 		case token.Star:
-			return doubleV(x * y)
+			return DoubleValue(x * y)
 		case token.Slash:
 			if y == 0 {
 				m.Fail(pos, "floating division by zero")
 			}
-			return doubleV(x / y)
+			return DoubleValue(x / y)
 		case token.Eq:
-			return boolV(x == y)
+			return BoolValue(x == y)
 		case token.Ne:
-			return boolV(x != y)
+			return BoolValue(x != y)
 		case token.Lt:
-			return boolV(x < y)
+			return BoolValue(x < y)
 		case token.Gt:
-			return boolV(x > y)
+			return BoolValue(x > y)
 		case token.Le:
-			return boolV(x <= y)
+			return BoolValue(x <= y)
 		case token.Ge:
-			return boolV(x >= y)
+			return BoolValue(x >= y)
 		}
 		m.Fail(pos, "invalid floating operation %s", op)
 	}
 	x, y := a.AsInt(), b.AsInt()
 	switch op {
 	case token.Plus:
-		return intV(x + y)
+		return IntValue(x + y)
 	case token.Minus:
-		return intV(x - y)
+		return IntValue(x - y)
 	case token.Star:
-		return intV(x * y)
+		return IntValue(x * y)
 	case token.Slash:
 		if y == 0 {
 			m.Fail(pos, "integer division by zero")
 		}
-		return intV(x / y)
+		return IntValue(x / y)
 	case token.Percent:
 		if y == 0 {
 			m.Fail(pos, "integer modulo by zero")
 		}
-		return intV(x % y)
+		return IntValue(x % y)
 	case token.Shl:
-		return intV(x << (uint(y) & 63))
+		return IntValue(x << (uint(y) & 63))
 	case token.Shr:
-		return intV(x >> (uint(y) & 63))
+		return IntValue(x >> (uint(y) & 63))
 	case token.Amp:
-		return intV(x & y)
+		return IntValue(x & y)
 	case token.Pipe:
-		return intV(x | y)
+		return IntValue(x | y)
 	case token.Caret:
-		return intV(x ^ y)
+		return IntValue(x ^ y)
 	case token.Eq:
-		return boolV(x == y)
+		return BoolValue(x == y)
 	case token.Ne:
-		return boolV(x != y)
+		return BoolValue(x != y)
 	case token.Lt:
-		return boolV(x < y)
+		return BoolValue(x < y)
 	case token.Gt:
-		return boolV(x > y)
+		return BoolValue(x > y)
 	case token.Le:
-		return boolV(x <= y)
+		return BoolValue(x <= y)
 	case token.Ge:
-		return boolV(x >= y)
+		return BoolValue(x >= y)
 	}
 	m.Fail(pos, "invalid integer operation %s", op)
 	return Value{}
@@ -503,7 +488,7 @@ func (m *Machine) pointerBinary(pos source.Pos, op token.Kind, a, b Value) Value
 			if op == token.Minus {
 				d = -d
 			}
-			p := *a.P
+			p := *a.Ptr()
 			if p.Cell != nil || p.Obj != nil {
 				if d != 0 {
 					m.Fail(pos, "pointer arithmetic on non-array pointer")
@@ -517,44 +502,45 @@ func (m *Machine) pointerBinary(pos source.Pos, op token.Kind, a, b Value) Value
 			return m.pointerBinary(pos, op, b, a)
 		}
 		if a.K == KPtr && b.K == KPtr && op == token.Minus {
-			if !a.P.arrp || !b.P.arrp ||
-				len(a.P.Arr) == 0 || len(b.P.Arr) == 0 || a.P.Arr[0] != b.P.Arr[0] {
+			pa, pb := a.Ptr(), b.Ptr()
+			if !pa.arrp || !pb.arrp ||
+				len(pa.Arr) == 0 || len(pb.Arr) == 0 || pa.Arr[0] != pb.Arr[0] {
 				m.Fail(pos, "subtraction of pointers into different allocations")
 			}
-			return intV(int64(a.P.Idx - b.P.Idx))
+			return IntValue(int64(pa.Idx - pb.Idx))
 		}
 	case token.Eq, token.Ne, token.Lt, token.Gt, token.Le, token.Ge:
 		// Comparisons against integral 0 (null constant).
 		na, nb := a, b
 		if na.K != KPtr {
 			if na.AsInt() == 0 {
-				na = nullV()
+				na = NullValue()
 			} else {
 				m.Fail(pos, "comparison of pointer with non-zero integer")
 			}
 		}
 		if nb.K != KPtr {
 			if nb.AsInt() == 0 {
-				nb = nullV()
+				nb = NullValue()
 			} else {
 				m.Fail(pos, "comparison of pointer with non-zero integer")
 			}
 		}
-		ia, oa := ptrIdentity(na.P)
-		ib, ob := ptrIdentity(nb.P)
+		ia, oa := ptrIdentity(na.Ptr())
+		ib, ob := ptrIdentity(nb.Ptr())
 		switch op {
 		case token.Eq:
-			return boolV(ia == ib && oa == ob)
+			return BoolValue(ia == ib && oa == ob)
 		case token.Ne:
-			return boolV(!(ia == ib && oa == ob))
+			return BoolValue(!(ia == ib && oa == ob))
 		case token.Lt:
-			return boolV(oa < ob)
+			return BoolValue(oa < ob)
 		case token.Gt:
-			return boolV(oa > ob)
+			return BoolValue(oa > ob)
 		case token.Le:
-			return boolV(oa <= ob)
+			return BoolValue(oa <= ob)
 		case token.Ge:
-			return boolV(oa >= ob)
+			return BoolValue(oa >= ob)
 		}
 	}
 	m.Fail(pos, "invalid pointer operation %s", op)
@@ -569,18 +555,18 @@ func (m *Machine) Convert(v Value, t types.Type) Value {
 		case types.Int:
 			if v.K == KPtr {
 				// Deterministic pointer-to-integer: null -> 0, else 1.
-				if v.P.IsNull() {
-					return intV(0)
+				if v.Ptr().IsNull() {
+					return IntValue(0)
 				}
-				return intV(1)
+				return IntValue(1)
 			}
-			return intV(v.AsInt())
+			return IntValue(v.AsInt())
 		case types.Char:
-			return charV(byte(v.AsInt()))
+			return CharValue(byte(v.AsInt()))
 		case types.Bool:
-			return boolV(v.IsTruthy())
+			return BoolValue(v.IsTruthy())
 		case types.Double:
-			return doubleV(v.AsFloat())
+			return DoubleValue(v.AsFloat())
 		case types.Void:
 			return Value{K: KVoid}
 		}
@@ -589,11 +575,11 @@ func (m *Machine) Convert(v Value, t types.Type) Value {
 			return v
 		}
 		if v.AsInt() == 0 {
-			return nullV()
+			return NullValue()
 		}
 		// Reinterpreting a nonzero integer as a pointer cannot be
 		// materialized in the cell model.
-		return nullV()
+		return NullValue()
 	case *types.MemberPointer:
 		if v.K == KMemberPtr {
 			return v

@@ -39,9 +39,8 @@ type Options struct {
 	// deadline expiry aborts the run with a *CancelError.
 	Context context.Context
 
-	// FileSet, when non-nil, lets runtime diagnostics (currently the
-	// step-budget exhaustion error) name the source position of the
-	// statement that tripped them.
+	// FileSet, when non-nil, lets every runtime error name the source
+	// position where it happened.
 	FileSet *source.FileSet
 
 	// Executor, when non-nil, is offered every function body before the
@@ -76,9 +75,18 @@ type Result struct {
 type RuntimeError struct {
 	Pos source.Pos
 	Msg string
+	// at is Pos resolved against the run's FileSet, which Error renders.
+	// It is the zero Location when the run has no FileSet, and for the
+	// step-limit error, whose Msg names the position itself.
+	at source.Location
 }
 
-func (e *RuntimeError) Error() string { return "runtime error: " + e.Msg }
+func (e *RuntimeError) Error() string {
+	if !e.at.IsValid() {
+		return "runtime error: " + e.Msg
+	}
+	return "runtime error: " + e.Msg + " at " + e.at.String()
+}
 
 // CancelError reports an execution aborted by context cancellation or
 // deadline expiry. Unwrap exposes the context's error so callers can use
@@ -180,8 +188,13 @@ func Run(prog *types.Program, h *hierarchy.Graph, opts Options) (res *Result, er
 	return res, nil
 }
 
+// Fail aborts the run with a RuntimeError at pos.
 func (m *Machine) Fail(pos source.Pos, format string, args ...interface{}) {
-	panic(&RuntimeError{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	e := &RuntimeError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	if m.fset != nil {
+		e.at = m.fset.Position(pos)
+	}
+	panic(e)
 }
 
 // Step accounts one executed statement at pos in frame f. It is called
@@ -216,7 +229,7 @@ func (m *Machine) StepLimitExceeded(f *Frame, pos source.Pos) {
 		unit = f.Fn.QualifiedName()
 	}
 	if m.fset != nil && pos != source.NoPos {
-		m.Fail(pos, "step limit exceeded (%d) at %s in %s", m.maxSteps, m.fset.Position(pos), unit)
+		panic(&RuntimeError{Pos: pos, Msg: fmt.Sprintf("step limit exceeded (%d) at %s in %s", m.maxSteps, m.fset.Position(pos), unit)})
 	}
 	m.Fail(pos, "step limit exceeded (%d) in %s", m.maxSteps, unit)
 }
@@ -321,7 +334,7 @@ func (m *Machine) initGlobals() {
 				args = append(args, m.evalExpr(f, a))
 			}
 			m.ConstructObject(obj, ctor, args)
-			cell.V = Value{K: KObj, Obj: obj}
+			cell.V = ObjValue(obj)
 			m.gObjs = append(m.gObjs, obj)
 		default:
 			if arr, ok := g.Type.(*types.Array); ok {
@@ -351,20 +364,20 @@ func (m *Machine) ZeroValue(t types.Type) Value {
 	case *types.Basic:
 		switch x.Kind {
 		case types.Double:
-			return doubleV(0)
+			return DoubleValue(0)
 		case types.Char:
-			return charV(0)
+			return CharValue(0)
 		case types.Bool:
-			return boolV(false)
+			return BoolValue(false)
 		default:
-			return intV(0)
+			return IntValue(0)
 		}
 	case *types.Pointer:
-		return nullV()
+		return NullValue()
 	case *types.MemberPointer:
 		return Value{K: KMemberPtr}
 	case *types.Class:
-		return Value{K: KObj, Obj: m.NewObject(x, false)}
+		return ObjValue(m.NewObject(x, false))
 	case *types.Array:
 		cells := cellSlab(x.Len)
 		for _, c := range cells {
@@ -372,7 +385,7 @@ func (m *Machine) ZeroValue(t types.Type) Value {
 		}
 		return arrV(cells)
 	}
-	return intV(0)
+	return IntValue(0)
 }
 
 // makeArray builds an array value for a local/global declaration,
@@ -383,7 +396,7 @@ func (m *Machine) MakeArray(arr *types.Array, objs *[]*Object) Value {
 		if ec := types.IsClass(arr.Elem); ec != nil {
 			obj := m.NewObject(ec, true)
 			m.ConstructObject(obj, ec.CtorByArity(0), nil)
-			c.V = Value{K: KObj, Obj: obj}
+			c.V = ObjValue(obj)
 			*objs = append(*objs, obj)
 		} else {
 			c.V = m.ZeroValue(arr.Elem)
@@ -471,8 +484,15 @@ func (m *Machine) PlanOf(cls *types.Class) *FieldPlan {
 // counted objects are reported to the ledger and destructed with ledger
 // balance.
 func (m *Machine) NewObject(cls *types.Class, counted bool) *Object {
+	obj := &Object{}
+	m.initObject(obj, cls, counted)
+	return obj
+}
+
+// initObject makes obj a new object of class cls (see NewObject).
+func (m *Machine) initObject(obj *Object, cls *types.Class, counted bool) {
 	plan := m.PlanOf(cls)
-	obj := &Object{Class: cls, Plan: plan, Cells: make([]Cell, len(plan.Fields))}
+	obj.Class, obj.Plan, obj.Cells = cls, plan, make([]Cell, len(plan.Fields))
 	for i, f := range plan.Fields {
 		obj.Cells[i].V = m.ZeroValue(f.Type)
 	}
@@ -483,7 +503,6 @@ func (m *Machine) NewObject(cls *types.Class, counted bool) *Object {
 			m.opts.Ledger.Alloc(cls, obj.Size, obj.DeadBytes, obj.AdjSize)
 		}
 	}
-	return obj
 }
 
 // ConstructObject runs the full construction protocol on obj: virtual
@@ -602,7 +621,7 @@ func (m *Machine) runClassCtor(obj *Object, cls *types.Class, f *Frame) {
 		cell := &obj.Cells[off+i]
 		if init, ok := m.findInit(ctor, fld.Name); ok {
 			if mc := types.IsClass(fld.Type); mc != nil {
-				mobj := cell.V.Obj
+				mobj := cell.V.Obj()
 				m.construct(mobj, m.initFrame(f, mc.CtorByArity(len(init.Args)), mobj, init.Args))
 			} else {
 				v := m.evalExpr(f, init.Args[0])
@@ -626,13 +645,13 @@ func (m *Machine) defaultConstructMember(cell *Cell, t types.Type) {
 	if arr, isArr := t.(*types.Array); isArr {
 		if ec := types.IsClass(arr.Elem); ec != nil {
 			for _, ecell := range cell.V.Cells() {
-				m.ConstructObject(ecell.V.Obj, ec.CtorByArity(0), nil)
+				m.ConstructObject(ecell.V.Obj(), ec.CtorByArity(0), nil)
 			}
 		}
 		return
 	}
 	if mc := types.IsClass(t); mc != nil {
-		m.ConstructObject(cell.V.Obj, mc.CtorByArity(0), nil)
+		m.ConstructObject(cell.V.Obj(), mc.CtorByArity(0), nil)
 	}
 }
 
@@ -667,14 +686,14 @@ func (m *Machine) destroy(obj *Object, p *FieldPlan) {
 		for i := len(members) - 1; i >= 0; i-- {
 			switch v := members[i].V; v.K {
 			case KObj:
-				if v.Obj != nil && !v.Obj.Destroyed {
-					m.destroy(v.Obj, v.Obj.Plan)
+				if o := v.Obj(); o != nil && !o.Destroyed {
+					m.destroy(o, o.Plan)
 				}
 			case KArr:
 				elems := v.Cells()
 				for j := len(elems) - 1; j >= 0; j-- {
-					if ev := elems[j].V; ev.K == KObj && ev.Obj != nil && !ev.Obj.Destroyed {
-						m.destroy(ev.Obj, ev.Obj.Plan)
+					if o := elems[j].V.Obj(); o != nil && !o.Destroyed {
+						m.destroy(o, o.Plan)
 					}
 				}
 			}
@@ -713,9 +732,9 @@ func (m *Machine) CallFunction(fn *types.Func, this *Object, args []Value) Value
 		} else {
 			v = m.ZeroValue(p.Type)
 		}
-		if v.K == KObj && v.Obj != nil {
+		if o := v.Obj(); o != nil {
 			// By-value class parameter: bitwise copy (uncounted).
-			v = Value{K: KObj, Obj: m.CloneObject(v.Obj)}
+			v = ObjValue(m.CloneObject(o))
 		}
 		params[i].V = v
 	}
@@ -782,8 +801,8 @@ func (m *Machine) CopyObject(dst, src *Object) {
 func (m *Machine) copyValueInto(cell *Cell, v Value) {
 	switch v.K {
 	case KObj:
-		if cell.V.K == KObj && cell.V.Obj != nil && v.Obj != nil {
-			m.CopyObject(cell.V.Obj, v.Obj)
+		if dst, src := cell.V.Obj(), v.Obj(); dst != nil && src != nil {
+			m.CopyObject(dst, src)
 			return
 		}
 		cell.V = v

@@ -26,9 +26,9 @@ func (m *Machine) GlobalCell(v *types.Var) (*Cell, bool) {
 func (m *Machine) StringValue(s string) Value {
 	cells := cellSlab(len(s) + 1)
 	for i := 0; i < len(s); i++ {
-		cells[i].V = charV(s[i])
+		cells[i].V = CharValue(s[i])
 	}
-	cells[len(s)].V = charV(0)
+	cells[len(s)].V = CharValue(0)
 	return ptrV(Pointer{Arr: cells, arrp: true})
 }
 
@@ -47,8 +47,7 @@ func (m *Machine) TryAddrOfIndex(pos source.Pos, base Value, idx64 int64) (Value
 		}
 		return ptrV(Pointer{Arr: cells, Idx: idx, arrp: true}), true
 	case KPtr:
-		if base.P.arrp {
-			p := *base.P
+		if p := *base.Ptr(); p.arrp {
 			p.Idx += idx
 			return ptrV(p), true
 		}

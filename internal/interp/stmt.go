@@ -92,8 +92,8 @@ func (m *Machine) execStmt(f *Frame, s ast.Stmt) {
 			if f.Fn != nil && f.Fn.Return != nil {
 				v = m.Convert(v, f.Fn.Return)
 			}
-			if v.K == KObj && v.Obj != nil {
-				v = Value{K: KObj, Obj: m.CloneObject(v.Obj)} // return by value
+			if o := v.Obj(); o != nil {
+				v = ObjValue(m.CloneObject(o)) // return by value
 			}
 		} else {
 			v = Value{K: KVoid}
@@ -184,10 +184,10 @@ func (m *Machine) execDecl(f *Frame, d *ast.VarDecl) {
 		if d.Init != nil {
 			src := m.evalExpr(f, d.Init)
 			obj := m.NewObject(cls, true)
-			if src.K == KObj && src.Obj != nil {
-				m.CopyObject(obj, src.Obj)
+			if o := src.Obj(); o != nil {
+				m.CopyObject(obj, o)
 			}
-			cell.V = Value{K: KObj, Obj: obj}
+			cell.V = ObjValue(obj)
 			f.Locals = append(f.Locals, obj)
 			return
 		}
@@ -197,7 +197,7 @@ func (m *Machine) execDecl(f *Frame, d *ast.VarDecl) {
 			args = append(args, m.evalExpr(f, a))
 		}
 		m.ConstructObject(obj, m.info.VarCtors[d], args)
-		cell.V = Value{K: KObj, Obj: obj}
+		cell.V = ObjValue(obj)
 		f.Locals = append(f.Locals, obj)
 		return
 	}

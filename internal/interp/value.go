@@ -14,7 +14,11 @@
 // because &param can outlive it. An object's cells are one []Cell slab,
 // and each class's per-run FieldPlan records once the slot of every
 // level's first field and the flattened destruction order, so
-// construction and destruction index cells without hashing.
+// construction and destruction index cells without hashing. A Value is
+// 24 bytes with one pointer word (see Value), so every cell, stack slot
+// and slab is that small, and new C(…) takes two allocations: the cell
+// slab, and one holding the object header, its heap block and the
+// pointer new returns.
 //
 // Semantics notes (documented deviations from full C++, all irrelevant to
 // the measurements):
@@ -32,6 +36,8 @@ package interp
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"deadmembers/internal/types"
 )
@@ -63,7 +69,7 @@ type Cell struct {
 //
 // Values reference their Pointer payload by pointer (see Value), so a
 // Pointer reached through a Value must be treated as immutable: copy it
-// (`p := *v.P`) before deriving a new pointer from it.
+// (`p := *v.Ptr()`) before deriving a new pointer from it.
 type Pointer struct {
 	Cell *Cell
 	Obj  *Object
@@ -96,12 +102,22 @@ type HeapBlock struct {
 }
 
 // allocation holds one heap allocation's bookkeeping in a single Go
-// allocation: the block, the backing of a new C(…)'s one-object Objs,
-// and the pointer value the allocator returns.
+// allocation: the block and the pointer value the allocator returns.
 type allocation struct {
 	blk HeapBlock
-	one [1]*Object
 	ptr Pointer
+}
+
+// value returns the pointer value the allocator returns.
+func (a *allocation) value() Value { return Value{K: KPtr, ref: unsafe.Pointer(&a.ptr)} }
+
+// objectAllocation is the one Go allocation of new C(…) apart from the
+// object's cell slab: the object header, the allocation's block and
+// pointer, and the backing of the block's one-object Objs.
+type objectAllocation struct {
+	obj Object
+	one [1]*Object
+	allocation
 }
 
 // cellSlab returns n fresh zero cells, all in one slab.
@@ -114,44 +130,102 @@ func cellSlab(n int) []*Cell {
 	return cells
 }
 
-// Value is a tagged-union runtime value. The pointer and array payloads
-// are boxed so the struct stays small enough (56 bytes) for the compiler
-// to move it in registers instead of calling duffcopy — Value copies
-// dominate the VM dispatch loop, so the layout is performance-sensitive.
+// Value is a tagged-union runtime value, 24 bytes: the kind, one scalar
+// word and one reference word. Each kind reads one payload, so the
+// layout holds no field a kind does not use. The scalar word holds a
+// KInt, KChar or KBool value's integer or a KDouble's IEEE bits; the
+// reference word, the only pointer the collector scans, holds a KPtr's
+// *Pointer, a KMemberPtr's *types.Field, a KObj's *Object or a KArr's
+// *[]*Cell. A scalar's reference word is nil, and the accessors return
+// the zero payload for a kind that does not own it (Int of a KDouble is
+// 0, Obj of a KPtr is nil). Values are compared through their accessors,
+// never with ==: the double's bits tell 0.0 from -0.0.
 type Value struct {
 	K   Kind
-	I   int64    // KInt, KChar, KBool
-	F   float64  // KDouble
-	P   *Pointer // KPtr (shared, immutable; see Pointer)
-	MP  *types.Field
-	Obj *Object  // KObj (class values live in cells as objects)
-	Arr *[]*Cell // KArr (array values; read via Cells)
+	n   uint64
+	ref unsafe.Pointer
+}
+
+// Int returns the integer of a KInt, KChar or KBool value; 0 for a
+// KDouble.
+func (v Value) Int() int64 {
+	if v.K == KDouble {
+		return 0
+	}
+	return int64(v.n)
+}
+
+// Float returns the number of a KDouble value; 0 for any other kind.
+func (v Value) Float() float64 {
+	if v.K != KDouble {
+		return 0
+	}
+	return math.Float64frombits(v.n)
+}
+
+// Ptr returns the pointer of a KPtr value (shared and immutable; see
+// Pointer); nil for any other kind.
+func (v Value) Ptr() *Pointer {
+	if v.K != KPtr {
+		return nil
+	}
+	return (*Pointer)(v.ref)
+}
+
+// MemberPtr returns the field a KMemberPtr value points to, nil for the
+// null pointer-to-member and for any other kind.
+func (v Value) MemberPtr() *types.Field {
+	if v.K != KMemberPtr {
+		return nil
+	}
+	return (*types.Field)(v.ref)
+}
+
+// Obj returns the object of a KObj value (class values live in cells as
+// objects); nil for any other kind.
+func (v Value) Obj() *Object {
+	if v.K != KObj {
+		return nil
+	}
+	return (*Object)(v.ref)
 }
 
 // Cells returns the elements of a KArr value (nil for other kinds).
 func (v Value) Cells() []*Cell {
-	if v.Arr == nil {
+	if v.K != KArr {
 		return nil
 	}
-	return *v.Arr
+	return *(*[]*Cell)(v.ref)
 }
 
-// NullValue returns the null pointer value (the vm package's NullLit
-// constant; interp-internal code uses nullV).
-func NullValue() Value { return nullV() }
+// StoreScalar writes r over *dst. When both are scalar kinds it writes
+// only the kind and the scalar word: a scalar's reference word is nil,
+// so it needs no write and no write barrier, which the dispatch loop's
+// profile on arithmetic code would otherwise be dominated by.
+func StoreScalar(dst *Value, r Value) {
+	if dst.K <= KDouble && r.K <= KDouble {
+		dst.K, dst.n = r.K, r.n
+		return
+	}
+	*dst = r
+}
 
-// Convenience constructors.
-func intV(v int64) Value      { return Value{K: KInt, I: v} }
-func charV(v byte) Value      { return Value{K: KChar, I: int64(v)} }
-func boolV(v bool) Value      { return Value{K: KBool, I: b2i(v)} }
-func doubleV(v float64) Value { return Value{K: KDouble, F: v} }
-func ptrV(p Pointer) Value    { return Value{K: KPtr, P: &p} }
-func nullV() Value            { return Value{K: KPtr, P: nullPtr} }
+// Constructors, one per kind: the only way to build a Value outside this
+// package, where the payload words are unexported.
+func IntValue(v int64) Value   { return Value{K: KInt, n: uint64(v)} }
+func CharValue(v byte) Value   { return Value{K: KChar, n: uint64(v)} }
+func BoolValue(v bool) Value   { return Value{K: KBool, n: uint64(b2i(v))} }
+func NullValue() Value         { return Value{K: KPtr, ref: unsafe.Pointer(nullPtr)} }
+func ObjValue(o *Object) Value { return Value{K: KObj, ref: unsafe.Pointer(o)} }
+func DoubleValue(v float64) Value {
+	return Value{K: KDouble, n: math.Float64bits(v)}
+}
+func MemberPtrValue(f *types.Field) Value {
+	return Value{K: KMemberPtr, ref: unsafe.Pointer(f)}
+}
+func ptrV(p Pointer) Value { return Value{K: KPtr, ref: unsafe.Pointer(&p)} }
 func arrV(cells []*Cell) Value {
-	return Value{K: KArr, Arr: &cells}
-}
-func memberPtrV(f *types.Field) Value {
-	return Value{K: KMemberPtr, MP: f}
+	return Value{K: KArr, ref: unsafe.Pointer(&cells)}
 }
 
 func b2i(b bool) int64 {
@@ -165,13 +239,13 @@ func b2i(b bool) int64 {
 func (v Value) IsTruthy() bool {
 	switch v.K {
 	case KInt, KChar, KBool:
-		return v.I != 0
+		return v.n != 0
 	case KDouble:
-		return v.F != 0
+		return v.Float() != 0
 	case KPtr:
-		return !v.P.IsNull()
+		return !v.Ptr().IsNull()
 	case KMemberPtr:
-		return v.MP != nil
+		return v.ref != nil
 	}
 	return false
 }
@@ -179,17 +253,17 @@ func (v Value) IsTruthy() bool {
 // AsInt converts a numeric value to int64.
 func (v Value) AsInt() int64 {
 	if v.K == KDouble {
-		return int64(v.F)
+		return int64(v.Float())
 	}
-	return v.I
+	return int64(v.n)
 }
 
 // AsFloat converts a numeric value to float64.
 func (v Value) AsFloat() float64 {
 	if v.K == KDouble {
-		return v.F
+		return v.Float()
 	}
-	return float64(v.I)
+	return float64(int64(v.n))
 }
 
 // String renders the value for the print builtin and diagnostics.
@@ -198,29 +272,29 @@ func (v Value) String() string {
 	case KVoid:
 		return "void"
 	case KInt:
-		return fmt.Sprintf("%d", v.I)
+		return fmt.Sprintf("%d", v.Int())
 	case KChar:
-		return string(rune(byte(v.I)))
+		return string(rune(byte(v.n)))
 	case KBool:
-		if v.I != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KDouble:
-		return formatDouble(v.F)
+		return formatDouble(v.Float())
 	case KPtr:
-		if v.P.IsNull() {
+		if v.Ptr().IsNull() {
 			return "nullptr"
 		}
 		return "<ptr>"
 	case KMemberPtr:
-		if v.MP == nil {
+		if v.ref == nil {
 			return "<null-member-ptr>"
 		}
-		return "&" + v.MP.QualifiedName()
+		return "&" + v.MemberPtr().QualifiedName()
 	case KObj:
-		if v.Obj != nil {
-			return "<" + v.Obj.Class.Name + " object>"
+		if v.ref != nil {
+			return "<" + v.Obj().Class.Name + " object>"
 		}
 	case KArr:
 		return "<array>"

@@ -101,8 +101,9 @@ const (
 	opRandNext // (1→1)
 	opClock    // (→1)
 
-	opNewObj    // (→1) allocate class cls (ledger record precedes ctor args)
-	opFinishNew // (a+1→1) pop a args + staged object; construct, push pointer
+	opNewObj    // (→1) allocate a local of class cls (ledger record precedes ctor args)
+	opNewHeap   // (→1) allocate new cls with its heap block; push the pointer new yields
+	opFinishNew // (a+1→1) pop a args + that pointer; construct its object, push the pointer
 	opNewArr    // (1→1) pop length; new typ[n]
 	opNewScalar // (a→1) scalar new typ, a=1 pops the initializer
 	opDelete    // (1→1) delete (a=1: delete[]) through static pointee class cls; pushes void

@@ -426,17 +426,13 @@ func (c *compiler) expr(e ast.Expr) {
 	case *ast.Paren:
 		c.expr(x.X)
 	case *ast.IntLit:
-		c.emitConst(interp.Value{K: interp.KInt, I: x.Value})
+		c.emitConst(interp.IntValue(x.Value))
 	case *ast.FloatLit:
-		c.emitConst(interp.Value{K: interp.KDouble, F: x.Value})
+		c.emitConst(interp.DoubleValue(x.Value))
 	case *ast.CharLit:
-		c.emitConst(interp.Value{K: interp.KChar, I: int64(x.Value)})
+		c.emitConst(interp.CharValue(x.Value))
 	case *ast.BoolLit:
-		v := interp.Value{K: interp.KBool}
-		if x.Value {
-			v.I = 1
-		}
-		c.emitConst(v)
+		c.emitConst(interp.BoolValue(x.Value))
 	case *ast.NullLit:
 		c.emitConst(interp.NullValue())
 	case *ast.StringLit:
@@ -507,7 +503,7 @@ func (c *compiler) expr(e ast.Expr) {
 		if t == nil {
 			panic(errUnsupported)
 		}
-		c.emitConst(interp.Value{K: interp.KInt, I: int64(c.h.SizeOf(t))})
+		c.emitConst(interp.IntValue(int64(c.h.SizeOf(t))))
 	default:
 		c.failAt(e.Pos(), "unsupported expression")
 	}
@@ -538,7 +534,7 @@ func (c *compiler) unary(x *ast.Unary) {
 				c.failAt(x.Pos(), "unresolved pointer-to-member &%s::%s", qi.Class, qi.Name)
 				return
 			}
-			c.emitConst(interp.Value{K: interp.KMemberPtr, MP: fld})
+			c.emitConst(interp.MemberPtrValue(fld))
 			return
 		}
 		if ix, ok := ast.Unparen(x.X).(*ast.Index); ok {
@@ -588,7 +584,7 @@ func (c *compiler) binary(x *ast.Binary) {
 		c.emit(instr{op: opTruthy})
 		jend := c.emit(instr{op: opJump})
 		c.patch(jf, c.here())
-		c.emitConst(interp.Value{K: interp.KBool, I: 0})
+		c.emitConst(interp.BoolValue(false))
 		c.patch(jend, c.here())
 	case token.PipePipe:
 		c.expr(x.X)
@@ -597,7 +593,7 @@ func (c *compiler) binary(x *ast.Binary) {
 		c.emit(instr{op: opTruthy})
 		jend := c.emit(instr{op: opJump})
 		c.patch(jt, c.here())
-		c.emitConst(interp.Value{K: interp.KBool, I: 1})
+		c.emitConst(interp.BoolValue(true))
 		c.patch(jend, c.here())
 	default:
 		c.expr(x.X)
@@ -605,7 +601,7 @@ func (c *compiler) binary(x *ast.Binary) {
 		op := opBinary
 		if c.intStatic(x.X) && c.intStatic(x.Y) {
 			// Both operands are statically integral, so their runtime
-			// kinds are KInt/KChar/KBool and the operator runs on .I —
+			// kinds are KInt/KChar/KBool and the operator runs on Int —
 			// dispatch inline instead of through ApplyBinary.
 			op = opIntBin
 		}
@@ -616,7 +612,7 @@ func (c *compiler) binary(x *ast.Binary) {
 }
 
 // intStatic reports whether e's static type is integral (int, char, or
-// bool), which confines its runtime kind to the .I-carrying kinds.
+// bool), which confines its runtime kind to the kinds Int reads.
 func (c *compiler) intStatic(e ast.Expr) bool {
 	if b, ok := c.info.TypeOf(e).(*types.Basic); ok {
 		return b.Kind == types.Int || b.Kind == types.Char || b.Kind == types.Bool
@@ -911,7 +907,7 @@ func (c *compiler) newExpr(x *ast.New) {
 
 	if cls := types.IsClass(t); cls != nil { // new C(args)
 		// Allocation (and its ledger record) precedes the arguments.
-		c.emitRef(instr{op: opNewObj}, ref{cls: cls})
+		c.emitRef(instr{op: opNewHeap}, ref{cls: cls})
 		for _, a := range x.Args {
 			c.expr(a)
 		}

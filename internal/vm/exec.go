@@ -188,7 +188,7 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			if v.K != interp.KPtr {
 				m.Fail(ins.pos, "dereference of non-pointer")
 			}
-			stack[len(stack)-1] = m.PointerElem(ins.pos, v.P, 0).Load()
+			stack[len(stack)-1] = m.PointerElem(ins.pos, v.Ptr(), 0).Load()
 		case opMPtrLoad:
 			loc := mptrLoc(m, ins, &stack)
 			stack = append(stack, loc.Load())
@@ -216,7 +216,7 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			if v.K != interp.KPtr {
 				m.Fail(ins.pos, "dereference of non-pointer")
 			}
-			locs = append(locs, m.PointerElem(ins.pos, v.P, 0))
+			locs = append(locs, m.PointerElem(ins.pos, v.Ptr(), 0))
 		case opLvMPtr:
 			locs = append(locs, mptrLoc(m, ins, &stack))
 
@@ -276,27 +276,17 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 		case opNeg:
 			v := stack[len(stack)-1]
 			if v.K == interp.KDouble {
-				stack[len(stack)-1] = interp.Value{K: interp.KDouble, F: -v.F}
+				stack[len(stack)-1] = interp.DoubleValue(-v.Float())
 			} else {
-				stack[len(stack)-1] = interp.Value{K: interp.KInt, I: -v.AsInt()}
+				stack[len(stack)-1] = interp.IntValue(-v.AsInt())
 			}
 		case opNot:
-			v := stack[len(stack)-1]
-			b := interp.Value{K: interp.KBool}
-			if !v.IsTruthy() {
-				b.I = 1
-			}
-			stack[len(stack)-1] = b
+			stack[len(stack)-1] = interp.BoolValue(!stack[len(stack)-1].IsTruthy())
 		case opTilde:
 			v := stack[len(stack)-1]
-			stack[len(stack)-1] = interp.Value{K: interp.KInt, I: ^v.AsInt()}
+			stack[len(stack)-1] = interp.IntValue(^v.AsInt())
 		case opTruthy:
-			v := stack[len(stack)-1]
-			b := interp.Value{K: interp.KBool}
-			if v.IsTruthy() {
-				b.I = 1
-			}
-			stack[len(stack)-1] = b
+			stack[len(stack)-1] = interp.BoolValue(stack[len(stack)-1].IsTruthy())
 		case opBinary:
 			n := len(stack)
 			stack[n-2] = m.ApplyBinary(ins.pos, token.Kind(ins.b), stack[n-2], stack[n-1])
@@ -339,46 +329,46 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			}
 			var r interp.Value
 			if av.K >= interp.KInt && av.K <= interp.KBool && bv.K >= interp.KInt && bv.K <= interp.KBool {
-				x, y := av.I, bv.I
+				x, y := av.Int(), bv.Int()
 				switch token.Kind(ins.c) {
 				case token.Plus:
-					r = interp.Value{K: interp.KInt, I: x + y}
+					r = interp.IntValue(x + y)
 				case token.Minus:
-					r = interp.Value{K: interp.KInt, I: x - y}
+					r = interp.IntValue(x - y)
 				case token.Star:
-					r = interp.Value{K: interp.KInt, I: x * y}
+					r = interp.IntValue(x * y)
 				case token.Slash:
 					if y == 0 {
 						m.Fail(ins.pos, "integer division by zero")
 					}
-					r = interp.Value{K: interp.KInt, I: x / y}
+					r = interp.IntValue(x / y)
 				case token.Percent:
 					if y == 0 {
 						m.Fail(ins.pos, "integer modulo by zero")
 					}
-					r = interp.Value{K: interp.KInt, I: x % y}
+					r = interp.IntValue(x % y)
 				case token.Shl:
-					r = interp.Value{K: interp.KInt, I: x << (uint(y) & 63)}
+					r = interp.IntValue(x << (uint(y) & 63))
 				case token.Shr:
-					r = interp.Value{K: interp.KInt, I: x >> (uint(y) & 63)}
+					r = interp.IntValue(x >> (uint(y) & 63))
 				case token.Amp:
-					r = interp.Value{K: interp.KInt, I: x & y}
+					r = interp.IntValue(x & y)
 				case token.Pipe:
-					r = interp.Value{K: interp.KInt, I: x | y}
+					r = interp.IntValue(x | y)
 				case token.Caret:
-					r = interp.Value{K: interp.KInt, I: x ^ y}
+					r = interp.IntValue(x ^ y)
 				case token.Eq:
-					r = boolVal(x == y)
+					r = interp.BoolValue(x == y)
 				case token.Ne:
-					r = boolVal(x != y)
+					r = interp.BoolValue(x != y)
 				case token.Lt:
-					r = boolVal(x < y)
+					r = interp.BoolValue(x < y)
 				case token.Gt:
-					r = boolVal(x > y)
+					r = interp.BoolValue(x > y)
 				case token.Le:
-					r = boolVal(x <= y)
+					r = interp.BoolValue(x <= y)
 				case token.Ge:
-					r = boolVal(x >= y)
+					r = interp.BoolValue(x >= y)
 				default:
 					r = m.ApplyBinary(ins.pos, token.Kind(ins.c), *av, *bv)
 				}
@@ -391,10 +381,10 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			case modePush:
 				switch ins.op {
 				case opIntBin:
-					storeScalar(&stack[len(stack)-2], r)
+					interp.StoreScalar(&stack[len(stack)-2], r)
 					stack = stack[:len(stack)-1]
 				case opIntBinXS, opIntBinXC:
-					storeScalar(&stack[len(stack)-1], r)
+					interp.StoreScalar(&stack[len(stack)-1], r)
 				default:
 					stack = pushScalar(stack, r)
 				}
@@ -408,17 +398,17 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 				// Inline opStoreSlotI: the same convert-to-int, into a
 				// slot the statement's lvalue probe already proved
 				// non-nil.
-				iv := r.I
+				iv := r.Int()
 				switch r.K {
 				case interp.KPtr:
 					iv = 1
-					if r.P.IsNull() {
+					if r.Ptr().IsNull() {
 						iv = 0
 					}
 				case interp.KDouble:
-					iv = int64(r.F)
+					iv = int64(r.Float())
 				}
-				storeScalar(&slots[ins.d].V, interp.Value{K: interp.KInt, I: iv})
+				interp.StoreScalar(&slots[ins.d].V, interp.IntValue(iv))
 			case modeJF:
 				switch ins.op {
 				case opIntBin:
@@ -463,7 +453,7 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 				av.K >= interp.KInt && av.K <= interp.KBool && bv.K >= interp.KInt && bv.K <= interp.KBool {
 				fast := true
 				var ri int64
-				x, y := av.I, bv.I
+				x, y := av.Int(), bv.Int()
 				switch token.Kind(ins.c) {
 				case token.Plus:
 					ri = x + y
@@ -507,46 +497,46 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 					fast = false
 				}
 				if fast {
-					xo, yo := lp.I, ri
+					xo, yo := lp.Int(), ri
 					switch token.Kind(ins.e) {
 					case token.Plus:
-						r = interp.Value{K: interp.KInt, I: xo + yo}
+						r = interp.IntValue(xo + yo)
 					case token.Minus:
-						r = interp.Value{K: interp.KInt, I: xo - yo}
+						r = interp.IntValue(xo - yo)
 					case token.Star:
-						r = interp.Value{K: interp.KInt, I: xo * yo}
+						r = interp.IntValue(xo * yo)
 					case token.Slash:
 						if yo == 0 {
 							m.Fail(ins.pos, "integer division by zero")
 						}
-						r = interp.Value{K: interp.KInt, I: xo / yo}
+						r = interp.IntValue(xo / yo)
 					case token.Percent:
 						if yo == 0 {
 							m.Fail(ins.pos, "integer modulo by zero")
 						}
-						r = interp.Value{K: interp.KInt, I: xo % yo}
+						r = interp.IntValue(xo % yo)
 					case token.Shl:
-						r = interp.Value{K: interp.KInt, I: xo << (uint(yo) & 63)}
+						r = interp.IntValue(xo << (uint(yo) & 63))
 					case token.Shr:
-						r = interp.Value{K: interp.KInt, I: xo >> (uint(yo) & 63)}
+						r = interp.IntValue(xo >> (uint(yo) & 63))
 					case token.Amp:
-						r = interp.Value{K: interp.KInt, I: xo & yo}
+						r = interp.IntValue(xo & yo)
 					case token.Pipe:
-						r = interp.Value{K: interp.KInt, I: xo | yo}
+						r = interp.IntValue(xo | yo)
 					case token.Caret:
-						r = interp.Value{K: interp.KInt, I: xo ^ yo}
+						r = interp.IntValue(xo ^ yo)
 					case token.Eq:
-						r = boolVal(xo == yo)
+						r = interp.BoolValue(xo == yo)
 					case token.Ne:
-						r = boolVal(xo != yo)
+						r = interp.BoolValue(xo != yo)
 					case token.Lt:
-						r = boolVal(xo < yo)
+						r = interp.BoolValue(xo < yo)
 					case token.Gt:
-						r = boolVal(xo > yo)
+						r = interp.BoolValue(xo > yo)
 					case token.Le:
-						r = boolVal(xo <= yo)
+						r = interp.BoolValue(xo <= yo)
 					case token.Ge:
-						r = boolVal(xo >= yo)
+						r = interp.BoolValue(xo >= yo)
 					default:
 						fast = false
 					}
@@ -559,20 +549,20 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			}
 			switch ins.mode {
 			case modePush:
-				storeScalar(&stack[len(stack)-1], r)
+				interp.StoreScalar(&stack[len(stack)-1], r)
 			case modeStore:
 				stack = stack[:len(stack)-1]
-				iv := r.I
+				iv := r.Int()
 				switch r.K {
 				case interp.KPtr:
 					iv = 1
-					if r.P.IsNull() {
+					if r.Ptr().IsNull() {
 						iv = 0
 					}
 				case interp.KDouble:
-					iv = int64(r.F)
+					iv = int64(r.Float())
 				}
-				storeScalar(&slots[ins.d].V, interp.Value{K: interp.KInt, I: iv})
+				interp.StoreScalar(&slots[ins.d].V, interp.IntValue(iv))
 			case modeJF:
 				stack = stack[:len(stack)-1]
 				if !r.IsTruthy() {
@@ -627,8 +617,8 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			if t := refs[ins.r].typ; t != nil {
 				v = m.Convert(v, t)
 			}
-			if v.K == interp.KObj && v.Obj != nil {
-				v = interp.Value{K: interp.KObj, Obj: m.CloneObject(v.Obj)} // return by value
+			if o := v.Obj(); o != nil {
+				v = interp.ObjValue(m.CloneObject(o)) // return by value
 			}
 			return v
 		case opReturnVoid:
@@ -680,12 +670,14 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 
 		case opNewObj:
 			obj := m.NewObject(refs[ins.r].cls, true)
-			stack = append(stack, interp.Value{K: interp.KObj, Obj: obj})
+			stack = append(stack, interp.ObjValue(obj))
+		case opNewHeap:
+			stack = append(stack, m.NewHeapObject(refs[ins.r].cls))
 		case opFinishNew:
 			n := int(ins.a)
 			args := stack[len(stack)-n:]
-			objv := stack[len(stack)-n-1]
-			res := m.FinishNew(objv.Obj, refs[ins.r].fn, args)
+			p := stack[len(stack)-n-1]
+			res := m.FinishNew(p, refs[ins.r].fn, args)
 			stack = stack[:len(stack)-n-1]
 			stack = append(stack, res)
 		case opNewArr:
@@ -734,29 +726,29 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			// Inline Convert-to-int: KPtr maps null→0 else 1, KDouble
-			// truncates, the integral kinds pass .I through.
+			// truncates, the integral kinds pass Int through.
 			var iv int64
 			switch v.K {
 			case interp.KPtr:
-				if !v.P.IsNull() {
+				if !v.Ptr().IsNull() {
 					iv = 1
 				}
 			case interp.KDouble:
-				iv = int64(v.F)
+				iv = int64(v.Float())
 			default:
-				iv = v.I
+				iv = v.Int()
 			}
-			slots[ins.a].V = interp.Value{K: interp.KInt, I: iv}
+			slots[ins.a].V = interp.IntValue(iv)
 		case opIncSlotI:
 			cell := slots[ins.a]
 			if cell == nil {
 				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.a].Name)
 			}
 			if v := cell.V; v.K == interp.KInt {
-				cell.V = interp.Value{K: interp.KInt, I: v.I + int64(ins.b)}
+				cell.V = interp.IntValue(v.Int() + int64(ins.b))
 			} else {
 				// An int slot holding a non-int kind: general add+convert.
-				r := m.ApplyBinary(ins.pos, token.Plus, v, interp.Value{K: interp.KInt, I: int64(ins.b)})
+				r := m.ApplyBinary(ins.pos, token.Plus, v, interp.IntValue(int64(ins.b)))
 				m.StoreInto(cell, m.Convert(r, ch.vars[ins.a].Type))
 			}
 
@@ -776,18 +768,18 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			n := int(ins.b)
 			args := stack[len(stack)-n:]
 			objv := stack[len(stack)-n-1]
-			m.ConstructObject(objv.Obj, refs[ins.r].fn, args)
+			m.ConstructObject(objv.Obj(), refs[ins.r].fn, args)
 			stack = stack[:len(stack)-n-1]
 			slots[ins.a].V = objv
-			f.Locals = append(f.Locals, objv.Obj)
+			f.Locals = append(f.Locals, objv.Obj())
 		case opDeclCopyInit:
 			src := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			obj := m.NewObject(refs[ins.r].cls, true)
-			if src.K == interp.KObj && src.Obj != nil {
-				m.CopyObject(obj, src.Obj)
+			if o := src.Obj(); o != nil {
+				m.CopyObject(obj, o)
 			}
-			slots[ins.a].V = interp.Value{K: interp.KObj, Obj: obj}
+			slots[ins.a].V = interp.ObjValue(obj)
 			f.Locals = append(f.Locals, obj)
 		case opDeclArray:
 			cell := &interp.Cell{}
@@ -859,7 +851,7 @@ func indexLoc(m *interp.Machine, ins *instr, stack *[]interp.Value) interp.Loc {
 		}
 		return interp.Loc{C: cells[idx]}
 	case interp.KPtr:
-		return m.PointerElem(ins.pos, base.P, idx)
+		return m.PointerElem(ins.pos, base.Ptr(), idx)
 	}
 	m.Fail(ins.pos, "indexing non-array value")
 	return interp.Loc{}
@@ -872,18 +864,11 @@ func mptrLoc(m *interp.Machine, ins *instr, stack *[]interp.Value) interp.Loc {
 	pv := s[len(s)-1]
 	objv := s[len(s)-2]
 	*stack = s[:len(s)-2]
-	if pv.K != interp.KMemberPtr || pv.MP == nil {
+	fld := pv.MemberPtr()
+	if fld == nil {
 		m.Fail(ins.pos, "dereference of null pointer-to-member")
 	}
-	return interp.Loc{C: m.FieldCell(ins.pos, objv.P.Obj, pv.MP)}
-}
-
-func boolVal(b bool) interp.Value {
-	v := interp.Value{K: interp.KBool}
-	if b {
-		v.I = 1
-	}
-	return v
+	return interp.Loc{C: m.FieldCell(ins.pos, objv.Ptr().Obj, fld)}
 }
 
 // intBin2Slow is the out-of-line path of the two-stage fused binop: an
@@ -902,46 +887,46 @@ func intBinGen(m *interp.Machine, ins *instr, op token.Kind, av, bv *interp.Valu
 	if av.K < interp.KInt || av.K > interp.KBool || bv.K < interp.KInt || bv.K > interp.KBool {
 		return m.ApplyBinary(ins.pos, op, *av, *bv)
 	}
-	x, y := av.I, bv.I
+	x, y := av.Int(), bv.Int()
 	switch op {
 	case token.Plus:
-		return interp.Value{K: interp.KInt, I: x + y}
+		return interp.IntValue(x + y)
 	case token.Minus:
-		return interp.Value{K: interp.KInt, I: x - y}
+		return interp.IntValue(x - y)
 	case token.Star:
-		return interp.Value{K: interp.KInt, I: x * y}
+		return interp.IntValue(x * y)
 	case token.Slash:
 		if y == 0 {
 			m.Fail(ins.pos, "integer division by zero")
 		}
-		return interp.Value{K: interp.KInt, I: x / y}
+		return interp.IntValue(x / y)
 	case token.Percent:
 		if y == 0 {
 			m.Fail(ins.pos, "integer modulo by zero")
 		}
-		return interp.Value{K: interp.KInt, I: x % y}
+		return interp.IntValue(x % y)
 	case token.Shl:
-		return interp.Value{K: interp.KInt, I: x << (uint(y) & 63)}
+		return interp.IntValue(x << (uint(y) & 63))
 	case token.Shr:
-		return interp.Value{K: interp.KInt, I: x >> (uint(y) & 63)}
+		return interp.IntValue(x >> (uint(y) & 63))
 	case token.Amp:
-		return interp.Value{K: interp.KInt, I: x & y}
+		return interp.IntValue(x & y)
 	case token.Pipe:
-		return interp.Value{K: interp.KInt, I: x | y}
+		return interp.IntValue(x | y)
 	case token.Caret:
-		return interp.Value{K: interp.KInt, I: x ^ y}
+		return interp.IntValue(x ^ y)
 	case token.Eq:
-		return boolVal(x == y)
+		return interp.BoolValue(x == y)
 	case token.Ne:
-		return boolVal(x != y)
+		return interp.BoolValue(x != y)
 	case token.Lt:
-		return boolVal(x < y)
+		return interp.BoolValue(x < y)
 	case token.Gt:
-		return boolVal(x > y)
+		return interp.BoolValue(x > y)
 	case token.Le:
-		return boolVal(x <= y)
+		return interp.BoolValue(x <= y)
 	case token.Ge:
-		return boolVal(x >= y)
+		return interp.BoolValue(x >= y)
 	}
 	return m.ApplyBinary(ins.pos, op, *av, *bv)
 }
@@ -953,25 +938,14 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// storeScalar writes r over *dst, skipping the full-struct copy (and
-// its GC write barrier, which dominates the dispatch loop's profile on
-// arithmetic code) when both old and new values are scalar kinds: a
-// scalar Value never carries pointer payloads, so only K/I/F change.
-func storeScalar(dst *interp.Value, r interp.Value) {
-	if dst.K <= interp.KDouble && r.K <= interp.KDouble {
-		dst.K, dst.I, dst.F = r.K, r.I, r.F
-		return
-	}
-	*dst = r
-}
-
 // pushScalar appends r to the stack, writing in place through
-// storeScalar when spare capacity exists (a popped slot's stale pointer
-// payload makes storeScalar fall back to the full copy).
+// interp.StoreScalar when spare capacity exists: a scalar over a popped
+// scalar writes no reference word, and a popped slot's stale reference
+// makes StoreScalar fall back to the full copy.
 func pushScalar(stack []interp.Value, r interp.Value) []interp.Value {
 	if len(stack) < cap(stack) {
 		stack = stack[:len(stack)+1]
-		storeScalar(&stack[len(stack)-1], r)
+		interp.StoreScalar(&stack[len(stack)-1], r)
 		return stack
 	}
 	return append(stack, r)

@@ -199,28 +199,66 @@ func TestDifferentialBasics(t *testing.T) {
 	}
 }
 
+// TestDifferentialRuntimeErrors holds the VM to the oracle on every kind
+// of runtime error a well-typed program can reach: both fail with the
+// same message at the same position (or, for purevirtual, whose call is
+// guarded, both run to the same exit).
 func TestDifferentialRuntimeErrors(t *testing.T) {
-	cases := map[string]string{
-		"nullderef": `
+	cases := map[string]struct{ src, want string }{
+		"nullderef": {`
 			class C { public: int v; };
-			int main() { C* p = 0; return p->v; }`,
-		"divzero": `
-			int main() { int z = 0; return 10 / z; }`,
-		"oob": `
-			int main() { int a[3]; return a[5]; }`,
-		"doubledelete": `
+			int main() { C* p = 0; return p->v; }`, "null pointer dereference at nullderef.mcc:3:"},
+		"divzero": {`
+			int main() { int z = 0; return 10 / z; }`, "integer division by zero at divzero.mcc:2:"},
+		"oob": {`
+			int main() { int a[3]; return a[5]; }`, "array index 5 out of range [0,3) at oob.mcc:2:"},
+		"doubledelete": {`
 			class C { public: int v; };
-			int main() { C* p = new C(); delete p; delete p; return 0; }`,
-		"purevirtual": `
+			int main() { C* p = new C(); delete p; delete p; return 0; }`, "double delete at doubledelete.mcc:3:"},
+		"purevirtual": {`
 			class A { public: virtual int f() = 0; virtual ~A() {} };
-			int main() { A* a = (A*)0; if (a != 0) return a->f(); return 7; }`,
-		"useafterfree": `
-			int main() { int* a = new int[2]; delete[] a; return a[0]; }`,
-		"abort": `
-			int main() { abort(); return 0; }`,
+			int main() { A* a = (A*)0; if (a != 0) return a->f(); return 7; }`, ""},
+		"useafterfree": {`
+			int main() { int* a = new int[2]; delete[] a; return a[0]; }`, "use after free at useafterfree.mcc:2:"},
+		"abort": {`
+			int main() { abort(); return 0; }`, "abort() called at abort.mcc:2:"},
+		"nullreceiver": {`
+			class C { public: int v; int get() { return v; } };
+			int main() { C* p = nullptr; return p->get(); }`, "null pointer dereference at nullreceiver.mcc:3:"},
+		"doublefree": {`
+			int main() { int* p = (int*)malloc(2); free(p); free(p); return 0; }`, "double free at doublefree.mcc:2:"},
+		"arraydeletescalar": {`
+			int main() { int* p = new int(3); delete[] p; return 0; }`,
+			"scalar allocation must be released with delete, not delete[] at arraydeletescalar.mcc:2:"},
+		"negativenew": {`
+			int main() { int n = 0 - 2; int* a = new int[n]; return a[0]; }`,
+			"negative array size -2 in new[] at negativenew.mcc:2:"},
+		"pointerindex": {`
+			int main() { int* a = new int[3]; int i = 5; return a[i]; }`,
+			"pointer index 5 out of range [0,3) at pointerindex.mcc:2:"},
+		"nullmemberptr": {`
+			class P { public: int x; };
+			int main() { P p; int P::*mp; return p.*mp; }`,
+			"dereference of null pointer-to-member at nullmemberptr.mcc:3:"},
+		"modzero": {`
+			int main() { int z = 0; return 10 % z; }`, "integer modulo by zero at modzero.mcc:2:"},
+		"floatdivzero": {`
+			int main() { double z = 0.0; double r = 1.5 / z; return 0; }`,
+			"floating division by zero at floatdivzero.mcc:2:"},
 	}
-	for name, src := range cases {
-		t.Run(name, func(t *testing.T) { runBoth(t, name+".mcc", src) })
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			c := compile(t, name+".mcc", tc.src)
+			tres, terr := interp.Run(c.Program, c.Hierarchy, interp.Options{FileSet: c.FileSet})
+			vres, verr := c.RunContext(context.Background(), 0)
+			assertSameRun(t, name, tres, terr, vres, verr)
+			switch {
+			case tc.want == "" && verr != nil:
+				t.Fatalf("%s: %v, want a clean exit", name, verr)
+			case tc.want != "" && (verr == nil || !strings.Contains(verr.Error(), tc.want)):
+				t.Fatalf("%s: err = %v, want a runtime error containing %q", name, verr, tc.want)
+			}
+		})
 	}
 }
 
@@ -432,6 +470,9 @@ func TestVMStepBudget(t *testing.T) {
 	}
 	if tmsg == "runtime error: step limit exceeded (5000)" {
 		t.Fatalf("step-limit error lacks position/function diagnostics: %s", tmsg)
+	}
+	if n := strings.Count(tmsg, " at "); n != 1 {
+		t.Fatalf("step-limit error names %d positions, want 1: %s", n, tmsg)
 	}
 }
 
@@ -784,8 +825,8 @@ func TestDoublingAddsNoCells(t *testing.T) {
 				for (int i = 0; i < ITERS; i++) { s = add(s, nullptr, i) % 1000; }
 				return s % 7;
 			}`, 0},
-		// An object of D costs its Object, its cell slab and the
-		// allocation holding its heap block and pointer.
+		// An object of D costs two allocations: its cell slab, and one
+		// holding its Object header, heap block and pointer.
 		{"new-base-init", `
 			class Base { public: int v; Base(int x) : v(x) {} };
 			class D : public Base { public: int w; D(int a) : Base(a), w(a) {} };
@@ -793,7 +834,7 @@ func TestDoublingAddsNoCells(t *testing.T) {
 				int s = 0;
 				for (int i = 0; i < ITERS; i++) { D* d = new D(i); s = s + d->v - d->w; delete d; }
 				return s;
-			}`, 3},
+			}`, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 200
