@@ -395,9 +395,6 @@ func emitUnusedClass(b *strings.Builder, i int, r *rng) {
 
 func emitDriver(b *strings.Builder, spec Spec, classes []*genClass, hd, hc, threshold int) {
 	cap := len(classes) + spec.Allocations/maxIntG(1, spec.RetainMod) + 8
-	if spec.ComputeRounds > 0 {
-		emitKernel(b, spec.ComputeRounds)
-	}
 	b.WriteString("int main() {\n")
 	fmt.Fprintf(b, "\tNode** arena = new Node*[%d];\n", cap)
 	b.WriteString("\tint retained = 0;\n")
@@ -432,9 +429,6 @@ func emitDriver(b *strings.Builder, spec Spec, classes []*genClass, hd, hc, thre
 	emitGroupSwitch(b, classes[hd:hd+hc], "\t\t\t")
 	b.WriteString("\t\t}\n")
 	b.WriteString("\t\tsink = sink + o->use();\n")
-	if spec.ComputeRounds > 0 {
-		b.WriteString("\t\tsink = sink + kernel(i);\n")
-	}
 	fmt.Fprintf(b, "\t\tif (i %% %d == 0 && retained < %d) {\n", maxIntG(1, spec.RetainMod), cap)
 	b.WriteString("\t\t\tarena[retained] = o; retained = retained + 1;\n")
 	b.WriteString("\t\t} else {\n\t\t\tdelete o;\n\t\t}\n")
@@ -476,40 +470,4 @@ func absF(f float64) float64 {
 		return -f
 	}
 	return f
-}
-
-// emitKernel writes the driver's compute kernel: ComputeRounds rounds of
-// wide integer-arithmetic statements over a dozen distinct locals. It
-// allocates nothing, so the heap ledger is untouched; it exists to scale
-// executed-statement counts (see Spec.ComputeRounds). The statements are
-// deliberately wide (many binary operators, many distinct variables),
-// the shape real compute code takes and the one that separates the
-// engines most: per-variable resolution cost dominates the tree-walker
-// while the VM touches flat frame slots.
-func emitKernel(b *strings.Builder, rounds int) {
-	vars := []string{"a", "b", "c", "d", "e", "f", "g", "h", "p", "q", "u"}
-	primes := []int{3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127}
-	b.WriteString("int kernel(int seed) {\n")
-	for i, v := range vars {
-		fmt.Fprintf(b, "\tint %s = seed * %d + %d;\n", v, primes[i], primes[len(primes)-1-i])
-	}
-	b.WriteString("\tint s = 0;\n")
-	fmt.Fprintf(b, "\tfor (int r = 0; r < %d; r++) {\n", rounds)
-	ops := []string{"+", "-", "+", "+", "-", "+", "+", "-", "+", "+"}
-	for i, v := range vars {
-		fmt.Fprintf(b, "\t\t%s = %s", v, v)
-		k := 0
-		for j, w := range vars {
-			if w == v {
-				continue
-			}
-			fmt.Fprintf(b, " %s %s %% %d", ops[k%len(ops)], w, primes[(i*7+j*3)%len(primes)])
-			k++
-		}
-		b.WriteString(";\n")
-	}
-	b.WriteString("\t\ts = s + a % 4096 - b % 4096 + c % 128 - d % 128 + e % 64 - f % 64 + g % 32 - h % 32 + p % 16 + q % 16 - u % 8;\n")
-	b.WriteString("\t\tif (s > 16777216) { s = s % 9973; }\n")
-	b.WriteString("\t\tif (s < 0) { s = 1 - s % 9973; }\n")
-	b.WriteString("\t}\n\treturn s;\n}\n\n")
 }

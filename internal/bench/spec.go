@@ -10,6 +10,8 @@ package bench
 // occupied by dead members approaches DynDeadPercent; RetainMod controls
 // the high-water-mark shape (1 = arena: nothing freed before the end, so
 // HWM equals total object space, as the paper observed for sched).
+// No field scales a program's executed statements independently of its
+// heap shape.
 type Spec struct {
 	Name        string
 	Description string
@@ -44,14 +46,6 @@ type Spec struct {
 	// sched: "not written in a very object-oriented style ... most of
 	// the classes are structs".
 	StructFraction float64
-
-	// ComputeRounds, when positive, adds an integer kernel to the
-	// driver: every hot-loop iteration runs this many rounds of scalar
-	// arithmetic over locals. It scales a benchmark's dynamic size
-	// (executed statements) without changing its heap shape, which is
-	// how BENCH_vm.json's compute-kernel programs were made 10–50×
-	// bigger than the paper-calibrated ones.
-	ComputeRounds int
 
 	Seed uint64 // deterministic generation seed
 }

@@ -103,7 +103,6 @@ func Build(prog *types.Program, h *hierarchy.Graph, opts Options) *Graph {
 
 func build(prog *types.Program, h *hierarchy.Graph, opts Options) *builder {
 	b := &builder{
-		prog: prog,
 		h:    h,
 		info: prog.Info,
 		g: &Graph{
@@ -163,7 +162,6 @@ type dtorSite struct {
 }
 
 type builder struct {
-	prog    *types.Program
 	h       *hierarchy.Graph
 	info    *types.Info
 	g       *Graph

@@ -129,7 +129,8 @@ type Compilation struct {
 	FileSet   *source.FileSet
 	Diags     *source.DiagnosticList
 
-	// Sources are the inputs, retained so transforms can recompile.
+	// Sources are the inputs the compilation was built from. No stage
+	// reads them: strip rewrites from the ASTs and recompiles nothing.
 	Sources []Source
 
 	// Fingerprint is the content hash keying the session cache.

@@ -15,8 +15,6 @@ import (
 // Graph provides hierarchy queries over the classes of a program. Build one
 // with New after semantic analysis.
 type Graph struct {
-	classes []*types.Class
-
 	// derived maps each class to its direct subclasses.
 	derived map[*types.Class][]*types.Class
 
@@ -49,7 +47,6 @@ type lookupKey struct {
 // New builds the hierarchy graph for the given classes.
 func New(classes []*types.Class) *Graph {
 	g := &Graph{
-		classes:         classes,
 		derived:         map[*types.Class][]*types.Class{},
 		allBases:        map[*types.Class][]*types.Class{},
 		isBase:          map[*types.Class]map[*types.Class]bool{},
@@ -94,9 +91,6 @@ func collectBases(c *types.Class, set map[*types.Class]bool, order []*types.Clas
 	return order
 }
 
-// Classes returns the classes the graph was built from.
-func (g *Graph) Classes() []*types.Class { return g.classes }
-
 // IsBaseOf reports whether base is a (transitive, possibly virtual) base
 // class of derived. A class is not its own base.
 func (g *Graph) IsBaseOf(base, derived *types.Class) bool {
@@ -122,11 +116,6 @@ func (g *Graph) HasVirtualDtor(c *types.Class) bool {
 // inheritance in either direction.
 func (g *Graph) Related(a, b *types.Class) bool {
 	return a == b || g.IsBaseOf(a, b) || g.IsBaseOf(b, a)
-}
-
-// DirectSubclasses returns the classes that list c as a direct base.
-func (g *Graph) DirectSubclasses(c *types.Class) []*types.Class {
-	return g.derived[c]
 }
 
 // SubclassesOf returns c and all its transitive subclasses, in a
@@ -299,13 +288,6 @@ func (g *Graph) lookup(x *types.Class, name string) ([]*types.Field, []*types.Fu
 	return fields, methods
 }
 
-// LookupQualifiedField resolves a qualified access `e.Y::m`: the member m
-// must be found in Y or Y's bases (Y itself may be a base of the static
-// type of e; that relationship is validated by sema, not here).
-func (g *Graph) LookupQualifiedField(y *types.Class, name string) (*types.Field, error) {
-	return g.LookupField(y, name)
-}
-
 // Overrides returns the method that class c (searching c and then its
 // bases) provides for the virtual method named name, or nil. Used by call
 // graph construction to resolve dynamic dispatch for a receiver of exact
@@ -321,23 +303,4 @@ func (g *Graph) Overrides(c *types.Class, name string) *types.Func {
 	}
 	g.overridesCache[key] = m
 	return m
-}
-
-// OverridersOf returns every method that may be invoked by a virtual call
-// to base method m through a receiver whose static class is stat: the
-// lookup result for each subclass of stat. The returned set is
-// deduplicated and deterministic.
-func (g *Graph) OverridersOf(stat *types.Class, m *types.Func) []*types.Func {
-	seen := map[*types.Func]bool{}
-	var out []*types.Func
-	for _, sub := range g.SubclassesOf(stat) {
-		if target := g.Overrides(sub, m.Name); target != nil && !seen[target] {
-			seen[target] = true
-			out = append(out, target)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].QualifiedName() < out[j].QualifiedName()
-	})
-	return out
 }

@@ -170,9 +170,11 @@ func TestOverriders(t *testing.T) {
 	if got := g.Overrides(c, "f"); got != bf {
 		t.Fatalf("C dispatches f to %v, want B::f", got)
 	}
-	overs := g.OverridersOf(a, af)
-	if len(overs) != 2 {
-		t.Fatalf("OverridersOf(A::f) = %v, want {A::f, B::f}", overs)
+	if got := g.Overrides(b, "f"); got != bf {
+		t.Fatalf("B dispatches f to %v, want B::f", got)
+	}
+	if got := g.Overrides(a, "f"); got != af {
+		t.Fatalf("A dispatches f to %v, want A::f", got)
 	}
 }
 

@@ -67,25 +67,22 @@ var builtinSpecs = []struct {
 	name   string
 	ret    types.Type
 	params []types.Type
-	// variadicScalar marks print/println, which accept any scalar operand.
-	variadicScalar bool
 }{
-	{"print", types.VoidType, nil, true},
-	{"println", types.VoidType, nil, true},
-	{"malloc", &types.Pointer{Elem: types.VoidType}, []types.Type{types.IntType}, false},
-	{"free", types.VoidType, []types.Type{&types.Pointer{Elem: types.VoidType}}, false},
-	{"rand_seed", types.VoidType, []types.Type{types.IntType}, false},
-	{"rand_next", types.IntType, []types.Type{types.IntType}, false},
-	{"clock", types.IntType, nil, false},
-	{"abort", types.VoidType, nil, false},
+	{"print", types.VoidType, nil},
+	{"println", types.VoidType, nil},
+	{"malloc", &types.Pointer{Elem: types.VoidType}, []types.Type{types.IntType}},
+	{"free", types.VoidType, []types.Type{&types.Pointer{Elem: types.VoidType}}},
+	{"rand_seed", types.VoidType, []types.Type{types.IntType}},
+	{"rand_next", types.IntType, []types.Type{types.IntType}},
+	{"clock", types.IntType, nil},
+	{"abort", types.VoidType, nil},
 }
 
 func (c *Checker) declareBuiltins() {
 	for _, spec := range builtinSpecs {
 		f := &types.Func{Name: spec.name, Return: spec.ret, Builtin: true}
-		for i, pt := range spec.params {
+		for _, pt := range spec.params {
 			f.Params = append(f.Params, &types.Var{Name: "", Type: pt})
-			_ = i
 		}
 		c.prog.Builtins = append(c.prog.Builtins, f)
 		c.prog.FuncByName[spec.name] = f

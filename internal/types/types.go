@@ -51,9 +51,6 @@ var (
 func (b *Basic) String() string { return b.name }
 func (*Basic) isType()          {}
 
-// IsArithmetic reports whether the basic type participates in arithmetic.
-func (b *Basic) IsArithmetic() bool { return b.Kind != Void }
-
 // Pointer is `Elem*`. The null pointer constant has type Pointer{VoidType}.
 type Pointer struct {
 	Elem Type

@@ -22,7 +22,10 @@
 // An instruction holds only int32 operands and positions; its pointer
 // operands and inline cache live in its chunk's side table. One compiler
 // per Executor emits every chunk of the run into buffers it reuses, and
-// each chunk keeps exact-length copies.
+// each chunk keeps exact-length copies. Four peephole passes fuse
+// integer binops with their operands and branches, and statement steps
+// with the next instruction (peephole.go); a fused form is kept only
+// while a benchmark workload executes it.
 package vm
 
 import (
@@ -124,26 +127,16 @@ const (
 	opAssignPop   // (1→; L-1) statement-position plain assignment; nothing pushed back
 	opAssignOpPop // (1→; L-1) statement-position compound assignment
 	opIncDecPop   // (→; L-1) statement-position ++/-- (a=1: increment); old value discarded
-	opCheckSlot   // (→) fail if slot a has no storage (preserves lvalue-first failure order)
-	opStoreSlotI  // (1→) pop, convert to int, store into checked slot a
 	opIncSlotI    // (→) slot a (static int) += b, fused i = i ± c / i++ statement
 
 	// Superinstructions fused by the peephole pass (see peephole.go).
 	// Operator lives in c because a and b are both operand designators.
-	// A trailing 2 marks a two-stage form: the inner result combines
-	// with the value below it on the stack via operator e, preserving
-	// the unfused push/pop evaluation order exactly.
-	opIntBinSS  // (→1) push slots[a] (op c) slots[b]
-	opIntBinSC  // (→1) push slots[a] (op c) consts[b]
-	opIntBinCS  // (→1) push consts[b] (op c) slots[a]
-	opIntBinXS  // (1→1) top (op c) slots[a]
-	opIntBinXC  // (1→1) top (op c) consts[b]
-	opIntBin2SS // (1→1) top (op e) (slots[a] (op c) slots[b])
-	opIntBin2SC // (1→1) top (op e) (slots[a] (op c) consts[b])
-	opIntBin2CS // (1→1) top (op e) (consts[b] (op c) slots[a])
+	opIntBinSS // (→1) push slots[a] (op c) slots[b]
+	opIntBinSC // (→1) push slots[a] (op c) consts[b]
+	opIntBinXC // (1→1) top (op c) consts[b]
 )
 
-// instr is one decoded instruction: 48 bytes, with no pointers for the
+// instr is one decoded instruction: 40 bytes, with no pointers for the
 // collector to scan. Which operands are meaningful depends on op (see the
 // opcode comments); an instruction's pointer operands (str, typ, fld,
 // cls, fn, and a global's vr) and its inline cache live in the chunk's
@@ -154,8 +147,7 @@ type instr struct {
 	mode    uint8 // result mode of the opIntBin family (see peephole.go)
 	stepped bool  // perform a statement step (at pos2) before executing
 	a, b, c int32
-	d       int32      // fused store slot / branch target (mode != modePush)
-	e       int32      // outer operator of a two-stage fused binop
+	d       int32      // fused branch target (mode modeJF)
 	r       int32      // the instruction's entry in chunk.refs
 	pos     source.Pos // primary position (the expression/statement)
 	pos2    source.Pos // receiver position or fused step position
@@ -180,7 +172,6 @@ type ref struct {
 
 // chunk is one compiled function body. Each slice has exact length.
 type chunk struct {
-	fn     *types.Func
 	code   []instr
 	consts []interp.Value
 	refs   []ref

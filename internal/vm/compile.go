@@ -71,7 +71,6 @@ func (c *compiler) compile(fn *types.Func) (ch *chunk) {
 	// The peephole rewrites c.code in place; the chunk keeps exact-length
 	// copies, not the emit buffers, for the rest of the run.
 	ch = &chunk{
-		fn:     fn,
 		code:   slices.Clone(c.peephole(c.code)),
 		consts: slices.Clone(c.consts),
 		refs:   slices.Clone(c.refs),
@@ -634,12 +633,6 @@ func (c *compiler) stmtExpr(e ast.Expr) bool {
 					c.emit(instr{op: opIncSlotI, a: slot, b: d, pos: x.Pos()})
 					return true
 				}
-				// The tree-walker resolves the lvalue before the RHS
-				// runs, so a dead slot must fail first.
-				c.emit(instr{op: opCheckSlot, a: slot, pos: x.LHS.Pos()})
-				c.expr(x.RHS)
-				c.emit(instr{op: opStoreSlotI, a: slot, pos: x.Pos()})
-				return true
 			}
 			c.lvalue(x.LHS)
 			c.expr(x.RHS)

@@ -16,10 +16,6 @@ import (
 // specific to one Machine, and mutation of those caches assumes a
 // single goroutine.
 type Executor struct {
-	prog *types.Program
-	h    *hierarchy.Graph
-	info *types.Info
-
 	chunks map[*types.Func]*chunk // nil entry = compile declined, tree-walk
 	comp   compiler               // compiles every chunk of the run
 
@@ -74,7 +70,6 @@ func (e *Executor) release(fs *frameState) { e.pool = append(e.pool, fs) }
 // interp.Options.Executor (or dynprof.Options.Executor).
 func NewExecutor(prog *types.Program, h *hierarchy.Graph) *Executor {
 	return &Executor{
-		prog: prog, h: h, info: prog.Info,
 		chunks: map[*types.Func]*chunk{},
 		comp:   compiler{info: prog.Info, h: h, slotOf: map[*types.Var]int{}},
 	}
@@ -143,7 +138,7 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 		ins := &code[pc]
 		pc++
 		if ins.stepped {
-			// A fused opStep (peephole pass 5): identical accounting,
+			// A fused opStep (peephole pass 4): identical accounting,
 			// with the statement position preserved in pos2 for the
 			// step-limit diagnostic.
 			*stepsP++
@@ -291,15 +286,14 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			n := len(stack)
 			stack[n-2] = m.ApplyBinary(ins.pos, token.Kind(ins.b), stack[n-2], stack[n-1])
 			stack = stack[:n-1]
-		case opIntBin, opIntBinSS, opIntBinSC, opIntBinCS, opIntBinXS, opIntBinXC:
-			// One shared handler for the one-stage int-binop family:
-			// the opcodes differ only in where the operands come from
-			// (stack, slots, consts) and where the result goes (push,
-			// slot store, branch — ins.mode). The operator switch is
-			// inlined (not a helper call) because a call here forces
-			// the dispatch loop's stack slice to spill around every
-			// binop, which profiles as the single largest cost in
-			// arithmetic-heavy code.
+		case opIntBin, opIntBinSS, opIntBinSC, opIntBinXC:
+			// One shared handler for the int-binop family: the opcodes
+			// differ only in where the operands come from (stack, slots,
+			// consts) and where the result goes (push or branch —
+			// ins.mode). The operator switch is inlined (not a helper
+			// call) because a call here forces the dispatch loop's stack
+			// slice to spill around every binop, which profiles as the
+			// single largest cost in arithmetic-heavy code.
 			var av, bv *interp.Value
 			switch ins.op {
 			case opIntBin:
@@ -312,19 +306,14 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 				if c1 == nil {
 					m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.a].Name)
 				}
-				switch ins.op {
-				case opIntBinSS:
+				if ins.op == opIntBinSS {
 					c2 := slots[ins.b]
 					if c2 == nil {
 						m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.b].Name)
 					}
 					av, bv = &c1.V, &c2.V
-				case opIntBinSC:
+				} else { // opIntBinSC
 					av, bv = &c1.V, &ch.consts[ins.b]
-				case opIntBinXS:
-					av, bv = &stack[len(stack)-1], &c1.V
-				default: // opIntBinCS
-					av, bv = &ch.consts[ins.b], &c1.V
 				}
 			}
 			var r interp.Value
@@ -383,188 +372,18 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 				case opIntBin:
 					interp.StoreScalar(&stack[len(stack)-2], r)
 					stack = stack[:len(stack)-1]
-				case opIntBinXS, opIntBinXC:
+				case opIntBinXC:
 					interp.StoreScalar(&stack[len(stack)-1], r)
 				default:
 					stack = pushScalar(stack, r)
 				}
-			case modeStore:
-				switch ins.op {
-				case opIntBin:
-					stack = stack[:len(stack)-2]
-				case opIntBinXS, opIntBinXC:
-					stack = stack[:len(stack)-1]
-				}
-				// Inline opStoreSlotI: the same convert-to-int, into a
-				// slot the statement's lvalue probe already proved
-				// non-nil.
-				iv := r.Int()
-				switch r.K {
-				case interp.KPtr:
-					iv = 1
-					if r.Ptr().IsNull() {
-						iv = 0
-					}
-				case interp.KDouble:
-					iv = int64(r.Float())
-				}
-				interp.StoreScalar(&slots[ins.d].V, interp.IntValue(iv))
 			case modeJF:
 				switch ins.op {
 				case opIntBin:
 					stack = stack[:len(stack)-2]
-				case opIntBinXS, opIntBinXC:
+				case opIntBinXC:
 					stack = stack[:len(stack)-1]
 				}
-				if !r.IsTruthy() {
-					pc = int(ins.d)
-				}
-			}
-
-		case opIntBin2SS, opIntBin2SC, opIntBin2CS:
-			// Two-stage fused binop: stage one is a one-stage form
-			// (slot/const operands, operator c), stage two combines the
-			// value pushed before the sequence with that result via
-			// operator e. The all-integral path stays on scalar locals
-			// (taking a Value's address here costs the whole dispatch
-			// loop its register allocation); everything else goes to
-			// the general helper, which re-creates the unfused
-			// behaviour operator by operator.
-			c1 := slots[ins.a]
-			if c1 == nil {
-				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.a].Name)
-			}
-			var av, bv *interp.Value
-			switch ins.op {
-			case opIntBin2SS:
-				c2 := slots[ins.b]
-				if c2 == nil {
-					m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.b].Name)
-				}
-				av, bv = &c1.V, &c2.V
-			case opIntBin2SC:
-				av, bv = &c1.V, &ch.consts[ins.b]
-			default: // opIntBin2CS
-				av, bv = &ch.consts[ins.b], &c1.V
-			}
-			lp := &stack[len(stack)-1]
-			var r interp.Value
-			if lp.K >= interp.KInt && lp.K <= interp.KBool &&
-				av.K >= interp.KInt && av.K <= interp.KBool && bv.K >= interp.KInt && bv.K <= interp.KBool {
-				fast := true
-				var ri int64
-				x, y := av.Int(), bv.Int()
-				switch token.Kind(ins.c) {
-				case token.Plus:
-					ri = x + y
-				case token.Minus:
-					ri = x - y
-				case token.Star:
-					ri = x * y
-				case token.Slash:
-					if y == 0 {
-						m.Fail(ins.pos, "integer division by zero")
-					}
-					ri = x / y
-				case token.Percent:
-					if y == 0 {
-						m.Fail(ins.pos, "integer modulo by zero")
-					}
-					ri = x % y
-				case token.Shl:
-					ri = x << (uint(y) & 63)
-				case token.Shr:
-					ri = x >> (uint(y) & 63)
-				case token.Amp:
-					ri = x & y
-				case token.Pipe:
-					ri = x | y
-				case token.Caret:
-					ri = x ^ y
-				case token.Eq:
-					ri = b2i(x == y)
-				case token.Ne:
-					ri = b2i(x != y)
-				case token.Lt:
-					ri = b2i(x < y)
-				case token.Gt:
-					ri = b2i(x > y)
-				case token.Le:
-					ri = b2i(x <= y)
-				case token.Ge:
-					ri = b2i(x >= y)
-				default:
-					fast = false
-				}
-				if fast {
-					xo, yo := lp.Int(), ri
-					switch token.Kind(ins.e) {
-					case token.Plus:
-						r = interp.IntValue(xo + yo)
-					case token.Minus:
-						r = interp.IntValue(xo - yo)
-					case token.Star:
-						r = interp.IntValue(xo * yo)
-					case token.Slash:
-						if yo == 0 {
-							m.Fail(ins.pos, "integer division by zero")
-						}
-						r = interp.IntValue(xo / yo)
-					case token.Percent:
-						if yo == 0 {
-							m.Fail(ins.pos, "integer modulo by zero")
-						}
-						r = interp.IntValue(xo % yo)
-					case token.Shl:
-						r = interp.IntValue(xo << (uint(yo) & 63))
-					case token.Shr:
-						r = interp.IntValue(xo >> (uint(yo) & 63))
-					case token.Amp:
-						r = interp.IntValue(xo & yo)
-					case token.Pipe:
-						r = interp.IntValue(xo | yo)
-					case token.Caret:
-						r = interp.IntValue(xo ^ yo)
-					case token.Eq:
-						r = interp.BoolValue(xo == yo)
-					case token.Ne:
-						r = interp.BoolValue(xo != yo)
-					case token.Lt:
-						r = interp.BoolValue(xo < yo)
-					case token.Gt:
-						r = interp.BoolValue(xo > yo)
-					case token.Le:
-						r = interp.BoolValue(xo <= yo)
-					case token.Ge:
-						r = interp.BoolValue(xo >= yo)
-					default:
-						fast = false
-					}
-				}
-				if !fast {
-					r = intBin2Slow(m, ins, lp, av, bv)
-				}
-			} else {
-				r = intBin2Slow(m, ins, lp, av, bv)
-			}
-			switch ins.mode {
-			case modePush:
-				interp.StoreScalar(&stack[len(stack)-1], r)
-			case modeStore:
-				stack = stack[:len(stack)-1]
-				iv := r.Int()
-				switch r.K {
-				case interp.KPtr:
-					iv = 1
-					if r.Ptr().IsNull() {
-						iv = 0
-					}
-				case interp.KDouble:
-					iv = int64(r.Float())
-				}
-				interp.StoreScalar(&slots[ins.d].V, interp.IntValue(iv))
-			case modeJF:
-				stack = stack[:len(stack)-1]
 				if !r.IsTruthy() {
 					pc = int(ins.d)
 				}
@@ -718,27 +537,6 @@ func (e *Executor) run(m *interp.Machine, f *interp.Frame, ch *chunk) interp.Val
 			l := locs[len(locs)-1]
 			locs = locs[:len(locs)-1]
 			m.StoreLoc(l, m.IncDec(ins.pos, l.Load(), ins.a == 1))
-		case opCheckSlot:
-			if slots[ins.a] == nil {
-				m.Fail(ins.pos, "variable %s has no storage (not in scope)", ch.vars[ins.a].Name)
-			}
-		case opStoreSlotI:
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			// Inline Convert-to-int: KPtr maps null→0 else 1, KDouble
-			// truncates, the integral kinds pass Int through.
-			var iv int64
-			switch v.K {
-			case interp.KPtr:
-				if !v.Ptr().IsNull() {
-					iv = 1
-				}
-			case interp.KDouble:
-				iv = int64(v.Float())
-			default:
-				iv = v.Int()
-			}
-			slots[ins.a].V = interp.IntValue(iv)
 		case opIncSlotI:
 			cell := slots[ins.a]
 			if cell == nil {
@@ -869,73 +667,6 @@ func mptrLoc(m *interp.Machine, ins *instr, stack *[]interp.Value) interp.Loc {
 		m.Fail(ins.pos, "dereference of null pointer-to-member")
 	}
 	return interp.Loc{C: m.FieldCell(ins.pos, objv.Ptr().Obj, fld)}
-}
-
-// intBin2Slow is the out-of-line path of the two-stage fused binop: an
-// operand with an unexpected runtime kind, or an operator outside the
-// inline set. It reproduces the unfused sequence exactly — inner binop
-// first (integral fast rules, ApplyBinary otherwise), then the outer
-// one the same way.
-func intBin2Slow(m *interp.Machine, ins *instr, lhs, av, bv *interp.Value) interp.Value {
-	inner := intBinGen(m, ins, token.Kind(ins.c), av, bv)
-	return intBinGen(m, ins, token.Kind(ins.e), lhs, &inner)
-}
-
-// intBinGen applies one statically-integral binary operator with the
-// same observable behaviour as the inline opIntBin handler.
-func intBinGen(m *interp.Machine, ins *instr, op token.Kind, av, bv *interp.Value) interp.Value {
-	if av.K < interp.KInt || av.K > interp.KBool || bv.K < interp.KInt || bv.K > interp.KBool {
-		return m.ApplyBinary(ins.pos, op, *av, *bv)
-	}
-	x, y := av.Int(), bv.Int()
-	switch op {
-	case token.Plus:
-		return interp.IntValue(x + y)
-	case token.Minus:
-		return interp.IntValue(x - y)
-	case token.Star:
-		return interp.IntValue(x * y)
-	case token.Slash:
-		if y == 0 {
-			m.Fail(ins.pos, "integer division by zero")
-		}
-		return interp.IntValue(x / y)
-	case token.Percent:
-		if y == 0 {
-			m.Fail(ins.pos, "integer modulo by zero")
-		}
-		return interp.IntValue(x % y)
-	case token.Shl:
-		return interp.IntValue(x << (uint(y) & 63))
-	case token.Shr:
-		return interp.IntValue(x >> (uint(y) & 63))
-	case token.Amp:
-		return interp.IntValue(x & y)
-	case token.Pipe:
-		return interp.IntValue(x | y)
-	case token.Caret:
-		return interp.IntValue(x ^ y)
-	case token.Eq:
-		return interp.BoolValue(x == y)
-	case token.Ne:
-		return interp.BoolValue(x != y)
-	case token.Lt:
-		return interp.BoolValue(x < y)
-	case token.Gt:
-		return interp.BoolValue(x > y)
-	case token.Le:
-		return interp.BoolValue(x <= y)
-	case token.Ge:
-		return interp.BoolValue(x >= y)
-	}
-	return m.ApplyBinary(ins.pos, op, *av, *bv)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // pushScalar appends r to the stack, writing in place through

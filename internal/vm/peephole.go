@@ -2,20 +2,20 @@ package vm
 
 // Peephole fusion. compiler.compile runs these passes over the emitted code:
 //
-//  1. triples  — opLoadSlot/opConst pairs feeding an opIntBin collapse
-//     into one superinstruction (opIntBinSS / opIntBinSC / opIntBinCS);
-//  2. checks   — an opCheckSlot is dropped when the instruction after it
-//     fails identically on the same nil slot (an opLoadSlot or fused
-//     int-binop on the same slot), so `x = x op ...` statements need no
-//     separate lvalue probe;
-//  3. store    — an int-binop whose result feeds an opStoreSlotI stores
-//     straight into the slot (mode modeStore) and the store instruction
-//     disappears;
-//  4. branch   — an int-binop whose result feeds an opJF branches
+//  1. triples  — an opLoadSlot and an opLoadSlot or opConst feeding an
+//     opIntBin collapse into one superinstruction (opIntBinSS /
+//     opIntBinSC);
+//  2. pairs    — an opConst feeding an opIntBin whose other operand is
+//     already on the stack becomes opIntBinXC;
+//  3. branch   — an int-binop whose result feeds an opJF branches
 //     directly (mode modeJF);
-//  5. steps    — an opStep folds into the next instruction's stepped
+//  4. steps    — an opStep folds into the next instruction's stepped
 //     flag (the step position moves to pos2, which the eligible opcodes
 //     do not use), so statement accounting costs no extra dispatch.
+//
+// A fused form stays only while a benchmark workload executes it;
+// DESIGN §14 records the opcode census that decides it and how to take
+// it again.
 //
 // Every pass preserves observable behaviour exactly: fused forms
 // re-check runtime kinds and defer to the shared runtime helpers, the
@@ -36,7 +36,7 @@ func (c *compiler) peephole(code []instr) []instr {
 		c.remap = make([]int32, n)
 	}
 	for _, fuse := range [...]fuseRule{
-		fuseTriple, fusePair, fuseChain, dropCheck, fuseStore, fuseBranch, fuseStep,
+		fuseTriple, fusePair, fuseBranch, fuseStep,
 	} {
 		code = fusePass(code, fuse, c.isTarget[:len(code)+1], c.remap[:len(code)+1])
 	}
@@ -49,12 +49,10 @@ func (c *compiler) peephole(code []instr) []instr {
 // overwritten.
 type fuseRule func(code []instr, pc int, isTarget []bool) (instr, int)
 
-// Result modes of the opIntBin family: push the result (modePush),
-// store it into int slot d (modeStore), or branch to d when it is
-// falsy (modeJF).
+// Result modes of the opIntBin family: push the result (modePush), or
+// branch to d when it is falsy (modeJF).
 const (
 	modePush uint8 = iota
-	modeStore
 	modeJF
 )
 
@@ -98,9 +96,7 @@ func jumpRef(ins *instr) *int32 {
 	switch ins.op {
 	case opJump, opJF, opJT, opCaseEq, opAddrIndexTry:
 		return &ins.a
-	case opIntBin, opIntBinSS, opIntBinSC, opIntBinCS,
-		opIntBinXS, opIntBinXC,
-		opIntBin2SS, opIntBin2SC, opIntBin2CS:
+	case opIntBin, opIntBinSS, opIntBinSC, opIntBinXC:
 		if ins.mode == modeJF {
 			return &ins.d
 		}
@@ -108,9 +104,9 @@ func jumpRef(ins *instr) *int32 {
 	return nil
 }
 
-// fuseTriple: [opLoadSlot|opConst] [opLoadSlot|opConst] [opIntBin] →
-// one fused binop. opIntBin is only emitted when both operands are
-// statically integral, so the fused forms inherit that guarantee.
+// fuseTriple: [opLoadSlot] [opLoadSlot|opConst] [opIntBin] → one fused
+// binop. opIntBin is only emitted when both operands are statically
+// integral, so the fused forms inherit that guarantee.
 func fuseTriple(code []instr, pc int, isTarget []bool) (instr, int) {
 	if pc+2 >= len(code) || code[pc+2].op != opIntBin ||
 		code[pc+2].mode != modePush || isTarget[pc+1] || isTarget[pc+2] {
@@ -122,91 +118,21 @@ func fuseTriple(code []instr, pc int, isTarget []bool) (instr, int) {
 		return instr{op: opIntBinSS, a: l1.a, b: l2.a, c: bin.c, pos: bin.pos}, 3
 	case l1.op == opLoadSlot && l2.op == opConst:
 		return instr{op: opIntBinSC, a: l1.a, b: l2.a, c: bin.c, pos: bin.pos}, 3
-	case l1.op == opConst && l2.op == opLoadSlot:
-		return instr{op: opIntBinCS, a: l2.a, b: l1.a, c: bin.c, pos: bin.pos}, 3
 	}
 	return instr{}, 0
 }
 
-// fusePair: [opLoadSlot|opConst] [opIntBin, modePush] → top (op) slot /
-// top (op) const. Catches the second operand of a binop whose first
-// operand was a computed subexpression (already on the stack), the
-// pattern fuseTriple cannot reach. Runs after fuseTriple so three-load
-// sequences take the cheaper triple form first. The nil-slot failure
-// keeps its order: the unfused opLoadSlot fails before the binop runs,
-// and the fused form probes the slot before computing.
+// fusePair: [opConst] [opIntBin, modePush] → top (op) const. Catches
+// the constant operand of a binop whose first operand was a computed
+// subexpression (already on the stack), the pattern fuseTriple cannot
+// reach.
 func fusePair(code []instr, pc int, isTarget []bool) (instr, int) {
-	if pc+1 >= len(code) || code[pc+1].op != opIntBin ||
+	if pc+1 >= len(code) || code[pc].op != opConst || code[pc+1].op != opIntBin ||
 		code[pc+1].mode != modePush || isTarget[pc+1] {
 		return instr{}, 0
 	}
-	l, bin := &code[pc], &code[pc+1]
-	switch l.op {
-	case opLoadSlot:
-		return instr{op: opIntBinXS, a: l.a, c: bin.c, pos: bin.pos}, 2
-	case opConst:
-		return instr{op: opIntBinXC, b: l.a, c: bin.c, pos: bin.pos}, 2
-	}
-	return instr{}, 0
-}
-
-// fuseChain: [one-stage fused binop, modePush] [opIntBin, modePush] →
-// the two-stage form, combining the inner result with the value pushed
-// before it via the outer operator. Nothing is reordered: the stack
-// operand was evaluated first, the slot/const operands after, and the
-// outer operator last, exactly as unfused.
-func fuseChain(code []instr, pc int, isTarget []bool) (instr, int) {
-	ins := code[pc]
-	if ins.mode != modePush || pc+1 >= len(code) || isTarget[pc+1] ||
-		code[pc+1].op != opIntBin || code[pc+1].mode != modePush {
-		return instr{}, 0
-	}
-	switch ins.op {
-	case opIntBinSS:
-		ins.op = opIntBin2SS
-	case opIntBinSC:
-		ins.op = opIntBin2SC
-	case opIntBinCS:
-		ins.op = opIntBin2CS
-	default:
-		return instr{}, 0
-	}
-	ins.e = code[pc+1].c
-	return ins, 2
-}
-
-// dropCheck: [opCheckSlot a] [X on slot a] → [X] when X raises the
-// identical not-in-scope failure for a nil slot a before any other
-// effect (an opLoadSlot, or a fused int-binop whose slot operand is a;
-// for opIntBinCS the constant "evaluated" ahead of the slot has no
-// effects, so failing at the slot check is indistinguishable).
-func dropCheck(code []instr, pc int, isTarget []bool) (instr, int) {
-	if code[pc].op != opCheckSlot || pc+1 >= len(code) || isTarget[pc+1] {
-		return instr{}, 0
-	}
-	next := &code[pc+1]
-	switch next.op {
-	case opLoadSlot, opIntBinSS, opIntBinSC, opIntBinCS:
-		if next.a == code[pc].a {
-			return *next, 2
-		}
-	}
-	return instr{}, 0
-}
-
-// fuseStore: [int-binop, modePush] [opStoreSlotI d] → the binop stores
-// its result directly. The store's slot was probed by the statement's
-// opCheckSlot (or the equivalent dropCheck'd load), so it is non-nil by
-// the time the result is ready.
-func fuseStore(code []instr, pc int, isTarget []bool) (instr, int) {
-	ins := code[pc]
-	if !intBinFamily(ins.op) || ins.mode != modePush ||
-		pc+1 >= len(code) || code[pc+1].op != opStoreSlotI || isTarget[pc+1] {
-		return instr{}, 0
-	}
-	ins.mode = modeStore
-	ins.d = code[pc+1].a
-	return ins, 2
+	bin := &code[pc+1]
+	return instr{op: opIntBinXC, b: code[pc].a, c: bin.c, pos: bin.pos}, 2
 }
 
 // fuseBranch: [int-binop, modePush] [opJF t] → the binop branches on a
@@ -240,9 +166,7 @@ func fuseStep(code []instr, pc int, isTarget []bool) (instr, int) {
 
 func intBinFamily(op opcode) bool {
 	switch op {
-	case opIntBin, opIntBinSS, opIntBinSC, opIntBinCS,
-		opIntBinXS, opIntBinXC,
-		opIntBin2SS, opIntBin2SC, opIntBin2CS:
+	case opIntBin, opIntBinSS, opIntBinSC, opIntBinXC:
 		return true
 	}
 	return false
@@ -257,9 +181,7 @@ func stepFusable(op opcode) bool {
 		opLvSlot, opLvGlobal, opLvField, opScopePush, opJump,
 		opPendFunc, opPendImplicit, opReturnVoid,
 		opDeclCell, opDeclZero, opDeclLocal, opDeclArray,
-		opCheckSlot, opIncSlotI,
-		opIntBin, opIntBinSS, opIntBinSC, opIntBinCS,
-		opIntBin2SS, opIntBin2SC, opIntBin2CS:
+		opIncSlotI, opIntBin, opIntBinSS, opIntBinSC:
 		return true
 	}
 	return false

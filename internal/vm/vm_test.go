@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -245,6 +246,18 @@ func TestDifferentialRuntimeErrors(t *testing.T) {
 		"floatdivzero": {`
 			int main() { double z = 0.0; double r = 1.5 / z; return 0; }`,
 			"floating division by zero at floatdivzero.mcc:2:"},
+		"globalread": {`
+			int f(); int a = f();
+			int b = 3;
+			int f() { return b; }
+			int main() { return a; }`,
+			"variable b has no storage (not in scope) at globalread.mcc:4:21"},
+		"globalwrite": {`
+			int f(); int a = f();
+			int b = 3;
+			int f() { b = 4; return 0; }
+			int main() { return a; }`,
+			"variable b has no storage (not in scope) at globalwrite.mcc:4:14"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -308,21 +321,63 @@ func TestDifferentialBenchCorpus(t *testing.T) {
 	}
 }
 
-// TestDifferentialLargeKernel covers the generator's compute-kernel
-// codegen (Spec.ComputeRounds) at a test-sized scale: the kernel shape —
-// wide integer statements over a dozen locals — does not depend on the
-// round count, so a scaled-down spec exercises the same fused bytecode
-// that BENCH_vm.json's 35-58 s programs did.
+// TestDifferentialLargeKernel holds the VM to the oracle on wide integer
+// statements: a corpus-shaped generated program whose hot loop also
+// calls a compute kernel. The kernel rewrites a dozen int locals once per
+// round, each by one wide `x = x + y % p - z % q …` statement, then folds
+// them into an accumulator with two guarded wraps. The rewrites run the
+// generic int-local assignment (opLvSlot … opAssignPop) over fused
+// slot-const binops chained by plain opIntBin; the declarations run
+// opIntBinXC, and the loop condition and the wraps the fused branch.
 func TestDifferentialLargeKernel(t *testing.T) {
 	spec := bench.Spec{
 		Name: "kernel-test", Description: "scaled-down large-corpus shape",
 		Classes: 20, UsedClasses: 12, Members: 60, DeadPercent: 10,
 		Allocations: 200, DynDeadPercent: 8, RetainMod: 3,
-		DeadHeavyClasses: 2, DeleteFlavor: true, ComputeRounds: 3, Seed: 42,
+		DeadHeavyClasses: 2, DeleteFlavor: true, Seed: 42,
 	}
 	src, _ := bench.Generate(spec)
+	const mainDecl, hotUse = "int main() {\n", "\t\tsink = sink + o->use();\n"
+	if strings.Count(src, mainDecl) != 1 || strings.Count(src, hotUse) != 1 {
+		t.Fatalf("generated driver has no single %q and %q to splice the kernel at", mainDecl, hotUse)
+	}
+	src = strings.Replace(src, mainDecl, kernelSource(3)+mainDecl, 1)
+	src = strings.Replace(src, hotUse, hotUse+"\t\tsink = sink + kernel(i);\n", 1)
 	c := compile(t, "kernel-test.mcc", src)
 	assertSameProfile(t, "kernel-test", c)
+}
+
+// kernelSource writes `int kernel(int seed)`: rounds rounds of wide
+// integer-arithmetic statements over a dozen distinct locals. It
+// allocates nothing, so the heap ledger is untouched.
+func kernelSource(rounds int) string {
+	vars := []string{"a", "b", "c", "d", "e", "f", "g", "h", "p", "q", "u"}
+	primes := []int{3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127}
+	var b strings.Builder
+	b.WriteString("int kernel(int seed) {\n")
+	for i, v := range vars {
+		fmt.Fprintf(&b, "\tint %s = seed * %d + %d;\n", v, primes[i], primes[len(primes)-1-i])
+	}
+	b.WriteString("\tint s = 0;\n")
+	fmt.Fprintf(&b, "\tfor (int r = 0; r < %d; r++) {\n", rounds)
+	ops := []string{"+", "-", "+", "+", "-", "+", "+", "-", "+", "+"}
+	for i, v := range vars {
+		fmt.Fprintf(&b, "\t\t%s = %s", v, v)
+		k := 0
+		for j, w := range vars {
+			if w == v {
+				continue
+			}
+			fmt.Fprintf(&b, " %s %s %% %d", ops[k%len(ops)], w, primes[(i*7+j*3)%len(primes)])
+			k++
+		}
+		b.WriteString(";\n")
+	}
+	b.WriteString("\t\ts = s + a % 4096 - b % 4096 + c % 128 - d % 128 + e % 64 - f % 64 + g % 32 - h % 32 + p % 16 + q % 16 - u % 8;\n")
+	b.WriteString("\t\tif (s > 16777216) { s = s % 9973; }\n")
+	b.WriteString("\t\tif (s < 0) { s = 1 - s % 9973; }\n")
+	b.WriteString("\t}\n\treturn s;\n}\n\n")
+	return b.String()
 }
 
 // assertSameProfile profiles the compilation on the production path and
@@ -849,7 +904,7 @@ func TestDoublingAddsNoCells(t *testing.T) {
 // TestInstrSize: an instruction holds int32 operands and positions only;
 // its pointer operands and inline cache live in the chunk's side table.
 func TestInstrSize(t *testing.T) {
-	if n := vm.InstrSize(); n > 64 {
-		t.Errorf("vm.instr is %d bytes, want at most 64", n)
+	if n := vm.InstrSize(); n > 40 {
+		t.Errorf("vm.instr is %d bytes, want at most 40", n)
 	}
 }
